@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsec import RobustnessProfile, flip_probability
+from .bsec import RobustnessProfile
 from .constellation import SUPPORTED_ORDERS, check_order
 from .errors import ConfigError, DomainError
 from .numerics import q_inverse
@@ -46,11 +46,6 @@ class BetaAdjusters:
 # Reference settings: uniform robustness levels vs. a linear ramp of them.
 HOMOGENEOUS_BETAS = BetaAdjusters(0.6599, 0.6003, 0.5553)
 HETEROGENEOUS_BETAS = BetaAdjusters(1.0, 0.6, 0.5)
-
-
-def ber_approx(order: int, snr: float, a: float) -> float:
-    """Analytic bit-error probability of the ternary demodulator."""
-    return flip_probability(order, snr, a)
 
 
 def tau(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import check_order
+from .demod import TRIT_ERASURE
 from .errors import DomainError
 from .numerics import RandomSource, q_function, q_function_array, q_inverse, q_inverse_array
-
-TRIT_ERASURE = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,6 @@ class RobustnessProfile:
         return cls(alphas, np.full(n, float(a)))
 
 
-def bsec_transition(b: int, p: BsecParams, rng: RandomSource) -> float:
-    """Pass one bit through the channel; returns b, 0.5, or 1 - b."""
-    if b not in (0, 1):
-        raise DomainError(f"channel input must be a bit, got {b!r}")
-    u = float(rng.random())
-    if u < p.d:
-        return TRIT_ERASURE
-    if u < p.d + p.mu:
-        return float(1 - b)
-    return float(b)
-
-
 def bsec_transition_many(bits: np.ndarray, p: BsecParams, rng: RandomSource) -> np.ndarray:
     """Vectorized channel pass over a bit array."""
     bits = np.asarray(bits, dtype=float)
@@ -127,18 +114,6 @@ def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
     return out
 
 
-def flip_probability(order: int, snr: float, a: float) -> float:
-    """Nearest-boundary flip probability of the ternary demodulator."""
-    m = check_order(order)
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
-    pref = (4.0 / m) * (1.0 - 2.0 ** (-m / 2))
-    x = math.sqrt(3.0 * snr / ((1 << m) - 1))
-    return pref * q_function((1.0 + a) * x)
-
-
 def analytic_params(order: int, snr: float, a: float) -> BsecParams:
     """Closed-form BSEC triple induced by (order, snr, boundary offset)."""
     m = check_order(order)
@@ -156,16 +131,6 @@ def analytic_params(order: int, snr: float, a: float) -> BsecParams:
             f"snr={snr}, a={a}; outside the approximation's validity region"
         )
     return BsecParams(mu=mu, d=d, r=1.0 - mu - d)
-
-
-def sample_profile_params(profile: RobustnessProfile, rng: RandomSource) -> list[BsecParams]:
-    """Independent per-bit BSEC triples: mu_i ~ U[0, alpha_i], d_i matched."""
-    out = []
-    for alpha in profile.alphas:
-        mu = sample_mu(float(alpha), rng)
-        d = erasure_from_mu(mu)
-        out.append(BsecParams(mu=mu, d=d, r=1.0 - mu - d))
-    return out
 
 
 def sample_mu_matrix(alphas: np.ndarray, n_examples: int, rng: RandomSource) -> np.ndarray:

@@ -9,7 +9,11 @@ Three routes to the same decision, kept deliberately redundant:
   the complement keeps the binary decision of its cell (outermost cells extend
   to infinity).
 
-The boundary route is the production path; the LLR routes serve as oracles.
+The boundary route is the production path and BitRegions.classify is its only
+trit kernel: one search places each coordinate in its Gray cell, and the two
+transitions bounding that cell decide the erasure band, with the offset a given
+per coordinate when it varies. demod_robust applies it per bit for the link
+Monte Carlo and the adaptive transport alike; the LLR routes serve as oracles.
 """
 
 from __future__ import annotations
@@ -131,18 +135,24 @@ class BitRegions:
     def index_set(self, output: float) -> tuple[int, ...]:
         return tuple(iv.index for iv in self.intervals if iv.output == output)
 
-    def classify(self, coords: np.ndarray) -> np.ndarray:
-        """Trit decision per coordinate; band-boundary hits erase to 0.5."""
+    def classify(self, coords: np.ndarray, a=None) -> np.ndarray:
+        """Trit decision per coordinate; band-boundary hits erase to 0.5.
+
+        Cell k spans (t_(k-1), t_k] of the ascending transitions, the first
+        cell starting at -inf and the last ending at +inf; a coordinate erases
+        when a > 0 and it lies within a*d_min/2 of either end. a defaults to the regions' own offset and may be any array that
+        broadcasts against coords.
+        """
         coords = np.asarray(coords, dtype=float)
+        a = self.a if a is None else np.asarray(a, dtype=float)
         cell = np.searchsorted(self.transitions, coords, side="left")
         out = self.pattern[cell].astype(float)
-        if self.a > 0 and self.transitions.size:
-            half_w = self.a * self.d_min / 2.0
-            lo = self.transitions - half_w
-            hi = self.transitions + half_w
-            idx = np.searchsorted(lo, coords, side="right") - 1
-            in_band = (idx >= 0) & (coords <= hi[np.clip(idx, 0, None)])
-            out[in_band] = TRIT_ERASURE
+        if np.any(a > 0):
+            half_w = a * self.d_min / 2.0
+            ends = np.concatenate(([-np.inf], self.transitions, [np.inf]))
+            erase = (a > 0) & ((coords <= ends[cell] + half_w)
+                               | (coords >= ends[cell + 1] - half_w))
+            out[erase] = TRIT_ERASURE
         return out
 
 
@@ -193,10 +203,6 @@ class DecisionRegions:
     d_min: float
     bits: tuple[BitRegions, ...]
 
-    @property
-    def a_offsets(self) -> np.ndarray:
-        return np.array([b.a for b in self.bits])
-
 
 def build_regions(c: Constellation, a_offsets) -> DecisionRegions:
     """Build ternary decision regions from per-bit erasure offsets."""
@@ -205,16 +211,20 @@ def build_regions(c: Constellation, a_offsets) -> DecisionRegions:
     return DecisionRegions(order=c.m, d_min=c.d_min, bits=bits)
 
 
-def demod_robust(y: np.ndarray, regions: DecisionRegions) -> np.ndarray:
+def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     """Demodulate equalized samples to trits {0, 0.5, 1}.
 
-    Returns a flat sequence of order*len(y) trits, one m-bit group per symbol.
+    y may have any shape. a, when given, overrides the regions' offsets per
+    bit slot and broadcasts against (*y.shape, order). Returns a flat sequence
+    of order*y.size trits, one m-bit group per symbol in row-major order.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    out = np.empty((y.size, regions.order))
+    y = np.asarray(y, dtype=complex)
+    if a is not None:
+        a = np.broadcast_to(np.asarray(a, dtype=float), (*y.shape, regions.order))
+    out = np.empty((*y.shape, regions.order))
     for br in regions.bits:
         coords = y.real if br.axis == 0 else y.imag
-        out[:, br.bit] = br.classify(coords)
+        out[..., br.bit] = br.classify(coords, None if a is None else a[..., br.bit])
     return out.reshape(-1)
 
 

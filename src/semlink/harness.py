@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,12 +26,10 @@ from .channel import (
     transmit,
 )
 from .constellation import build_constellation, pack_bits
-from .demod import DecisionRegions, build_regions, demod_robust
+from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
 from .jscc import ModelTriple, sample_latent_bits
 from .numerics import RandomSource
-
-TRIT_ERASURE = 0.5
 
 
 @dataclass(frozen=True)
@@ -103,39 +102,21 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
     for order, group_idxs in plan.groups:
         idxs = np.asarray(group_idxs)
         c = build_constellation(order)
-        group = bits[:, idxs]
-        pad = (-group.shape[1]) % order
-        padded = np.concatenate(
-            [group, np.zeros((n_rows, pad), dtype=np.int64)], axis=1
-        )
+        pad = (-idxs.size) % order
+        padded = np.pad(bits[:, idxs], ((0, 0), (0, pad)))
         words = pack_bits(padded.reshape(-1), order)
         y_eq = equalize(transmit(c.points[words], ch, rng), ch.h)
-        word_grid = y_eq.reshape(n_rows, -1)
-
-        # per word slot, demodulate with the owning bit's erasure offset
-        n_words = word_grid.shape[1]
-        a_flat = np.full(n_words * order, float(a_offsets[idxs[0]]))
-        a_flat[: idxs.size] = a_offsets[idxs]
-        a_slots = a_flat.reshape(n_words, order)
-        trit_grid = np.empty((n_rows, n_words * order))
-        for col in range(order):
-            for a_val in np.unique(a_slots[:, col]):
-                sel = np.nonzero(a_slots[:, col] == a_val)[0]
-                br = _regions_cache(order, float(a_val)).bits[col]
-                coords = word_grid[:, sel].real if br.axis == 0 else word_grid[:, sel].imag
-                trit_grid[:, sel * order + col] = br.classify(coords)
-        out[:, idxs] = trit_grid[:, : idxs.size]
+        # padding slots carry a = 0; their trits are dropped below
+        a_slots = np.pad(a_offsets[idxs], (0, pad)).reshape(-1, order)
+        trits = demod_robust(y_eq.reshape(n_rows, -1), _order_regions(order), a_slots)
+        out[:, idxs] = trits.reshape(n_rows, -1)[:, : idxs.size]
     return out, plan.symbol_count
 
 
-_REGIONS_CACHE: dict[tuple[int, float], DecisionRegions] = {}
-
-
-def _regions_cache(order: int, a: float) -> DecisionRegions:
-    key = (order, a)
-    if key not in _REGIONS_CACHE:
-        _REGIONS_CACHE[key] = build_regions(build_constellation(order), a)
-    return _REGIONS_CACHE[key]
+@functools.lru_cache(maxsize=3)
+def _order_regions(order: int) -> DecisionRegions:
+    """Transition tables of one order; transport_block supplies a per slot."""
+    return build_regions(build_constellation(order), 0.0)
 
 
 @dataclass

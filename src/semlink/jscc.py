@@ -22,11 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bsec import RobustnessProfile, erasure_from_mu_array, sample_mu_matrix
+from .demod import TRIT_ERASURE
 from .errors import ConfigError, DomainError, TrainingError
 from .nn import AdamState, DenseModel, ce_loss, init_model, mse_loss
 from .numerics import RandomSource
-
-TRIT_ERASURE = 0.5
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,6 @@ def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
     return ModelTriple(enc, dec, clf)
 
 
-def encoder_forward(u: np.ndarray, enc: DenseModel) -> np.ndarray:
-    """Encoder probabilities for a batch; each entry lies in (0, 1)."""
-    return enc.forward(u)
-
-
 def sample_latent_bits(f: np.ndarray, rng: RandomSource) -> np.ndarray:
     """Independent Bernoulli draws from per-bit probabilities."""
     f = np.asarray(f, dtype=np.float64)
@@ -140,10 +134,6 @@ def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
     return np.where(u < p_half, TRIT_ERASURE, np.where(u < p_half + p_one, 1.0, 0.0))
 
 
-def combined_loss(mse: float, ce: float, loss_weight: float) -> float:
-    return loss_weight * mse + ce
-
-
 def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
                          b_hat: np.ndarray, loss_weight: float
                          ) -> tuple[float, float, float, np.ndarray]:
@@ -159,7 +149,7 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
     logits = clf.forward(u_hat)
     ce, grad_logits = ce_loss(logits, labels)
     mse, grad_uhat_mse = mse_loss(u, u_hat)
-    loss = combined_loss(mse, ce, loss_weight)
+    loss = loss_weight * mse + ce
 
     enc.zero_grads()
     dec.zero_grads()
@@ -198,7 +188,7 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
         for start in range(0, len(x), config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            f = encoder_forward(xb, models.encoder)
+            f = models.encoder.forward(xb)
             # warm-up scales the same draws by zero, keeping the stream
             # aligned with a zero-robustness profile run
             mu = sample_mu_matrix(np.zeros_like(alphas) if warm else alphas,

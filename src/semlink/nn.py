@@ -185,10 +185,6 @@ class AdamState:
                 param -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def adam_step(model: DenseModel, state: AdamState, lr: float) -> None:
-    state.step(model, lr)
-
-
 def mse_loss(u: np.ndarray, u_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean over examples of the squared L2 distance, with d/d(u_hat)."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))

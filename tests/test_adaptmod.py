@@ -11,7 +11,6 @@ from semlink.adaptmod import (
     BetaAdjusters,
     HETEROGENEOUS_BETAS,
     HOMOGENEOUS_BETAS,
-    ber_approx,
     capacity_uniform,
     fixed_plan,
     plan_assignment,
@@ -22,18 +21,18 @@ from semlink.adaptmod import (
     threshold_table,
     thresholds,
 )
-from semlink.bsec import RobustnessProfile
+from semlink.bsec import RobustnessProfile, analytic_params
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import q_inverse
 
 
 class TestBerApprox:
     def test_order2_values(self):
-        assert ber_approx(2, 1.0, 0.0) == pytest.approx(0.1586553, abs=1e-7)
-        assert ber_approx(2, 1.0, 0.5) == pytest.approx(0.0668072, abs=1e-7)
+        assert analytic_params(2, 1.0, 0.0).mu == pytest.approx(0.1586553, abs=1e-7)
+        assert analytic_params(2, 1.0, 0.5).mu == pytest.approx(0.0668072, abs=1e-7)
 
     def test_vanishes_at_high_snr(self):
-        assert ber_approx(6, 1e6, 0.0) <= 1e-12
+        assert analytic_params(6, 1e6, 0.0).mu <= 1e-12
 
 
 class TestTau:
@@ -71,7 +70,7 @@ class TestTau:
                     t = tau(m, alpha, 0.5, betas)
                     if t > 0:
                         snr = t * t
-                        assert ber_approx(m, snr, 0.5) == pytest.approx(
+                        assert analytic_params(m, snr, 0.5).mu == pytest.approx(
                             betas.for_order(m) * alpha, rel=1e-9
                         )
 
@@ -145,7 +144,7 @@ class TestSelectOrder:
             t2, _, _ = thresholds(alpha, a, HETEROGENEOUS_BETAS)
             s = rng.uniform(max(t2, 0.05), 3.0)
             m = select_order(s * s, alpha, a, HETEROGENEOUS_BETAS)
-            assert ber_approx(m, s * s, a) <= HETEROGENEOUS_BETAS.for_order(m) * alpha + 1e-12
+            assert analytic_params(m, s * s, a).mu <= HETEROGENEOUS_BETAS.for_order(m) * alpha + 1e-12
 
     def test_ordering_violation_rejected(self):
         bad = BetaAdjusters(0.01, 0.99, 0.99)

@@ -12,14 +12,11 @@ from semlink.bsec import (
     NOISELESS,
     RobustnessProfile,
     analytic_params,
-    bsec_transition,
     bsec_transition_many,
     erasure_from_mu,
     erasure_from_mu_array,
-    flip_probability,
     sample_mu,
     sample_mu_matrix,
-    sample_profile_params,
 )
 from semlink.errors import DomainError
 from semlink.numerics import RandomSource, q_function
@@ -45,13 +42,13 @@ class TestParams:
 class TestTransition:
     def test_noiseless_identity(self):
         rng = RandomSource(1)
-        assert all(bsec_transition(1, NOISELESS, rng) == 1.0 for _ in range(100))
-        assert all(bsec_transition(0, NOISELESS, rng) == 0.0 for _ in range(100))
+        assert np.all(bsec_transition_many(np.ones(100), NOISELESS, rng) == 1.0)
+        assert np.all(bsec_transition_many(np.zeros(100), NOISELESS, rng) == 0.0)
 
     def test_pure_erasure(self):
         rng = RandomSource(2)
         p = BsecParams(0.0, 1.0, 0.0)
-        assert all(bsec_transition(b, p, rng) == 0.5 for b in (0, 1) for _ in range(50))
+        assert np.all(bsec_transition_many(np.tile([0, 1], 50), p, rng) == 0.5)
 
     def test_empirical_frequencies(self):
         p = BsecParams(0.1, 0.2, 0.7)
@@ -65,12 +62,8 @@ class TestTransition:
     def test_scalar_matches_law(self):
         p = BsecParams(0.3, 0.3, 0.4)
         rng = RandomSource(4)
-        draws = [bsec_transition(0, p, rng) for _ in range(20000)]
-        assert abs(np.mean([t == 1.0 for t in draws]) - 0.3) <= 0.01
-
-    def test_input_validation(self):
-        with pytest.raises(DomainError):
-            bsec_transition(2, NOISELESS, RandomSource(0))
+        draws = bsec_transition_many(np.zeros(20000), p, rng)
+        assert abs(np.mean(draws == 1.0) - 0.3) <= 0.01
 
 
 class TestSampleMu:
@@ -141,7 +134,7 @@ class TestAnalyticParams:
         assert p.mu == pytest.approx(0.75 * q_function(math.sqrt(2.0)), abs=1e-12)
 
     def test_flip_probability_matches(self):
-        assert flip_probability(2, 1.0, 0.5) == pytest.approx(Q15, abs=1e-10)
+        assert analytic_params(2, 1.0, 0.5).mu == pytest.approx(Q15, abs=1e-10)
 
     def test_monotonicity(self):
         snrs = np.linspace(0.2, 8, 25)
@@ -190,12 +183,15 @@ class TestProfiles:
 
     def test_zero_profile_samples_noiseless(self):
         profile = RobustnessProfile.homogeneous(8, 0.0)
-        params = sample_profile_params(profile, RandomSource(8))
-        assert all(p == NOISELESS for p in params)
+        mu = sample_mu_matrix(profile.alphas, 1, RandomSource(8))[0]
+        d = erasure_from_mu_array(mu)
+        assert all(BsecParams(m, e, 1.0 - m - e) == NOISELESS for m, e in zip(mu, d))
 
     def test_sampled_pairs_satisfy_matching_relation(self):
         profile = RobustnessProfile.homogeneous(64, 0.4)
-        for p in sample_profile_params(profile, RandomSource(9)):
+        mu = sample_mu_matrix(profile.alphas, 1, RandomSource(9))[0]
+        for m, e in zip(mu, erasure_from_mu_array(mu)):
+            p = BsecParams(m, e, 1.0 - m - e)
             assert p.d == pytest.approx(erasure_from_mu(p.mu), abs=1e-14)
             assert p.r == pytest.approx(1 - p.mu - p.d, abs=1e-14)
 

@@ -1,0 +1,60 @@
+"""CLI goldens: every command's CSV and the saved model files, byte for byte.
+
+Repeated-run determinism (criterion 10) only compares a build with itself;
+these goldens pin the output across refactors. A change that is meant to alter
+output regenerates them with `python tests/test_cli_golden.py` and says why.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from semlink.cli import MODEL_FILES, main
+
+GOLDENS = Path(__file__).parent / "goldens"
+RAMP96 = GOLDENS / "ramp96.profile"
+MIXED = GOLDENS / "mixed_a.profile"
+MODEL_DIR = GOLDENS / "train_models"
+TINY_DATA = ["--classes", "3", "--dim", "8", "--per-class", "40", "--noise-sigma", "1.0"]
+
+CASES = {
+    **{f"demod_regions_order{m}.csv": ["demod-regions", "--order", str(m), "--a", "0.5"]
+       for m in (2, 4, 6)},
+    "simulate_ber.csv": ["simulate-ber", "--order", "4", "--a", "0.5",
+                         "--snr-db", "0:6:3", "--n-bits", "30000", "--seed", "5"],
+    "bsec_table_order2.csv": ["bsec-table", "--order", "2", "--a", "0.5",
+                              "--snr-db", "0:6:3", "--n-bits", "20000", "--seed", "1"],
+    "adaptive_plan.csv": ["adaptive-plan", "--snr-db", "0", "--profile", str(RAMP96)],
+    "eval_adaptive.csv": ["eval", "--model-dir", str(MODEL_DIR), *TINY_DATA,
+                          "--adaptive", "--uniform", "0.37:2.5", "--profile", str(MIXED),
+                          "--images-per-block", "2", "--seed", "6"],
+}
+TRAIN = ["train", *TINY_DATA, "--profile", str(MIXED), "--epochs", "4",
+         "--warmup-epochs", "1", "--batch-size", "16", "--seed", "2"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_command_golden(name, tmp_path):
+    out = tmp_path / name
+    assert main([*CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDENS / name).read_bytes()
+
+
+def test_train_golden(tmp_path):
+    out = tmp_path / "train.csv"
+    assert main([*TRAIN, "--model-dir", str(tmp_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDENS / "train.csv").read_bytes()
+    for name in MODEL_FILES:
+        assert (tmp_path / name).read_bytes() == (MODEL_DIR / name).read_bytes(), name
+
+
+def regenerate() -> None:
+    assert main([*TRAIN, "--model-dir", str(MODEL_DIR),
+                 "--out", str(GOLDENS / "train.csv")]) == 0
+    for name, argv in CASES.items():
+        assert main([*argv, "--out", str(GOLDENS / name)]) == 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -227,3 +227,73 @@ class TestDemodRobust:
             # erasures never revert to binary as a grows
             assert not np.any((prev == 0.5) & (cur != 0.5))
             prev = cur
+
+
+def two_search_classify(br, coords, a):
+    """The former BitRegions.classify body: one search for the cell and one
+    over the band lower edges, at a single offset a."""
+    cell = np.searchsorted(br.transitions, coords, side="left")
+    out = br.pattern[cell].astype(float)
+    if a > 0 and br.transitions.size:
+        half_w = a * br.d_min / 2.0
+        lo = br.transitions - half_w
+        hi = br.transitions + half_w
+        idx = np.searchsorted(lo, coords, side="right") - 1
+        in_band = (idx >= 0) & (coords <= hi[np.clip(idx, 0, None)])
+        out[in_band] = 0.5
+    return out
+
+
+def differential_coords(br, n, seed):
+    """n random coordinates plus every transition, band edge at each offset
+    in A_GRID and cell midpoint, each with both nextafter neighbours."""
+    t = br.transitions
+    special = [t, (t[:-1] + t[1:]) / 2.0]
+    for a in A_GRID:
+        half_w = a * br.d_min / 2.0
+        special += [t - half_w, t + half_w]
+    special = np.concatenate(special)
+    special = np.concatenate([special, np.nextafter(special, -np.inf),
+                              np.nextafter(special, np.inf)])
+    span = (abs(t).max() + br.d_min) * 1.2
+    return np.concatenate([RandomSource(seed).uniform(-span, span, n), special])
+
+
+def mixed_offsets(n, seed):
+    return np.asarray(A_GRID)[(RandomSource(seed).random(n) * len(A_GRID)).astype(int)]
+
+
+def check_kernel_against_oracle(m, n, seed):
+    """classify equals the two-search oracle on every bit of order m, for each
+    scalar offset in A_GRID and for per-coordinate offsets drawn from it."""
+    c = build_constellation(m)
+    for bit, br in enumerate(build_regions(c, 0.0).bits):
+        coords = differential_coords(br, n, seed + bit)
+        for a in A_GRID:
+            expected = two_search_classify(br, coords, a)
+            assert np.array_equal(build_regions(c, a).bits[bit].classify(coords), expected)
+            assert np.array_equal(br.classify(coords, a), expected)
+        a_mixed = mixed_offsets(coords.size, seed + 100 + bit)
+        expected = np.empty(coords.size)
+        for a in A_GRID:
+            sel = a_mixed == a
+            expected[sel] = two_search_classify(br, coords[sel], a)
+        assert np.array_equal(br.classify(coords, a_mixed), expected)
+
+
+class TestTritKernel:
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_matches_two_search_oracle(self, m):
+        check_kernel_against_oracle(m, 20000, seed=40 + m)
+
+    def test_demod_robust_per_slot_offsets(self):
+        # a (words, order) offset grid equals per-bit regions built at each a
+        c = build_constellation(4)
+        y = random_samples(3000, 11).reshape(1000, 3)
+        a_slots = mixed_offsets(3 * 4, 12).reshape(3, 4)
+        got = demod_robust(y, build_regions(c, 0.0), a_slots).reshape(1000, 3, 4)
+        for word in range(3):
+            for bit in range(4):
+                br = build_regions(c, a_slots[word, bit]).bits[bit]
+                coords = y[:, word].real if br.axis == 0 else y[:, word].imag
+                np.testing.assert_array_equal(got[:, word, bit], br.classify(coords))

@@ -7,7 +7,9 @@ import pytest
 
 from semlink.adaptmod import HETEROGENEOUS_BETAS, fixed_plan, plan_from_thresholds, threshold_table
 from semlink.bsec import RobustnessProfile, analytic_params
-from semlink.channel import FixedSnr, UniformMagnitude, draw_channel
+from semlink.channel import FixedSnr, UniformMagnitude, draw_channel, equalize, transmit
+from semlink.constellation import build_constellation, pack_bits
+from semlink.demod import build_regions
 from semlink.datasets import synth_dataset
 from semlink.harness import (
     chi_square_homogeneity,
@@ -98,6 +100,31 @@ class TestTransportBlock:
         p = analytic_params(4, 4.0, 0.5)
         flip_rate = np.mean(trits == 1 - bits)
         assert abs(flip_rate - p.mu) / p.mu <= 0.2
+
+    def test_mixed_offsets_match_per_bit_regions(self):
+        # every bit keeps its own offset across a mixed-order plan: replay the
+        # same noise and demodulate each bit with build_regions(c, a_i)
+        alphas = np.linspace(0.29, 0.45, 96)
+        a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 96)
+        plan = plan_from_thresholds(1.0, threshold_table(
+            RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
+        assert len(set(plan.orders)) == 3
+        bits = RandomSource(8).bits(96 * 6).reshape(6, 96)
+        ch = draw_channel(FixedSnr(snr=3.0), RandomSource(9))
+        trits, _ = transport_block(bits, plan, a_offsets, ch, RandomSource(10))
+
+        noise_rng = RandomSource(10)
+        expected = np.empty(bits.shape)
+        for order, idxs in plan.groups:
+            c = build_constellation(order)
+            padded = np.pad(bits[:, idxs], ((0, 0), (0, (-len(idxs)) % order)))
+            words = pack_bits(padded.reshape(-1), order)
+            y = equalize(transmit(c.points[words], ch, noise_rng), ch.h).reshape(6, -1)
+            for slot, i in enumerate(idxs):
+                br = build_regions(c, a_offsets[i]).bits[slot % order]
+                word = y[:, slot // order]
+                expected[:, i] = br.classify(word.real if br.axis == 0 else word.imag)
+        np.testing.assert_array_equal(trits, expected)
 
 
 class TestStatisticalEquivalence:

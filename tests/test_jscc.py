@@ -13,7 +13,6 @@ from semlink.jscc import (
     TrainingConfig,
     backward_with_bypass,
     build_models,
-    encoder_forward,
     eval_under_bsec,
     noisy_latent_law,
     noisy_latent_sample,
@@ -93,7 +92,7 @@ class TestBypassGradients:
         models = build_models(10, 4, cfg, rng)
         x = rng.std_normal((6, 10))
         labels = (rng.random(6) * 4).astype(np.int64)
-        f = encoder_forward(x, models.encoder)
+        f = models.encoder.forward(x)
         b_hat = noisy_latent_sample(
             f, np.full_like(f, 0.1), np.full_like(f, 0.15), rng
         )
@@ -133,7 +132,7 @@ class TestBypassGradients:
         # surrogate: replace b_hat by f + frozen offset, differentiate through f
         models, x, labels, b_hat = self.setup_models(seed + 500)
         lam = 0.2
-        f = encoder_forward(x, models.encoder)
+        f = models.encoder.forward(x)
         offset = b_hat - f  # frozen realized noise
         backward_with_bypass(models, x, labels, b_hat, lam)
         got = [l.grad_weight.copy() for l in models.encoder.layers]

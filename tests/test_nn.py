@@ -10,7 +10,6 @@ from semlink.nn import (
     AdamState,
     DenseModel,
     Layer,
-    adam_step,
     ce_loss,
     init_model,
     load_model,
@@ -199,7 +198,7 @@ class TestAdam:
         before = model.layers[0].weight.copy()
         state = AdamState(model)
         model.zero_grads()
-        adam_step(model, state, lr=0.1)
+        state.step(model, lr=0.1)
         np.testing.assert_array_equal(model.layers[0].weight, before)
 
     def test_constant_gradient_step_magnitude(self):
@@ -210,7 +209,7 @@ class TestAdam:
         for _ in range(200):
             model.layers[0].grad_weight[...] = g
             prev = model.layers[0].weight[0, 0]
-            adam_step(model, state, lr=0.001)
+            state.step(model, lr=0.001)
         step = prev - model.layers[0].weight[0, 0]
         assert step == pytest.approx(0.001, rel=1e-6)
 
@@ -226,7 +225,7 @@ class TestAdam:
                 out = model.forward(x)
                 _, grad = mse_loss(t, out)
                 model.backward(grad)
-                adam_step(model, state, lr=0.01)
+                state.step(model, lr=0.01)
             return [l.weight.copy() for l in model.layers]
 
         for wa, wb in zip(run(), run()):
