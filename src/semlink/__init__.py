@@ -9,8 +9,6 @@ from .adaptmod import (
     HOMOGENEOUS_BETAS,
     ModPlan,
     capacity_uniform,
-    plan_assignment,
-    select_order,
     spectral_efficiency,
     tau,
 )

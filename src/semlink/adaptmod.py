@@ -3,15 +3,14 @@
 For each bit, an order is admissible when its analytic flip probability stays
 below beta_M * alpha_i, which converts to a sqrt-SNR threshold tau per order.
 The highest admissible order among {2, 4, 6} wins; below the lowest threshold
-the bit falls back to order 2 with a warning. Bits are then packed into
-symbols by grouping maximal same-order runs, zero-padding each run to a
-multiple of its order.
+the bit still rides order 2, the floor, and no warning is raised. Bits are
+then packed into symbols by grouping maximal same-order runs, zero-padding
+each run to a multiple of its order.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,6 @@ from .bsec import RobustnessProfile
 from .constellation import SUPPORTED_ORDERS, check_order
 from .errors import ConfigError, DomainError
 from .numerics import q_inverse
-
-
-class BelowFloorWarning(UserWarning):
-    """sqrt(SNR) fell below the order-2 threshold; order 2 used anyway."""
 
 
 @dataclass(frozen=True)
@@ -79,25 +74,6 @@ def thresholds(alpha: float, a: float, betas: BetaAdjusters) -> tuple[float, flo
     return t
 
 
-def select_order(snr: float, alpha: float, a: float, betas: BetaAdjusters) -> int:
-    """Highest order whose threshold sqrt(SNR) clears; order 2 is the floor."""
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    t2, t4, t6 = thresholds(alpha, a, betas)
-    s = math.sqrt(snr)
-    if s >= t6:
-        return 6
-    if s >= t4:
-        return 4
-    if s < t2:
-        warnings.warn(
-            f"sqrt(snr)={s:.4g} below the order-2 threshold {t2:.4g}; using order 2",
-            BelowFloorWarning,
-            stacklevel=2,
-        )
-    return 2
-
-
 @dataclass(frozen=True)
 class ModPlan:
     """Symbol packing of a bit sequence under per-bit modulation orders."""
@@ -125,15 +101,6 @@ def plan_from_thresholds(snr: float, table: np.ndarray) -> ModPlan:
     orders[s >= table[:, 1]] = 4
     orders[s >= table[:, 2]] = 6
     return _pack(tuple(int(o) for o in orders))
-
-
-def plan_assignment(snr: float, profile: RobustnessProfile, betas: BetaAdjusters) -> ModPlan:
-    """Select a per-bit order from the channel and pack bits into symbols."""
-    orders = tuple(
-        select_order(snr, float(alpha), float(a), betas)
-        for alpha, a in zip(profile.alphas, profile.a_offsets)
-    )
-    return _pack(orders)
 
 
 def fixed_plan(n_bits: int, order: int) -> ModPlan:

@@ -55,9 +55,9 @@ class RobustnessProfile:
         object.__setattr__(self, "a_offsets", a_offsets)
         if alphas.shape != a_offsets.shape or alphas.ndim != 1:
             raise DomainError("alphas and a_offsets must be 1-D arrays of equal length")
-        if np.any((alphas < 0) | (alphas > 0.5)):
+        if np.any(~((0 <= alphas) & (alphas <= 0.5))):
             raise DomainError("robustness levels must lie in [0, 0.5]")
-        if np.any((a_offsets < 0) | (a_offsets > 1)):
+        if np.any(~((0 <= a_offsets) & (a_offsets <= 1))):
             raise DomainError("boundary offsets must lie in [0, 1]")
 
     def __len__(self) -> int:

@@ -29,7 +29,6 @@ from .datasets import load_idx, synth_dataset
 from .demod import build_regions
 from .errors import ConfigError, DomainError, FormatError, SemlinkError
 from .harness import (
-    RunRecord,
     chi_square_homogeneity,
     run_end_to_end,
     run_link_montecarlo,
@@ -60,11 +59,6 @@ def emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def emit_record(record: RunRecord, header: list[str], out_path: str | None) -> None:
-    """CSV from a run record; timestamps stay internal to keep output reproducible."""
-    emit_csv(header, [[row[k] for k in header] for row in record.rows], out_path)
-
-
 def parse_sweep(spec: str) -> np.ndarray:
     """LO:HI:STEP inclusive sweep specification."""
     parts = spec.split(":")
@@ -74,6 +68,8 @@ def parse_sweep(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"invalid sweep {spec!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"sweep bounds must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"invalid sweep {spec!r}")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -178,36 +174,27 @@ def cmd_demod_regions(args) -> int:
 def cmd_bsec_table(args) -> int:
     rng = RandomSource(args.seed)
     sweep = parse_sweep(args.snr_db)
-    record = RunRecord(config={"order": args.order, "a": args.a, "snr_db": args.snr_db,
-                               "n_bits": args.n_bits}, seed=args.seed)
+    rows = []
     for snr_db, child in zip(sweep, rng.split(len(sweep))):
         snr = 10.0 ** (snr_db / 10.0)
         p = analytic_params(args.order, snr, args.a)
         stats = run_link_montecarlo(args.order, float(snr_db), args.a, args.n_bits, child)
-        record.rows.append({
-            "snr_db": float(snr_db), "mu": p.mu, "d": p.d, "r": p.r,
-            "empirical_mu": stats.flip_rate, "empirical_d": stats.erasure_rate,
-            "empirical_r": stats.correct_rate, "n_bits": stats.n_bits,
-        })
-    emit_record(record, ["snr_db", "mu", "d", "r", "empirical_mu", "empirical_d",
-                         "empirical_r", "n_bits"], args.out)
+        rows.append([float(snr_db), p.mu, p.d, p.r, stats.flip_rate, stats.erasure_rate,
+                     stats.correct_rate, stats.n_bits])
+    emit_csv(["snr_db", "mu", "d", "r", "empirical_mu", "empirical_d", "empirical_r",
+              "n_bits"], rows, args.out)
     return 0
 
 
 def cmd_simulate_ber(args) -> int:
     rng = RandomSource(args.seed)
     sweep = parse_sweep(args.snr_db)
-    record = RunRecord(config={"order": args.order, "a": args.a, "snr_db": args.snr_db,
-                               "n_bits": args.n_bits}, seed=args.seed)
+    rows = []
     for snr_db, child in zip(sweep, rng.split(len(sweep))):
         stats = run_link_montecarlo(args.order, float(snr_db), args.a, args.n_bits, child)
-        record.rows.append({
-            "snr_db": float(snr_db), "order": args.order, "a": args.a,
-            "n_bits": stats.n_bits, "ber": stats.flip_rate,
-            "erasure_rate": stats.erasure_rate,
-        })
-    emit_record(record, ["snr_db", "order", "a", "n_bits", "ber", "erasure_rate"],
-                args.out)
+        rows.append([float(snr_db), args.order, args.a, stats.n_bits, stats.flip_rate,
+                     stats.erasure_rate])
+    emit_csv(["snr_db", "order", "a", "n_bits", "ber", "erasure_rate"], rows, args.out)
     return 0
 
 
@@ -270,24 +257,18 @@ def cmd_eval(args) -> int:
     models = _load_models(args.model_dir)
     profile = _profile_from_args(args, models.encoder.out_dim)
     betas = parse_betas(args.betas)
-    header = ["channel", "snr_db", "accuracy", "mse", "spectral_efficiency",
-              "flip_rate", "erasure_rate", "bit_bias"]
+    metric_names = ["accuracy", "mse", "spectral_efficiency", "flip_rate",
+                    "erasure_rate", "bit_bias"]
     if args.uniform is None and args.snr_db is None:
         raise ConfigError("eval needs either --snr-db or --uniform")
-    record = RunRecord(
-        config={"model_dir": args.model_dir, "adaptive": args.adaptive,
-                "fixed_order": args.fixed_order, "betas": args.betas,
-                "snr_db": args.snr_db, "uniform": args.uniform,
-                "images_per_block": args.images_per_block},
-        seed=args.seed,
-    )
+    rows = []
     if args.uniform:
         g1, g2 = parse_range(args.uniform)
         metrics = run_end_to_end(models, UniformMagnitude(g1, g2), profile, betas,
                                  args.adaptive, dataset, eval_rng,
                                  images_per_block=args.images_per_block,
                                  fixed_order=args.fixed_order)
-        record.rows.append({"channel": "uniform", "snr_db": "", **metrics})
+        rows.append(["uniform", "", *(metrics[k] for k in metric_names)])
     else:
         sweep = parse_sweep(args.snr_db)
         for snr_db, child in zip(sweep, eval_rng.split(len(sweep))):
@@ -296,8 +277,8 @@ def cmd_eval(args) -> int:
                                      args.adaptive, dataset, child,
                                      images_per_block=args.images_per_block,
                                      fixed_order=args.fixed_order)
-            record.rows.append({"channel": "fixed", "snr_db": float(snr_db), **metrics})
-    emit_record(record, header, args.out)
+            rows.append(["fixed", float(snr_db), *(metrics[k] for k in metric_names)])
+    emit_csv(["channel", "snr_db", *metric_names], rows, args.out)
     return 0
 
 
@@ -469,9 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        cfg_path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return  # a malformed --config is reported by the full parser
+    if cfg_path is None:
         return
-    cfg_path = argv[argv.index("--config") + 1]
     overrides = load_config_file(cfg_path)
     if not argv or argv[0].startswith("-"):
         return

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,16 +116,6 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
 def _order_regions(order: int) -> DecisionRegions:
     """Transition tables of one order; transport_block supplies a per slot."""
     return build_regions(build_constellation(order), 0.0)
-
-
-@dataclass
-class RunRecord:
-    """One CLI invocation's configuration snapshot and sweep metrics."""
-
-    config: dict
-    seed: int
-    rows: list[dict] = field(default_factory=list)
-    created_at: float = field(default_factory=time.time)
 
 
 def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,

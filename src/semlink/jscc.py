@@ -38,9 +38,6 @@ class TrainingConfig:
     batch_size: int = 256
     learning_rate: float = 0.001
     loss_weight: float = 0.2  # weight of the reconstruction term
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     enc_hidden: tuple[int, ...] = (64, 32)
     dec_hidden: tuple[int, ...] = (32, 64)
@@ -137,7 +134,7 @@ def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
 def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
                          b_hat: np.ndarray, loss_weight: float
                          ) -> tuple[float, float, float, np.ndarray]:
-    """Forward the decoder/classifier on b_hat and fill all gradient buffers.
+    """Forward the decoder/classifier on b_hat and write all gradient buffers.
 
     The caller must already have run the encoder forward on u (its cache feeds
     the bypass). Decoder and classifier gradients are exact backpropagation;
@@ -151,9 +148,6 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
     mse, grad_uhat_mse = mse_loss(u, u_hat)
     loss = loss_weight * mse + ce
 
-    enc.zero_grads()
-    dec.zero_grads()
-    clf.zero_grads()
     grad_uhat = clf.backward(grad_logits) + loss_weight * grad_uhat_mse
     grad_bhat = dec.backward(grad_uhat)
     enc.backward(grad_bhat)  # gradient w.r.t. probabilities := gradient w.r.t. b_hat
@@ -171,11 +165,7 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
-    opt = {
-        name: AdamState(m, config.adam_beta1, config.adam_beta2, config.adam_eps)
-        for name, m in (("enc", models.encoder), ("dec", models.decoder),
-                        ("clf", models.classifier))
-    }
+    opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas = config.profile.alphas
     result = TrainResult(models=models)
 
@@ -199,9 +189,7 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
                                                          config.loss_weight)
             if not math.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at epoch {epoch}")
-            opt["enc"].step(models.encoder, config.learning_rate)
-            opt["dec"].step(models.decoder, config.learning_rate)
-            opt["clf"].step(models.classifier, config.learning_rate)
+            opt.step(config.learning_rate)
 
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
             tot_loss += loss

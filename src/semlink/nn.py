@@ -8,7 +8,7 @@ checked against finite differences. Everything runs in float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +64,6 @@ class Layer:
     weight: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray    # (out_dim,)
     activation: str
-    grad_weight: np.ndarray = field(default=None, repr=False)
-    grad_bias: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -74,14 +72,15 @@ class Layer:
         self.bias = np.asarray(self.bias, dtype=np.float64)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise DomainError("layer weight must be (out, in) with matching bias")
-        if self.grad_weight is None:
-            self.grad_weight = np.zeros_like(self.weight)
-        if self.grad_bias is None:
-            self.grad_bias = np.zeros_like(self.bias)
 
 
 class DenseModel:
-    """A stack of affine+activation layers with gradient buffers."""
+    """A stack of affine+activation layers over one flat parameter buffer.
+
+    `params` holds W0, b0, W1, b1, ... in the model file's payload order and
+    `grads` mirrors it; every layer's weight, bias, grad_weight and grad_bias
+    are views into these two buffers.
+    """
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -91,6 +90,19 @@ class DenseModel:
                 raise DomainError(
                     f"layer dimensions do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
                 )
+        size = sum(l.weight.size + l.bias.size for l in layers)
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        off = 0
+        for layer in layers:
+            for name in ("weight", "bias"):
+                value = getattr(layer, name)
+                view = self.params[off:off + value.size].reshape(value.shape)
+                view[...] = value
+                setattr(layer, name, view)
+                setattr(layer, "grad_" + name,
+                        self.grads[off:off + value.size].reshape(value.shape))
+                off += value.size
         self.layers = layers
         self._cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
@@ -117,26 +129,16 @@ class DenseModel:
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; returns the gradient w.r.t. input."""
+        """Write parameter gradients into `grads`; returns the gradient w.r.t. input."""
         if self._cache is None:
             raise StateError("backward called without a cached forward pass")
         grad = np.asarray(grad_out, dtype=np.float64)
         for layer, (x_in, z, out) in zip(reversed(self.layers), reversed(self._cache)):
             grad_z = _activation_backward(grad, z, out, layer.activation)
-            layer.grad_weight += grad_z.T @ x_in
-            layer.grad_bias += grad_z.sum(axis=0)
+            np.matmul(grad_z.T, x_in, out=layer.grad_weight)
+            grad_z.sum(axis=0, out=layer.grad_bias)
             grad = grad_z @ layer.weight
         return grad
-
-    def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.grad_weight[...] = 0.0
-            layer.grad_bias[...] = 0.0
-
-    def copy(self) -> "DenseModel":
-        return DenseModel([
-            Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers
-        ])
 
 
 def init_model(dims: list[int], activations: list[str], rng: RandomSource) -> DenseModel:
@@ -157,32 +159,30 @@ def init_model(dims: list[int], activations: list[str], rng: RandomSource) -> De
 
 
 class AdamState:
-    """Bias-corrected Adam moments for one model."""
+    """Bias-corrected Adam moments over the flat parameters of several models."""
 
-    def __init__(self, model: DenseModel, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, models: list[DenseModel], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.models = list(models)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
-        self._v = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
+        self._m = [np.zeros_like(model.params) for model in self.models]
+        self._v = [np.zeros_like(model.params) for model in self.models]
 
-    def step(self, model: DenseModel, lr: float) -> None:
-        """One Adam update from the model's accumulated gradients."""
+    def step(self, lr: float) -> None:
+        """One Adam update of every model from its last backward pass."""
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        for layer, (mw, mb), (vw, vb) in zip(model.layers, self._m, self._v):
-            for param, grad, m, v in (
-                (layer.weight, layer.grad_weight, mw, vw),
-                (layer.bias, layer.grad_bias, mb, vb),
-            ):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                param -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        for model, m, v in zip(self.models, self._m, self._v):
+            grad = model.grads
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            model.params -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def mse_loss(u: np.ndarray, u_hat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -223,9 +223,7 @@ def save_model(model: DenseModel, path) -> None:
         for layer in model.layers:
             rows, cols = layer.weight.shape
             fh.write(struct.pack("<IIB", rows, cols, _ACT_IDS[layer.activation]))
-        for layer in model.layers:
-            fh.write(layer.weight.astype("<f8").tobytes(order="C"))
-            fh.write(layer.bias.astype("<f8").tobytes(order="C"))
+        fh.write(model.params.astype("<f8").tobytes())
 
 
 def load_model(path) -> DenseModel:
@@ -248,16 +246,14 @@ def load_model(path) -> DenseModel:
         if act_id >= len(ACTIVATIONS):
             raise FormatError(f"{path}: unknown activation id {act_id}")
         headers.append((rows, cols, ACTIVATIONS[act_id]))
+    size = sum(rows * (cols + 1) for rows, cols, _ in headers)
+    if len(blob) < off + 8 * size:
+        raise FormatError(f"{path}: expected {off + 8 * size} bytes, file has {len(blob)}")
+    payload = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
     layers = []
     for rows, cols, act in headers:
-        n_bytes = 8 * rows * (cols + 1)
-        if len(blob) < off + n_bytes:
-            raise FormatError(
-                f"{path}: expected {off + n_bytes} bytes, file has {len(blob)}"
-            )
-        w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
-        off += 8 * rows * cols
-        b = np.frombuffer(blob, dtype="<f8", count=rows, offset=off)
-        off += 8 * rows
-        layers.append(Layer(w.reshape(rows, cols).copy(), b.copy(), act))
+        w = payload[:rows * cols].reshape(rows, cols)
+        b = payload[rows * cols:rows * (cols + 1)]
+        payload = payload[rows * (cols + 1):]
+        layers.append(Layer(w, b, act))
     return DenseModel(layers)

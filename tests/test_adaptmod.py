@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from semlink.adaptmod import (
-    BelowFloorWarning,
     BetaAdjusters,
     HETEROGENEOUS_BETAS,
     HOMOGENEOUS_BETAS,
+    ModPlan,
+    _pack,
     capacity_uniform,
     fixed_plan,
-    plan_assignment,
     plan_from_thresholds,
-    select_order,
     spectral_efficiency,
     tau,
     threshold_table,
@@ -24,6 +23,39 @@ from semlink.adaptmod import (
 from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import q_inverse
+
+
+# Scalar per-bit planner, kept as the oracle for plan_from_thresholds.
+class BelowFloorWarning(UserWarning):
+    """sqrt(SNR) fell below the order-2 threshold; order 2 used anyway."""
+
+
+def select_order(snr: float, alpha: float, a: float, betas: BetaAdjusters) -> int:
+    """Highest order whose threshold sqrt(SNR) clears; order 2 is the floor."""
+    if snr <= 0:
+        raise DomainError(f"snr must be positive, got {snr}")
+    t2, t4, t6 = thresholds(alpha, a, betas)
+    s = math.sqrt(snr)
+    if s >= t6:
+        return 6
+    if s >= t4:
+        return 4
+    if s < t2:
+        warnings.warn(
+            f"sqrt(snr)={s:.4g} below the order-2 threshold {t2:.4g}; using order 2",
+            BelowFloorWarning,
+            stacklevel=2,
+        )
+    return 2
+
+
+def plan_assignment(snr: float, profile: RobustnessProfile, betas: BetaAdjusters) -> ModPlan:
+    """Select a per-bit order from the channel and pack bits into symbols."""
+    orders = tuple(
+        select_order(snr, float(alpha), float(a), betas)
+        for alpha, a in zip(profile.alphas, profile.a_offsets)
+    )
+    return _pack(orders)
 
 
 class TestBerApprox:

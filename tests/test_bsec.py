@@ -242,6 +242,14 @@ class TestProfiles:
         with pytest.raises(DomainError):
             RobustnessProfile(np.array([0.4, 0.4]), np.array([0.5]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match="robustness levels"):
+            RobustnessProfile(np.array([0.4, np.nan]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="boundary offsets"):
+            RobustnessProfile(np.array([0.4, 0.4]), np.array([np.nan, 0.5]))
+        with pytest.raises(DomainError):
+            RobustnessProfile.homogeneous(4, float("nan"))
+
     def test_zero_profile_samples_noiseless(self):
         profile = RobustnessProfile.homogeneous(8, 0.0)
         mu = sample_mu_matrix(profile.alphas, 1, RandomSource(8))[0]

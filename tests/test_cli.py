@@ -24,6 +24,11 @@ class TestParsingHelpers:
         with pytest.raises(ConfigError):
             parse_sweep("1:2")
 
+    @pytest.mark.parametrize("spec", ["nan:1:1", "0:inf:1", "0:1:nan", "-inf:0:1"])
+    def test_sweep_non_finite_rejected(self, spec):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_sweep(spec)
+
     def test_profile_file(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("# bit, robustness, offset\n0,0.29,0.5\n1,0.45,0.5\n")
@@ -137,6 +142,36 @@ class TestCommands:
                                "--g2", "3.0")
         assert code == 0
         assert out.splitlines()[1].split(",")[1] == "3"
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("g1 = 0.37\ng2 = 2.5\n")
+        code, out, _ = run_cli(capsys, "capacity", f"--config={conf}")
+        assert code == 0
+        assert "1.56925312" in out
+
+    def test_trailing_config_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--g1", "0.37", "--g2", "2.5",
+                                 "--config")
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert "error: argument --config: expected one argument" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate-ber", "--order", "2", "--snr-db", "nan:1:1", "--n-bits", "10"),
+        ("bsec-table", "--order", "2", "--a", "0.5", "--snr-db", "0:inf:1",
+         "--n-bits", "10"),
+        ("train", "--classes", "2", "--dim", "4", "--per-class", "4",
+         "--latent-bits", "4", "--epochs", "1", "--alpha", "nan"),
+        ("train", "--classes", "2", "--dim", "4", "--per-class", "4",
+         "--latent-bits", "4", "--epochs", "1", "--a", "nan"),
+    ])
+    def test_non_finite_input_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_selfcheck_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck", "--seed", "11")

@@ -140,7 +140,6 @@ class TestBackprop:
             return mse_loss(target, model.forward(x))[0]
 
         out = model.forward(x)
-        model.zero_grads()
         _, grad_out = mse_loss(target, out)
         model.backward(grad_out)
         check_rng = RandomSource(seed + 200)
@@ -166,7 +165,6 @@ class TestBackprop:
             return mse_loss(target, model.forward(x))[0]
 
         out = model.forward(x)
-        model.zero_grads()
         _, grad_out = mse_loss(target, out)
         model.backward(grad_out)
         layer = model.layers[0]
@@ -180,7 +178,6 @@ class TestBackprop:
         x = rng.std_normal((3, 4))
         target = rng.std_normal((3, 2))
         out = model.forward(x)
-        model.zero_grads()
         _, grad_out = mse_loss(target, out)
         grad_in = model.backward(grad_out)
 
@@ -192,24 +189,117 @@ class TestBackprop:
             assert grad_in[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+    def test_backward_overwrites_gradients(self):
+        rng = RandomSource(44)
+        model = random_model(rng, dims=[5, 7, 3], activations=["relu", "sigmoid"])
+        out = model.forward(rng.std_normal((6, 5)))
+        _, grad_out = mse_loss(rng.std_normal((6, 3)), out)
+        first_in = model.backward(grad_out)
+        first = model.grads.copy()
+        second_in = model.backward(grad_out)
+        np.testing.assert_array_equal(model.grads, first)
+        np.testing.assert_array_equal(second_in, first_in)
+        assert np.any(first != 0.0)
+
+
+class TestFlatBuffers:
+    @staticmethod
+    def assert_views(model):
+        assert model.params.size == model.grads.size == sum(
+            l.weight.size + l.bias.size for l in model.layers)
+        for layer in model.layers:
+            for arr in (layer.weight, layer.bias):
+                assert np.shares_memory(arr, model.params)
+                assert not np.shares_memory(arr, model.grads)
+            for arr in (layer.grad_weight, layer.grad_bias):
+                assert np.shares_memory(arr, model.grads)
+                assert not np.shares_memory(arr, model.params)
+        # the views tile the buffer in payload order: W0, b0, W1, b1, ...
+        np.testing.assert_array_equal(
+            model.params,
+            np.concatenate([a.ravel() for l in model.layers for a in (l.weight, l.bias)]),
+        )
+        assert model.params.flags.writeable and model.grads.flags.writeable
+
+    def test_init_model_views(self):
+        self.assert_views(random_model(RandomSource(14), dims=[5, 8, 3],
+                                       activations=["relu", "sigmoid"]))
+
+    def test_load_model_views(self, tmp_path):
+        model = random_model(RandomSource(15), dims=[4, 6, 6, 2],
+                             activations=["tanh", "relu", "identity"])
+        save_model(model, tmp_path / "model.bin")
+        loaded = load_model(tmp_path / "model.bin")
+        self.assert_views(loaded)
+        np.testing.assert_array_equal(loaded.params, model.params)
+
+
+def reference_adam_step(model, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The former per-layer Adam loop: one update per weight and bias array."""
+    b1c = 1.0 - beta1 ** t
+    b2c = 1.0 - beta2 ** t
+    for layer, (mw, mb, vw, vb) in zip(model.layers, moments):
+        for param, grad, m, v in (
+            (layer.weight, layer.grad_weight, mw, vw),
+            (layer.bias, layer.grad_bias, mb, vb),
+        ):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            param -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+
+
 class TestAdam:
+    def test_one_state_over_three_models_matches_per_layer_loop(self):
+        shapes = [([6, 8, 4], ["relu", "sigmoid"]),
+                  ([4, 5, 6], ["relu", "identity"]),
+                  ([6, 7, 3], ["tanh", "identity"])]
+
+        def build():
+            return [init_model(dims, acts, RandomSource(20 + i))
+                    for i, (dims, acts) in enumerate(shapes)]
+
+        def backward_all(models, step):
+            rng = RandomSource(1000 + step)
+            for model in models:
+                out = model.forward(rng.std_normal((9, model.in_dim)))
+                model.backward(mse_loss(rng.std_normal((9, model.out_dim)), out)[1])
+
+        flat = build()
+        state = AdamState(flat)
+        ref = build()
+        moments = [[tuple(np.zeros_like(a) for a in (l.weight, l.bias, l.weight, l.bias))
+                    for l in model.layers] for model in ref]
+        for t in range(1, 51):
+            backward_all(flat, t)
+            state.step(lr=0.01)
+            backward_all(ref, t)
+            for model, mom in zip(ref, moments):
+                reference_adam_step(model, mom, t, lr=0.01)
+        for a, b in zip(flat, ref):
+            assert np.array_equal(a.params, b.params)
+            for la, lb in zip(a.layers, b.layers):
+                assert np.array_equal(la.weight, lb.weight)
+                assert np.array_equal(la.bias, lb.bias)
+        assert not np.array_equal(flat[0].params, build()[0].params)
+
     def test_zero_gradient_no_update(self):
         model = random_model(RandomSource(7), dims=[3, 2], activations=["identity"])
         before = model.layers[0].weight.copy()
-        state = AdamState(model)
-        model.zero_grads()
-        state.step(model, lr=0.1)
+        state = AdamState([model])
+        state.step(lr=0.1)
         np.testing.assert_array_equal(model.layers[0].weight, before)
 
     def test_constant_gradient_step_magnitude(self):
         model = DenseModel([Layer(np.zeros((1, 1)), np.zeros(1), "identity")])
-        state = AdamState(model, eps=1e-12)
+        state = AdamState([model], eps=1e-12)
         g = 0.37
         prev = 0.0
         for _ in range(200):
             model.layers[0].grad_weight[...] = g
             prev = model.layers[0].weight[0, 0]
-            state.step(model, lr=0.001)
+            state.step(lr=0.001)
         step = prev - model.layers[0].weight[0, 0]
         assert step == pytest.approx(0.001, rel=1e-6)
 
@@ -217,15 +307,14 @@ class TestAdam:
         def run():
             rng = RandomSource(11)
             model = random_model(rng, dims=[4, 4, 2], activations=["relu", "identity"])
-            state = AdamState(model)
+            state = AdamState([model])
             x = rng.std_normal((8, 4))
             t = rng.std_normal((8, 2))
             for _ in range(20):
-                model.zero_grads()
                 out = model.forward(x)
                 _, grad = mse_loss(t, out)
                 model.backward(grad)
-                state.step(model, lr=0.01)
+                state.step(lr=0.01)
             return [l.weight.copy() for l in model.layers]
 
         for wa, wb in zip(run(), run()):
@@ -259,4 +348,16 @@ class TestPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="bytes"):
+            load_model(path)
+
+    def test_truncated_multilayer_payload_message(self, tmp_path):
+        model = random_model(RandomSource(17), dims=[4, 5, 2],
+                             activations=["relu", "tanh"])
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        blob = path.read_bytes()
+        assert len(blob) == 8 + 4 + 2 * 9 + 8 * model.params.size
+        path.write_bytes(blob[:-8])
+        with pytest.raises(FormatError,
+                           match=f"expected {len(blob)} bytes, file has {len(blob) - 8}$"):
             load_model(path)
