@@ -12,9 +12,9 @@ from .adaptmod import (
     spectral_efficiency,
     tau,
 )
-from .bsec import BsecParams, RobustnessProfile, analytic_params, erasure_from_mu, sample_mu
+from .bsec import BsecParams, RobustnessProfile, analytic_params
 from .channel import ChannelRealization, FixedSnr, UniformMagnitude, draw_channel, equalize, transmit
-from .constellation import Constellation, build_constellation, demap_symbol, map_bits, nearest_point
+from .constellation import Constellation, build_constellation
 from .datasets import Dataset, load_idx, synth_dataset
 from .demod import DecisionRegions, a_from_rho, build_regions, demod_llr, demod_robust, llr_exact, rho_from_a
 from .errors import ConfigError, DomainError, FormatError, SemlinkError, StateError, TrainingError

@@ -55,7 +55,7 @@ def tau(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:
         raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
     root = math.sqrt(1 << m)
     arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
-    if arg <= 0.0:
+    if not (arg > 0.0):
         raise DomainError(f"threshold argument {arg} must be positive")
     if arg >= 1.0:
         return 0.0
@@ -94,7 +94,7 @@ def threshold_table(profile: RobustnessProfile, betas: BetaAdjusters) -> np.ndar
 
 def plan_from_thresholds(snr: float, table: np.ndarray) -> ModPlan:
     """Build a ModPlan from sqrt-SNR comparisons against a threshold table."""
-    if snr <= 0:
+    if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
     s = math.sqrt(snr)
     orders = np.full(table.shape[0], 2, dtype=np.int64)
@@ -136,8 +136,8 @@ def spectral_efficiency(plan: ModPlan, n_bits: int) -> float:
 
 def capacity_uniform(g1: float, g2: float) -> float:
     """Ergodic capacity in bits per channel use for sqrt(SNR) ~ Uniform[g1, g2]."""
-    if not (0.0 <= g1 < g2):
-        raise DomainError(f"require 0 <= g1 < g2, got [{g1}, {g2}]")
+    if not (0.0 <= g1 < g2 < math.inf):
+        raise DomainError(f"require 0 <= g1 < g2 < inf, got [{g1}, {g2}]")
     num = (
         g2 * math.log1p(g2 * g2)
         - g1 * math.log1p(g1 * g1)

@@ -19,7 +19,7 @@ import numpy as np
 from .constellation import build_constellation, check_order
 from .demod import TRIT_ERASURE, axis_bit_pattern, build_regions
 from .errors import DomainError
-from .numerics import RandomSource, q_function, q_function_array, q_inverse, q_inverse_array
+from .numerics import RandomSource, q_function, q_function_array, q_inverse_array
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class RobustnessProfile:
         a_offsets = np.asarray(self.a_offsets, dtype=float)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "a_offsets", a_offsets)
-        if alphas.shape != a_offsets.shape or alphas.ndim != 1:
-            raise DomainError("alphas and a_offsets must be 1-D arrays of equal length")
+        if alphas.shape != a_offsets.shape or alphas.ndim != 1 or alphas.size == 0:
+            raise DomainError("alphas and a_offsets must be nonempty 1-D arrays of equal length")
         if np.any(~((0 <= alphas) & (alphas <= 0.5))):
             raise DomainError("robustness levels must lie in [0, 0.5]")
         if np.any(~((0 <= a_offsets) & (a_offsets <= 1))):
@@ -65,6 +65,8 @@ class RobustnessProfile:
 
     @classmethod
     def homogeneous(cls, n: int, alpha: float, a: float = 0.5) -> "RobustnessProfile":
+        if n < 1:
+            raise DomainError(f"a profile needs at least 1 bit, got {n}")
         return cls(np.full(n, float(alpha)), np.full(n, float(a)))
 
     @classmethod
@@ -78,37 +80,14 @@ class RobustnessProfile:
         return cls(alphas, np.full(n, float(a)))
 
 
-def bsec_transition_many(bits: np.ndarray, p: BsecParams, rng: RandomSource) -> np.ndarray:
-    """Vectorized channel pass over a bit array."""
-    bits = np.asarray(bits, dtype=float)
-    u = rng.random(bits.shape)
-    return np.where(u < p.d, TRIT_ERASURE, np.where(u < p.d + p.mu, 1.0 - bits, bits))
-
-
-def sample_mu(alpha: float, rng: RandomSource) -> float:
-    """Draw a bit-flip probability uniformly from [0, alpha]."""
-    if not (0.0 <= alpha <= 0.5):
-        raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha}")
-    return rng.uniform(0.0, alpha)
-
-
-def erasure_from_mu(mu: float) -> float:
-    """Erasure probability matched to a sampled flip probability.
-
-    d = Q(Q^-1(mu)/3) - mu, the 4-QAM relation at boundary offset 0.5; defined
-    as 0 at mu = 0 by continuity.
-    """
-    if mu == 0.0:
-        return 0.0
-    if not (0.0 < mu < 0.5):
-        raise DomainError(f"flip probability must lie in [0, 0.5), got {mu}")
-    return q_function(q_inverse(mu) / 3.0) - mu
-
-
 def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
-    """Vectorized erasure_from_mu; zero entries map to zero."""
+    """Erasure probabilities matched to sampled flip probabilities.
+
+    d = Q(Q^-1(mu)/3) - mu elementwise, the 4-QAM relation at boundary offset
+    0.5; zero entries map to zero by continuity.
+    """
     mu = np.asarray(mu, dtype=float)
-    if np.any((mu < 0) | (mu >= 0.5)):
+    if not np.all((mu >= 0) & (mu < 0.5)):
         raise DomainError("flip probabilities must lie in [0, 0.5)")
     out = np.zeros_like(mu)
     pos = mu > 0
@@ -118,7 +97,7 @@ def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
 
 def _check_link_point(order: int, snr: float, a: float) -> int:
     m = check_order(order)
-    if snr <= 0:
+    if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a}")

@@ -19,7 +19,7 @@ class ChannelRealization:
     noise_var: float
 
     def __post_init__(self):
-        if self.noise_var < 0:
+        if not (self.noise_var >= 0):
             raise DomainError(f"noise variance must be >= 0, got {self.noise_var}")
         if self.h == 0:
             raise DomainError("channel coefficient must be nonzero")
@@ -39,7 +39,7 @@ class FixedSnr:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if self.snr <= 0:
+        if not (self.snr > 0):
             raise DomainError(f"snr must be positive, got {self.snr}")
 
 

@@ -40,6 +40,8 @@ from .nn import load_model, save_model
 from .numerics import RandomSource
 
 MODEL_FILES = ("encoder.bin", "decoder.bin", "classifier.bin")
+MAX_SWEEP_POINTS = 10_000
+MAX_SNR_DB = 3000.0  # 10^(3000/10) = 1e300 still fits a float
 
 
 def fmt(x) -> str:
@@ -60,7 +62,7 @@ def emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
 
 
 def parse_sweep(spec: str) -> np.ndarray:
-    """LO:HI:STEP inclusive sweep specification."""
+    """LO:HI:STEP inclusive sweep of SNRs in dB."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep must be LO:HI:STEP, got {spec!r}")
@@ -72,8 +74,12 @@ def parse_sweep(spec: str) -> np.ndarray:
         raise ConfigError(f"sweep bounds must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"invalid sweep {spec!r}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    if hi > MAX_SNR_DB:
+        raise ConfigError(f"sweep {spec!r} goes above {MAX_SNR_DB:g} dB")
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also catches a span that overflows to inf
+        raise ConfigError(f"sweep {spec!r} has more than {MAX_SWEEP_POINTS} points")
+    return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
 def parse_betas(spec: str) -> BetaAdjusters:
@@ -199,6 +205,8 @@ def cmd_simulate_ber(args) -> int:
 
 
 def cmd_adaptive_plan(args) -> int:
+    if args.snr_db > MAX_SNR_DB:
+        raise ConfigError(f"snr-db {args.snr_db} is above {MAX_SNR_DB:g} dB")
     profile = load_profile(args.profile)
     betas = parse_betas(args.betas)
     table = threshold_table(profile, betas)

@@ -10,7 +10,7 @@ that axis's bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,17 +39,12 @@ class Constellation:
 
     points[w] is the complex symbol whose m-bit label, read MSB first, equals
     the integer w. d_min is the minimum inter-point distance sqrt(6/(2^m-1))
-    implied by unit average energy. Coordinates are odd multiples of d_min/2;
-    the integer multiples are kept alongside so that distance ties resolve
-    exactly.
+    implied by unit average energy. Coordinates are odd multiples of d_min/2.
     """
 
     m: int
     points: np.ndarray
     d_min: float
-    _int_re: np.ndarray = field(repr=False, default=None)
-    _int_im: np.ndarray = field(repr=False, default=None)
-    _lex_order: np.ndarray = field(repr=False, default=None)
 
     @property
     def size(self) -> int:
@@ -81,13 +76,6 @@ class Constellation:
         return groups
 
 
-def _label_int(bits) -> int:
-    word = 0
-    for b in bits:
-        word = (word << 1) | int(b)
-    return word
-
-
 @lru_cache(maxsize=None)
 def build_constellation(order: int) -> Constellation:
     """Construct the Gray-labeled unit-energy square QAM constellation."""
@@ -98,36 +86,12 @@ def build_constellation(order: int) -> Constellation:
     amp = (2 * np.arange(n_levels) - (n_levels - 1)) * (d / 2)
     gray = gray_code(half)
 
-    int_axis = 2 * np.arange(n_levels) - (n_levels - 1)
     points = np.empty(1 << m, dtype=complex)
-    int_re = np.empty(1 << m)
-    int_im = np.empty(1 << m)
     for li in range(n_levels):
         for lq in range(n_levels):
-            w = (int(gray[li]) << half) | int(gray[lq])
-            points[w] = amp[li] + 1j * amp[lq]
-            int_re[w] = int_axis[li]
-            int_im[w] = int_axis[lq]
-    for arr in (points, int_re, int_im):
-        arr.setflags(write=False)
-
-    order_idx = np.lexsort((int_im, int_re))
-    order_idx.setflags(write=False)
-    return Constellation(m=m, points=points, d_min=d,
-                         _int_re=int_re, _int_im=int_im, _lex_order=order_idx)
-
-
-def map_bits(bits, c: Constellation) -> complex:
-    """Map an m-bit word to its constellation point."""
-    bits = np.asarray(bits)
-    if bits.shape != (c.m,):
-        raise DomainError(f"expected a word of {c.m} bits, got shape {bits.shape}")
-    return complex(c.points[_label_int(bits)])
-
-
-def map_words(words: np.ndarray, c: Constellation) -> np.ndarray:
-    """Map integer labels (MSB-first bit words) to symbols."""
-    return c.points[np.asarray(words)]
+            points[(int(gray[li]) << half) | int(gray[lq])] = amp[li] + 1j * amp[lq]
+    points.setflags(write=False)
+    return Constellation(m=m, points=points, d_min=d)
 
 
 def pack_bits(bits: np.ndarray, m: int) -> np.ndarray:
@@ -137,44 +101,3 @@ def pack_bits(bits: np.ndarray, m: int) -> np.ndarray:
         raise DomainError(f"bit count {bits.size} is not a multiple of {m}")
     weights = 1 << np.arange(m - 1, -1, -1)
     return bits.reshape(-1, m).astype(np.int64) @ weights
-
-
-def unpack_words(words: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a flat bit array."""
-    words = np.asarray(words, dtype=np.int64)
-    shifts = np.arange(m - 1, -1, -1)
-    return ((words[:, None] >> shifts) & 1).reshape(-1)
-
-
-def nearest_point(z: complex, c: Constellation) -> complex:
-    """Closest constellation point to z.
-
-    Distance ties resolve to the point with the smaller real part, then the
-    smaller imaginary part. Distances are evaluated on the integer half-grid
-    so that mathematically equal ones compare equal.
-    """
-    return complex(c.points[nearest_words(np.array([z]), c)[0]])
-
-
-def nearest_words(z: np.ndarray, c: Constellation) -> np.ndarray:
-    """Vectorized hard decision: label of the nearest point per sample.
-
-    Ties follow the same lexicographic rule as nearest_point.
-    """
-    z = np.asarray(z, dtype=complex)
-    half_d = c.d_min / 2
-    zr = (z.real / half_d)[:, None]
-    zi = (z.imag / half_d)[:, None]
-    re = c._int_re[c._lex_order][None, :]
-    im = c._int_im[c._lex_order][None, :]
-    d2 = (zr - re) ** 2 + (zi - im) ** 2
-    return c._lex_order[np.argmin(d2, axis=1)]
-
-
-def demap_symbol(point: complex, c: Constellation) -> np.ndarray:
-    """Recover the m-bit word of a (near-exact) constellation point."""
-    word = int(nearest_words(np.array([point]), c)[0])
-    best = complex(c.points[word])
-    if abs(point - best) > 1e-9:
-        raise DomainError(f"{point!r} is not a constellation point (nearest {best!r})")
-    return unpack_words(np.array([word]), c.m)

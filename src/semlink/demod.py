@@ -32,7 +32,7 @@ TRIT_ERASURE = 0.5
 def rho_from_a(a: float, order: int, snr: float) -> float:
     """LLR threshold equivalent to a boundary offset: rho = 6 snr a / (2^m - 1)."""
     m = check_order(order)
-    if snr <= 0:
+    if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset a must lie in [0, 1], got {a}")
@@ -42,9 +42,9 @@ def rho_from_a(a: float, order: int, snr: float) -> float:
 def a_from_rho(rho: float, order: int, snr: float) -> float:
     """Boundary offset equivalent to an LLR threshold."""
     m = check_order(order)
-    if snr <= 0:
+    if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
-    if rho < 0:
+    if not (rho >= 0):
         raise DomainError(f"rho must be nonnegative, got {rho}")
     a = rho * ((1 << m) - 1) / (6.0 * snr)
     if a > 1.0:
@@ -69,7 +69,7 @@ def llr_exact(y: complex, c: Constellation, snr: float) -> np.ndarray:
 
     Accumulated in the log domain so high-SNR evaluations do not underflow.
     """
-    if snr <= 0:
+    if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
     words = np.arange(c.size)
     neg_metric = -snr * np.abs(y - c.points) ** 2
@@ -98,18 +98,22 @@ def axis_bit_pattern(c: Constellation, bit: int) -> tuple[int, np.ndarray]:
     return axis, np.asarray(pattern)
 
 
-def llr_maxlog(y: complex, c: Constellation, snr: float, bit: int) -> float:
-    """Max-log LLR of one bit using only its own axis's coordinate."""
-    if snr <= 0:
+def llr_maxlog(y, c: Constellation, snr: float) -> np.ndarray:
+    """Max-log LLRs of all m bits, each from its own axis's coordinate.
+
+    y may have any shape; the result has shape (*y.shape, m).
+    """
+    if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
-    axis, pattern = axis_bit_pattern(c, bit)
-    coord = y.real if axis == 0 else y.imag
-    d2 = (coord - c.levels) ** 2
-    return snr * (float(np.min(d2[pattern == 1])) - float(np.min(d2[pattern == 0])))
-
-
-def llr_maxlog_all(y: complex, c: Constellation, snr: float) -> np.ndarray:
-    return np.array([llr_maxlog(y, c, snr, bit) for bit in range(c.m)])
+    y = np.asarray(y, dtype=complex)
+    out = np.empty((*y.shape, c.m))
+    for bit in range(c.m):
+        axis, pattern = axis_bit_pattern(c, bit)
+        coords = y.real if axis == 0 else y.imag
+        d2 = (coords[..., None] - c.levels) ** 2
+        out[..., bit] = snr * (np.min(d2[..., pattern == 1], axis=-1)
+                               - np.min(d2[..., pattern == 0], axis=-1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,18 +238,8 @@ def demod_llr(y: np.ndarray, c: Constellation, snr: float, rho) -> np.ndarray:
     rho may be a scalar or a per-bit array of nonnegative thresholds; the LLR
     magnitude at or below rho erases to 0.5.
     """
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (c.m,))
-    if np.any(rho < 0):
+    if not np.all(rho >= 0):
         raise DomainError("thresholds must be nonnegative")
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    out = np.empty((y.size, c.m))
-    for bit in range(c.m):
-        axis, pattern = axis_bit_pattern(c, bit)
-        coords = y.real if axis == 0 else y.imag
-        d2 = (coords[:, None] - c.levels[None, :]) ** 2
-        llr = snr * (np.min(d2[:, pattern == 1], axis=1) - np.min(d2[:, pattern == 0], axis=1))
-        col = np.where(llr > rho[bit], 0.0, np.where(llr < -rho[bit], 1.0, TRIT_ERASURE))
-        out[:, bit] = col
-    return out.reshape(-1)
+    llr = llr_maxlog(np.atleast_1d(y), c, snr)
+    return np.where(llr > rho, 0.0, np.where(llr < -rho, 1.0, TRIT_ERASURE)).reshape(-1)

@@ -15,7 +15,7 @@ from .adaptmod import (
     plan_from_thresholds,
     threshold_table,
 )
-from .bsec import BsecParams, RobustnessProfile, analytic_params, bsec_transition_many
+from .bsec import BsecParams, RobustnessProfile, analytic_params
 from .channel import (
     ChannelDistribution,
     ChannelRealization,
@@ -27,7 +27,7 @@ from .channel import (
 from .constellation import build_constellation, pack_bits
 from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
-from .jscc import ModelTriple, sample_latent_bits
+from .jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
 from .numerics import RandomSource
 
 
@@ -129,6 +129,8 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     session spectral efficiency (total bits / total symbols) and the empirical
     bit bias of the encoder output.
     """
+    if images_per_block < 1:
+        raise ConfigError(f"images_per_block must be >= 1, got {images_per_block}")
     n_bits = len(profile)
     if models.encoder.out_dim != n_bits:
         raise ConfigError(
@@ -198,14 +200,16 @@ def trit_histogram_link(snr: float, a: float, n_bits: int, rng: RandomSource,
 
 def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource,
                         order: int = 2) -> np.ndarray:
-    """(flips, erasures, corrects) counts from the sampled stochastic model."""
+    """(flips, erasures, corrects) counts from the sampled stochastic model.
+
+    The trits are drawn with training's latent sampler, whose law for a sure
+    bit is the BSEC's.
+    """
     params = analytic_params(order, snr, a)
     bit_rng, ch_rng = rng.split(2)
     bits = bit_rng.bits(n_bits)
-    trits = bsec_transition_many(bits, params, ch_rng)
-    erasures = int(np.sum(trits == TRIT_ERASURE))
-    corrects = int(np.sum(trits == bits))
-    return np.array([n_bits - erasures - corrects, erasures, corrects])
+    stats = _count_trits(bits, noisy_latent_sample(bits, params.mu, params.d, ch_rng))
+    return np.array([stats.flips, stats.erasures, stats.corrects])
 
 
 def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, float]:

@@ -48,8 +48,12 @@ class TrainingConfig:
             raise ConfigError(
                 f"warmup_epochs={self.warmup_epochs} exceeds epochs={self.epochs}"
             )
-        if self.loss_weight < 0:
+        if not (self.loss_weight >= 0):
             raise ConfigError(f"loss weight must be >= 0, got {self.loss_weight}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ConfigError(
+                f"learning rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size >= 1 and epochs >= 0 required")
 

@@ -10,7 +10,6 @@ from scipy.special import erfc as _erfc_array, erfcinv as _erfcinv_array
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def q_function(x: float) -> float:
@@ -18,7 +17,7 @@ def q_function(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"q_function requires a finite argument, got {x!r}")
-    return 0.5 * math.erfc(x / _SQRT2)
+    return float(q_function_array(x))
 
 
 def q_function_array(x: np.ndarray) -> np.ndarray:
@@ -26,37 +25,12 @@ def q_function_array(x: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc_array(np.asarray(x, dtype=float) / _SQRT2)
 
 
-def _normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def _tail_quantile_seed(p: float) -> float:
-    # Abramowitz & Stegun 26.2.23 rational approximation, |error| < 4.5e-4.
-    t = math.sqrt(-2.0 * math.log(p))
-    num = 2.515517 + t * (0.802853 + t * 0.010328)
-    den = 1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    return t - num / den
-
-
 def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1).
-
-    A rational initial guess is polished with Newton steps on
-    q_function(x) - p. Arguments above 1/2 are reduced to the complementary
-    tail (1 - p is exact there), keeping full relative precision in the
-    residual evaluation.
-    """
+    """Inverse of q_function on (0, 1)."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"q_inverse requires 0 < p < 1, got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        return -q_inverse(1.0 - p)
-    x = _tail_quantile_seed(p)
-    for _ in range(4):
-        x += (q_function(x) - p) / _normal_pdf(x)
-    return x
+    return float(q_inverse_array(p)) + 0.0  # erfcinv gives -0.0 at p = 1/2
 
 
 def q_inverse_array(p: np.ndarray) -> np.ndarray:

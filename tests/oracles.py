@@ -1,0 +1,26 @@
+"""Hard-decision reference code shared by the demodulation tests."""
+
+import numpy as np
+
+
+def unpack_words(words, m):
+    """Inverse of pack_bits: integer m-bit words to a flat MSB-first bit array."""
+    words = np.asarray(words, dtype=np.int64)
+    shifts = np.arange(m - 1, -1, -1)
+    return ((words[:, None] >> shifts) & 1).reshape(-1)
+
+
+def nearest_words(z, c):
+    """Label of the nearest constellation point for each sample.
+
+    Distances are taken on the integer grid of d_min/2 multiples, so that
+    mathematically equal distances compare equal. Ties resolve to the point
+    with the smaller real part, then the smaller imaginary part.
+    """
+    half_d = c.d_min / 2
+    grid = np.rint(c.points / half_d)
+    lex = np.lexsort((grid.imag, grid.real))
+    z = np.asarray(z, dtype=complex)
+    dr = (z.real / half_d)[:, None] - grid.real[lex]
+    di = (z.imag / half_d)[:, None] - grid.imag[lex]
+    return lex[np.argmin(dr**2 + di**2, axis=1)]

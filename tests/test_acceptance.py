@@ -19,7 +19,7 @@ from semlink.adaptmod import (
 from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.channel import UniformMagnitude
 from semlink.cli import main
-from semlink.constellation import build_constellation, nearest_words, unpack_words
+from semlink.constellation import build_constellation
 from semlink.datasets import synth_dataset
 from semlink.demod import a_from_rho, build_regions, demod_llr, demod_robust, rho_from_a
 from semlink.harness import (
@@ -32,6 +32,8 @@ from semlink.harness import (
 from semlink.jscc import TrainingConfig, eval_under_bsec, train, warmup_only_config
 from semlink.nn import init_model, mse_loss
 from semlink.numerics import RandomSource
+
+from oracles import nearest_words, unpack_words
 
 
 def verdict(ok: bool, name: str, detail: str) -> None:

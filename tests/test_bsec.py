@@ -12,15 +12,13 @@ from semlink.bsec import (
     NOISELESS,
     RobustnessProfile,
     analytic_params,
-    bsec_transition_many,
-    erasure_from_mu,
     erasure_from_mu_array,
     exact_params,
-    sample_mu,
     sample_mu_matrix,
 )
 from semlink.errors import DomainError
-from semlink.numerics import RandomSource, q_function
+from semlink.jscc import noisy_latent_sample
+from semlink.numerics import RandomSource, q_function, q_inverse
 
 Q05 = 0.3085375387259869
 Q15 = 0.0668072012688581
@@ -40,21 +38,26 @@ class TestParams:
             BsecParams(-0.1, 0.2, 0.9)
 
 
+def transition(bits, p, rng):
+    """One BSEC pass over sure bits, drawn with the training-time latent sampler."""
+    return noisy_latent_sample(np.asarray(bits, dtype=float), p.mu, p.d, rng)
+
+
 class TestTransition:
     def test_noiseless_identity(self):
         rng = RandomSource(1)
-        assert np.all(bsec_transition_many(np.ones(100), NOISELESS, rng) == 1.0)
-        assert np.all(bsec_transition_many(np.zeros(100), NOISELESS, rng) == 0.0)
+        assert np.all(transition(np.ones(100), NOISELESS, rng) == 1.0)
+        assert np.all(transition(np.zeros(100), NOISELESS, rng) == 0.0)
 
     def test_pure_erasure(self):
         rng = RandomSource(2)
         p = BsecParams(0.0, 1.0, 0.0)
-        assert np.all(bsec_transition_many(np.tile([0, 1], 50), p, rng) == 0.5)
+        assert np.all(transition(np.tile([0, 1], 50), p, rng) == 0.5)
 
     def test_empirical_frequencies(self):
         p = BsecParams(0.1, 0.2, 0.7)
         rng = RandomSource(3)
-        trits = bsec_transition_many(np.ones(10**6), p, rng)
+        trits = transition(np.ones(10**6), p, rng)
         # CLT 3 sigma bounds ~ (9e-4, 1.2e-3, 1.4e-3)
         assert abs(np.mean(trits == 0.0) - 0.1) <= 9e-4
         assert abs(np.mean(trits == 0.5) - 0.2) <= 1.2e-3
@@ -63,18 +66,18 @@ class TestTransition:
     def test_scalar_matches_law(self):
         p = BsecParams(0.3, 0.3, 0.4)
         rng = RandomSource(4)
-        draws = bsec_transition_many(np.zeros(20000), p, rng)
+        draws = transition(np.zeros(20000), p, rng)
         assert abs(np.mean(draws == 1.0) - 0.3) <= 0.01
 
 
 class TestSampleMu:
     def test_degenerate_alpha(self):
         rng = RandomSource(5)
-        assert all(sample_mu(0.0, rng) == 0.0 for _ in range(20))
+        assert np.all(sample_mu_matrix(np.zeros(3), 20, rng) == 0.0)
 
     def test_support_and_mean(self):
         rng = RandomSource(6)
-        draws = np.array([sample_mu(0.4, rng) for _ in range(10**5)])
+        draws = sample_mu_matrix(np.array([0.4]), 10**5, rng)
         assert draws.min() >= 0.0 and draws.max() <= 0.4
         assert abs(draws.mean() - 0.2) <= 0.0015
 
@@ -84,38 +87,34 @@ class TestSampleMu:
         np.testing.assert_allclose(draws.mean(axis=0), [0.0, 0.1, 0.2], atol=0.002)
 
     def test_alpha_out_of_range(self):
+        # the sampler's robustness levels come from a profile, which holds them
         with pytest.raises(DomainError):
-            sample_mu(0.6, RandomSource(0))
+            RobustnessProfile.homogeneous(4, 0.6)
 
 
 class TestErasureFromMu:
     def test_frozen_value(self):
         # mu = Q(1.5) -> d = Q(0.5) - Q(1.5)
-        assert erasure_from_mu(Q15) == pytest.approx(Q05 - Q15, abs=1e-10)
+        d = erasure_from_mu_array(np.array([Q15]))[0]
+        assert d == pytest.approx(Q05 - Q15, abs=1e-10)
 
     def test_continuity_at_zero(self):
         # the decay is slow (Q of a third of the quantile) but monotone to 0
-        assert erasure_from_mu(0.0) == 0.0
-        seq = [erasure_from_mu(m) for m in (1e-4, 1e-12, 1e-50, 1e-300)]
+        d = erasure_from_mu_array(np.array([0.0, 1e-4, 1e-12, 1e-50, 1e-300]))
+        assert d[0] == 0.0
+        seq = d[1:]
         assert all(a > b for a, b in zip(seq, seq[1:]))
         assert seq[-1] <= 1e-30
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            erasure_from_mu(0.5)
-        with pytest.raises(DomainError):
-            erasure_from_mu(-0.01)
+        for bad in (0.5, -0.01, math.nan):
+            with pytest.raises(DomainError):
+                erasure_from_mu_array(np.array([0.1, bad]))
 
     def test_consistency_with_analytic_params(self):
         for snr in (0.5, 1.0, 2.0, 4.0):
             p = analytic_params(2, snr, 0.5)
-            assert erasure_from_mu(p.mu) == pytest.approx(p.d, abs=1e-10)
-
-    def test_array_matches_scalar(self):
-        mus = np.array([0.0, 0.01, 0.1, 0.3, 0.49])
-        np.testing.assert_allclose(
-            erasure_from_mu_array(mus), [erasure_from_mu(m) for m in mus], atol=1e-13
-        )
+            assert erasure_from_mu_array(np.array([p.mu]))[0] == pytest.approx(p.d, abs=1e-10)
 
 
 class TestAnalyticParams:
@@ -242,6 +241,12 @@ class TestProfiles:
         with pytest.raises(DomainError):
             RobustnessProfile(np.array([0.4, 0.4]), np.array([0.5]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError, match="nonempty"):
+            RobustnessProfile(np.array([]), np.array([]))
+        with pytest.raises(DomainError):
+            RobustnessProfile.homogeneous(0, 0.4)
+
     def test_nan_rejected(self):
         with pytest.raises(DomainError, match="robustness levels"):
             RobustnessProfile(np.array([0.4, np.nan]), np.array([0.5, 0.5]))
@@ -261,7 +266,7 @@ class TestProfiles:
         mu = sample_mu_matrix(profile.alphas, 1, RandomSource(9))[0]
         for m, e in zip(mu, erasure_from_mu_array(mu)):
             p = BsecParams(m, e, 1.0 - m - e)
-            assert p.d == pytest.approx(erasure_from_mu(p.mu), abs=1e-14)
+            assert p.d == pytest.approx(q_function(q_inverse(m) / 3.0) - m, abs=1e-14)
             assert p.r == pytest.approx(1 - p.mu - p.d, abs=1e-14)
 
     def test_independence_across_bits(self):

@@ -92,6 +92,10 @@ class TestDrawChannel:
         with pytest.raises(DomainError):
             FixedSnr(snr=0.0)
         with pytest.raises(DomainError):
+            FixedSnr(snr=math.nan)
+        with pytest.raises(DomainError):
+            ChannelRealization(h=1.0, noise_var=math.nan)
+        with pytest.raises(DomainError):
             UniformMagnitude(2.0, 1.0)
         with pytest.raises(DomainError):
             UniformMagnitude(-0.1, 1.0)

@@ -1,10 +1,19 @@
 """CLI contract: CSV schemas, exit codes, reproducibility, config files."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semlink.cli import main, parse_sweep, load_profile, load_config_file
 from semlink.errors import ConfigError
+
+
+TINY_TRAIN = ("--classes", "2", "--dim", "4", "--per-class", "4", "--latent-bits", "4",
+              "--epochs", "1", "--warmup-epochs", "0")
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +182,34 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate-ber", "--order", "2", "--snr-db=-1e30:0:1", "--n-bits", "10"),
+         "more than 10000 points"),
+        (("simulate-ber", "--order", "2", "--snr-db", "0:1e30:1e30", "--n-bits", "10"),
+         "above 3000 dB"),
+        (("train", *TINY_TRAIN, "--learning-rate", "nan"), "learning rate"),
+        (("train", *TINY_TRAIN, "--learning-rate", "-1"), "learning rate"),
+        (("train", *TINY_TRAIN, "--loss-weight", "nan"), "loss weight"),
+        (("train", *TINY_TRAIN, "--noise-sigma", "nan"), "noise_sigma"),
+        (("train", *TINY_TRAIN, "--latent-bits", "0"), "at least 1 bit"),
+    ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
+            "noise-sigma-nan", "zero-latent-bits"])
+    def test_bad_value_is_a_one_line_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_nan_snr_plan_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("0,0.3,0.5\n1,0.4,0.5\n")
+        code, out, err = run_cli(capsys, "adaptive-plan", "--snr-db", "nan",
+                                 "--profile", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: snr must be positive") and err.count("\n") == 1
+
     def test_selfcheck_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck", "--seed", "11")
         assert code == 0
@@ -233,6 +270,17 @@ class TestTrainEvalPipeline:
         assert code == 1
         assert "snr-db" in err or "uniform" in err
 
+    @pytest.mark.parametrize("per_block", ["0", "-3"])
+    def test_images_per_block_must_be_positive(self, capsys, model_dir, per_block):
+        code, out, err = run_cli(
+            capsys, "eval", "--model-dir", str(model_dir),
+            "--classes", "4", "--dim", "16", "--per-class", "30",
+            "--snr-db", "3:3:1", "--images-per-block", per_block,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: images_per_block") and err.count("\n") == 1
+
     def test_eval_train_reproducible(self, capsys, model_dir):
         args = ("eval", "--model-dir", str(model_dir), "--classes", "4",
                 "--dim", "16", "--per-class", "30", "--noise-sigma", "1.0",
@@ -259,3 +307,70 @@ class TestTrainEvalPipeline:
     def test_version_flag(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
+
+
+# Each flag draws from its own valid values or from a pool of malformed,
+# non-finite, negative, zero, huge and empty strings, or is left out.
+FUZZ_BAD = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e30", "", "a:b"])
+
+
+def fuzz_flag(*valid):
+    return st.one_of(st.none(), st.sampled_from(valid), FUZZ_BAD)
+
+
+def fuzz_triple(sep, *valid):
+    return st.one_of(fuzz_flag(*valid), st.tuples(
+        *[st.one_of(st.sampled_from(["-3", "0", "0.5", "6"]), FUZZ_BAD)] * 3).map(sep.join))
+
+
+FUZZ_LINK = {
+    "--order": fuzz_flag("2", "4", "6"),
+    "--a": fuzz_flag("0", "0.25", "0.5", "1"),
+    "--snr-db": fuzz_triple(":", "0:6:3", "-3:0:1"),
+    # --n-bits stays at or below 2000: bounded memory at any --n-bits is a
+    # separate ROADMAP item, so huge bit counts are not drawn here
+    "--n-bits": fuzz_flag("1", "7", "2000"),
+    "--seed": fuzz_flag("0", "7"),
+}
+FUZZ_COMMANDS = {
+    "capacity": {"--g1": fuzz_flag("0", "0.37"), "--g2": fuzz_flag("2.5", "4")},
+    "demod-regions": {"--order": FUZZ_LINK["--order"], "--a": FUZZ_LINK["--a"]},
+    "adaptive-plan": {"--snr-db": fuzz_flag("-3", "0", "6", "20"),
+                      "--profile": st.sampled_from(["good", "missing", ""]),
+                      "--betas": fuzz_triple(",", "1,0.6,0.5")},
+    "simulate-ber": FUZZ_LINK,
+    "bsec-table": FUZZ_LINK,
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command]
+    for flag, values in FUZZ_COMMANDS[command].items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}")  # the = form lets "-1" and "" through
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_profile(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "profile.csv"
+    path.write_text("0,0.29,0.5\n1,0.37,0.5\n2,0.45,0.25\n")
+    return path
+
+
+class TestArgvFuzz:
+    @given(argv=fuzz_argv())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_code_and_one_error_line(self, fuzz_profile, argv):
+        paths = {"--profile=good": f"--profile={fuzz_profile}",
+                 "--profile=missing": f"--profile={fuzz_profile.with_name('missing.csv')}"}
+        argv = [paths.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

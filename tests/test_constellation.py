@@ -5,25 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from semlink.constellation import (
-    SUPPORTED_ORDERS,
-    build_constellation,
-    demap_symbol,
-    map_bits,
-    map_words,
-    nearest_point,
-    nearest_words,
-    pack_bits,
-    unpack_words,
-)
+from semlink.constellation import SUPPORTED_ORDERS, build_constellation, pack_bits
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import RandomSource
+
+from oracles import nearest_words, unpack_words
 
 R = 1 / math.sqrt(2)
 
 
 def brute_force_nearest(z, c):
-    """Oracle: explicit scan with lexicographic tie-breaking."""
+    """Oracle for nearest_words: explicit scan with lexicographic tie-breaking."""
     best = None
     for p in c.points:
         d2 = abs(z - p) ** 2
@@ -113,56 +105,48 @@ class TestLabeling:
 
     def test_map_examples(self):
         c2 = build_constellation(2)
-        assert map_bits([0, 0], c2) == pytest.approx(complex(-R, -R), abs=1e-15)
+        assert c2.points[pack_bits([0, 0], 2)[0]] == pytest.approx(complex(-R, -R), abs=1e-15)
         c4 = build_constellation(4)
         d = c4.d_min
-        assert map_bits([0, 0, 0, 0], c4) == pytest.approx(
+        assert c4.points[pack_bits([0, 0, 0, 0], 4)[0]] == pytest.approx(
             complex(-1.5 * d, -1.5 * d), abs=1e-15
         )
 
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_map_demap_roundtrip_all_words(self, m):
         c = build_constellation(m)
-        for w in range(2**m):
-            bits = unpack_words(np.array([w]), m)
-            sym = map_bits(bits, c)
-            np.testing.assert_array_equal(demap_symbol(sym, c), bits)
+        bits = unpack_words(np.arange(2**m), m)
+        symbols = c.points[pack_bits(bits, m)]
+        np.testing.assert_array_equal(unpack_words(nearest_words(symbols, c), m), bits)
 
     def test_map_wrong_length(self):
         with pytest.raises(DomainError):
-            map_bits([0, 1, 0], build_constellation(4))
-
-    def test_demap_rejects_off_grid_point(self):
-        c = build_constellation(2)
-        with pytest.raises(DomainError):
-            demap_symbol(0.2 + 0.3j, c)
+            pack_bits([0, 1, 0], 4)
 
     def test_pack_unpack_roundtrip(self):
         rng = RandomSource(3)
         bits = rng.bits(6 * 50)
         words = pack_bits(bits, 6)
         np.testing.assert_array_equal(unpack_words(words, 6), bits)
-        np.testing.assert_array_equal(
-            map_words(words, build_constellation(6)),
-            [map_bits(bits[i : i + 6], build_constellation(6)) for i in range(0, 300, 6)],
-        )
 
 
 class TestNearestPoint:
+    """The hard-decision oracle nearest_words, against the brute-force scan."""
+
     def test_exact_point_maps_to_itself(self):
         c = build_constellation(4)
-        for p in c.points:
-            assert nearest_point(complex(p), c) == p
+        np.testing.assert_array_equal(c.points[nearest_words(c.points, c)], c.points)
 
     def test_origin_tie_order2(self):
-        assert nearest_point(0j, build_constellation(2)) == pytest.approx(
+        c = build_constellation(2)
+        assert c.points[nearest_words([0j], c)[0]] == pytest.approx(
             complex(-R, -R), abs=1e-15
         )
 
     def test_diagonal_tie_order4(self):
         c = build_constellation(4)
         d = c.d_min
-        assert nearest_point(complex(d, d), c) == pytest.approx(
+        assert c.points[nearest_words([complex(d, d)], c)[0]] == pytest.approx(
             complex(d / 2, d / 2), abs=1e-15
         )
 
@@ -171,13 +155,5 @@ class TestNearestPoint:
         c = build_constellation(m)
         rng = RandomSource(17)
         zs = rng.std_normal(400) + 1j * rng.std_normal(400)
-        for z in zs:
-            assert nearest_point(complex(z), c) == brute_force_nearest(complex(z), c)
-
-    def test_vectorized_matches_scalar(self):
-        c = build_constellation(6)
-        rng = RandomSource(23)
-        zs = rng.std_normal(300) + 1j * rng.std_normal(300)
-        words = nearest_words(zs, c)
-        for z, w in zip(zs, words):
-            assert c.points[w] == nearest_point(complex(z), c)
+        for z, w in zip(zs, nearest_words(zs, c)):
+            assert c.points[w] == brute_force_nearest(complex(z), c)

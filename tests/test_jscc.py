@@ -1,5 +1,7 @@
 """Latent sampling laws, the gradient bypass, and the training schedule."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,13 @@ class TestTraining:
     def test_warmup_exceeding_epochs_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(epochs=2, warmup_epochs=3)
+
+    def test_bad_rates_rejected(self):
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ConfigError, match="learning rate"):
+                tiny_config(learning_rate=bad)
+        with pytest.raises(ConfigError, match="loss weight"):
+            tiny_config(loss_weight=math.nan)
 
     def test_eval_under_bsec_bounds(self):
         ds = tiny_dataset()

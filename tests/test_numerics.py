@@ -73,7 +73,8 @@ class TestQFunction:
 
 class TestQInverse:
     def test_half_is_zero(self):
-        assert q_inverse(0.5) == 0.0
+        # +0.0, not -0.0: a zero threshold must print as "0" in CSV output
+        assert math.copysign(1.0, q_inverse(0.5)) == 1.0 and q_inverse(0.5) == 0.0
 
     def test_roundtrip_frozen_values(self):
         assert q_inverse(q_function(1.0)) == pytest.approx(1.0, abs=1e-8)
