@@ -38,9 +38,6 @@ class BsecParams:
             raise DomainError(f"probabilities sum to {self.mu + self.d + self.r}, not 1")
 
 
-NOISELESS = BsecParams(mu=0.0, d=0.0, r=1.0)
-
-
 @dataclass(frozen=True)
 class RobustnessProfile:
     """Per-bit robustness levels alpha_i and boundary offsets a_i."""

@@ -54,6 +54,8 @@ class UniformMagnitude:
     def __post_init__(self):
         if not (0 <= self.g1 < self.g2):
             raise DomainError(f"require 0 <= g1 < g2, got [{self.g1}, {self.g2}]")
+        if not math.isfinite(self.g2 * self.g2):  # |h|^2 is the block's SNR
+            raise DomainError(f"g2^2 must be finite, got g2={self.g2}")
 
 
 ChannelDistribution = FixedSnr | UniformMagnitude

@@ -24,7 +24,7 @@ from .adaptmod import (
 )
 from .bsec import RobustnessProfile, analytic_params
 from .channel import FixedSnr, UniformMagnitude
-from .constellation import build_constellation
+from .constellation import SUPPORTED_ORDERS, build_constellation
 from .datasets import load_idx, synth_dataset
 from .demod import build_regions
 from .errors import ConfigError, DomainError, FormatError, SemlinkError
@@ -149,6 +149,13 @@ def load_config_file(path) -> dict[str, str]:
     return out
 
 
+def parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return value in ("1", "true", "yes", "on")
+
+
 def _profile_from_args(args, n_bits: int) -> RobustnessProfile:
     if getattr(args, "profile", None):
         return load_profile(args.profile)
@@ -267,10 +274,8 @@ def cmd_eval(args) -> int:
     betas = parse_betas(args.betas)
     metric_names = ["accuracy", "mse", "spectral_efficiency", "flip_rate",
                     "erasure_rate", "bit_bias"]
-    if args.uniform is None and args.snr_db is None:
-        raise ConfigError("eval needs either --snr-db or --uniform")
     rows = []
-    if args.uniform:
+    if args.uniform is not None:
         g1, g2 = parse_range(args.uniform)
         metrics = run_end_to_end(models, UniformMagnitude(g1, g2), profile, betas,
                                  args.adaptive, dataset, eval_rng,
@@ -340,7 +345,8 @@ def cmd_selfcheck(args) -> int:
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--out", default=None, help="write output to a file instead of stdout")
     p.add_argument("--config", default=None,
-                   help="key = value defaults file (flags override)")
+                   help="file of key = value lines, each read as --key=value "
+                        "ahead of the other flags")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -384,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demod-regions", help="decision interval table per bit (CSV)",
                        epilog="CSV columns: bit (1-based), output (0/0.5/1), "
                               "lower, upper (interval bounds, +/-inf at the ends)")
-    p.add_argument("--order", type=int, required=True, choices=(2, 4, 6))
+    p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, required=True)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_demod_regions)
@@ -392,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bsec-table", help="analytic vs empirical channel parameters",
                        epilog="CSV columns: snr_db, mu, d, r (closed form), "
                               "empirical_mu, empirical_d, empirical_r, n_bits")
-    p.add_argument("--order", type=int, required=True, choices=(2, 4, 6))
+    p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--snr-db", required=True, help="sweep LO:HI:STEP in dB")
     p.add_argument("--n-bits", type=int, default=100000)
@@ -401,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-ber", help="link Monte Carlo flip/erasure rates",
                        epilog="CSV columns: snr_db, order, a, n_bits, ber, erasure_rate")
-    p.add_argument("--order", type=int, required=True, choices=(2, 4, 6))
+    p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--snr-db", required=True, help="sweep LO:HI:STEP in dB")
     p.add_argument("--n-bits", type=int, default=100000)
@@ -440,10 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_profile_args(p)
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--snr-db", default=None, help="sweep LO:HI:STEP in dB")
-    p.add_argument("--uniform", default=None, help="G1:G2 channel magnitude range")
-    p.add_argument("--adaptive", action="store_true", help="per-bit order selection")
-    p.add_argument("--fixed-order", type=int, default=2, choices=(2, 4, 6))
+    channel = p.add_mutually_exclusive_group(required=True)
+    channel.add_argument("--snr-db", help="sweep LO:HI:STEP in dB")
+    channel.add_argument("--uniform", help="G1:G2 channel magnitude range")
+    p.add_argument("--adaptive", nargs="?", const=True, default=False, type=parse_bool,
+                   metavar="BOOL", help="per-bit order selection (true/false, bare = true)")
+    p.add_argument("--fixed-order", type=int, default=2, choices=SUPPORTED_ORDERS)
     p.add_argument("--betas", default="1,0.6,0.5")
     p.add_argument("--images-per-block", type=int, default=10,
                    help="images sharing one channel draw")
@@ -457,53 +465,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _with_config_lines(argv: list[str]) -> list[str]:
+    """Insert each `key = value` line of --config FILE as `--key=value`.
+
+    The tokens go right after the command name, so argparse checks them like
+    any flag and flags given later on the command line win.
+    """
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     try:
         cfg_path = pre.parse_known_args(argv)[0].config
     except argparse.ArgumentError:
-        return  # a malformed --config is reported by the full parser
-    if cfg_path is None:
-        return
-    overrides = load_config_file(cfg_path)
-    if not argv or argv[0].startswith("-"):
-        return
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices.get(argv[0]) if sub_actions else None
-    if subparser is None:
-        return
-    defaults = {}
-    for action in subparser._actions:
-        if action.dest in overrides:
-            raw = overrides[action.dest]
-            if action.type is not None:
-                defaults[action.dest] = action.type(raw)
-            elif isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                defaults[action.dest] = raw
-            action.required = False
-    subparser.set_defaults(**defaults)
+        return argv  # a malformed --config is reported by the full parser
+    if cfg_path is None or not argv or argv[0].startswith("-"):
+        return argv
+    lines = load_config_file(cfg_path)
+    return [argv[0], *(f"--{key.replace('_', '-')}={value}" for key, value in lines.items()),
+            *argv[1:]]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config_lines(argv))
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract reserves 2 for I/O
         return 0 if exc.code in (0, None) else 1
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -115,8 +115,8 @@ def synth_dataset(n_classes: int, dim: int, n_per_class: int, noise_sigma: float
     """
     if n_classes < 1 or dim < 1 or n_per_class < 1:
         raise DomainError("n_classes, dim, and n_per_class must be positive")
-    if not (noise_sigma >= 0):
-        raise DomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not (0 <= noise_sigma < np.inf):
+        raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     template_rng, noise_rng = rng.split(2)
     templates = template_rng.std_normal((n_classes, dim))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)

@@ -15,7 +15,7 @@ from .adaptmod import (
     plan_from_thresholds,
     threshold_table,
 )
-from .bsec import BsecParams, RobustnessProfile, analytic_params
+from .bsec import RobustnessProfile, analytic_params
 from .channel import (
     ChannelDistribution,
     ChannelRealization,
@@ -51,9 +51,6 @@ class LinkStats:
     @property
     def correct_rate(self) -> float:
         return self.corrects / self.n_bits
-
-    def empirical_params(self) -> BsecParams:
-        return BsecParams(mu=self.flip_rate, d=self.erasure_rate, r=self.correct_rate)
 
 
 def _count_trits(bits: np.ndarray, trits: np.ndarray) -> LinkStats:
@@ -177,18 +174,6 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         "erasure_rate": erasures / total_bits,
         "bit_bias": bit_sum / total_bits,
     }
-
-
-def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfile,
-                     betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
-    """Session spectral efficiency over random channel draws (bits/symbols)."""
-    table = threshold_table(profile, betas)
-    n_bits = len(profile)
-    total_symbols = 0
-    for _ in range(n_draws):
-        ch = draw_channel(channel_dist, rng)
-        total_symbols += plan_from_thresholds(ch.snr, table).symbol_count
-    return n_bits * n_draws / total_symbols
 
 
 def trit_histogram_link(snr: float, a: float, n_bits: int, rng: RandomSource,

@@ -44,9 +44,9 @@ class TrainingConfig:
     clf_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        if self.warmup_epochs > self.epochs:
+        if not (0 <= self.warmup_epochs <= self.epochs):
             raise ConfigError(
-                f"warmup_epochs={self.warmup_epochs} exceeds epochs={self.epochs}"
+                f"warmup_epochs={self.warmup_epochs} must lie in [0, epochs={self.epochs}]"
             )
         if not (self.loss_weight >= 0):
             raise ConfigError(f"loss weight must be >= 0, got {self.loss_weight}")

@@ -49,13 +49,11 @@ class RandomSource:
     def __init__(self, seed: int | np.random.SeedSequence):
         if isinstance(seed, np.random.SeedSequence):
             self._seq = seed
-            self.seed = int(seed.entropy) if isinstance(seed.entropy, int) else 0
         else:
             seed = int(seed)
             if not 0 <= seed < 2**64:
                 raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
             self._seq = np.random.SeedSequence(seed)
-            self.seed = seed
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     def split(self, n: int) -> list["RandomSource"]:

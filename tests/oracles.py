@@ -1,6 +1,11 @@
-"""Hard-decision reference code shared by the demodulation tests."""
+"""Reference code shared by the tests: hard decisions and the adaptive SE."""
 
 import numpy as np
+
+from semlink.adaptmod import BetaAdjusters, plan_from_thresholds, threshold_table
+from semlink.bsec import RobustnessProfile
+from semlink.channel import ChannelDistribution, draw_channel
+from semlink.numerics import RandomSource
 
 
 def unpack_words(words, m):
@@ -24,3 +29,15 @@ def nearest_words(z, c):
     dr = (z.real / half_d)[:, None] - grid.real[lex]
     di = (z.imag / half_d)[:, None] - grid.imag[lex]
     return lex[np.argmin(dr**2 + di**2, axis=1)]
+
+
+def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfile,
+                     betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
+    """Session spectral efficiency over random channel draws (bits/symbols)."""
+    table = threshold_table(profile, betas)
+    n_bits = len(profile)
+    total_symbols = 0
+    for _ in range(n_draws):
+        ch = draw_channel(channel_dist, rng)
+        total_symbols += plan_from_thresholds(ch.snr, table).symbol_count
+    return n_bits * n_draws / total_symbols

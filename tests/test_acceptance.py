@@ -24,7 +24,6 @@ from semlink.datasets import synth_dataset
 from semlink.demod import a_from_rho, build_regions, demod_llr, demod_robust, rho_from_a
 from semlink.harness import (
     chi_square_homogeneity,
-    mean_adaptive_se,
     run_link_montecarlo,
     trit_histogram_bsec,
     trit_histogram_link,
@@ -33,7 +32,7 @@ from semlink.jscc import TrainingConfig, eval_under_bsec, train, warmup_only_con
 from semlink.nn import init_model, mse_loss
 from semlink.numerics import RandomSource
 
-from oracles import nearest_words, unpack_words
+from oracles import mean_adaptive_se, nearest_words, unpack_words
 
 
 def verdict(ok: bool, name: str, detail: str) -> None:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from semlink.bsec import (
     BsecParams,
-    NOISELESS,
     RobustnessProfile,
     analytic_params,
     erasure_from_mu_array,
@@ -46,8 +45,9 @@ def transition(bits, p, rng):
 class TestTransition:
     def test_noiseless_identity(self):
         rng = RandomSource(1)
-        assert np.all(transition(np.ones(100), NOISELESS, rng) == 1.0)
-        assert np.all(transition(np.zeros(100), NOISELESS, rng) == 0.0)
+        noiseless = BsecParams(0.0, 0.0, 1.0)
+        assert np.all(transition(np.ones(100), noiseless, rng) == 1.0)
+        assert np.all(transition(np.zeros(100), noiseless, rng) == 0.0)
 
     def test_pure_erasure(self):
         rng = RandomSource(2)
@@ -259,7 +259,7 @@ class TestProfiles:
         profile = RobustnessProfile.homogeneous(8, 0.0)
         mu = sample_mu_matrix(profile.alphas, 1, RandomSource(8))[0]
         d = erasure_from_mu_array(mu)
-        assert all(BsecParams(m, e, 1.0 - m - e) == NOISELESS for m, e in zip(mu, d))
+        assert all(BsecParams(m, e, 1.0 - m - e) == BsecParams(0.0, 0.0, 1.0) for m, e in zip(mu, d))
 
     def test_sampled_pairs_satisfy_matching_relation(self):
         profile = RobustnessProfile.homogeneous(64, 0.4)

@@ -99,3 +99,6 @@ class TestDrawChannel:
             UniformMagnitude(2.0, 1.0)
         with pytest.raises(DomainError):
             UniformMagnitude(-0.1, 1.0)
+        for g2 in (math.inf, 1e300):  # |h|^2 overflows
+            with pytest.raises(DomainError, match="g2"):
+                UniformMagnitude(0.0, g2)

@@ -22,6 +22,23 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def flag_or_config_line(tmp_path, argv, key, value, via_config):
+    """argv plus `--key=value`, or plus a --config file holding `key = value`."""
+    if not via_config:
+        return (*argv, f"--{key}={value}")
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {value}\n")
+    return (*argv, "--config", str(conf))
+
+
+def assert_one_line_error(code, out, err, message):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert message in err
+
+
 class TestParsingHelpers:
     def test_sweep_inclusive(self):
         np.testing.assert_allclose(parse_sweep("-3:6:3"), [-3, 0, 3, 6])
@@ -191,15 +208,31 @@ class TestCommands:
         (("train", *TINY_TRAIN, "--learning-rate", "-1"), "learning rate"),
         (("train", *TINY_TRAIN, "--loss-weight", "nan"), "loss weight"),
         (("train", *TINY_TRAIN, "--noise-sigma", "nan"), "noise_sigma"),
+        (("train", *TINY_TRAIN, "--noise-sigma", "inf"), "noise_sigma"),
         (("train", *TINY_TRAIN, "--latent-bits", "0"), "at least 1 bit"),
+        (("train", *TINY_TRAIN, "--warmup-epochs", "-2"), "warmup_epochs=-2"),
     ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
-            "noise-sigma-nan", "zero-latent-bits"])
+            "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup"])
     def test_bad_value_is_a_one_line_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("argv,key,value,message", [
+        (("simulate-ber", "--order", "2", "--snr-db", "0:0:1", "--n-bits", "10"),
+         "seed", "abc", "invalid int value"),
+        (("capacity", "--g1", "0.37", "--g2", "2.5"), "frobnicate", "3",
+         "unrecognized arguments: --frobnicate=3"),
+        (("demod-regions", "--a", "0.5"), "order", "3", "invalid choice"),
+        (("train", *TINY_TRAIN[:-2]), "warmup-epochs", "-2", "warmup_epochs=-2"),
+    ], ids=["seed-abc", "unknown-key", "order-3", "negative-warmup"])
+    def test_flag_and_config_line_fail_alike(self, capsys, tmp_path, argv, key, value,
+                                             message, via_config):
+        argv = flag_or_config_line(tmp_path, argv, key, value, via_config)
+        assert_one_line_error(*run_cli(capsys, *argv), message)
 
     def test_nan_snr_plan_is_a_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "profile.csv"
@@ -281,6 +314,31 @@ class TestTrainEvalPipeline:
         assert out == ""
         assert err.startswith("error: images_per_block") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("channel,key,value,message", [
+        ((), "uniform", "0:inf", "g2"),
+        ((), "uniform", "0:1e300", "g2"),
+        ((), "uniform", "", "range must be G1:G2"),
+        (("--uniform", "0.37:2.5"), "snr-db", "0:0:1", "not allowed with argument"),
+        (("--uniform", "0.37:2.5"), "adaptive", "maybe", "expected true or false"),
+    ], ids=["uniform-inf", "uniform-1e300", "uniform-empty", "both-channels", "adaptive-maybe"])
+    def test_bad_eval_input_is_a_one_line_error(self, capsys, tmp_path, model_dir, channel,
+                                                key, value, message, via_config):
+        argv = ("eval", "--model-dir", str(model_dir), "--classes", "4", "--dim", "16",
+                "--per-class", "30", *channel)
+        argv = flag_or_config_line(tmp_path, argv, key, value, via_config)
+        assert_one_line_error(*run_cli(capsys, *argv), message)
+
+    @pytest.mark.parametrize("value,adaptive", [("true", True), ("1", True), ("no", False)])
+    def test_adaptive_takes_a_boolean(self, capsys, tmp_path, model_dir, value, adaptive):
+        argv = ("eval", "--model-dir", str(model_dir), "--classes", "4", "--dim", "16",
+                "--per-class", "30", "--uniform", "0.37:2.5", "--seed", "4")
+        expected = run_cli(capsys, *argv, *(("--adaptive",) if adaptive else ()))
+        assert expected[0] == 0
+        assert run_cli(capsys, *flag_or_config_line(tmp_path, argv, "adaptive", value,
+                                                    via_config=True)) == expected
+        assert run_cli(capsys, *argv, f"--adaptive={value}") == expected
+
     def test_eval_train_reproducible(self, capsys, model_dir):
         args = ("eval", "--model-dir", str(model_dir), "--classes", "4",
                 "--dim", "16", "--per-class", "30", "--noise-sigma", "1.0",
@@ -309,65 +367,121 @@ class TestTrainEvalPipeline:
         assert code == 0
 
 
-# Each flag draws from its own valid values or from a pool of malformed,
-# non-finite, negative, zero, huge and empty strings, or is left out.
+# Each flag draws one of its valid values or, if optional, is left out. Up to two
+# flags instead take a value from a pool of malformed, non-finite, negative,
+# zero, huge and empty strings, so most runs get past argument parsing.
 FUZZ_BAD = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e30", "", "a:b"])
 
 
-def fuzz_flag(*valid):
-    return st.one_of(st.none(), st.sampled_from(valid), FUZZ_BAD)
+def fuzz_flag(*valid, required=False):
+    return st.sampled_from(valid if required else (None, *valid))
 
 
-def fuzz_triple(sep, *valid):
-    return st.one_of(fuzz_flag(*valid), st.tuples(
-        *[st.one_of(st.sampled_from(["-3", "0", "0.5", "6"]), FUZZ_BAD)] * 3).map(sep.join))
+def fuzz_tuple(sep, n, parts, *valid, required=False):
+    """A whole valid value, or n parts each valid or malformed."""
+    return st.one_of(fuzz_flag(*valid, required=required), st.tuples(
+        *[st.one_of(st.sampled_from(parts), FUZZ_BAD)] * n).map(sep.join))
 
 
+# File names resolve inside the fuzz directory, where no "missing" file exists
+FUZZ_FILE_FLAGS = ("--config", "--profile", "--model-dir")
+FUZZ_CONFIG = st.one_of(st.none(), st.sampled_from(
+    ["valid.conf", "unknown.conf", "bad-seed.conf", "bad-adaptive.conf", "missing.conf"]))
+FUZZ_SNR_PARTS = ["-3", "0", "0.5", "6"]
+FUZZ_SNR_DB = fuzz_tuple(":", 3, FUZZ_SNR_PARTS, "0:6:3", "-3:0:1")
+FUZZ_BETAS = fuzz_tuple(",", 3, ["1", "0.6", "0.5"], "1,0.6,0.5")
 FUZZ_LINK = {
     "--order": fuzz_flag("2", "4", "6"),
     "--a": fuzz_flag("0", "0.25", "0.5", "1"),
-    "--snr-db": fuzz_triple(":", "0:6:3", "-3:0:1"),
+    "--snr-db": FUZZ_SNR_DB,
     # --n-bits stays at or below 2000: bounded memory at any --n-bits is a
     # separate ROADMAP item, so huge bit counts are not drawn here
     "--n-bits": fuzz_flag("1", "7", "2000"),
     "--seed": fuzz_flag("0", "7"),
 }
+# train and eval always get tiny sizes, so no draw falls back to the default
+# 2000-image, 100-epoch run
+FUZZ_MODEL_RUN = {
+    "--classes": fuzz_flag("2", "3", required=True),
+    "--dim": fuzz_flag("4", required=True),
+    "--per-class": fuzz_flag("1", "4", required=True),
+    "--noise-sigma": fuzz_flag("0", "1"),
+    "--data-seed": fuzz_flag("0", "7"),
+    "--profile": fuzz_flag("good.csv"),
+    "--alpha": fuzz_flag("0", "0.29", "0.5"),
+    "--alpha-last": fuzz_flag("0.45"),
+    "--a": FUZZ_LINK["--a"],
+    "--seed": FUZZ_LINK["--seed"],
+}
 FUZZ_COMMANDS = {
     "capacity": {"--g1": fuzz_flag("0", "0.37"), "--g2": fuzz_flag("2.5", "4")},
     "demod-regions": {"--order": FUZZ_LINK["--order"], "--a": FUZZ_LINK["--a"]},
     "adaptive-plan": {"--snr-db": fuzz_flag("-3", "0", "6", "20"),
-                      "--profile": st.sampled_from(["good", "missing", ""]),
-                      "--betas": fuzz_triple(",", "1,0.6,0.5")},
+                      "--profile": fuzz_flag("good.csv", required=True),
+                      "--betas": FUZZ_BETAS},
     "simulate-ber": FUZZ_LINK,
     "bsec-table": FUZZ_LINK,
+    "train": {**FUZZ_MODEL_RUN,
+              "--latent-bits": fuzz_flag("1", "3", required=True),
+              "--epochs": fuzz_flag("1", "2", required=True),
+              "--warmup-epochs": fuzz_flag("0", "1", required=True),
+              "--batch-size": fuzz_flag("1", "3"),
+              "--learning-rate": fuzz_flag("0.001", "0.1"),
+              "--loss-weight": fuzz_flag("0", "0.2")},
+    "selfcheck": {"--seed": FUZZ_LINK["--seed"]},
 }
+FUZZ_EVAL = {**FUZZ_MODEL_RUN,
+             "--model-dir": fuzz_flag("models", required=True),
+             "--adaptive": fuzz_flag(True, "true", "no"),
+             "--fixed-order": FUZZ_LINK["--order"],
+             "--betas": FUZZ_BETAS,
+             "--images-per-block": fuzz_flag("1", "10")}
+# eval takes exactly one channel flag, so each gets its own entry
+FUZZ_COMMANDS["eval --snr-db"] = {
+    **FUZZ_EVAL, "--snr-db": fuzz_tuple(":", 3, FUZZ_SNR_PARTS, "0:6:3", "-3:0:1",
+                                        required=True)}
+FUZZ_COMMANDS["eval --uniform"] = {
+    **FUZZ_EVAL, "--uniform": fuzz_tuple(":", 2, ["0", "0.37", "2.5", "1e300", "inf"],
+                                         "0.37:2.5", required=True)}
 
 
 @st.composite
 def fuzz_argv(draw):
-    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
-    argv = [command]
-    for flag, values in FUZZ_COMMANDS[command].items():
-        value = draw(values)
-        if value is not None:
+    entry = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    flags = {**FUZZ_COMMANDS[entry], "--config": FUZZ_CONFIG}
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [entry.split()[0]]
+    for flag, values in flags.items():
+        value = draw(FUZZ_BAD if flag in bad else values)
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
             argv.append(f"{flag}={value}")  # the = form lets "-1" and "" through
     return argv
 
 
+def fuzz_path(arg, base):
+    flag, _, name = arg.partition("=")
+    return f"{flag}={base / name}" if flag in FUZZ_FILE_FLAGS and name else arg
+
+
 @pytest.fixture(scope="module")
-def fuzz_profile(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "profile.csv"
-    path.write_text("0,0.29,0.5\n1,0.37,0.5\n2,0.45,0.25\n")
-    return path
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "good.csv").write_text("0,0.29,0.5\n1,0.37,0.5\n2,0.45,0.25\n")
+    for name, text in {"valid": "# a run\nseed = 3\n", "unknown": "frobnicate = 3\n",
+                       "bad-seed": "seed = abc\n", "bad-adaptive": "adaptive = maybe\n"}.items():
+        (base / f"{name}.conf").write_text(text)
+    assert main(["train", *TINY_TRAIN, "--profile", str(base / "good.csv"),
+                 "--model-dir", str(base / "models"), "--out", str(base / "train.csv")]) == 0
+    return base
 
 
 class TestArgvFuzz:
     @given(argv=fuzz_argv())
     @settings(max_examples=500, deadline=None)
-    def test_exit_code_and_one_error_line(self, fuzz_profile, argv):
-        paths = {"--profile=good": f"--profile={fuzz_profile}",
-                 "--profile=missing": f"--profile={fuzz_profile.with_name('missing.csv')}"}
-        argv = [paths.get(a, a) for a in argv]
+    def test_exit_code_and_one_error_line(self, fuzz_dir, argv):
+        argv = [fuzz_path(arg, fuzz_dir) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

@@ -117,3 +117,5 @@ class TestSynth:
             synth_dataset(0, 8, 5, 0.1, RandomSource(0))
         with pytest.raises(DomainError):
             synth_dataset(2, 8, 5, -0.1, RandomSource(0))
+        with pytest.raises(DomainError, match="finite"):
+            synth_dataset(2, 8, 5, np.inf, RandomSource(0))

@@ -13,7 +13,6 @@ from semlink.demod import build_regions
 from semlink.datasets import synth_dataset
 from semlink.harness import (
     chi_square_homogeneity,
-    mean_adaptive_se,
     run_end_to_end,
     run_link_montecarlo,
     transport_block,
@@ -22,6 +21,8 @@ from semlink.harness import (
 )
 from semlink.jscc import TrainingConfig, train
 from semlink.numerics import RandomSource
+
+from oracles import mean_adaptive_se
 
 
 def clt3(p, n):
@@ -46,8 +47,8 @@ class TestLinkMonteCarlo:
     def test_counts_partition(self):
         stats = run_link_montecarlo(6, 3.0, 0.25, 30000, RandomSource(45))
         assert stats.flips + stats.erasures + stats.corrects == stats.n_bits
-        p = stats.empirical_params()
-        assert p.mu + p.d + p.r == pytest.approx(1.0, abs=1e-12)
+        total = stats.flip_rate + stats.erasure_rate + stats.correct_rate
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("order", (2, 4, 6))
     @pytest.mark.parametrize("a", (0.0, 0.5))

@@ -211,6 +211,10 @@ class TestTraining:
         with pytest.raises(ConfigError):
             tiny_config(epochs=2, warmup_epochs=3)
 
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ConfigError, match="warmup_epochs=-2"):
+            tiny_config(epochs=1, warmup_epochs=-2)
+
     def test_bad_rates_rejected(self):
         for bad in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ConfigError, match="learning rate"):
