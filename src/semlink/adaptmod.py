@@ -92,15 +92,22 @@ def threshold_table(profile: RobustnessProfile, betas: BetaAdjusters) -> np.ndar
     ])
 
 
-def plan_from_thresholds(snr: float, table: np.ndarray) -> ModPlan:
-    """Build a ModPlan from sqrt-SNR comparisons against a threshold table."""
-    if not (snr > 0):
-        raise DomainError(f"snr must be positive, got {snr}")
-    s = math.sqrt(snr)
-    orders = np.full(table.shape[0], 2, dtype=np.int64)
+def orders_from_thresholds(snr, table: np.ndarray) -> np.ndarray:
+    """(len(snr), n_bits) per-bit orders from sqrt-SNR comparisons against a table."""
+    snr = np.asarray(snr, dtype=np.float64)
+    bad = ~(snr > 0)
+    if np.any(bad):
+        raise DomainError(f"snr must be positive, got {snr[bad][0]}")
+    s = np.sqrt(snr)[:, None]
+    orders = np.full((snr.size, table.shape[0]), 2, dtype=np.int64)
     orders[s >= table[:, 1]] = 4
     orders[s >= table[:, 2]] = 6
-    return _pack(tuple(int(o) for o in orders))
+    return orders
+
+
+def plan_from_thresholds(snr: float, table: np.ndarray) -> ModPlan:
+    """Build a ModPlan from sqrt-SNR comparisons against a threshold table."""
+    return _pack(tuple(int(o) for o in orders_from_thresholds([snr], table)[0]))
 
 
 def fixed_plan(n_bits: int, order: int) -> ModPlan:

@@ -21,8 +21,8 @@ class ChannelRealization:
     def __post_init__(self):
         if not (self.noise_var >= 0):
             raise DomainError(f"noise variance must be >= 0, got {self.noise_var}")
-        if self.h == 0:
-            raise DomainError("channel coefficient must be nonzero")
+        if not (abs(self.h) ** 2 > 0):  # also rejects NaN and an underflowing |h|
+            raise DomainError(f"channel gain |h|^2 must be positive, got {abs(self.h) ** 2}")
 
     @property
     def snr(self) -> float:

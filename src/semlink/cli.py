@@ -374,6 +374,7 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semlink",
+        allow_abbrev=False,
         description="Ternary-demodulated digital links with robustly trained "
                     "autoencoders and per-bit adaptive modulation.",
     )
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="ergodic capacity for sqrt(SNR) ~ U[g1, g2]",
-                       epilog="CSV columns: g1, g2, capacity")
+                       epilog="CSV columns: g1, g2, capacity", allow_abbrev=False)
     p.add_argument("--g1", type=float, required=True)
     p.add_argument("--g2", type=float, required=True)
     _add_common(p, seed=False)
@@ -389,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demod-regions", help="decision interval table per bit (CSV)",
                        epilog="CSV columns: bit (1-based), output (0/0.5/1), "
-                              "lower, upper (interval bounds, +/-inf at the ends)")
+                              "lower, upper (interval bounds, +/-inf at the ends)",
+                       allow_abbrev=False)
     p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, required=True)
     _add_common(p, seed=False)
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bsec-table", help="analytic vs empirical channel parameters",
                        epilog="CSV columns: snr_db, mu, d, r (closed form), "
-                              "empirical_mu, empirical_d, empirical_r, n_bits")
+                              "empirical_mu, empirical_d, empirical_r, n_bits", allow_abbrev=False)
     p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--snr-db", required=True, help="sweep LO:HI:STEP in dB")
@@ -406,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bsec_table)
 
     p = sub.add_parser("simulate-ber", help="link Monte Carlo flip/erasure rates",
-                       epilog="CSV columns: snr_db, order, a, n_bits, ber, erasure_rate")
+                       epilog="CSV columns: snr_db, order, a, n_bits, ber, erasure_rate",
+                       allow_abbrev=False)
     p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--snr-db", required=True, help="sweep LO:HI:STEP in dB")
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adaptive-plan", help="per-bit thresholds and chosen orders",
                        epilog="CSV columns: bit (0-based), alpha, tau2, tau4, tau6, "
-                              "order (selected bits per symbol)")
+                              "order (selected bits per symbol)", allow_abbrev=False)
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--profile", required=True, help="profile file: index,alpha,a lines")
     p.add_argument("--betas", default="1,0.6,0.5", help="B2,B4,B6 adjusting factors")
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adaptive_plan)
 
     p = sub.add_parser("train", help="train encoder/decoder/classifier over sampled BSECs",
-                       epilog="CSV columns: epoch, loss, mse, ce, accuracy")
+                       epilog="CSV columns: epoch, loss, mse, ce, accuracy", allow_abbrev=False)
     _add_dataset_args(p)
     _add_profile_args(p)
     p.add_argument("--latent-bits", type=int, default=64,
@@ -442,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="end-to-end evaluation over a physical link",
                        epilog="CSV columns: channel (fixed/uniform), snr_db, accuracy, "
                               "mse, spectral_efficiency, flip_rate, erasure_rate, "
-                              "bit_bias (mean sampled encoder bit)")
+                              "bit_bias (mean sampled encoder bit)", allow_abbrev=False)
     _add_dataset_args(p)
     _add_profile_args(p)
     p.add_argument("--model-dir", required=True)
@@ -458,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("selfcheck", help="run quick internal consistency checks")
+    p = sub.add_parser("selfcheck", help="run quick internal consistency checks",
+                       allow_abbrev=False)
     _add_common(p)
     p.set_defaults(func=cmd_selfcheck)
 
@@ -471,7 +475,7 @@ def _with_config_lines(argv: list[str]) -> list[str]:
     The tokens go right after the command name, so argparse checks them like
     any flag and flags given later on the command line win.
     """
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False, allow_abbrev=False)
     pre.add_argument("--config")
     try:
         cfg_path = pre.parse_known_args(argv)[0].config

@@ -36,9 +36,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "identity":
         return z
     if kind == "softmax":
-        shifted = z - np.max(z, axis=1, keepdims=True)
+        shifted = z - np.max(z, axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / np.sum(e, axis=1, keepdims=True)
+        return e / np.sum(e, axis=-1, keepdims=True)
     raise DomainError(f"unknown activation {kind!r}")
 
 
@@ -115,10 +115,14 @@ class DenseModel:
         return self.layers[-1].weight.shape[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run a (batch, in_dim) array through the stack, caching for backward."""
+        """Run a (batch, in_dim) array through the stack, caching for backward.
+
+        A (blocks, batch, in_dim) stack runs every block at once; only a 2-D
+        forward can be followed by backward.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.in_dim:
-            raise DomainError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
+        if x.shape[-1] != self.in_dim:
+            raise DomainError(f"expected input dim {self.in_dim}, got {x.shape[-1]}")
         cache = []
         for layer in self.layers:
             z = x @ layer.weight.T + layer.bias

@@ -1,10 +1,20 @@
-"""Reference code shared by the tests: hard decisions and the adaptive SE."""
+"""Reference code shared by the tests: hard decisions, the adaptive SE, and
+the block-by-block end-to-end pass."""
 
 import numpy as np
 
-from semlink.adaptmod import BetaAdjusters, plan_from_thresholds, threshold_table
+from semlink.adaptmod import (
+    BetaAdjusters,
+    fixed_plan,
+    plan_from_thresholds,
+    threshold_table,
+)
 from semlink.bsec import RobustnessProfile
 from semlink.channel import ChannelDistribution, draw_channel
+from semlink.demod import TRIT_ERASURE
+from semlink.errors import ConfigError
+from semlink.harness import transport_block
+from semlink.jscc import ModelTriple, sample_latent_bits
 from semlink.numerics import RandomSource
 
 
@@ -41,3 +51,58 @@ def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfi
         ch = draw_channel(channel_dist, rng)
         total_symbols += plan_from_thresholds(ch.snr, table).symbol_count
     return n_bits * n_draws / total_symbols
+
+
+def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribution,
+                             profile: RobustnessProfile, betas: BetaAdjusters,
+                             adaptive: bool, dataset, rng: RandomSource,
+                             images_per_block: int = 10, fixed_order: int = 2) -> dict:
+    """harness.run_end_to_end one channel block at a time: plan, transport_block."""
+    if images_per_block < 1:
+        raise ConfigError(f"images_per_block must be >= 1, got {images_per_block}")
+    n_bits = len(profile)
+    if models.encoder.out_dim != n_bits:
+        raise ConfigError(
+            f"encoder emits {models.encoder.out_dim} bits, profile has {n_bits}"
+        )
+    x = np.asarray(dataset.features, dtype=np.float64)
+    y = np.asarray(dataset.labels, dtype=np.int64)
+    table = threshold_table(profile, betas) if adaptive else None
+    static_plan = None if adaptive else fixed_plan(n_bits, fixed_order)
+    ch_rng, bit_rng, noise_rng = rng.split(3)
+
+    correct = 0
+    sq_err_sum = 0.0
+    total_symbols = 0
+    bit_sum = 0
+    flips = erasures = 0
+    for start in range(0, len(x), images_per_block):
+        xb = x[start:start + images_per_block]
+        yb = y[start:start + images_per_block]
+        ch = draw_channel(channel_dist, ch_rng)
+        plan = plan_from_thresholds(ch.snr, table) if adaptive else static_plan
+        f = models.encoder.forward(xb)
+        bits = sample_latent_bits(f, bit_rng).astype(np.int64)
+        trits, symbols_per_image = transport_block(
+            bits, plan, profile.a_offsets, ch, noise_rng
+        )
+        total_symbols += symbols_per_image * len(xb)
+        bit_sum += int(bits.sum())
+        erasures += int(np.sum(trits == TRIT_ERASURE))
+        flips += int(np.sum(trits == 1 - bits))
+        u_hat = models.decoder.forward(trits)
+        logits = models.classifier.forward(u_hat)
+        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+        sq_err_sum += float(np.sum((u_hat - xb) ** 2))
+
+    n = len(x)
+    total_bits = n * n_bits
+    return {
+        "n_images": n,
+        "accuracy": correct / n,
+        "mse": sq_err_sum / n,
+        "spectral_efficiency": total_bits / total_symbols,
+        "flip_rate": flips / total_bits,
+        "erasure_rate": erasures / total_bits,
+        "bit_bias": bit_sum / total_bits,
+    }

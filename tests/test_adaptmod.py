@@ -14,6 +14,7 @@ from semlink.adaptmod import (
     _pack,
     capacity_uniform,
     fixed_plan,
+    orders_from_thresholds,
     plan_from_thresholds,
     spectral_efficiency,
     tau,
@@ -242,6 +243,23 @@ class TestPlanning:
             assert plan_from_thresholds(snr, table) == plan_assignment(
                 snr, profile, HETEROGENEOUS_BETAS
             )
+
+    def test_order_matrix_rows_match_plan_assignment(self):
+        profile = RobustnessProfile(np.linspace(0.29, 0.45, 32), np.resize([0.0, 0.5, 1.0], 32))
+        table = threshold_table(profile, HETEROGENEOUS_BETAS)
+        snrs = [0.3, 0.9, 2.2, 5.0, 1e9]
+        orders = orders_from_thresholds(snrs, table)
+        assert orders.shape == (5, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BelowFloorWarning)  # snr 0.3 is below some floors
+            for snr, row in zip(snrs, orders):
+                assert tuple(row) == plan_assignment(snr, profile, HETEROGENEOUS_BETAS).orders
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_order_matrix_rejects_nonpositive_snr(self, bad):
+        table = threshold_table(RobustnessProfile.homogeneous(4, 0.4), HETEROGENEOUS_BETAS)
+        with pytest.raises(DomainError, match="snr must be positive"):
+            orders_from_thresholds([1.0, bad], table)
 
     def test_staircase_composition_sequence(self):
         profile = RobustnessProfile.linear_ramp(96, 0.29, 0.45, a=0.5)

@@ -43,6 +43,14 @@ def test_zero_h_rejected():
         ChannelRealization(h=0, noise_var=1.0)
 
 
+@pytest.mark.parametrize("h", [1e-200, 1e-200j, complex(math.nan, 0.0), math.nan],
+                         ids=["underflow-real", "underflow-imag", "nan-complex", "nan"])
+def test_zero_or_nan_gain_rejected(h):
+    # |h|^2 underflows to 0 or is NaN although h != 0
+    with pytest.raises(DomainError, match="channel gain"):
+        ChannelRealization(h=h, noise_var=1.0)
+
+
 def test_noise_variance_and_split():
     n = 10**6
     x = np.zeros(n, dtype=complex)

@@ -228,7 +228,11 @@ class TestCommands:
          "unrecognized arguments: --frobnicate=3"),
         (("demod-regions", "--a", "0.5"), "order", "3", "invalid choice"),
         (("train", *TINY_TRAIN[:-2]), "warmup-epochs", "-2", "warmup_epochs=-2"),
-    ], ids=["seed-abc", "unknown-key", "order-3", "negative-warmup"])
+        (("simulate-ber", "--order", "2", "--snr-db", "0:0:1", "--n-bits", "10"),
+         "se", "5", "unrecognized arguments: --se=5"),
+        (("train", *TINY_TRAIN), "c", "3", "unrecognized arguments: --c=3"),
+    ], ids=["seed-abc", "unknown-key", "order-3", "negative-warmup", "prefix-of-seed",
+            "prefix-of-config"])
     def test_flag_and_config_line_fail_alike(self, capsys, tmp_path, argv, key, value,
                                              message, via_config):
         argv = flag_or_config_line(tmp_path, argv, key, value, via_config)
@@ -321,7 +325,10 @@ class TestTrainEvalPipeline:
         ((), "uniform", "", "range must be G1:G2"),
         (("--uniform", "0.37:2.5"), "snr-db", "0:0:1", "not allowed with argument"),
         (("--uniform", "0.37:2.5"), "adaptive", "maybe", "expected true or false"),
-    ], ids=["uniform-inf", "uniform-1e300", "uniform-empty", "both-channels", "adaptive-maybe"])
+        ((), "uniform", "0:1e-300", "channel gain |h|^2 must be positive"),
+        (("--adaptive",), "uniform", "0:1e-300", "channel gain |h|^2 must be positive"),
+    ], ids=["uniform-inf", "uniform-1e300", "uniform-empty", "both-channels", "adaptive-maybe",
+            "uniform-zero-gain", "uniform-zero-gain-adaptive"])
     def test_bad_eval_input_is_a_one_line_error(self, capsys, tmp_path, model_dir, channel,
                                                 key, value, message, via_config):
         argv = ("eval", "--model-dir", str(model_dir), "--classes", "4", "--dim", "16",

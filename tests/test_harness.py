@@ -1,6 +1,7 @@
 """Link Monte Carlo closure, block transport, and full-system evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from semlink.channel import FixedSnr, UniformMagnitude, draw_channel, equalize, 
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
 from semlink.datasets import synth_dataset
+from semlink import harness
 from semlink.harness import (
     chi_square_homogeneity,
     run_end_to_end,
@@ -19,10 +21,10 @@ from semlink.harness import (
     trit_histogram_bsec,
     trit_histogram_link,
 )
-from semlink.jscc import TrainingConfig, train
+from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
 
-from oracles import mean_adaptive_se
+from oracles import mean_adaptive_se, run_end_to_end_per_block
 
 
 def clt3(p, n):
@@ -201,3 +203,50 @@ class TestEndToEnd:
         metrics = run_end_to_end(models, FixedSnr(snr=4.0), profile,
                                  HETEROGENEOUS_BETAS, False, ds, RandomSource(96))
         assert 0.0 < metrics["bit_bias"] < 1.0
+
+
+@pytest.fixture(scope="module")
+def mixed_setup():
+    """Untrained README-shaped stacks over 24 bits with mixed erasure offsets."""
+    profile = RobustnessProfile(np.linspace(0.29, 0.45, 24),
+                                np.resize([0.0, 0.5, 1.0, 0.25], 24))
+    config = TrainingConfig(profile=profile, epochs=1, warmup_epochs=0)
+    models = build_models(16, 4, config, RandomSource(40))
+    return synth_dataset(4, 16, 25, 1.0, RandomSource(41)), profile, models
+
+
+class TestChunkedPass:
+    """run_end_to_end against the block-by-block pass it replaces, dict for dict."""
+
+    @pytest.mark.parametrize("chunk_blocks", [1, 4, None], ids=["1-block", "4-blocks", "all"])
+    @pytest.mark.parametrize("channel", [UniformMagnitude(0.37, 2.5), FixedSnr(snr=3.0)],
+                             ids=["uniform", "fixed"])
+    @pytest.mark.parametrize("adaptive,order", [(True, 2), (False, 2), (False, 4), (False, 6)],
+                             ids=["adaptive", "order2", "order4", "order6"])
+    @pytest.mark.parametrize("per_block", [1, 3, 7, 10])
+    def test_equals_per_block_pass(self, mixed_setup, monkeypatch, per_block, adaptive,
+                                   order, channel, chunk_blocks):
+        ds, profile, models = mixed_setup
+        entries = 10**9 if chunk_blocks is None else chunk_blocks * per_block * len(profile)
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", entries)
+        args = (models, channel, profile, HETEROGENEOUS_BETAS, adaptive, ds)
+        kwargs = dict(images_per_block=per_block, fixed_order=order)
+        assert run_end_to_end(*args, RandomSource(42), **kwargs) == \
+            run_end_to_end_per_block(*args, RandomSource(42), **kwargs)
+
+
+def test_end_to_end_memory_is_bounded():
+    """Traced peak memory of a pass does not grow with the number of images."""
+    profile = RobustnessProfile.linear_ramp(64, 0.29, 0.45, a=0.5)
+    models = build_models(64, 10, TrainingConfig(profile=profile), RandomSource(44))
+    peaks = []
+    for per_class in (100, 400):
+        ds = synth_dataset(10, 64, per_class, 2.0, RandomSource(45))
+        tracemalloc.start()
+        try:
+            run_end_to_end(models, UniformMagnitude(0.37, 2.5), profile, HETEROGENEOUS_BETAS,
+                           True, ds, RandomSource(46))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]

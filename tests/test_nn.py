@@ -73,6 +73,33 @@ class TestForward:
             ])
 
 
+# the README model: 64 inputs, 64 latent bits, 10 classes, default hidden widths
+README_STACKS = {
+    "encoder": ([64, 64, 32, 64], ["relu", "relu", "sigmoid"]),
+    "decoder": ([64, 32, 64, 64], ["relu", "relu", "identity"]),
+    "classifier": ([64, 64, 32, 10], ["relu", "relu", "identity"]),
+    "softmax-head": ([64, 32, 10], ["tanh", "softmax"]),
+}
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("stack", list(README_STACKS))
+    def test_stack_equals_per_block_forwards(self, stack, rows):
+        dims, activations = README_STACKS[stack]
+        model = init_model(dims, activations, RandomSource(31))
+        blocks = RandomSource(32).std_normal((25, rows, dims[0]))
+        stacked = model.forward(blocks)
+        assert stacked.shape == (25, rows, dims[-1])
+        per_block = np.concatenate([model.forward(b) for b in blocks])
+        assert np.array_equal(stacked.reshape(-1, dims[-1]), per_block)
+
+    def test_stack_dimension_mismatch(self):
+        model = random_model(RandomSource(33), dims=[4, 2], activations=["identity"])
+        with pytest.raises(DomainError):
+            model.forward(np.ones((3, 2, 5)))
+
+
 class TestLosses:
     def test_mse_values(self):
         assert mse_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))[0] == 0.0
