@@ -113,7 +113,7 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
     noise_start = np.cumsum(2 * draw_syms) - 2 * draw_syms
     row0 = np.cumsum(rows) - rows
     a_offsets = np.asarray(a_offsets, dtype=np.float64)
-    # per block, the scalar expressions of channel.transmit and channel.equalize
+    # channel.equalize's scalar gain, once per block, so the bytes match it
     gain = np.array([np.conj(hb) / abs(hb) ** 2 for hb in h], dtype=complex)
     h = np.asarray(h, dtype=complex)
     if noise_var != 0:

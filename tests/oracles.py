@@ -1,17 +1,25 @@
 """Reference code shared by the tests: hard decisions, the adaptive SE, and
-the block-by-block end-to-end pass."""
+the block-by-block end-to-end pass with its per-group transport."""
 
 import numpy as np
 
 from semlink.adaptmod import (
     BetaAdjusters,
+    ModPlan,
     fixed_plan,
     plan_from_thresholds,
     threshold_table,
 )
 from semlink.bsec import RobustnessProfile
-from semlink.channel import ChannelDistribution, draw_channel
-from semlink.demod import TRIT_ERASURE
+from semlink.channel import (
+    ChannelDistribution,
+    ChannelRealization,
+    draw_channel,
+    equalize,
+    transmit,
+)
+from semlink.constellation import build_constellation, pack_bits
+from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
 from semlink.errors import ConfigError
 from semlink.harness import transport_block
 from semlink.jscc import ModelTriple, sample_latent_bits
@@ -51,6 +59,28 @@ def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfi
         ch = draw_channel(channel_dist, rng)
         total_symbols += plan_from_thresholds(ch.snr, table).symbol_count
     return n_bits * n_draws / total_symbols
+
+
+def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
+                              ch: ChannelRealization, rng: RandomSource):
+    """harness.transport_block one plan group at a time: pad, transmit, equalize."""
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.int64))
+    n_rows, n_bits = bits.shape
+    if n_bits != len(plan.orders):
+        raise ConfigError(f"plan covers {len(plan.orders)} bits, not {n_bits}")
+    out = np.empty((n_rows, n_bits))
+    for order, group_idxs in plan.groups:
+        idxs = np.asarray(group_idxs)
+        c = build_constellation(order)
+        pad = (-idxs.size) % order
+        padded = np.pad(bits[:, idxs], ((0, 0), (0, pad)))
+        words = pack_bits(padded.reshape(-1), order)
+        y_eq = equalize(transmit(c.points[words], ch, rng), ch.h)
+        # padding slots carry a = 0; their trits are dropped below
+        a_slots = np.pad(a_offsets[idxs], (0, pad)).reshape(-1, order)
+        trits = demod_robust(y_eq.reshape(n_rows, -1), build_regions(c, 0.0), a_slots)
+        out[:, idxs] = trits.reshape(n_rows, -1)[:, : idxs.size]
+    return out, plan.symbol_count
 
 
 def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribution,

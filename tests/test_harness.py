@@ -8,7 +8,14 @@ import pytest
 
 from semlink.adaptmod import HETEROGENEOUS_BETAS, fixed_plan, plan_from_thresholds, threshold_table
 from semlink.bsec import RobustnessProfile, analytic_params
-from semlink.channel import FixedSnr, UniformMagnitude, draw_channel, equalize, transmit
+from semlink.channel import (
+    ChannelRealization,
+    FixedSnr,
+    UniformMagnitude,
+    draw_channel,
+    equalize,
+    transmit,
+)
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
 from semlink.datasets import synth_dataset
@@ -24,7 +31,7 @@ from semlink.harness import (
 from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
 
-from oracles import mean_adaptive_se, run_end_to_end_per_block
+from oracles import mean_adaptive_se, run_end_to_end_per_block, transport_block_per_group
 
 
 def clt3(p, n):
@@ -103,6 +110,23 @@ class TestTransportBlock:
         p = analytic_params(4, 4.0, 0.5)
         flip_rate = np.mean(trits == 1 - bits)
         assert abs(flip_rate - p.mu) / p.mu <= 0.2
+
+    @pytest.mark.parametrize("noise_var", [1.0, 0.0])
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("snr", [0.3, 1.0, 3.0, 20.0, 1e4])
+    def test_equals_per_group_transport(self, snr, rows, noise_var):
+        # plans with one, two and three orders; odd run lengths need padding
+        alphas = np.linspace(0.29, 0.45, 37)
+        a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 37)
+        plan = plan_from_thresholds(snr, threshold_table(
+            RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
+        bits = RandomSource(11).bits(37 * rows).reshape(rows, 37)
+        ch = ChannelRealization(h=0.9 * np.exp(0.7j) * math.sqrt(snr), noise_var=noise_var)
+        trits, n_sym = transport_block(bits, plan, a_offsets, ch, RandomSource(12))
+        expected, expected_sym = transport_block_per_group(bits, plan, a_offsets, ch,
+                                                           RandomSource(12))
+        assert np.array_equal(trits, expected)
+        assert n_sym == expected_sym
 
     def test_mixed_offsets_match_per_bit_regions(self):
         # every bit keeps its own offset across a mixed-order plan: replay the
@@ -207,7 +231,7 @@ class TestEndToEnd:
 
 @pytest.fixture(scope="module")
 def mixed_setup():
-    """Untrained README-shaped stacks over 24 bits with mixed erasure offsets."""
+    """Untrained default-width stacks over 16 features and 24 bits with mixed offsets."""
     profile = RobustnessProfile(np.linspace(0.29, 0.45, 24),
                                 np.resize([0.0, 0.5, 1.0, 0.25], 24))
     config = TrainingConfig(profile=profile, epochs=1, warmup_epochs=0)

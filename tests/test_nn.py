@@ -73,7 +73,8 @@ class TestForward:
             ])
 
 
-# the README model: 64 inputs, 64 latent bits, 10 classes, default hidden widths
+# the README model's three stacks (64 inputs, 64 latent bits, 10 classes, default
+# hidden widths) and a softmax head, the one activation that reduces over an axis
 README_STACKS = {
     "encoder": ([64, 64, 32, 64], ["relu", "relu", "sigmoid"]),
     "decoder": ([64, 32, 64, 64], ["relu", "relu", "identity"]),
