@@ -145,6 +145,8 @@ def capacity_uniform(g1: float, g2: float) -> float:
     """Ergodic capacity in bits per channel use for sqrt(SNR) ~ Uniform[g1, g2]."""
     if not (0.0 <= g1 < g2 < math.inf):
         raise DomainError(f"require 0 <= g1 < g2 < inf, got [{g1}, {g2}]")
+    if not math.isfinite(g2 * g2):
+        raise DomainError(f"g2^2 must be finite, got g2={g2}")
     num = (
         g2 * math.log1p(g2 * g2)
         - g1 * math.log1p(g1 * g1)

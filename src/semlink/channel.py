@@ -86,6 +86,6 @@ def transmit(x: np.ndarray, ch: ChannelRealization, rng: RandomSource) -> np.nda
 
 def equalize(y: np.ndarray, h: complex) -> np.ndarray:
     """Coherent equalization (h*/|h|^2) y; residual noise variance is 1/SNR."""
-    if h == 0:
-        raise DomainError("cannot equalize a zero channel coefficient")
+    if not (abs(h) ** 2 > 0):  # also rejects NaN and an underflowing |h|
+        raise DomainError(f"cannot equalize a channel gain |h|^2 of {abs(h) ** 2}")
     return np.asarray(y, dtype=complex) * (np.conj(h) / abs(h) ** 2)

@@ -64,14 +64,19 @@ def _count_trits(bits: np.ndarray, trits: np.ndarray) -> LinkStats:
     return LinkStats(n_bits=bits.size, flips=flips, erasures=erasures, corrects=corrects)
 
 
+# Largest link Monte Carlo run: every bit, symbol and noise sample is held at
+# once, about 30 MB per 10^6 bits.
+MAX_LINK_BITS = 10 ** 8
+
+
 def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
                         rng: RandomSource) -> LinkStats:
     """Random bits through map -> fade -> equalize -> ternary demodulation.
 
     n_bits is rounded up to a whole number of symbols.
     """
-    if n_bits < 1:
-        raise DomainError("n_bits must be positive")
+    if not (1 <= n_bits <= MAX_LINK_BITS):
+        raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
     c = build_constellation(order)
     snr = 10.0 ** (snr_db / 10.0)
     n_sym = -(-n_bits // c.m)

@@ -1,8 +1,14 @@
 """Dense networks with manual differentiation, Adam, losses, and persistence.
 
-The layer vocabulary is deliberately small (relu, sigmoid, tanh, identity,
-softmax over affine maps) so every gradient can be written out by hand and
-checked against finite differences. Everything runs in float64.
+The layer vocabulary is what the JSCC stack uses: relu, sigmoid and identity
+over affine maps, so every gradient can be written out by hand and checked
+against finite differences. Each activation's gradient follows from its
+output alone, so a forward pass caches one array per layer plus the input.
+Everything runs in float64.
+
+Model files store each layer's activation as a one-byte id. Ids 2 (tanh) and
+4 (softmax) belonged to activations that no model used and that were dropped;
+they stay unassigned, so such a file fails to load with a FormatError.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ import numpy as np
 from .errors import DomainError, FormatError, StateError
 from .numerics import RandomSource
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity", "softmax")
-_ACT_IDS = {name: i for i, name in enumerate(ACTIVATIONS)}
+_ACT_IDS = {"relu": 0, "sigmoid": 1, "identity": 3}
+_ACT_NAMES = {i: name for name, i in _ACT_IDS.items()}
 
 MODEL_MAGIC = b"SEMLINK1"
 
@@ -25,37 +31,21 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    if kind == "tanh":
-        return np.tanh(z)
+        # exp of a non-positive argument only: no overflow on either side
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
     if kind == "identity":
         return z
-    if kind == "softmax":
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=-1, keepdims=True)
     raise DomainError(f"unknown activation {kind!r}")
 
 
-def _activation_backward(grad_out: np.ndarray, z: np.ndarray, out: np.ndarray,
-                         kind: str) -> np.ndarray:
+def _activation_backward(grad_out: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return grad_out * (z > 0)
+        return grad_out * (out > 0)  # the same mask as z > 0, also at -0.0 and NaN
     if kind == "sigmoid":
         return grad_out * out * (1.0 - out)
-    if kind == "tanh":
-        return grad_out * (1.0 - out * out)
     if kind == "identity":
         return grad_out
-    if kind == "softmax":
-        # row-wise Jacobian: s * (g - <g, s>)
-        dot = np.sum(grad_out * out, axis=1, keepdims=True)
-        return out * (grad_out - dot)
     raise DomainError(f"unknown activation {kind!r}")
 
 
@@ -66,7 +56,7 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
+        if self.activation not in _ACT_IDS:
             raise DomainError(f"unknown activation {self.activation!r}")
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
@@ -104,7 +94,7 @@ class DenseModel:
                         self.grads[off:off + value.size].reshape(value.shape))
                 off += value.size
         self.layers = layers
-        self._cache: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._cache: list[np.ndarray] | None = None  # the input, then each layer's output
 
     @property
     def in_dim(self) -> int:
@@ -123,12 +113,10 @@ class DenseModel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"expected input dim {self.in_dim}, got {x.shape[-1]}")
-        cache = []
+        cache = [x]
         for layer in self.layers:
-            z = x @ layer.weight.T + layer.bias
-            out = _activate(z, layer.activation)
-            cache.append((x, z, out))
-            x = out
+            x = _activate(x @ layer.weight.T + layer.bias, layer.activation)
+            cache.append(x)
         self._cache = cache
         return x
 
@@ -137,8 +125,9 @@ class DenseModel:
         if self._cache is None:
             raise StateError("backward called without a cached forward pass")
         grad = np.asarray(grad_out, dtype=np.float64)
-        for layer, (x_in, z, out) in zip(reversed(self.layers), reversed(self._cache)):
-            grad_z = _activation_backward(grad, z, out, layer.activation)
+        for i in reversed(range(len(self.layers))):
+            layer, x_in, out = self.layers[i], self._cache[i], self._cache[i + 1]
+            grad_z = _activation_backward(grad, out, layer.activation)
             np.matmul(grad_z.T, x_in, out=layer.grad_weight)
             grad_z.sum(axis=0, out=layer.grad_bias)
             grad = grad_z @ layer.weight
@@ -211,10 +200,10 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     if labels.shape[0] != logits.shape[0]:
         raise DomainError("one label per logits row required")
     shifted = logits - np.max(logits, axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    value = float(np.mean(log_z - shifted[np.arange(len(labels)), labels]))
-    softmax = np.exp(shifted) / np.sum(np.exp(shifted), axis=1, keepdims=True)
-    grad = softmax
+    e = np.exp(shifted)
+    row_sum = np.sum(e, axis=1, keepdims=True)
+    value = float(np.mean(np.log(row_sum[:, 0]) - shifted[np.arange(len(labels)), labels]))
+    grad = e / row_sum  # softmax
     grad[np.arange(len(labels)), labels] -= 1.0
     return value, grad / len(labels)
 
@@ -247,9 +236,9 @@ def load_model(path) -> DenseModel:
             raise FormatError(f"{path}: truncated layer header at byte {off}")
         rows, cols, act_id = struct.unpack_from("<IIB", blob, off)
         off += 9
-        if act_id >= len(ACTIVATIONS):
+        if act_id not in _ACT_NAMES:
             raise FormatError(f"{path}: unknown activation id {act_id}")
-        headers.append((rows, cols, ACTIVATIONS[act_id]))
+        headers.append((rows, cols, _ACT_NAMES[act_id]))
     size = sum(rows * (cols + 1) for rows, cols, _ in headers)
     if len(blob) < off + 8 * size:
         raise FormatError(f"{path}: expected {off + 8 * size} bytes, file has {len(blob)}")

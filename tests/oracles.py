@@ -1,5 +1,6 @@
-"""Reference code shared by the tests: hard decisions, the adaptive SE, and
-the block-by-block end-to-end pass with its per-group transport."""
+"""Reference code shared by the tests: hard decisions, the adaptive SE, the
+two-branch sigmoid, and the block-by-block end-to-end pass with its per-group
+transport."""
 
 import numpy as np
 
@@ -59,6 +60,16 @@ def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfi
         ch = draw_channel(channel_dist, rng)
         total_symbols += plan_from_thresholds(ch.snr, table).symbol_count
     return n_bits * n_draws / total_symbols
+
+
+def sigmoid_two_branch(z: np.ndarray) -> np.ndarray:
+    """The logistic function by boolean indexing: 1/(1+e^-z) where z >= 0, else e^z/(1+e^z)."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,

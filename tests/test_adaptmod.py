@@ -294,6 +294,11 @@ class TestCapacity:
             capacity_uniform(2.0, 1.0)
         with pytest.raises(DomainError):
             capacity_uniform(-0.5, 1.0)
+        with pytest.raises(DomainError, match="g2\\^2 must be finite"):
+            capacity_uniform(0.0, 1e200)  # g2 * g2 overflows
+
+    def test_large_finite_range(self):
+        assert capacity_uniform(0.0, 1e154) == pytest.approx(1020.26846, abs=1e-5)
 
 
 def test_beta_validation():

@@ -37,10 +37,12 @@ def test_real_positive_h_is_scalar_division():
 
 
 def test_zero_h_rejected():
-    with pytest.raises(DomainError):
-        equalize(np.array([1 + 0j]), 0)
-    with pytest.raises(DomainError):
-        ChannelRealization(h=0, noise_var=1.0)
+    # NaN and a |h| whose square underflows are as unusable as h == 0
+    for h in (0, math.nan, 1e-200):
+        with pytest.raises(DomainError):
+            equalize(np.array([1 + 0j]), h)
+        with pytest.raises(DomainError):
+            ChannelRealization(h=h, noise_var=1.0)
 
 
 @pytest.mark.parametrize("h", [1e-200, 1e-200j, complex(math.nan, 0.0), math.nan],

@@ -19,6 +19,7 @@ from semlink.channel import (
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
 from semlink.datasets import synth_dataset
+from semlink.errors import DomainError
 from semlink import harness
 from semlink.harness import (
     chi_square_homogeneity,
@@ -58,6 +59,11 @@ class TestLinkMonteCarlo:
         assert stats.flips + stats.erasures + stats.corrects == stats.n_bits
         total = stats.flip_rate + stats.erasure_rate + stats.correct_rate
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_bits", [0, harness.MAX_LINK_BITS + 1])
+    def test_bit_count_out_of_range(self, n_bits):
+        with pytest.raises(DomainError, match=r"n_bits must be in \[1, 100000000\]"):
+            run_link_montecarlo(2, 0.0, 0.0, n_bits, RandomSource(47))
 
     @pytest.mark.parametrize("order", (2, 4, 6))
     @pytest.mark.parametrize("a", (0.0, 0.5))

@@ -10,6 +10,8 @@ from semlink.nn import (
     AdamState,
     DenseModel,
     Layer,
+    _activate,
+    _activation_backward,
     ce_loss,
     init_model,
     load_model,
@@ -17,6 +19,8 @@ from semlink.nn import (
     save_model,
 )
 from semlink.numerics import RandomSource
+
+from oracles import sigmoid_two_branch
 
 
 def finite_diff_param_grad(loss_fn, param: np.ndarray, idx, eps: float = 1e-6) -> float:
@@ -34,8 +38,8 @@ def random_model(rng, dims=None, activations=None):
     if dims is None:
         n_layers = int(rng.uniform(1, 3.999))
         dims = [int(rng.uniform(2, 8.999)) for _ in range(n_layers + 1)]
-        pool = ["relu", "sigmoid", "tanh", "identity"]
-        activations = [pool[int(rng.uniform(0, 3.999))] for _ in range(n_layers)]
+        pool = ["relu", "sigmoid", "identity"]
+        activations = [pool[int(rng.uniform(0, 2.999))] for _ in range(n_layers)]
     return init_model(dims, activations, rng)
 
 
@@ -74,13 +78,43 @@ class TestForward:
 
 
 # the README model's three stacks (64 inputs, 64 latent bits, 10 classes, default
-# hidden widths) and a softmax head, the one activation that reduces over an axis
+# hidden widths)
 README_STACKS = {
     "encoder": ([64, 64, 32, 64], ["relu", "relu", "sigmoid"]),
     "decoder": ([64, 32, 64, 64], ["relu", "relu", "identity"]),
     "classifier": ([64, 64, 32, 10], ["relu", "relu", "identity"]),
-    "softmax-head": ([64, 32, 10], ["tanh", "softmax"]),
 }
+
+
+class TestActivations:
+    EDGES = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                      5e-324, -5e-324])
+
+    def test_sigmoid_equals_two_branch_oracle_on_normals(self):
+        z = RandomSource(36).std_normal((100, 100)) * 50.0
+        assert np.array_equal(_activate(z, "sigmoid"), sigmoid_two_branch(z), equal_nan=True)
+
+    def test_sigmoid_equals_two_branch_oracle_at_edges(self):
+        assert np.array_equal(_activate(self.EDGES, "sigmoid"), sigmoid_two_branch(self.EDGES),
+                              equal_nan=True)
+
+    def test_relu_output_mask_equals_preactivation_mask(self):
+        grad = np.arange(1.0, self.EDGES.size + 1)
+        assert np.array_equal(_activation_backward(grad, _activate(self.EDGES, "relu"), "relu"),
+                              grad * (self.EDGES > 0))
+
+    @pytest.mark.parametrize("kind", ["tanh", "softmax"])
+    def test_removed_activation_is_rejected(self, kind):
+        with pytest.raises(DomainError, match="unknown activation"):
+            Layer(np.zeros((2, 2)), np.zeros(2), kind)
+
+    def test_cache_holds_input_and_one_output_per_layer(self):
+        model = random_model(RandomSource(34), dims=[4, 5, 6, 2],
+                             activations=["relu", "sigmoid", "identity"])
+        x = RandomSource(35).std_normal((3, 4))
+        out = model.forward(x)
+        assert len(model._cache) == len(model.layers) + 1
+        assert np.array_equal(model._cache[0], x) and model._cache[-1] is out
 
 
 class TestStackedForward:
@@ -183,26 +217,9 @@ class TestBackprop:
             fd = finite_diff_param_grad(loss, layer.bias, (bidx,))
             assert layer.grad_bias[bidx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
-    def test_softmax_jacobian(self):
-        rng = RandomSource(42)
-        model = init_model([4, 3], ["softmax"], rng)
-        x = rng.std_normal((2, 4))
-        target = rng.std_normal((2, 3))
-
-        def loss():
-            return mse_loss(target, model.forward(x))[0]
-
-        out = model.forward(x)
-        _, grad_out = mse_loss(target, out)
-        model.backward(grad_out)
-        layer = model.layers[0]
-        for idx in [(0, 0), (2, 3), (1, 2)]:
-            fd = finite_diff_param_grad(loss, layer.weight, idx)
-            assert layer.grad_weight[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
     def test_input_gradient(self):
         rng = RandomSource(43)
-        model = random_model(rng, dims=[4, 6, 2], activations=["tanh", "identity"])
+        model = random_model(rng, dims=[4, 6, 2], activations=["sigmoid", "identity"])
         x = rng.std_normal((3, 4))
         target = rng.std_normal((3, 2))
         out = model.forward(x)
@@ -255,7 +272,7 @@ class TestFlatBuffers:
 
     def test_load_model_views(self, tmp_path):
         model = random_model(RandomSource(15), dims=[4, 6, 6, 2],
-                             activations=["tanh", "relu", "identity"])
+                             activations=["sigmoid", "relu", "identity"])
         save_model(model, tmp_path / "model.bin")
         loaded = load_model(tmp_path / "model.bin")
         self.assert_views(loaded)
@@ -282,7 +299,7 @@ class TestAdam:
     def test_one_state_over_three_models_matches_per_layer_loop(self):
         shapes = [([6, 8, 4], ["relu", "sigmoid"]),
                   ([4, 5, 6], ["relu", "identity"]),
-                  ([6, 7, 3], ["tanh", "identity"])]
+                  ([6, 7, 3], ["sigmoid", "identity"])]
 
         def build():
             return [init_model(dims, acts, RandomSource(20 + i))
@@ -369,8 +386,20 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("act_id", [2, 4])
+    def test_removed_activation_id_is_a_format_error(self, tmp_path, act_id):
+        model = random_model(RandomSource(16), dims=[4, 3, 2],
+                             activations=["relu", "identity"])
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[8 + 4 + 9 + 8] = act_id  # the second layer header's activation byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"unknown activation id {act_id}$"):
+            load_model(path)
+
     def test_truncated_payload(self, tmp_path):
-        model = random_model(RandomSource(13), dims=[4, 2], activations=["tanh"])
+        model = random_model(RandomSource(13), dims=[4, 2], activations=["sigmoid"])
         path = tmp_path / "model.bin"
         save_model(model, path)
         blob = path.read_bytes()
@@ -380,7 +409,7 @@ class TestPersistence:
 
     def test_truncated_multilayer_payload_message(self, tmp_path):
         model = random_model(RandomSource(17), dims=[4, 5, 2],
-                             activations=["relu", "tanh"])
+                             activations=["relu", "sigmoid"])
         path = tmp_path / "model.bin"
         save_model(model, path)
         blob = path.read_bytes()
