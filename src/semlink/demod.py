@@ -10,10 +10,12 @@ Three routes to the same decision, kept deliberately redundant:
   to infinity).
 
 The boundary route is the production path and BitRegions.classify is its only
-trit kernel: one search places each coordinate in its Gray cell, and the two
-transitions bounding that cell decide the erasure band, with the offset a given
-per coordinate when it varies. demod_robust applies it per bit for the link
-Monte Carlo and the adaptive transport alike; the LLR routes serve as oracles.
+trit kernel. It compares each coordinate with the bit's own one, two or four
+label transitions: the parity of the transitions below it gives the binary value
+(adjacent Gray cells always differ in the bit), and a closed band of half-width
+a*d_min/2 around each transition erases, with the offset a given per coordinate
+when it varies. demod_robust applies it per bit for the link Monte Carlo and
+the adaptive transport alike; the LLR routes serve as oracles.
 """
 
 from __future__ import annotations
@@ -142,22 +144,36 @@ class BitRegions:
     def classify(self, coords: np.ndarray, a=None) -> np.ndarray:
         """Trit decision per coordinate; band-boundary hits erase to 0.5.
 
-        Cell k spans (t_(k-1), t_k] of the ascending transitions, the first
-        cell starting at -inf and the last ending at +inf; a coordinate erases
-        when a > 0 and it lies within a*d_min/2 of either end. a defaults to the regions' own offset and may be any array that
-        broadcasts against coords.
+        A coordinate takes the value of its Gray cell: pattern[0] below the
+        first transition, flipped once per transition it lies above (cell k
+        spans (t_(k-1), t_k]). It erases when a > 0 and it lies within
+        a*d_min/2 of any transition, band edges included. a defaults to the
+        regions' own offset and may be any array that broadcasts against
+        coords; entries that are not positive (NaN included) keep the binary
+        value. -inf and +inf take the value of the outer cells and erase when
+        a > 0; NaN lies above every transition, so it takes the last cell's
+        value and never erases.
         """
         coords = np.asarray(coords, dtype=float)
         a = self.a if a is None else np.asarray(a, dtype=float)
-        cell = np.searchsorted(self.transitions, coords, side="left")
-        out = self.pattern[cell].astype(float)
-        if np.any(a > 0):
-            half_w = a * self.d_min / 2.0
-            ends = np.concatenate(([-np.inf], self.transitions, [np.inf]))
-            erase = (a > 0) & ((coords <= ends[cell] + half_w)
-                               | (coords >= ends[cell + 1] - half_w))
-            out[erase] = TRIT_ERASURE
-        return out
+        t = self.transitions
+        # ~(c <= t) rather than c > t: NaN counts past every transition
+        flip = ~(coords <= t[0])
+        for tk in t[1:]:
+            flip ^= ~(coords <= tk)
+        if self.pattern[0]:
+            flip = ~flip
+        if not np.any(a > 0):
+            return flip.astype(float)
+        half_w = a * self.d_min / 2.0
+        erase = np.isinf(coords)
+        for tk in t:
+            erase |= (tk - half_w <= coords) & (coords <= tk + half_w)
+        if np.ndim(a):
+            erase &= a > 0
+        # flip + (flip ^ erase) is 2 for a kept 1, 0 for a kept 0 and 1 for an
+        # erasure; halving it needs no masked write
+        return np.multiply(flip.view(np.uint8) + (flip ^ erase).view(np.uint8), 0.5)
 
 
 def _bit_regions(c: Constellation, bit: int, a: float) -> BitRegions:
@@ -219,16 +235,19 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     """Demodulate equalized samples to trits {0, 0.5, 1}.
 
     y may have any shape. a, when given, overrides the regions' offsets per
-    bit slot and broadcasts against (*y.shape, order). Returns a flat sequence
-    of order*y.size trits, one m-bit group per symbol in row-major order.
+    bit slot, broadcasts against (*y.shape, order) and must lie in [0, 1]
+    everywhere (NaN is rejected). Returns a flat sequence of order*y.size
+    trits, one m-bit group per symbol in row-major order.
     """
     y = np.asarray(y, dtype=complex)
     if a is not None:
         a = np.broadcast_to(np.asarray(a, dtype=float), (*y.shape, regions.order))
+        if not np.all((a >= 0) & (a <= 1)):
+            raise DomainError("boundary offsets must lie in [0, 1]")
+    axes = (np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag))
     out = np.empty((*y.shape, regions.order))
     for br in regions.bits:
-        coords = y.real if br.axis == 0 else y.imag
-        out[..., br.bit] = br.classify(coords, None if a is None else a[..., br.bit])
+        out[..., br.bit] = br.classify(axes[br.axis], None if a is None else a[..., br.bit])
     return out.reshape(-1)
 
 

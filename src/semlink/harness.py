@@ -57,9 +57,9 @@ class LinkStats:
 
 
 def _count_trits(bits: np.ndarray, trits: np.ndarray) -> LinkStats:
-    bits = np.asarray(bits, dtype=np.float64)
-    erasures = int(np.sum(trits == TRIT_ERASURE))
-    corrects = int(np.sum(trits == bits))
+    bits = np.asarray(bits)
+    erasures = int(np.count_nonzero(trits == TRIT_ERASURE))
+    corrects = int(np.count_nonzero(trits == bits))
     flips = bits.size - erasures - corrects
     return LinkStats(n_bits=bits.size, flips=flips, erasures=erasures, corrects=corrects)
 

@@ -1,6 +1,6 @@
-"""Reference code shared by the tests: hard decisions, the adaptive SE, the
-two-branch sigmoid, and the block-by-block end-to-end pass with its per-group
-transport."""
+"""Reference code shared by the tests: hard decisions, the searchsorted trit
+kernel, the adaptive SE, the two-branch sigmoid, and the block-by-block
+end-to-end pass with its per-group transport."""
 
 import numpy as np
 
@@ -48,6 +48,22 @@ def nearest_words(z, c):
     dr = (z.real / half_d)[:, None] - grid.real[lex]
     di = (z.imag / half_d)[:, None] - grid.imag[lex]
     return lex[np.argmin(dr**2 + di**2, axis=1)]
+
+
+def classify_searchsorted(br, coords, a=None):
+    """BitRegions.classify by one search: the cell of each coordinate, then its
+    two bounding transitions (padded with -inf and +inf) for the erasure band."""
+    coords = np.asarray(coords, dtype=float)
+    a = br.a if a is None else np.asarray(a, dtype=float)
+    cell = np.searchsorted(br.transitions, coords, side="left")
+    out = br.pattern[cell].astype(float)
+    if np.any(a > 0):
+        half_w = a * br.d_min / 2.0
+        ends = np.concatenate(([-np.inf], br.transitions, [np.inf]))
+        erase = (a > 0) & ((coords <= ends[cell] + half_w)
+                           | (coords >= ends[cell + 1] - half_w))
+        out[erase] = TRIT_ERASURE
+    return out
 
 
 def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfile,

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_overflowing_ramp_is_one_error_line_without_warning(self, capsys):
+        # the ramp's span overflows; its endpoints are rejected before it is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "train", *TINY_TRAIN[:-2],
+                                     "--alpha=-1e308", "--alpha-last", "1e308")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "robustness levels must lie in [0, 0.5]" in err
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize("argv,key,value,message", [

@@ -18,9 +18,11 @@ from semlink.demod import (
 from semlink.errors import DomainError
 from semlink.numerics import RandomSource
 
-from oracles import nearest_words, unpack_words
+from oracles import classify_searchsorted, nearest_words, unpack_words
 
 A_GRID = (0.0, 0.25, 0.5, 1.0)
+# offsets past 1 overlap neighbouring bands; classify must still match its oracle
+WIDE_A = A_GRID + (1.5, 3.0)
 
 
 def random_samples(n, seed, spread=1.4):
@@ -226,8 +228,9 @@ class TestDemodRobust:
 
 
 def two_search_classify(br, coords, a):
-    """The former BitRegions.classify body: one search for the cell and one
-    over the band lower edges, at a single offset a."""
+    """An earlier BitRegions.classify body: one search for the cell and one
+    over the band lower edges, at a single offset a. Finite coordinates only:
+    it keeps the outer cells' value at -inf and +inf, where classify erases."""
     cell = np.searchsorted(br.transitions, coords, side="left")
     out = br.pattern[cell].astype(float)
     if a > 0 and br.transitions.size:
@@ -242,10 +245,10 @@ def two_search_classify(br, coords, a):
 
 def differential_coords(br, n, seed):
     """n random coordinates plus every transition, band edge at each offset
-    in A_GRID and cell midpoint, each with both nextafter neighbours."""
+    in WIDE_A and cell midpoint, each with both nextafter neighbours."""
     t = br.transitions
     special = [t, (t[:-1] + t[1:]) / 2.0]
-    for a in A_GRID:
+    for a in WIDE_A:
         half_w = a * br.d_min / 2.0
         special += [t - half_w, t + half_w]
     special = np.concatenate(special)
@@ -277,10 +280,32 @@ def check_kernel_against_oracle(m, n, seed):
         assert np.array_equal(br.classify(coords, a_mixed), expected)
 
 
+NON_FINITE = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+
+
 class TestTritKernel:
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_matches_two_search_oracle(self, m):
         check_kernel_against_oracle(m, 20000, seed=40 + m)
+
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_matches_searchsorted_oracle(self, m):
+        # every bit, scalar offsets up to 3, and per-coordinate offsets that
+        # include the non-positive -0.5 and NaN, on band edges, +-0, +-inf and NaN
+        c = build_constellation(m)
+        for bit, br in enumerate(build_regions(c, 0.0).bits):
+            coords = np.concatenate([differential_coords(br, 5000, 60 + m + bit), NON_FINITE])
+            for a in WIDE_A:
+                assert np.array_equal(br.classify(coords, a),
+                                      classify_searchsorted(br, coords, a), equal_nan=True)
+            for a in A_GRID:
+                own = build_regions(c, a).bits[bit]
+                assert np.array_equal(own.classify(coords), classify_searchsorted(own, coords),
+                                      equal_nan=True)
+            pool = np.array(WIDE_A + (-0.5, np.nan))
+            a_mixed = pool[(RandomSource(70 + m + bit).random(coords.size) * pool.size).astype(int)]
+            assert np.array_equal(br.classify(coords, a_mixed),
+                                  classify_searchsorted(br, coords, a_mixed), equal_nan=True)
 
     def test_demod_robust_per_slot_offsets(self):
         # a (words, order) offset grid equals per-bit regions built at each a
@@ -293,3 +318,14 @@ class TestTritKernel:
                 br = build_regions(c, a_slots[word, bit]).bits[bit]
                 coords = y[:, word].real if br.axis == 0 else y[:, word].imag
                 np.testing.assert_array_equal(got[:, word, bit], br.classify(coords))
+
+    @pytest.mark.parametrize("a", [5.0, np.nan, -1.0])
+    def test_demod_robust_rejects_bad_offsets(self, a):
+        c = build_constellation(2)
+        y = random_samples(10, 13)
+        with pytest.raises(DomainError, match="boundary offsets"):
+            demod_robust(y, build_regions(c, 0.0), a=a)
+        a_slots = np.full((10, 2), 0.5)
+        a_slots[3, 1] = a
+        with pytest.raises(DomainError, match="boundary offsets"):
+            demod_robust(y, build_regions(c, 0.0), a=a_slots)

@@ -59,6 +59,9 @@ class TestLinkMonteCarlo:
         assert stats.flips + stats.erasures + stats.corrects == stats.n_bits
         total = stats.flip_rate + stats.erasure_rate + stats.correct_rate
         assert total == pytest.approx(1.0, abs=1e-12)
+        # plain ints, so a repr of the counts reads the same as the CSV
+        assert {type(v) for v in (stats.n_bits, stats.flips, stats.erasures,
+                                  stats.corrects)} == {int}
 
     @pytest.mark.parametrize("n_bits", [0, harness.MAX_LINK_BITS + 1])
     def test_bit_count_out_of_range(self, n_bits):
