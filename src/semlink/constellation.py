@@ -99,9 +99,5 @@ def pack_bits(bits: np.ndarray, m: int) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.size % m != 0:
         raise DomainError(f"bit count {bits.size} is not a multiple of {m}")
-    cols = bits.reshape(-1, m)
-    words = cols[:, 0].astype(np.int64)
-    for j in range(1, m):
-        words <<= 1
-        words |= cols[:, j]
-    return words
+    weights = 1 << np.arange(m - 1, -1, -1)
+    return bits.reshape(-1, m).astype(np.int64) @ weights

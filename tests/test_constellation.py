@@ -123,16 +123,6 @@ class TestLabeling:
         with pytest.raises(DomainError):
             pack_bits([0, 1, 0], 4)
 
-    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
-    def test_pack_bits_equals_weighted_sum(self, m):
-        # shift-or packing equals the integer product with the MSB-first weights
-        weights = 1 << np.arange(m - 1, -1, -1)
-        for bits in (unpack_words(np.arange(2**m), m), RandomSource(20 + m).bits(m * 5000)):
-            got = pack_bits(bits, m)
-            want = bits.reshape(-1, m).astype(np.int64) @ weights
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
-
     def test_pack_unpack_roundtrip(self):
         rng = RandomSource(3)
         bits = rng.bits(6 * 50)
