@@ -280,7 +280,7 @@ def check_kernel_against_oracle(m, n, seed):
         assert np.array_equal(br.classify(coords, a_mixed), expected)
 
 
-NON_FINITE = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
+EDGE_COORDS = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0])
 
 
 class TestTritKernel:
@@ -294,7 +294,7 @@ class TestTritKernel:
         # include the non-positive -0.5 and NaN, on band edges, +-0, +-inf and NaN
         c = build_constellation(m)
         for bit, br in enumerate(build_regions(c, 0.0).bits):
-            coords = np.concatenate([differential_coords(br, 5000, 60 + m + bit), NON_FINITE])
+            coords = np.concatenate([differential_coords(br, 5000, 60 + m + bit), EDGE_COORDS])
             for a in WIDE_A:
                 assert np.array_equal(br.classify(coords, a),
                                       classify_searchsorted(br, coords, a), equal_nan=True)

@@ -59,7 +59,7 @@ class TestLinkMonteCarlo:
         assert stats.flips + stats.erasures + stats.corrects == stats.n_bits
         total = stats.flip_rate + stats.erasure_rate + stats.correct_rate
         assert total == pytest.approx(1.0, abs=1e-12)
-        # plain ints, so a repr of the counts reads the same as the CSV
+        # Python ints: a numpy count would repr as np.int64(...)
         assert {type(v) for v in (stats.n_bits, stats.flips, stats.erasures,
                                   stats.corrects)} == {int}
 
