@@ -4,8 +4,8 @@ For each bit, an order is admissible when its analytic flip probability stays
 below beta_M * alpha_i, which converts to a sqrt-SNR threshold tau per order.
 The highest admissible order among {2, 4, 6} wins; below the lowest threshold
 the bit still rides order 2, the floor, and no warning is raised. Bits are
-then packed into symbols by grouping maximal same-order runs, zero-padding
-each run to a multiple of its order.
+then packed into symbols by one rule, symbol_runs: each maximal run of
+same-order bits in a block row is zero-padded to whole symbols of its order.
 """
 
 from __future__ import annotations
@@ -74,14 +74,36 @@ def thresholds(alpha: float, a: float, betas: BetaAdjusters) -> tuple[float, flo
     return t
 
 
+def symbol_runs(orders) -> tuple[np.ndarray, ...]:
+    """Maximal same-order runs of each row of a (blocks, n_bits) order matrix.
+
+    Returns (row, start, length, order, symbols) arrays with one entry per run,
+    row by row; a run is zero-padded to `symbols` whole symbols of its order.
+    """
+    orders = np.atleast_2d(orders)
+    first = np.ones(orders.shape, dtype=bool)
+    first[:, 1:] = orders[:, 1:] != orders[:, :-1]
+    row, start = np.nonzero(first)
+    length = np.diff(row * orders.shape[1] + start, append=orders.size)
+    order = orders[row, start]
+    return row, start, length, order, -(-length // order)
+
+
 @dataclass(frozen=True)
 class ModPlan:
-    """Symbol packing of a bit sequence under per-bit modulation orders."""
+    """Per-bit modulation orders of one block row."""
 
     orders: tuple[int, ...]
-    groups: tuple[tuple[int, tuple[int, ...]], ...]  # (order, bit indices)
-    symbol_count: int
-    padding_bits: int
+
+    @property
+    def symbol_count(self) -> int:
+        *_, symbols = symbol_runs([self.orders])
+        return int(symbols.sum())
+
+    @property
+    def padding_bits(self) -> int:
+        _, _, length, order, symbols = symbol_runs([self.orders])
+        return int((symbols * order - length).sum())
 
 
 def threshold_table(profile: RobustnessProfile, betas: BetaAdjusters) -> np.ndarray:
@@ -107,38 +129,7 @@ def orders_from_thresholds(snr, table: np.ndarray) -> np.ndarray:
 
 def plan_from_thresholds(snr: float, table: np.ndarray) -> ModPlan:
     """Build a ModPlan from sqrt-SNR comparisons against a threshold table."""
-    return _pack(tuple(int(o) for o in orders_from_thresholds([snr], table)[0]))
-
-
-def fixed_plan(n_bits: int, order: int) -> ModPlan:
-    """Pack all bits at one modulation order (no adaptation)."""
-    if n_bits < 1:
-        raise DomainError("n_bits must be positive")
-    return _pack((check_order(order),) * n_bits)
-
-
-def _pack(orders: tuple[int, ...]) -> ModPlan:
-    groups: list[tuple[int, tuple[int, ...]]] = []
-    start = 0
-    for i in range(1, len(orders) + 1):
-        if i == len(orders) or orders[i] != orders[start]:
-            groups.append((orders[start], tuple(range(start, i))))
-            start = i
-    symbol_count = 0
-    padding = 0
-    for order, idxs in groups:
-        pad = (-len(idxs)) % order
-        padding += pad
-        symbol_count += (len(idxs) + pad) // order
-    return ModPlan(orders=orders, groups=tuple(groups),
-                   symbol_count=symbol_count, padding_bits=padding)
-
-
-def spectral_efficiency(plan: ModPlan, n_bits: int) -> float:
-    """Information bits per channel use; padding costs symbols, not bits."""
-    if n_bits != len(plan.orders):
-        raise ConfigError(f"plan covers {len(plan.orders)} bits, not {n_bits}")
-    return n_bits / plan.symbol_count
+    return ModPlan(tuple(int(o) for o in orders_from_thresholds([snr], table)[0]))
 
 
 def capacity_uniform(g1: float, g2: float) -> float:

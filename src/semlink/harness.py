@@ -13,9 +13,9 @@ import numpy as np
 from .adaptmod import (  # noqa: F401
     BetaAdjusters,
     ModPlan,
-    fixed_plan,
     orders_from_thresholds,
     plan_from_thresholds,
+    symbol_runs,
     threshold_table,
 )
 from .bsec import RobustnessProfile, analytic_params
@@ -27,7 +27,7 @@ from .channel import (
     equalize,
     transmit,
 )
-from .constellation import build_constellation, pack_bits
+from .constellation import build_constellation, check_order, pack_bits
 from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
 from .jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
@@ -99,21 +99,15 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
     """Carry consecutive channel blocks of latent bits, each over its own channel.
 
     Block b owns the next rows[b] rows of bits and rides coefficient h[b] with
-    per-bit orders orders[b]. Every maximal same-order run of a block row is
-    zero-padded to whole symbols, modulated, faded, equalized and demodulated
-    with each bit's own erasure offset (padding slots carry a = 0 and are
-    dropped). Noise is drawn in one call and laid out block by block, run by
-    run, all real parts before all imaginary parts: the order in which one
-    transmit call per run would draw it. Returns the trit matrix and each
-    block's symbol count per row.
+    per-bit orders orders[b]. Every run of adaptmod.symbol_runs is zero-padded
+    to whole symbols, modulated, faded, equalized and demodulated with each
+    bit's own erasure offset (padding slots carry a = 0 and are dropped).
+    Noise is drawn in one call and laid out block by block, run by run, all
+    real parts before all imaginary parts: the order in which one transmit
+    call per run would draw it. Returns the trit matrix and each block's
+    symbol count per row.
     """
-    n_bits = orders.shape[1]
-    first = np.ones(orders.shape, dtype=bool)
-    first[:, 1:] = orders[:, 1:] != orders[:, :-1]
-    run_block, run_start = np.nonzero(first)
-    run_len = np.diff(run_block * n_bits + run_start, append=orders.size)
-    run_order = orders[run_block, run_start]
-    run_syms = -(-run_len // run_order)  # symbols per block row
+    run_block, run_start, run_len, run_order, run_syms = symbol_runs(orders)
     draw_syms = run_syms * rows[run_block]  # symbols per run over all its rows
     noise_start = np.cumsum(2 * draw_syms) - 2 * draw_syms
     row0 = np.cumsum(rows) - rows
@@ -155,18 +149,18 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
                     ch: ChannelRealization, rng: RandomSource) -> tuple[np.ndarray, int]:
     """Carry a (block, n_bits) bit matrix over one channel realization.
 
-    Bits are packed per plan group, padded with zeros, modulated with the
-    group's constellation, faded, equalized, and demodulated with each bit's
-    own erasure offset; padding is stripped by position on return. Returns the
-    trit matrix and the symbol count per block row.
+    Bits are packed per adaptmod.symbol_runs run, padded with zeros,
+    modulated with the run's constellation, faded, equalized, and demodulated
+    with each bit's own erasure offset; padding is stripped by position on
+    return. Returns the trit matrix and the symbol count per block row.
     """
     bits = np.atleast_2d(np.asarray(bits, dtype=np.int64))
     n_rows, n_bits = bits.shape
     if n_bits != len(plan.orders):
         raise ConfigError(f"plan covers {len(plan.orders)} bits, not {n_bits}")
-    trits, _ = _carry(bits, np.array([plan.orders]), np.array([n_rows]), [ch.h],
-                      ch.noise_var, a_offsets, rng)
-    return trits, plan.symbol_count
+    trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), [ch.h],
+                            ch.noise_var, a_offsets, rng)
+    return trits, int(symbols[0])
 
 
 @functools.lru_cache(maxsize=3)
@@ -217,7 +211,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     if adaptive:
         table = threshold_table(profile, betas)
     else:
-        fixed = np.array(fixed_plan(n_bits, fixed_order).orders)
+        fixed = np.full(n_bits, check_order(fixed_order))
     ch_rng, bit_rng, noise_rng = rng.split(3)
     chunk_images = max(1, CHUNK_ENTRIES // (images_per_block * n_bits)) * images_per_block
 
@@ -242,8 +236,9 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
                                         channel_dist.noise_var, profile.a_offsets, noise_rng)
         total_symbols += int(symbols_per_row @ rows)
         bit_sum += int(bits.sum())
-        erasures += int(np.sum(trits == TRIT_ERASURE))
-        flips += int(np.sum(trits == 1 - bits))
+        stats = _count_trits(bits, trits)
+        flips += stats.flips
+        erasures += stats.erasures
         u_hat = _forward_blocks(models.decoder, trits, images_per_block)
         logits = _forward_blocks(models.classifier, u_hat, images_per_block)
         correct += int(np.sum(np.argmax(logits, axis=1) == yc))

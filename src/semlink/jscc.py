@@ -173,40 +173,43 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
     alphas = config.profile.alphas
     result = TrainResult(models=models)
 
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(x))
-        warm = epoch < config.warmup_epochs
-        tot_loss = tot_mse = tot_ce = 0.0
-        correct = 0
-        n_batches = 0
-        for start in range(0, len(x), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb, yb = x[idx], y[idx]
-            f = models.encoder.forward(xb)
-            # warm-up scales the same draws by zero, keeping the stream
-            # aligned with a zero-robustness profile run
-            mu = sample_mu_matrix(np.zeros_like(alphas) if warm else alphas,
-                                  len(xb), noise_rng)
-            d = erasure_from_mu_array(mu)
-            b_hat = noisy_latent_sample(f, mu, d, noise_rng)
-            loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
-                                                         config.loss_weight)
-            if not math.isfinite(loss):
-                raise TrainingError(f"loss became non-finite at epoch {epoch}")
-            opt.step(config.learning_rate)
+    # a diverging run overflows before its loss turns non-finite; that check
+    # below is the error path, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(x))
+            warm = epoch < config.warmup_epochs
+            tot_loss = tot_mse = tot_ce = 0.0
+            correct = 0
+            n_batches = 0
+            for start in range(0, len(x), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                xb, yb = x[idx], y[idx]
+                f = models.encoder.forward(xb)
+                # warm-up scales the same draws by zero, keeping the stream
+                # aligned with a zero-robustness profile run
+                mu = sample_mu_matrix(np.zeros_like(alphas) if warm else alphas,
+                                      len(xb), noise_rng)
+                d = erasure_from_mu_array(mu)
+                b_hat = noisy_latent_sample(f, mu, d, noise_rng)
+                loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
+                                                             config.loss_weight)
+                if not math.isfinite(loss):
+                    raise TrainingError(f"loss became non-finite at epoch {epoch}")
+                opt.step(config.learning_rate)
 
-            correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-            tot_loss += loss
-            tot_mse += mse
-            tot_ce += ce
-            n_batches += 1
-        result.metrics.append(EpochMetrics(
-            epoch=epoch,
-            loss=tot_loss / n_batches,
-            mse=tot_mse / n_batches,
-            ce=tot_ce / n_batches,
-            accuracy=correct / len(x),
-        ))
+                correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+                tot_loss += loss
+                tot_mse += mse
+                tot_ce += ce
+                n_batches += 1
+            result.metrics.append(EpochMetrics(
+                epoch=epoch,
+                loss=tot_loss / n_batches,
+                mse=tot_mse / n_batches,
+                ce=tot_ce / n_batches,
+                accuracy=correct / len(x),
+            ))
     return result
 
 

@@ -151,15 +151,17 @@ def init_model(dims: list[int], activations: list[str], rng: RandomSource) -> De
     return DenseModel(layers)
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Bias-corrected Adam moments over the flat parameters of several models."""
 
-    def __init__(self, models: list[DenseModel], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, models: list[DenseModel]):
         self.models = list(models)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(model.params) for model in self.models]
         self._v = [np.zeros_like(model.params) for model in self.models]
@@ -167,15 +169,15 @@ class AdamState:
     def step(self, lr: float) -> None:
         """One Adam update of every model from its last backward pass."""
         self.step_count += 1
-        b1c = 1.0 - self.beta1 ** self.step_count
-        b2c = 1.0 - self.beta2 ** self.step_count
+        b1c = 1.0 - ADAM_BETA1 ** self.step_count
+        b2c = 1.0 - ADAM_BETA2 ** self.step_count
         for model, m, v in zip(self.models, self._m, self._v):
             grad = model.grads
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            model.params -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            model.params -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def mse_loss(u: np.ndarray, u_hat: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,13 +1,12 @@
 """Reference code shared by the tests: hard decisions, the searchsorted trit
-kernel, the adaptive SE, the two-branch sigmoid, and the block-by-block
-end-to-end pass with its per-group transport."""
+kernel, the scalar symbol-grouping rule, the adaptive SE, the two-branch
+sigmoid, and the block-by-block end-to-end pass with its per-group transport."""
 
 import numpy as np
 
 from semlink.adaptmod import (
     BetaAdjusters,
     ModPlan,
-    fixed_plan,
     plan_from_thresholds,
     threshold_table,
 )
@@ -19,7 +18,7 @@ from semlink.channel import (
     equalize,
     transmit,
 )
-from semlink.constellation import build_constellation, pack_bits
+from semlink.constellation import build_constellation, check_order, pack_bits
 from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
 from semlink.errors import ConfigError
 from semlink.harness import transport_block
@@ -66,6 +65,17 @@ def classify_searchsorted(br, coords, a=None):
     return out
 
 
+def plan_groups(orders):
+    """Maximal same-order runs of one row of orders as (order, bit indices) pairs."""
+    groups = []
+    start = 0
+    for i in range(1, len(orders) + 1):
+        if i == len(orders) or orders[i] != orders[start]:
+            groups.append((orders[start], tuple(range(start, i))))
+            start = i
+    return tuple(groups)
+
+
 def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfile,
                      betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
     """Session spectral efficiency over random channel draws (bits/symbols)."""
@@ -90,16 +100,19 @@ def sigmoid_two_branch(z: np.ndarray) -> np.ndarray:
 
 def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
                               ch: ChannelRealization, rng: RandomSource):
-    """harness.transport_block one plan group at a time: pad, transmit, equalize."""
+    """harness.transport_block one plan_groups group at a time: pad, transmit,
+    equalize; the symbol count is summed over the padded groups."""
     bits = np.atleast_2d(np.asarray(bits, dtype=np.int64))
     n_rows, n_bits = bits.shape
     if n_bits != len(plan.orders):
         raise ConfigError(f"plan covers {len(plan.orders)} bits, not {n_bits}")
     out = np.empty((n_rows, n_bits))
-    for order, group_idxs in plan.groups:
+    symbols = 0
+    for order, group_idxs in plan_groups(plan.orders):
         idxs = np.asarray(group_idxs)
         c = build_constellation(order)
         pad = (-idxs.size) % order
+        symbols += (idxs.size + pad) // order
         padded = np.pad(bits[:, idxs], ((0, 0), (0, pad)))
         words = pack_bits(padded.reshape(-1), order)
         y_eq = equalize(transmit(c.points[words], ch, rng), ch.h)
@@ -107,7 +120,7 @@ def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.nda
         a_slots = np.pad(a_offsets[idxs], (0, pad)).reshape(-1, order)
         trits = demod_robust(y_eq.reshape(n_rows, -1), build_regions(c, 0.0), a_slots)
         out[:, idxs] = trits.reshape(n_rows, -1)[:, : idxs.size]
-    return out, plan.symbol_count
+    return out, symbols
 
 
 def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribution,
@@ -125,7 +138,7 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
     table = threshold_table(profile, betas) if adaptive else None
-    static_plan = None if adaptive else fixed_plan(n_bits, fixed_order)
+    static_plan = None if adaptive else ModPlan((check_order(fixed_order),) * n_bits)
     ch_rng, bit_rng, noise_rng = rng.split(3)
 
     correct = 0

@@ -11,12 +11,10 @@ from semlink.adaptmod import (
     HETEROGENEOUS_BETAS,
     HOMOGENEOUS_BETAS,
     ModPlan,
-    _pack,
     capacity_uniform,
-    fixed_plan,
     orders_from_thresholds,
     plan_from_thresholds,
-    spectral_efficiency,
+    symbol_runs,
     tau,
     threshold_table,
     thresholds,
@@ -24,6 +22,8 @@ from semlink.adaptmod import (
 from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import q_inverse
+
+from oracles import plan_groups
 
 
 # Scalar per-bit planner, kept as the oracle for plan_from_thresholds.
@@ -56,7 +56,7 @@ def plan_assignment(snr: float, profile: RobustnessProfile, betas: BetaAdjusters
         select_order(snr, float(alpha), float(a), betas)
         for alpha, a in zip(profile.alphas, profile.a_offsets)
     )
-    return _pack(orders)
+    return ModPlan(orders)
 
 
 class TestBerApprox:
@@ -197,19 +197,19 @@ class TestSelectOrder:
 
 class TestPlanning:
     def test_all_order2(self):
-        plan = fixed_plan(96, 2)
+        plan = ModPlan((2,) * 96)
         assert plan.symbol_count == 48
         assert plan.padding_bits == 0
-        assert spectral_efficiency(plan, 96) == pytest.approx(2.0)
+        assert 96 / plan.symbol_count == pytest.approx(2.0)
 
     def test_all_order6_no_padding(self):
-        plan = fixed_plan(96, 6)
+        plan = ModPlan((6,) * 96)
         assert plan.symbol_count == 16
-        assert spectral_efficiency(plan, 96) == pytest.approx(6.0)
+        assert 96 / plan.symbol_count == pytest.approx(6.0)
 
     def test_ceiling_padding(self):
-        plan = fixed_plan(5, 4)
-        assert len(plan.groups) == 1
+        plan = ModPlan((4,) * 5)
+        assert len(plan_groups(plan.orders)) == 1
         assert plan.padding_bits == 3
         assert plan.symbol_count == 2
 
@@ -225,15 +225,16 @@ class TestPlanning:
         plan = plan_assignment(s * s, profile, HETEROGENEOUS_BETAS)
         assert sorted(set(plan.orders)) == [2, 4]
         assert plan.symbol_count == 24 + 12
-        assert spectral_efficiency(plan, 96) == pytest.approx(96 / 36)
+        assert 96 / plan.symbol_count == pytest.approx(96 / 36)
 
     def test_groups_partition_bits(self):
         profile = RobustnessProfile.linear_ramp(96, 0.29, 0.45)
         plan = plan_assignment(1.0, profile, HETEROGENEOUS_BETAS)
-        seen = [i for _, idxs in plan.groups for i in idxs]
+        groups = plan_groups(plan.orders)
+        seen = [i for _, idxs in groups for i in idxs]
         assert seen == list(range(96))
-        assert len(plan.groups) <= 3
-        for order, idxs in plan.groups:
+        assert len(groups) <= 3
+        for order, idxs in groups:
             assert (len(idxs) + (-len(idxs)) % order) % order == 0
 
     def test_threshold_table_matches_plan_assignment(self):
@@ -271,9 +272,30 @@ class TestPlanning:
                 seen.append(comp)
         assert seen == [(2,), (2, 4), (2, 4, 6), (4, 6), (6,)]
 
-    def test_spectral_efficiency_validates_length(self):
-        with pytest.raises(ConfigError):
-            spectral_efficiency(fixed_plan(10, 2), 12)
+    @pytest.mark.parametrize("n_bits", [1, 2, 5, 37])
+    def test_symbol_runs_match_plan_groups(self, n_bits):
+        # rows with one, two and three orders, as random mixes and as staircases
+        rng = np.random.default_rng(n_bits)
+        rows = [np.full(n_bits, m) for m in (2, 4, 6)]
+        for choices in ((2, 4), (4, 6), (2, 6), (2, 4, 6)):
+            rows.append(rng.choice(choices, n_bits))
+            rows.append(np.sort(rng.choice(choices, n_bits)))
+        orders = np.array(rows)
+        row, start, length, order, symbols = symbol_runs(orders)
+        assert np.array_equal(row, np.sort(row))
+        for r, orders_r in enumerate(orders):
+            sel = row == r
+            groups = plan_groups(tuple(int(o) for o in orders_r))
+            assert [(int(m), int(s), int(n)) for m, s, n in
+                    zip(order[sel], start[sel], length[sel])] == \
+                [(m, idxs[0], len(idxs)) for m, idxs in groups]
+            assert symbols[sel].tolist() == \
+                [(len(idxs) + (-len(idxs)) % m) // m for m, idxs in groups]
+            padding = [(-len(idxs)) % m for m, idxs in groups]
+            assert (symbols[sel] * order[sel] - length[sel]).tolist() == padding
+            plan = ModPlan(tuple(int(o) for o in orders_r))
+            assert plan.symbol_count == symbols[sel].sum()
+            assert plan.padding_bits == sum(padding)
 
 
 class TestCapacity:

@@ -238,6 +238,14 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "robustness levels must lie in [0, 0.5]" in err
 
+    def test_divergent_training_is_one_error_line_without_warning(self, capsys):
+        # the updates overflow before the loss turns non-finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "train", *TINY_TRAIN[:-4], "--epochs", "2",
+                                     "--warmup-epochs", "0", "--learning-rate=1e300")
+        assert_one_line_error(code, out, err, "loss became non-finite at epoch 1")
+
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize("argv,key,value,message", [
         (("simulate-ber", "--order", "2", "--snr-db", "0:0:1", "--n-bits", "10"),

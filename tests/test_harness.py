@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semlink.adaptmod import HETEROGENEOUS_BETAS, fixed_plan, plan_from_thresholds, threshold_table
+from semlink.adaptmod import HETEROGENEOUS_BETAS, ModPlan, plan_from_thresholds, threshold_table
 from semlink.bsec import RobustnessProfile, analytic_params
 from semlink.channel import (
     ChannelRealization,
@@ -19,7 +19,7 @@ from semlink.channel import (
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
 from semlink.datasets import synth_dataset
-from semlink.errors import DomainError
+from semlink.errors import ConfigError, DomainError
 from semlink import harness
 from semlink.harness import (
     chi_square_homogeneity,
@@ -32,7 +32,12 @@ from semlink.harness import (
 from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
 
-from oracles import mean_adaptive_se, run_end_to_end_per_block, transport_block_per_group
+from oracles import (
+    mean_adaptive_se,
+    plan_groups,
+    run_end_to_end_per_block,
+    transport_block_per_group,
+)
 
 
 def clt3(p, n):
@@ -97,7 +102,7 @@ class TestTransportBlock:
     def test_heterogeneous_offsets_respected(self):
         # a=0 bits never erase; a=1 bits erase often at low SNR
         profile = RobustnessProfile(np.full(8, 0.4), np.array([0.0] * 4 + [1.0] * 4))
-        plan = fixed_plan(8, 2)
+        plan = ModPlan((2,) * 8)
         rng = RandomSource(6)
         erased_low = erased_high = 0
         for _ in range(200):
@@ -111,7 +116,7 @@ class TestTransportBlock:
 
     def test_flip_statistics_match_link(self):
         profile = RobustnessProfile.homogeneous(32, 0.4, a=0.5)
-        plan = fixed_plan(32, 4)
+        plan = ModPlan((4,) * 32)
         rng = RandomSource(7)
         bits = rng.bits(32 * 400).reshape(400, 32)
         ch = draw_channel(FixedSnr(snr=4.0), rng)
@@ -151,7 +156,7 @@ class TestTransportBlock:
 
         noise_rng = RandomSource(10)
         expected = np.empty(bits.shape)
-        for order, idxs in plan.groups:
+        for order, idxs in plan_groups(plan.orders):
             c = build_constellation(order)
             padded = np.pad(bits[:, idxs], ((0, 0), (0, (-len(idxs)) % order)))
             words = pack_bits(padded.reshape(-1), order)
@@ -230,6 +235,12 @@ class TestEndToEnd:
         b = run_end_to_end(models, UniformMagnitude(0.37, 2.5), profile,
                            HETEROGENEOUS_BETAS, True, ds, RandomSource(95))
         assert a == b
+
+    def test_unsupported_fixed_order_rejected(self, trained_setup):
+        ds, profile, models = trained_setup
+        with pytest.raises(ConfigError, match="unsupported modulation order 3"):
+            run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS,
+                           False, ds, RandomSource(97), fixed_order=3)
 
     def test_bit_bias_reported(self, trained_setup):
         ds, profile, models = trained_setup

@@ -191,7 +191,6 @@ class TestTraining:
         for ma, mb in zip(a.metrics, b.metrics):
             assert ma.loss == mb.loss
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_raises_with_epoch(self):
         features = np.full((8, 4), 1e200)
         ds = Dataset(features=features, labels=np.zeros(8, dtype=np.int64),

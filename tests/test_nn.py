@@ -338,7 +338,7 @@ class TestAdam:
 
     def test_constant_gradient_step_magnitude(self):
         model = DenseModel([Layer(np.zeros((1, 1)), np.zeros(1), "identity")])
-        state = AdamState([model], eps=1e-12)
+        state = AdamState([model])
         g = 0.37
         prev = 0.0
         for _ in range(200):
