@@ -107,8 +107,8 @@ class DenseModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run a (batch, in_dim) array through the stack, caching for backward.
 
-        A (blocks, batch, in_dim) stack runs every block at once; only a 2-D
-        forward can be followed by backward.
+        A (blocks, batch, in_dim) stack runs every block at once and drops the
+        cache, so only a 2-D forward can be followed by backward.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.in_dim:
@@ -117,7 +117,7 @@ class DenseModel:
         for layer in self.layers:
             x = _activate(x @ layer.weight.T + layer.bias, layer.activation)
             cache.append(x)
-        self._cache = cache
+        self._cache = cache if cache[0].ndim == 2 else None
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Reference code shared by the tests: hard decisions, the searchsorted trit
 kernel, the scalar symbol-grouping rule, the adaptive SE, the two-branch
-sigmoid, and the block-by-block end-to-end pass with its per-group transport."""
+sigmoid, the whole-array link Monte Carlo, and the block-by-block end-to-end
+pass with its per-group transport."""
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from semlink.bsec import RobustnessProfile
 from semlink.channel import (
     ChannelDistribution,
     ChannelRealization,
+    FixedSnr,
     draw_channel,
     equalize,
     transmit,
@@ -21,7 +23,7 @@ from semlink.channel import (
 from semlink.constellation import build_constellation, check_order, pack_bits
 from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
 from semlink.errors import ConfigError
-from semlink.harness import transport_block
+from semlink.harness import LinkStats, transport_block
 from semlink.jscc import ModelTriple, sample_latent_bits
 from semlink.numerics import RandomSource
 
@@ -96,6 +98,23 @@ def sigmoid_two_branch(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def link_montecarlo_whole(order: int, snr_db: float, a: float, n_bits: int,
+                          rng: RandomSource) -> LinkStats:
+    """harness.run_link_montecarlo with the whole run held at once: one bit
+    draw, one transmit and one equalize call, one demodulation."""
+    c = build_constellation(order)
+    n_sym = -(-n_bits // c.m)
+    bit_rng, ch_rng, noise_rng = rng.split(3)
+    bits = bit_rng.bits(n_sym * c.m)
+    x = c.points[pack_bits(bits, c.m)]
+    ch = draw_channel(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
+    trits = demod_robust(equalize(transmit(x, ch, noise_rng), ch.h), build_regions(c, a))
+    erasures = int(np.count_nonzero(trits == TRIT_ERASURE))
+    corrects = int(np.count_nonzero(trits == bits))
+    return LinkStats(n_bits=bits.size, flips=bits.size - erasures - corrects,
+                     erasures=erasures, corrects=corrects)
 
 
 def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,

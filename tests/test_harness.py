@@ -33,6 +33,7 @@ from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
 
 from oracles import (
+    link_montecarlo_whole,
     mean_adaptive_se,
     plan_groups,
     run_end_to_end_per_block,
@@ -84,6 +85,29 @@ class TestLinkMonteCarlo:
             assert abs(stats.erasure_rate - p.d) <= clt3(max(p.d, 1e-12), stats.n_bits) + 1e-12
         else:
             assert abs(stats.flip_rate - p.mu) / p.mu <= 0.15
+
+    @pytest.mark.parametrize("order", (2, 4, 6))
+    @pytest.mark.parametrize("a", (0.0, 0.25, 0.5, 1.0))
+    @pytest.mark.parametrize("snr_db", (-3.0, 6.0, 40.0))
+    def test_equals_whole_array_run(self, order, a, snr_db):
+        """Chunked and whole-array runs agree at and around the chunk edges."""
+        edge = harness.LINK_CHUNK_BITS // order * order  # bits in one full chunk
+        for n_bits in (1, 5, 7, edge - 1, edge, edge + 1, 2 * edge + 3, 3 * edge - 2,
+                       10**5 + 1):
+            assert run_link_montecarlo(order, snr_db, a, n_bits, RandomSource(48)) == \
+                link_montecarlo_whole(order, snr_db, a, n_bits, RandomSource(48)), n_bits
+
+    def test_memory_is_flat(self):
+        """Traced peak memory of a run does not grow with the number of bits."""
+        peaks = []
+        for n_bits in (10**5, 10**6, 10**7):
+            tracemalloc.start()
+            try:
+                run_link_montecarlo(2, 6.0, 0.5, n_bits, RandomSource(49))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1.2 * peaks[0], peaks
 
 
 class TestTransportBlock:

@@ -129,6 +129,14 @@ class TestStackedForward:
         per_block = np.concatenate([model.forward(b) for b in blocks])
         assert np.array_equal(stacked.reshape(-1, dims[-1]), per_block)
 
+    def test_stack_drops_the_cache(self):
+        model = random_model(RandomSource(36), dims=[4, 3, 2], activations=["relu", "identity"])
+        model.forward(np.ones((5, 4)))
+        model.forward(np.ones((2, 5, 4)))
+        assert model._cache is None
+        with pytest.raises(StateError, match="without a cached forward pass"):
+            model.backward(np.ones((5, 2)))
+
     def test_stack_dimension_mismatch(self):
         model = random_model(RandomSource(33), dims=[4, 2], activations=["identity"])
         with pytest.raises(DomainError):

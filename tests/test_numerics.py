@@ -1,6 +1,7 @@
 """Tail-function accuracy against an independent quadrature oracle, and
 random-source determinism."""
 
+import copy
 import math
 
 import numpy as np
@@ -151,6 +152,16 @@ class TestRandomSource:
     def test_normal_pair(self):
         a, b = RandomSource(5).normal_pair()
         assert a != b and math.isfinite(a) and math.isfinite(b)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+    def test_deepcopy_replays_the_stream(self, seed):
+        src = RandomSource(seed)
+        src.bits(3)  # start mid-stream
+        twin = copy.deepcopy(src)
+        normals, bits = twin.std_normal(1001), twin.bits(7)
+        twin.std_normal(50)  # drawing from the copy must leave the original where it was
+        np.testing.assert_array_equal(src.std_normal(1001), normals)
+        np.testing.assert_array_equal(src.bits(7), bits)
 
     def test_seed_validation(self):
         with pytest.raises(DomainError):
