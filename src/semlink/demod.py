@@ -235,15 +235,20 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     """Demodulate equalized samples to trits {0, 0.5, 1}.
 
     y may have any shape. a, when given, overrides the regions' offsets per
-    bit slot, broadcasts against (*y.shape, order) and must lie in [0, 1]
-    everywhere (NaN is rejected). Returns a flat sequence of order*y.size
-    trits, one m-bit group per symbol in row-major order.
+    bit slot, must broadcast to exactly (*y.shape, order), is read in its own
+    shape and must lie in [0, 1] everywhere (NaN is rejected). Returns a flat
+    sequence of order*y.size trits, one m-bit group per symbol in row-major order.
     """
     y = np.asarray(y, dtype=complex)
     if a is not None:
-        a = np.broadcast_to(np.asarray(a, dtype=float), (*y.shape, regions.order))
-        if not np.all((a >= 0) & (a <= 1)):
-            raise DomainError("boundary offsets must lie in [0, 1]")
+        a = np.asarray(a, dtype=float)
+        full = (*y.shape, regions.order)
+        if a.ndim > len(full) or any(n not in (1, f) for n, f in zip(a.shape[::-1], full[::-1])):
+            raise DomainError(f"boundary offsets of shape {a.shape} do not fit {full}")
+        ok = (a >= 0) & (a <= 1)
+        if not np.all(ok):
+            raise DomainError(f"boundary offsets must lie in [0, 1], got {a[~ok].flat[0]}")
+        a = np.broadcast_to(a, (*a.shape[:-1], regions.order))
     axes = (np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag))
     out = np.empty((*y.shape, regions.order))
     for br in regions.bits:

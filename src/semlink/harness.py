@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ class LinkStats:
 
 
 def _count_trits(bits: np.ndarray, trits: np.ndarray) -> LinkStats:
-    bits = np.asarray(bits)
     erasures = int(np.count_nonzero(trits == TRIT_ERASURE))
     corrects = int(np.count_nonzero(trits == bits))
     flips = bits.size - erasures - corrects
@@ -77,43 +75,27 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
                         rng: RandomSource) -> LinkStats:
     """Random bits through map -> fade -> equalize -> ternary demodulation.
 
-    n_bits is rounded up to a whole number of symbols. The run is carried in
-    chunks of at most LINK_CHUNK_BITS bits and its trit counts are summed.
-    The noise keeps the layout of one channel.transmit call over the whole
-    run: all n_sym real parts, then all n_sym imaginary parts. So the
-    imaginary parts of a chunk come from a copy of the noise stream that was
-    first moved past the run's real parts by drawing and discarding them;
-    Ziggurat normals use a variable number of generator words, so no
-    arithmetic skip exists.
+    n_bits is rounded up to a whole number of symbols. Over one channel, each
+    chunk of LINK_CHUNK_BITS // order symbols goes to _carry as one block of
+    one-symbol rows and the trit counts are summed. So each chunk draws its
+    noise like one channel.transmit call: its real parts, then its imaginary
+    parts.
     """
     if not (1 <= n_bits <= MAX_LINK_BITS):
         raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
-    c = build_constellation(order)
-    regions = build_regions(c, a)
-    snr = 10.0 ** (snr_db / 10.0)
-    n_sym = -(-n_bits // c.m)
+    m = check_order(order)
+    n_sym = -(-n_bits // m)
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    ch = draw_channel(FixedSnr(snr=snr, noise_var=1.0), ch_rng)
-    scale = math.sqrt(ch.noise_var / 2.0)
-    gain = np.conj(ch.h) / abs(ch.h) ** 2  # channel.equalize's gain
-    chunk = LINK_CHUNK_BITS // c.m
-    starts = range(0, n_sym, chunk)
-    imag_rng = copy.deepcopy(noise_rng)
-    for start in starts:
-        imag_rng.std_normal(min(chunk, n_sym - start))
-
-    flips = erasures = corrects = 0
-    for start in starts:
-        size = min(chunk, n_sym - start)
-        bits = bit_rng.bits(size * c.m)
-        x = c.points[pack_bits(bits, c.m)]
-        re, im = noise_rng.std_normal(size), imag_rng.std_normal(size)
-        stats = _count_trits(bits, demod_robust((ch.h * x + scale * (re + 1j * im)) * gain,
-                                                regions))
-        flips += stats.flips
-        erasures += stats.erasures
-        corrects += stats.corrects
-    return LinkStats(n_bits=n_sym * c.m, flips=flips, erasures=erasures, corrects=corrects)
+    ch = draw_channel(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
+    chunk = LINK_CHUNK_BITS // m
+    counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
+    for start in range(0, n_sym, chunk):
+        bits = bit_rng.bits(min(chunk, n_sym - start) * m).reshape(-1, m)
+        trits, _ = _carry(bits, np.full((1, m), m), np.array([len(bits)]), [ch.h],
+                          ch.noise_var, np.full(m, a), noise_rng)
+        stats = _count_trits(bits, trits)
+        counts += (stats.flips, stats.erasures, stats.corrects)
+    return LinkStats(n_sym * m, *counts.tolist())
 
 
 # Latent entries (images x bits) per chunk of an end-to-end pass: enough
@@ -131,8 +113,9 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
     bit's own erasure offset (padding slots carry a = 0 and are dropped).
     Noise is drawn in one call and laid out block by block, run by run, all
     real parts before all imaginary parts: the order in which one transmit
-    call per run would draw it. Returns the trit matrix and each block's
-    symbol count per row.
+    call per run would draw it. An order with one unpadded run reads its bits
+    and noise as slices; otherwise each symbol's slots are gathered. Returns
+    the trit matrix and each block's symbol count per row.
     """
     run_block, run_start, run_len, run_order, run_syms = symbol_runs(orders)
     draw_syms = run_syms * rows[run_block]  # symbols per run over all its rows
@@ -146,29 +129,44 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
         noise = rng.std_normal(int(2 * draw_syms.sum()))
         scale = math.sqrt(noise_var / 2.0)
 
-    out = np.empty(bits.shape)
+    out = None  # allocated late: a long link run then faults fewer fresh pages per chunk
     for order in (2, 4, 6):
         sel = np.flatnonzero(run_order == order)
         if sel.size == 0:
             continue
-        counts = draw_syms[sel]
-        run = np.repeat(sel, counts)  # run of every symbol, in draw order
-        k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        row = np.broadcast_to((row0[run_block[run]] + k // run_syms[run])[:, None],
-                              (run.size, order))
-        slot = run_start[run][:, None] + (k % run_syms[run])[:, None] * order \
-            + np.arange(order)
-        live = slot < (run_start + run_len)[run][:, None]
-        slot[~live] = 0
-        words = pack_bits(np.where(live, bits[row, slot], 0), order)
-        blk = run_block[run]
+        r = sel[0]
+        if sel.size == 1 and run_len[r] % order == 0:
+            blk, s, n = run_block[r], noise_start[r], draw_syms[r]
+            dest = (slice(row0[blk], row0[blk] + rows[blk]),
+                    slice(run_start[r], run_start[r] + run_len[r]))
+            words = pack_bits(bits[dest], order).reshape(rows[blk], -1)
+            re, im = slice(s, s + n), slice(s + n, s + 2 * n)
+            a_slots = a_offsets[dest[1]].reshape(-1, order)
+            shape, keep = (rows[blk], run_len[r]), slice(None)
+        else:
+            counts = draw_syms[sel]
+            run = np.repeat(sel, counts)  # run of every symbol, in draw order
+            k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            row = np.broadcast_to((row0[run_block[run]] + k // run_syms[run])[:, None],
+                                  (run.size, order))
+            slot = run_start[run][:, None] + (k % run_syms[run])[:, None] * order \
+                + np.arange(order)
+            live = slot < (run_start + run_len)[run][:, None]
+            slot[~live] = 0
+            words = pack_bits(np.where(live, bits[row, slot], 0), order)
+            blk = run_block[run]
+            re = noise_start[run] + k
+            im = re + draw_syms[run]
+            a_slots = np.where(live, a_offsets[slot], 0.0)
+            dest, shape, keep = (row[live], slot[live]), (-1, order), live
         y = h[blk] * build_constellation(order).points[words]
         if noise_var != 0:
-            re = noise_start[run] + k
-            y = y + scale * (noise[re] + 1j * noise[re + draw_syms[run]])
-        a_slots = np.where(live, a_offsets[slot], 0.0)
-        trits = demod_robust(y * gain[blk], _order_regions(order), a_slots)
-        out[row[live], slot[live]] = trits.reshape(-1, order)[live]
+            y += scale * (noise[re] + 1j * noise[im]).reshape(words.shape)
+        y *= gain[blk]
+        trits = demod_robust(y, _order_regions(order), a_slots).reshape(shape)[keep]
+        if out is None:
+            out = np.empty(bits.shape)
+        out[dest] = trits
     return out, np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
 
 
@@ -185,6 +183,8 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
     n_rows, n_bits = bits.shape
     if n_bits != len(plan.orders):
         raise ConfigError(f"plan covers {len(plan.orders)} bits, not {n_bits}")
+    if len(a_offsets) != n_bits:
+        raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
     trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), [ch.h],
                             ch.noise_var, a_offsets, rng)
     return trits, int(symbols[0])
@@ -314,8 +314,8 @@ def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[
     freedom and the survival function is exp(-x/2).
     """
     table = np.vstack([counts_a, counts_b]).astype(np.float64)
-    if table.shape != (2, 3) or np.any(table < 0):
-        raise DomainError("expected two nonnegative 3-category histograms")
+    if table.shape != (2, 3) or not np.all(np.isfinite(table) & (table >= 0)):
+        raise DomainError("expected two finite nonnegative 3-category histograms")
     col = table.sum(axis=0)
     row = table.sum(axis=1)
     total = table.sum()

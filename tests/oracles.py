@@ -1,6 +1,6 @@
 """Reference code shared by the tests: hard decisions, the searchsorted trit
 kernel, the scalar symbol-grouping rule, the adaptive SE, the two-branch
-sigmoid, the whole-array link Monte Carlo, and the block-by-block end-to-end
+sigmoid, the per-chunk link Monte Carlo, and the block-by-block end-to-end
 pass with its per-group transport."""
 
 import numpy as np
@@ -23,7 +23,7 @@ from semlink.channel import (
 from semlink.constellation import build_constellation, check_order, pack_bits
 from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
 from semlink.errors import ConfigError
-from semlink.harness import LinkStats, transport_block
+from semlink.harness import LINK_CHUNK_BITS, LinkStats, transport_block
 from semlink.jscc import ModelTriple, sample_latent_bits
 from semlink.numerics import RandomSource
 
@@ -100,21 +100,27 @@ def sigmoid_two_branch(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def link_montecarlo_whole(order: int, snr_db: float, a: float, n_bits: int,
-                          rng: RandomSource) -> LinkStats:
-    """harness.run_link_montecarlo with the whole run held at once: one bit
-    draw, one transmit and one equalize call, one demodulation."""
+def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
+                              rng: RandomSource) -> LinkStats:
+    """harness.run_link_montecarlo without _carry: per chunk of LINK_CHUNK_BITS
+    // order symbols, one bit draw, one transmit and one equalize call over the
+    chunk's whole arrays, and one demodulation with build_regions(c, a)."""
     c = build_constellation(order)
+    regions = build_regions(c, a)
     n_sym = -(-n_bits // c.m)
+    chunk = LINK_CHUNK_BITS // c.m
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    bits = bit_rng.bits(n_sym * c.m)
-    x = c.points[pack_bits(bits, c.m)]
     ch = draw_channel(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
-    trits = demod_robust(equalize(transmit(x, ch, noise_rng), ch.h), build_regions(c, a))
-    erasures = int(np.count_nonzero(trits == TRIT_ERASURE))
-    corrects = int(np.count_nonzero(trits == bits))
-    return LinkStats(n_bits=bits.size, flips=bits.size - erasures - corrects,
-                     erasures=erasures, corrects=corrects)
+    erasures = corrects = 0
+    for start in range(0, n_sym, chunk):
+        bits = bit_rng.bits(min(chunk, n_sym - start) * c.m)
+        x = c.points[pack_bits(bits, c.m)]
+        trits = demod_robust(equalize(transmit(x, ch, noise_rng), ch.h), regions)
+        erasures += int(np.count_nonzero(trits == TRIT_ERASURE))
+        corrects += int(np.count_nonzero(trits == bits))
+    n = n_sym * c.m
+    return LinkStats(n_bits=n, flips=n - erasures - corrects, erasures=erasures,
+                     corrects=corrects)
 
 
 def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,

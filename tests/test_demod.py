@@ -329,3 +329,21 @@ class TestTritKernel:
         a_slots[3, 1] = a
         with pytest.raises(DomainError, match="boundary offsets"):
             demod_robust(y, build_regions(c, 0.0), a=a_slots)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (4,), (250, 1), (1, 4), (250, 4)],
+                             ids=["scalar", "one", "per-bit", "per-word", "per-bit-2d", "per-slot"])
+    def test_demod_robust_reads_offsets_in_their_own_shape(self, shape):
+        c = build_constellation(4)
+        y = random_samples(1000, 14).reshape(4, 250)
+        a = mixed_offsets(int(np.prod(shape)), 15).reshape(shape)
+        full = np.broadcast_to(a, (4, 250, 4)).copy()
+        regions = build_regions(c, 0.0)
+        assert np.array_equal(demod_robust(y, regions, a), demod_robust(y, regions, full))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 3), (4, 3, 2), (2, 1, 1)],
+                             ids=["too-short", "wrong-order", "enlarges-y", "adds-an-axis"])
+    def test_demod_robust_rejects_offsets_that_do_not_fit(self, shape):
+        # a must broadcast to exactly (*y.shape, order), not merely against it
+        regions = build_regions(build_constellation(2), 0.0)
+        with pytest.raises(DomainError, match=r"boundary offsets of shape .* do not fit \(3, 2\)"):
+            demod_robust(np.zeros(3, complex), regions, np.zeros(shape))

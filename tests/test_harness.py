@@ -33,7 +33,7 @@ from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
 
 from oracles import (
-    link_montecarlo_whole,
+    link_montecarlo_per_chunk,
     mean_adaptive_se,
     plan_groups,
     run_end_to_end_per_block,
@@ -90,12 +90,13 @@ class TestLinkMonteCarlo:
     @pytest.mark.parametrize("a", (0.0, 0.25, 0.5, 1.0))
     @pytest.mark.parametrize("snr_db", (-3.0, 6.0, 40.0))
     def test_equals_whole_array_run(self, order, a, snr_db):
-        """Chunked and whole-array runs agree at and around the chunk edges."""
+        """The run equals the reference that carries each chunk as whole arrays
+        through transmit and equalize, at and around the chunk edges."""
         edge = harness.LINK_CHUNK_BITS // order * order  # bits in one full chunk
         for n_bits in (1, 5, 7, edge - 1, edge, edge + 1, 2 * edge + 3, 3 * edge - 2,
                        10**5 + 1):
             assert run_link_montecarlo(order, snr_db, a, n_bits, RandomSource(48)) == \
-                link_montecarlo_whole(order, snr_db, a, n_bits, RandomSource(48)), n_bits
+                link_montecarlo_per_chunk(order, snr_db, a, n_bits, RandomSource(48)), n_bits
 
     def test_memory_is_flat(self):
         """Traced peak memory of a run does not grow with the number of bits."""
@@ -158,13 +159,24 @@ class TestTransportBlock:
         a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 37)
         plan = plan_from_thresholds(snr, threshold_table(
             RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
-        bits = RandomSource(11).bits(37 * rows).reshape(rows, 37)
         ch = ChannelRealization(h=0.9 * np.exp(0.7j) * math.sqrt(snr), noise_var=noise_var)
-        trits, n_sym = transport_block(bits, plan, a_offsets, ch, RandomSource(12))
-        expected, expected_sym = transport_block_per_group(bits, plan, a_offsets, ch,
-                                                           RandomSource(12))
-        assert np.array_equal(trits, expected)
-        assert n_sym == expected_sym
+        # fixed-order plans: 36 bits is one unpadded run at every order, 37 is padded
+        plans = [(plan, a_offsets)] + [(ModPlan((order,) * n), a_offsets[:n])
+                                       for order in (2, 4, 6) for n in (36, 37)]
+        for plan, a in plans:
+            bits = RandomSource(11).bits(len(a) * rows).reshape(rows, len(a))
+            trits, n_sym = transport_block(bits, plan, a, ch, RandomSource(12))
+            expected, expected_sym = transport_block_per_group(bits, plan, a, ch,
+                                                               RandomSource(12))
+            assert np.array_equal(trits, expected), plan
+            assert n_sym == expected_sym
+
+    @pytest.mark.parametrize("n_offsets", [36, 38])
+    def test_offset_count_must_match_plan(self, n_offsets):
+        bits = RandomSource(13).bits(37).reshape(1, 37)
+        ch = ChannelRealization(h=1.0, noise_var=1.0)
+        with pytest.raises(ConfigError, match=f"a_offsets covers {n_offsets} bits, not 37"):
+            transport_block(bits, ModPlan((2,) * 37), np.zeros(n_offsets), ch, RandomSource(14))
 
     def test_mixed_offsets_match_per_bit_regions(self):
         # every bit keeps its own offset across a mixed-order plan: replay the
@@ -209,6 +221,11 @@ class TestStatisticalEquivalence:
         h = np.array([100, 200, 700])
         stat, p = chi_square_homogeneity(h, h)
         assert stat == 0.0 and p == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_counts(self, bad):
+        with pytest.raises(DomainError, match="finite nonnegative"):
+            chi_square_homogeneity(np.array([100.0, bad, 700.0]), np.array([100, 200, 700]))
 
 
 class TestMeanSe:
