@@ -157,12 +157,12 @@ class TestTransportBlock:
         # plans with one, two and three orders; odd run lengths need padding
         alphas = np.linspace(0.29, 0.45, 37)
         a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 37)
-        plan = plan_from_thresholds(snr, threshold_table(
+        adaptive = plan_from_thresholds(snr, threshold_table(
             RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
         ch = ChannelRealization(h=0.9 * np.exp(0.7j) * math.sqrt(snr), noise_var=noise_var)
         # fixed-order plans: 36 bits is one unpadded run at every order, 37 is padded
-        plans = [(plan, a_offsets)] + [(ModPlan((order,) * n), a_offsets[:n])
-                                       for order in (2, 4, 6) for n in (36, 37)]
+        plans = [(adaptive, a_offsets)] + [(ModPlan((order,) * n), a_offsets[:n])
+                                           for order in (2, 4, 6) for n in (36, 37)]
         for plan, a in plans:
             bits = RandomSource(11).bits(len(a) * rows).reshape(rows, len(a))
             trits, n_sym = transport_block(bits, plan, a, ch, RandomSource(12))
