@@ -99,8 +99,10 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
 
 
 # Latent entries (images x bits) per chunk of an end-to-end pass: enough
-# blocks to share each call's overhead, few enough to keep memory bounded.
-CHUNK_ENTRIES = 2 ** 14
+# blocks to share the per-call overhead of each stage (the transport's index
+# work is per block row, so it does not grow with the chunk), few enough to
+# keep memory bounded.
+CHUNK_ENTRIES = 2 ** 15
 
 
 def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[complex],
@@ -110,12 +112,14 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
     Block b owns the next rows[b] rows of bits and rides coefficient h[b] with
     per-bit orders orders[b]. Every run of adaptmod.symbol_runs is zero-padded
     to whole symbols, modulated, faded, equalized and demodulated with each
-    bit's own erasure offset (padding slots carry a = 0 and are dropped).
-    Noise is drawn in one call and laid out block by block, run by run, all
-    real parts before all imaginary parts: the order in which one transmit
-    call per run would draw it. An order with one unpadded run reads its bits
-    and noise as slices; otherwise each symbol's slots are gathered. Returns
-    the trit matrix and each block's symbol count per row.
+    bit's own erasure offset; the trits of padding slots are dropped. Noise is
+    drawn in one call and laid out block by block, run by run, all real parts
+    before all imaginary parts: the order in which one transmit call per run
+    would draw it. An order with one unpadded run reads its bits and noise as
+    slices. Otherwise its slot map (each symbol's run, place in the run and
+    bit slots) is built once for a block row and broadcast over the block's
+    rows, so the index work does not grow with the rows. Returns the trit
+    matrix and each block's symbol count per row.
     """
     run_block, run_start, run_len, run_order, run_syms = symbol_runs(orders)
     draw_syms = run_syms * rows[run_block]  # symbols per run over all its rows
@@ -135,7 +139,8 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
         if sel.size == 0:
             continue
         r = sel[0]
-        if sel.size == 1 and run_len[r] % order == 0:
+        whole = sel.size == 1 and run_len[r] % order == 0
+        if whole:
             blk, s, n = run_block[r], noise_start[r], draw_syms[r]
             dest = (slice(row0[blk], row0[blk] + rows[blk]),
                     slice(run_start[r], run_start[r] + run_len[r]))
@@ -144,21 +149,26 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
             a_slots = a_offsets[dest[1]].reshape(-1, order)
             shape, keep = (rows[blk], run_len[r]), slice(None)
         else:
-            counts = draw_syms[sel]
-            run = np.repeat(sel, counts)  # run of every symbol, in draw order
-            k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            row = np.broadcast_to((row0[run_block[run]] + k // run_syms[run])[:, None],
-                                  (run.size, order))
-            slot = run_start[run][:, None] + (k % run_syms[run])[:, None] * order \
-                + np.arange(order)
+            # slot map of one block row: run and symbol j of every symbol
+            # (padding slots point at slot 0; their trits are dropped)
+            counts = run_syms[sel]
+            run = np.repeat(sel, counts)
+            j = np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            blk = run_block[run]
+            slot = run_start[run][:, None] + j[:, None] * order + np.arange(order)
             live = slot < (run_start + run_len)[run][:, None]
             slot[~live] = 0
-            words = pack_bits(np.where(live, bits[row, slot], 0), order)
-            blk = run_block[run]
-            re = noise_start[run] + k
+            # row i of each block; a short block repeats its last row, which
+            # rewrites the same trits
+            i = np.minimum(np.arange(rows.max())[:, None], rows[blk] - 1)
+            flat = ((row0[blk] + i) * bits.shape[1])[..., None] + slot
+            words = pack_bits(bits.reshape(-1)[flat], order).reshape(i.shape) \
+                & pack_bits(live, order)  # zero padding bits
+            re = noise_start[run] + i * run_syms[run] + j
             im = re + draw_syms[run]
-            a_slots = np.where(live, a_offsets[slot], 0.0)
-            dest, shape, keep = (row[live], slot[live]), (-1, order), live
+            a_slots = a_offsets[slot]
+            shape, keep = flat.shape, np.broadcast_to(live, flat.shape)
+            dest = flat[keep]
         y = h[blk] * build_constellation(order).points[words]
         if noise_var != 0:
             y += scale * (noise[re] + 1j * noise[im]).reshape(words.shape)
@@ -166,7 +176,7 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[compl
         trits = demod_robust(y, _order_regions(order), a_slots).reshape(shape)[keep]
         if out is None:
             out = np.empty(bits.shape)
-        out[dest] = trits
+        (out if whole else out.reshape(-1))[dest] = trits
     return out, np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
 
 
@@ -183,6 +193,8 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
     n_rows, n_bits = bits.shape
     if n_bits != len(plan.orders):
         raise ConfigError(f"plan covers {len(plan.orders)} bits, not {n_bits}")
+    if n_bits == 0:
+        raise ConfigError("plan covers no bits")
     if len(a_offsets) != n_bits:
         raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
     trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), [ch.h],
@@ -269,9 +281,15 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         u_hat = _forward_blocks(models.decoder, trits, images_per_block)
         logits = _forward_blocks(models.classifier, u_hat, images_per_block)
         correct += int(np.sum(np.argmax(logits, axis=1) == yc))
+        # one sum per block, added in block order; a full block's row of the
+        # reshape sums to the bytes of np.sum over the block
         sq_err = (u_hat - xc) ** 2
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sq_err_sum += float(np.sum(sq_err[lo:hi]))
+        full = len(xc) - len(xc) % images_per_block
+        sums = sq_err[:full].reshape(-1, images_per_block * xc.shape[1]).sum(axis=1).tolist()
+        if full < len(xc):
+            sums.append(float(np.sum(sq_err[full:])))
+        for s in sums:  # not sum(), which compensates float sums from Python 3.12 on
+            sq_err_sum += s
 
     n = len(x)
     total_bits = n * n_bits

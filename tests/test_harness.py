@@ -45,6 +45,12 @@ def clt3(p, n):
     return 3.0 * math.sqrt(p * (1 - p) / n)
 
 
+# A permuted ramp with mixed offsets: an adaptive row alternates orders
+# (2, 4, 6, 4, 2, ...), so each order forms several runs in a row.
+PERMUTED = RobustnessProfile(np.linspace(0.29, 0.45, 24)[RandomSource(3).permutation(24)],
+                             np.resize([0.0, 0.5, 1.0, 0.25], 24))
+
+
 class TestLinkMonteCarlo:
     def test_order2_hard_decision_flip_rate(self):
         stats = run_link_montecarlo(2, 0.0, 0.0, 10**6, RandomSource(42))
@@ -159,10 +165,11 @@ class TestTransportBlock:
         a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 37)
         adaptive = plan_from_thresholds(snr, threshold_table(
             RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
+        permuted = plan_from_thresholds(snr, threshold_table(PERMUTED, HETEROGENEOUS_BETAS))
         ch = ChannelRealization(h=0.9 * np.exp(0.7j) * math.sqrt(snr), noise_var=noise_var)
         # fixed-order plans: 36 bits is one unpadded run at every order, 37 is padded
-        plans = [(adaptive, a_offsets)] + [(ModPlan((order,) * n), a_offsets[:n])
-                                           for order in (2, 4, 6) for n in (36, 37)]
+        plans = [(adaptive, a_offsets), (permuted, PERMUTED.a_offsets)] + \
+            [(ModPlan((order,) * n), a_offsets[:n]) for order in (2, 4, 6) for n in (36, 37)]
         for plan, a in plans:
             bits = RandomSource(11).bits(len(a) * rows).reshape(rows, len(a))
             trits, n_sym = transport_block(bits, plan, a, ch, RandomSource(12))
@@ -170,6 +177,11 @@ class TestTransportBlock:
                                                                RandomSource(12))
             assert np.array_equal(trits, expected), plan
             assert n_sym == expected_sym
+
+    def test_zero_bit_plan_rejected(self):
+        ch = ChannelRealization(h=1.0, noise_var=1.0)
+        with pytest.raises(ConfigError, match="plan covers no bits"):
+            transport_block(np.zeros((1, 0)), ModPlan(()), np.zeros(0), ch, RandomSource(14))
 
     @pytest.mark.parametrize("n_offsets", [36, 38])
     def test_offset_count_must_match_plan(self, n_offsets):
@@ -292,12 +304,12 @@ class TestEndToEnd:
 
 @pytest.fixture(scope="module")
 def mixed_setup():
-    """Untrained default-width stacks over 16 features and 24 bits with mixed offsets."""
-    profile = RobustnessProfile(np.linspace(0.29, 0.45, 24),
-                                np.resize([0.0, 0.5, 1.0, 0.25], 24))
-    config = TrainingConfig(profile=profile, epochs=1, warmup_epochs=0)
+    """Untrained default-width stacks over 16 features and 24 bits, with two
+    profiles of mixed offsets: a ramp and the permuted ramp PERMUTED."""
+    ramp = RobustnessProfile(np.linspace(0.29, 0.45, 24), PERMUTED.a_offsets)
+    config = TrainingConfig(profile=ramp, epochs=1, warmup_epochs=0)
     models = build_models(16, 4, config, RandomSource(40))
-    return synth_dataset(4, 16, 25, 1.0, RandomSource(41)), profile, models
+    return synth_dataset(4, 16, 25, 1.0, RandomSource(41)), (ramp, PERMUTED), models
 
 
 class TestChunkedPass:
@@ -311,13 +323,14 @@ class TestChunkedPass:
     @pytest.mark.parametrize("per_block", [1, 3, 7, 10])
     def test_equals_per_block_pass(self, mixed_setup, monkeypatch, per_block, adaptive,
                                    order, channel, chunk_blocks):
-        ds, profile, models = mixed_setup
-        entries = 10**9 if chunk_blocks is None else chunk_blocks * per_block * len(profile)
+        ds, profiles, models = mixed_setup
+        entries = 10**9 if chunk_blocks is None else chunk_blocks * per_block * len(PERMUTED)
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", entries)
-        args = (models, channel, profile, HETEROGENEOUS_BETAS, adaptive, ds)
         kwargs = dict(images_per_block=per_block, fixed_order=order)
-        assert run_end_to_end(*args, RandomSource(42), **kwargs) == \
-            run_end_to_end_per_block(*args, RandomSource(42), **kwargs)
+        for profile in profiles:
+            args = (models, channel, profile, HETEROGENEOUS_BETAS, adaptive, ds)
+            assert run_end_to_end(*args, RandomSource(42), **kwargs) == \
+                run_end_to_end_per_block(*args, RandomSource(42), **kwargs), profile
 
 
 def test_end_to_end_memory_is_bounded():
