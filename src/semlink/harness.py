@@ -99,9 +99,8 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
 
 
 # Latent entries (images x bits) per chunk of an end-to-end pass: enough
-# blocks to share the per-call overhead of each stage (the transport's index
-# work is per block row, so it does not grow with the chunk), few enough to
-# keep memory bounded.
+# blocks to share each stage's per-call overhead (one noise draw, one
+# demodulation per order, stacked forwards), few enough to keep memory bounded.
 CHUNK_ENTRIES = 2 ** 15
 
 

@@ -327,7 +327,8 @@ class TestChunkedPass:
         entries = 10**9 if chunk_blocks is None else chunk_blocks * per_block * len(PERMUTED)
         monkeypatch.setattr(harness, "CHUNK_ENTRIES", entries)
         kwargs = dict(images_per_block=per_block, fixed_order=order)
-        for profile in profiles:
+        # a fixed-order pass reads only the offsets, which both profiles share
+        for profile in profiles if adaptive else profiles[:1]:
             args = (models, channel, profile, HETEROGENEOUS_BETAS, adaptive, ds)
             assert run_end_to_end(*args, RandomSource(42), **kwargs) == \
                 run_end_to_end_per_block(*args, RandomSource(42), **kwargs), profile
