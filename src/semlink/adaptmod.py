@@ -18,7 +18,7 @@ import numpy as np
 from .bsec import RobustnessProfile
 from .constellation import SUPPORTED_ORDERS, check_order
 from .errors import ConfigError, DomainError
-from .numerics import q_inverse
+from .numerics import q_inverse_array
 
 
 @dataclass(frozen=True)
@@ -43,33 +43,47 @@ HOMOGENEOUS_BETAS = BetaAdjusters(0.6599, 0.6003, 0.5553)
 HETEROGENEOUS_BETAS = BetaAdjusters(1.0, 0.6, 0.5)
 
 
-def tau(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:
+def tau(order: int, alpha, a, betas: BetaAdjusters) -> np.ndarray:
     """sqrt-SNR threshold above which an order meets its flip-rate budget.
 
+    alpha and a may be arrays that broadcast together, one entry per bit.
     Arguments of the inverse tail function at or above 1 mean the budget holds
     at any SNR, reported as a zero threshold; nonpositive arguments are a
-    domain error.
+    domain error naming the first offending bit.
     """
     m = check_order(order)
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
+    a = np.asarray(a, dtype=np.float64)
+    bad = ~((0.0 <= a) & (a <= 1.0))
+    if np.any(bad):
+        raise DomainError(f"boundary offset must lie in [0, 1], got {a[bad].flat[0]}")
     root = math.sqrt(1 << m)
-    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
-    if not (arg > 0.0):
-        raise DomainError(f"threshold argument {arg} must be positive")
-    if arg >= 1.0:
-        return 0.0
-    t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse(arg) / (1.0 + a)
-    return max(t, 0.0)
+    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * np.asarray(alpha, np.float64)
+    bad = ~(arg > 0.0)
+    if np.any(bad):
+        raise DomainError(f"threshold argument {arg[bad].flat[0]} must be positive")
+    trivial = arg >= 1.0
+    # trivial arguments are read at 1/2, outside erfcinv's domain otherwise;
+    # + 0.0 turns its -0.0 at 1/2 into 0.0, as q_inverse does
+    q = q_inverse_array(np.where(trivial, 0.5, arg)) + 0.0
+    t = math.sqrt(((1 << m) - 1) / 3.0) * q / (1.0 + a)
+    return np.where(trivial, 0.0, np.maximum(t, 0.0))[()]
 
 
-def thresholds(alpha: float, a: float, betas: BetaAdjusters) -> tuple[float, float, float]:
-    """(tau_2, tau_4, tau_6); raises ConfigError if they are not ascending."""
-    t = tuple(tau(m, alpha, a, betas) for m in SUPPORTED_ORDERS)
-    if not (t[0] <= t[1] <= t[2]):
+def thresholds(alpha, a, betas: BetaAdjusters) -> np.ndarray:
+    """(..., 3) array of (tau_2, tau_4, tau_6) per alpha and a.
+
+    Raises ConfigError, naming the first offending bit, if a row is not
+    ascending.
+    """
+    t = np.stack([tau(m, alpha, a, betas) for m in SUPPORTED_ORDERS], axis=-1)
+    bad = ~((t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2]))
+    if np.any(bad):
+        alpha, a = np.broadcast_arrays(np.asarray(alpha, np.float64), np.asarray(a, np.float64))
+        i = np.flatnonzero(bad)[0]
+        t2, t4, t6 = t.reshape(-1, 3)[i]
         raise ConfigError(
-            f"thresholds not ascending for alpha={alpha}, a={a}: "
-            f"tau2={t[0]:.6g}, tau4={t[1]:.6g}, tau6={t[2]:.6g}"
+            f"thresholds not ascending for alpha={alpha.flat[i]}, a={a.flat[i]}: "
+            f"tau2={t2:.6g}, tau4={t4:.6g}, tau6={t6:.6g}"
         )
     return t
 
@@ -108,10 +122,7 @@ class ModPlan:
 
 def threshold_table(profile: RobustnessProfile, betas: BetaAdjusters) -> np.ndarray:
     """(n_bits, 3) array of per-bit (tau_2, tau_4, tau_6)."""
-    return np.array([
-        thresholds(float(alpha), float(a), betas)
-        for alpha, a in zip(profile.alphas, profile.a_offsets)
-    ])
+    return thresholds(profile.alphas, profile.a_offsets, betas)
 
 
 def orders_from_thresholds(snr, table: np.ndarray) -> np.ndarray:

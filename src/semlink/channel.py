@@ -11,6 +11,11 @@ from .errors import DomainError
 from .numerics import RandomSource
 
 
+def _check_noise_var(noise_var: float) -> None:
+    if not (noise_var >= 0):
+        raise DomainError(f"noise variance must be >= 0, got {noise_var}")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """One coherence block: complex coefficient h and noise variance."""
@@ -19,8 +24,7 @@ class ChannelRealization:
     noise_var: float
 
     def __post_init__(self):
-        if not (self.noise_var >= 0):
-            raise DomainError(f"noise variance must be >= 0, got {self.noise_var}")
+        _check_noise_var(self.noise_var)
         if not (abs(self.h) ** 2 > 0):  # also rejects NaN and an underflowing |h|
             raise DomainError(f"channel gain |h|^2 must be positive, got {abs(self.h) ** 2}")
 
@@ -41,6 +45,7 @@ class FixedSnr:
     def __post_init__(self):
         if not (self.snr > 0):
             raise DomainError(f"snr must be positive, got {self.snr}")
+        _check_noise_var(self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -56,22 +61,58 @@ class UniformMagnitude:
             raise DomainError(f"require 0 <= g1 < g2, got [{self.g1}, {self.g2}]")
         if not math.isfinite(self.g2 * self.g2):  # |h|^2 is the block's SNR
             raise DomainError(f"g2^2 must be finite, got g2={self.g2}")
+        _check_noise_var(self.noise_var)
 
 
 ChannelDistribution = FixedSnr | UniformMagnitude
 
 
-def draw_channel(dist: ChannelDistribution, rng: RandomSource) -> ChannelRealization:
-    """Draw one coherence-block realization from a channel distribution."""
+def draw_channels(dist: ChannelDistribution, n: int, rng: RandomSource) -> np.ndarray:
+    """Coefficients h of n coherence blocks from one uniform draw.
+
+    Each block takes |h| (UniformMagnitude only) and then its phase from the
+    stream, lo + (hi - lo) * u as Generator.uniform computes them, so the n
+    draws leave the same values and the stream at the same place as n
+    one-block draws.
+    """
     if isinstance(dist, FixedSnr):
         mag = math.sqrt(dist.snr * dist.noise_var)
+        phase = 2.0 * math.pi * rng.random(n)
     elif isinstance(dist, UniformMagnitude):
-        mag = rng.uniform(dist.g1, dist.g2)
+        u = rng.random((n, 2))
+        mag = dist.g1 + (dist.g2 - dist.g1) * u[:, 0]
+        phase = 2.0 * math.pi * u[:, 1]
     else:
         raise DomainError(f"unknown channel distribution {dist!r}")
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return ChannelRealization(h=mag * complex(math.cos(phase), math.sin(phase)),
+    return mag * (np.cos(phase) + 1j * np.sin(phase))
+
+
+def draw_channel(dist: ChannelDistribution, rng: RandomSource) -> ChannelRealization:
+    """Draw one coherence-block realization from a channel distribution."""
+    return ChannelRealization(h=complex(draw_channels(dist, 1, rng)[0]),
                               noise_var=dist.noise_var)
+
+
+def block_gains(h) -> tuple[np.ndarray, np.ndarray]:
+    """|h|^2 and the equalizer gain conj(h)/|h|^2 of each block of a 1-D h.
+
+    |h|^2 is Python's abs(h) ** 2 per block: numpy's complex abs and array
+    ** 2 do not always give its bytes. Raises DomainError when |h|^2 is not
+    positive or the gain is not finite (1/|h|^2 overflows for a subnormal
+    |h|^2), naming the first such block.
+    """
+    h = np.asarray(h, dtype=complex)
+    g2 = np.array([abs(hb) ** 2 for hb in h.tolist()], dtype=np.float64)
+    bad = ~(g2 > 0)  # also rejects NaN and an underflowing |h|
+    if np.any(bad):
+        raise DomainError(f"channel gain |h|^2 must be positive, got {g2[bad][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = np.conj(h) / g2
+    bad = ~np.isfinite(gain)
+    if np.any(bad):
+        raise DomainError(f"equalizer gain conj(h)/|h|^2 must be finite, "
+                          f"got |h|^2 = {g2[bad][0]}")
+    return g2, gain
 
 
 def transmit(x: np.ndarray, ch: ChannelRealization, rng: RandomSource) -> np.ndarray:
@@ -86,6 +127,4 @@ def transmit(x: np.ndarray, ch: ChannelRealization, rng: RandomSource) -> np.nda
 
 def equalize(y: np.ndarray, h: complex) -> np.ndarray:
     """Coherent equalization (h*/|h|^2) y; residual noise variance is 1/SNR."""
-    if not (abs(h) ** 2 > 0):  # also rejects NaN and an underflowing |h|
-        raise DomainError(f"cannot equalize a channel gain |h|^2 of {abs(h) ** 2}")
-    return np.asarray(y, dtype=complex) * (np.conj(h) / abs(h) ** 2)
+    return np.asarray(y, dtype=complex) * block_gains([h])[1][0]

@@ -14,8 +14,9 @@ trit kernel. It compares each coordinate with the bit's own one, two or four
 label transitions: the parity of the transitions below it gives the binary value
 (adjacent Gray cells always differ in the bit), and a closed band of half-width
 a*d_min/2 around each transition erases, with the offset a given per coordinate
-when it varies. demod_robust applies it per bit for the link Monte Carlo and
-the adaptive transport alike; the LLR routes serve as oracles.
+when it varies. demod_robust applies it once per I/Q pair of bits, which share
+their transitions, for the link Monte Carlo and the adaptive transport alike;
+the LLR routes serve as oracles.
 """
 
 from __future__ import annotations
@@ -238,21 +239,35 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     bit slot, must broadcast to exactly (*y.shape, order), is read in its own
     shape and must lie in [0, 1] everywhere (NaN is rejected). Returns a flat
     sequence of order*y.size trits, one m-bit group per symbol in row-major order.
+
+    Bit k reads the real axis and bit k + order/2 the imaginary axis with the
+    same transitions, so each such pair is one classify call over the stacked
+    real and imaginary parts.
     """
     y = np.asarray(y, dtype=complex)
-    if a is not None:
+    order = regions.order
+    if a is None:
+        a = np.array([br.a for br in regions.bits])
+    else:
         a = np.asarray(a, dtype=float)
-        full = (*y.shape, regions.order)
+        full = (*y.shape, order)
         if a.ndim > len(full) or any(n not in (1, f) for n, f in zip(a.shape[::-1], full[::-1])):
             raise DomainError(f"boundary offsets of shape {a.shape} do not fit {full}")
         ok = (a >= 0) & (a <= 1)
         if not np.all(ok):
             raise DomainError(f"boundary offsets must lie in [0, 1], got {a[~ok].flat[0]}")
-        a = np.broadcast_to(a, (*a.shape[:-1], regions.order))
-    axes = (np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag))
-    out = np.empty((*y.shape, regions.order))
-    for br in regions.bits:
-        out[..., br.bit] = br.classify(axes[br.axis], None if a is None else a[..., br.bit])
+    # bit slot j * half + k is pair k's bit on axis j; the axis goes first, so
+    # the pair's two offsets broadcast along whole rows of coordinates
+    half = order // 2
+    lead = a.shape[:-1]
+    a = np.broadcast_to(a, (*lead, order)).reshape(*lead, 2, half)
+    a = np.moveaxis(a, -2, 0).reshape(2, *(1,) * (y.ndim - len(lead)), *lead, half)
+    # out first: the temporaries then sit above it at the top of the heap, and
+    # a link run faults far fewer fresh pages per chunk
+    out = np.empty((*y.shape, order))
+    coords = np.stack((y.real, y.imag))
+    for k in range(half):
+        out[..., k], out[..., k + half] = regions.bits[k].classify(coords, a[..., k])
     return out.reshape(-1)
 
 

@@ -25,7 +25,8 @@ from .channel import (  # noqa: F401
     ChannelDistribution,
     ChannelRealization,
     FixedSnr,
-    draw_channel,
+    block_gains,
+    draw_channels,
     equalize,
     transmit,
 )
@@ -86,13 +87,15 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     m = check_order(order)
     n_sym = -(-n_bits // m)
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    ch = draw_channel(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
+    dist = FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0)
+    h = draw_channels(dist, 1, ch_rng)
+    _, gain = block_gains(h)
     chunk = LINK_CHUNK_BITS // m
     counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * m).reshape(-1, m)
-        trits, _ = _carry(bits, np.full((1, m), m), np.array([len(bits)]), [ch.h],
-                          ch.noise_var, np.full(m, a), noise_rng)
+        trits, _ = _carry(bits, np.full((1, m), m), np.array([len(bits)]), h, gain,
+                          dist.noise_var, np.full(m, a), noise_rng)
         stats = _count_trits(bits, trits)
         counts += (stats.flips, stats.erasures, stats.corrects)
     return LinkStats(n_sym * m, *counts.tolist())
@@ -104,30 +107,30 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
 CHUNK_ENTRIES = 2 ** 15
 
 
-def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: list[complex],
-           noise_var: float, a_offsets, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray,
+           gain: np.ndarray, noise_var: float, a_offsets,
+           rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
     """Carry consecutive channel blocks of latent bits, each over its own channel.
 
-    Block b owns the next rows[b] rows of bits and rides coefficient h[b] with
-    per-bit orders orders[b]. Every run of adaptmod.symbol_runs is zero-padded
-    to whole symbols, modulated, faded, equalized and demodulated with each
-    bit's own erasure offset; the trits of padding slots are dropped. Noise is
-    drawn in one call and laid out block by block, run by run, all real parts
-    before all imaginary parts: the order in which one transmit call per run
-    would draw it. An order with one unpadded run reads its bits and noise as
-    slices. Otherwise its slot map (each symbol's run, place in the run and
-    bit slots) is built once for a block row and broadcast over the block's
-    rows, so the index work does not grow with the rows. Returns the trit
-    matrix and each block's symbol count per row.
+    Block b owns the next rows[b] rows of bits and rides coefficient h[b],
+    equalized by gain[b] (channel.block_gains), with per-bit orders orders[b].
+    Every run of adaptmod.symbol_runs is zero-padded to whole symbols,
+    modulated, faded, equalized and demodulated with each bit's own erasure
+    offset, one demod_robust call per order over all the chunk's blocks (one
+    classify call per I/Q bit pair); the trits of padding slots are dropped.
+    Noise is drawn in one call and laid out block by block, run by run, all
+    real parts before all imaginary parts: the order in which one transmit
+    call per run would draw it. An order with one unpadded run reads its bits
+    and noise as slices. Otherwise its slot map (each symbol's run, place in
+    the run and bit slots) is built once for a block row and broadcast over
+    the block's rows, so the index work does not grow with the rows. Returns
+    the trit matrix and each block's symbol count per row.
     """
     run_block, run_start, run_len, run_order, run_syms = symbol_runs(orders)
     draw_syms = run_syms * rows[run_block]  # symbols per run over all its rows
     noise_start = np.cumsum(2 * draw_syms) - 2 * draw_syms
     row0 = np.cumsum(rows) - rows
     a_offsets = np.asarray(a_offsets, dtype=np.float64)
-    # channel.equalize's scalar gain, once per block, so the bytes match it
-    gain = np.array([np.conj(hb) / abs(hb) ** 2 for hb in h], dtype=complex)
-    h = np.asarray(h, dtype=complex)
     if noise_var != 0:
         noise = rng.std_normal(int(2 * draw_syms.sum()))
         scale = math.sqrt(noise_var / 2.0)
@@ -196,8 +199,9 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
         raise ConfigError("plan covers no bits")
     if len(a_offsets) != n_bits:
         raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
-    trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), [ch.h],
-                            ch.noise_var, a_offsets, rng)
+    h = np.array([ch.h])
+    trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), h,
+                            block_gains(h)[1], ch.noise_var, a_offsets, rng)
     return trits, int(symbols[0])
 
 
@@ -234,8 +238,10 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     bit bias of the encoder output.
 
     The pass runs in chunks of whole blocks of about CHUNK_ENTRIES latent
-    entries, each chunk with one call per stage; every random stream is drawn
-    in the same order as a block-by-block pass, so the results are the same.
+    entries, each chunk with one call per stage: one channel draw for all its
+    blocks (channel.draw_channels), one order matrix, one latent-bit draw,
+    one _carry and stacked forwards. Every random stream is drawn in the same
+    order as a block-by-block pass, so the results are the same.
     """
     if images_per_block < 1:
         raise ConfigError(f"images_per_block must be >= 1, got {images_per_block}")
@@ -250,6 +256,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         table = threshold_table(profile, betas)
     else:
         fixed = np.full(n_bits, check_order(fixed_order))
+    noise_var = channel_dist.noise_var
     ch_rng, bit_rng, noise_rng = rng.split(3)
     chunk_images = max(1, CHUNK_ENTRIES // (images_per_block * n_bits)) * images_per_block
 
@@ -263,15 +270,17 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         yc = y[start:start + chunk_images]
         bounds = np.append(np.arange(0, len(xc), images_per_block), len(xc))
         rows = np.diff(bounds)
-        chans = [draw_channel(channel_dist, ch_rng) for _ in rows]
+        h = draw_channels(channel_dist, len(rows), ch_rng)
+        g2, gain = block_gains(h)
         if adaptive:
-            orders = orders_from_thresholds([ch.snr for ch in chans], table)
+            snr = g2 / noise_var if noise_var else np.full(len(rows), math.inf)
+            orders = orders_from_thresholds(snr, table)
         else:
             orders = np.tile(fixed, (len(rows), 1))
         f = _forward_blocks(models.encoder, xc, images_per_block)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)
-        trits, symbols_per_row = _carry(bits, orders, rows, [ch.h for ch in chans],
-                                        channel_dist.noise_var, profile.a_offsets, noise_rng)
+        trits, symbols_per_row = _carry(bits, orders, rows, h, gain, noise_var,
+                                        profile.a_offsets, noise_rng)
         total_symbols += int(symbols_per_row @ rows)
         bit_sum += int(bits.sum())
         stats = _count_trits(bits, trits)

@@ -108,9 +108,9 @@ def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
 
 
 def sample_latent_bits(f: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """Independent Bernoulli draws from per-bit probabilities."""
+    """Independent Bernoulli draws from per-bit probabilities, as 0/1 uint8."""
     f = np.asarray(f, dtype=np.float64)
-    return (rng.random(f.shape) < f).astype(np.float64)
+    return (rng.random(f.shape) < f).view(np.uint8)
 
 
 def noisy_latent_law(f, mu, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

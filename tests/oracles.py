@@ -1,9 +1,11 @@
 """Reference code shared by the tests: hard decisions, the searchsorted trit
-kernel, the scalar symbol-grouping rule, the adaptive SE, the two-branch
-sigmoid, the per-chunk link Monte Carlo, and the block-by-block end-to-end
-pass with its per-group transport."""
+kernel, the scalar symbol-grouping rule, the scalar channel draw and
+threshold rule, the adaptive SE, the two-branch sigmoid, the per-chunk link
+Monte Carlo, and the block-by-block end-to-end pass with its per-group
+transport."""
 
 import functools
+import math
 
 import numpy as np
 
@@ -18,16 +20,17 @@ from semlink.channel import (
     ChannelDistribution,
     ChannelRealization,
     FixedSnr,
+    UniformMagnitude,
     draw_channel,
     equalize,
     transmit,
 )
-from semlink.constellation import build_constellation, check_order, pack_bits
+from semlink.constellation import SUPPORTED_ORDERS, build_constellation, check_order, pack_bits
 from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
-from semlink.errors import ConfigError
+from semlink.errors import ConfigError, DomainError
 from semlink.harness import LINK_CHUNK_BITS, LinkStats
 from semlink.jscc import ModelTriple, sample_latent_bits
-from semlink.numerics import RandomSource
+from semlink.numerics import RandomSource, q_inverse
 
 
 def unpack_words(words, m):
@@ -80,6 +83,52 @@ def plan_groups(orders):
     return tuple(groups)
 
 
+def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> ChannelRealization:
+    """One block of channel.draw_channels by scalar uniform draws: |h| (for
+    UniformMagnitude), then the phase, and h = mag * complex(cos, sin)."""
+    if isinstance(dist, FixedSnr):
+        mag = math.sqrt(dist.snr * dist.noise_var)
+    elif isinstance(dist, UniformMagnitude):
+        mag = rng.uniform(dist.g1, dist.g2)
+    else:
+        raise DomainError(f"unknown channel distribution {dist!r}")
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return ChannelRealization(h=mag * complex(math.cos(phase), math.sin(phase)),
+                              noise_var=dist.noise_var)
+
+
+def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:
+    """adaptmod.tau for one bit, in Python floats."""
+    m = check_order(order)
+    if not (0.0 <= a <= 1.0):
+        raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
+    root = math.sqrt(1 << m)
+    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
+    if not (arg > 0.0):
+        raise DomainError(f"threshold argument {arg} must be positive")
+    if arg >= 1.0:
+        return 0.0
+    t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse(arg) / (1.0 + a)
+    return max(t, 0.0)
+
+
+def thresholds_scalar(alpha: float, a: float, betas: BetaAdjusters) -> tuple[float, float, float]:
+    """adaptmod.thresholds for one bit through tau_scalar."""
+    t = tuple(tau_scalar(m, alpha, a, betas) for m in SUPPORTED_ORDERS)
+    if not (t[0] <= t[1] <= t[2]):
+        raise ConfigError(
+            f"thresholds not ascending for alpha={alpha}, a={a}: "
+            f"tau2={t[0]:.6g}, tau4={t[1]:.6g}, tau6={t[2]:.6g}"
+        )
+    return t
+
+
+def threshold_table_scalar(profile: RobustnessProfile, betas: BetaAdjusters) -> np.ndarray:
+    """adaptmod.threshold_table one bit at a time through thresholds_scalar."""
+    return np.array([thresholds_scalar(float(alpha), float(a), betas)
+                     for alpha, a in zip(profile.alphas, profile.a_offsets)])
+
+
 def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfile,
                      betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
     """Session spectral efficiency over random channel draws (bits/symbols)."""
@@ -112,7 +161,7 @@ def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
     n_sym = -(-n_bits // c.m)
     chunk = LINK_CHUNK_BITS // c.m
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    ch = draw_channel(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
+    ch = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
     erasures = corrects = 0
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * c.m)
@@ -161,7 +210,8 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
                              profile: RobustnessProfile, betas: BetaAdjusters,
                              adaptive: bool, dataset, rng: RandomSource,
                              images_per_block: int = 10, fixed_order: int = 2) -> dict:
-    """harness.run_end_to_end one channel block at a time: plan, then
+    """harness.run_end_to_end one channel block at a time: a scalar channel
+    draw, a plan from the scalar threshold table, then
     transport_block_per_group, which shares no code with harness._carry."""
     if images_per_block < 1:
         raise ConfigError(f"images_per_block must be >= 1, got {images_per_block}")
@@ -172,7 +222,7 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
         )
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
-    table = threshold_table(profile, betas) if adaptive else None
+    table = threshold_table_scalar(profile, betas) if adaptive else None
     static_plan = None if adaptive else ModPlan((check_order(fixed_order),) * n_bits)
     ch_rng, bit_rng, noise_rng = rng.split(3)
 
@@ -184,7 +234,7 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
     for start in range(0, len(x), images_per_block):
         xb = x[start:start + images_per_block]
         yb = y[start:start + images_per_block]
-        ch = draw_channel(channel_dist, ch_rng)
+        ch = draw_channel_scalar(channel_dist, ch_rng)
         plan = plan_from_thresholds(ch.snr, table) if adaptive else static_plan
         f = models.encoder.forward(xb)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)

@@ -23,7 +23,7 @@ from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import q_inverse
 
-from oracles import plan_groups
+from oracles import plan_groups, tau_scalar, thresholds_scalar
 
 
 # Scalar per-bit planner, kept as the oracle for plan_from_thresholds.
@@ -148,6 +148,65 @@ class TestTau:
         t_high = thresholds(0.45, 0.5, HETEROGENEOUS_BETAS)
         # tau2(low) <= tau4(high) <= tau6(high) <= tau4(low) <= tau6(low)
         assert t_low[0] <= t_high[1] <= t_high[2] <= t_low[1] <= t_low[2]
+
+
+class TestArrayThresholds:
+    """tau and thresholds over arrays equal the scalar oracle byte for byte."""
+
+    # up to alpha = 2, so every order also meets arguments in (1/2, 1)
+    # (a negative root, clamped) and at or above 1 (a zero threshold)
+    ALPHAS = np.union1d(np.linspace(0.01, 2.0, 200), [0.5])  # 0.5: a zero root
+    OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS],
+                             ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_tau_matches_scalar_oracle(self, m, betas):
+        got = tau(m, self.ALPHAS[:, None], self.OFFSETS, betas)
+        expected = np.array([[tau_scalar(m, float(alpha), float(a), betas)
+                              for a in self.OFFSETS] for alpha in self.ALPHAS])
+        assert got.tobytes() == expected.tobytes()
+        root = math.sqrt(1 << m)
+        arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * self.ALPHAS
+        assert np.any(arg >= 1.0) and np.all(got[arg >= 1.0] == 0.0)
+        clamped = (arg > 0.5) & (arg < 1.0)
+        assert np.any(clamped) and np.all(got[clamped] == 0.0)
+
+    @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS],
+                             ids=["homogeneous", "heterogeneous"])
+    def test_table_matches_scalar_oracle(self, betas):
+        alphas = np.linspace(0.01, 0.45, 45)
+        got = thresholds(alphas[:, None], self.OFFSETS, betas)
+        expected = np.array([[thresholds_scalar(float(alpha), float(a), betas)
+                              for a in self.OFFSETS] for alpha in alphas])
+        assert got.shape == (45, 5, 3)
+        assert got.tobytes() == expected.tobytes()
+        profile = RobustnessProfile(alphas, np.resize(self.OFFSETS, 45))
+        expected = np.array([thresholds_scalar(float(alpha), float(a), betas)
+                             for alpha, a in zip(profile.alphas, profile.a_offsets)])
+        assert threshold_table(profile, betas).tobytes() == expected.tobytes()
+
+    def test_scalar_arguments_give_scalars(self):
+        assert np.ndim(tau(4, 0.4, 0.5, HETEROGENEOUS_BETAS)) == 0
+        assert thresholds(0.4, 0.5, HETEROGENEOUS_BETAS).shape == (3,)
+
+    @pytest.mark.parametrize("alpha,a,betas,bit", [
+        ([0.3, 0.0, 0.2, 0.0], 0.5, HETEROGENEOUS_BETAS, 1),
+        ([0.3, 0.4, 0.2], [0.5, 1.5, 2.0], HETEROGENEOUS_BETAS, 1),
+        # the betas of test_ordering_violation_rejected fail every bit
+        ([0.4, 0.3], 0.5, BetaAdjusters(0.01, 0.99, 0.99), 0),
+        # these pass at alpha 0.1 and 0.2 and fail from 0.29 on
+        ([0.1, 0.2, 0.35, 0.45], 0.5, BetaAdjusters(0.6, 1.0, 1.0), 2),
+    ], ids=["alpha-zero", "offset-out-of-range", "not-ascending", "not-ascending-later-bit"])
+    def test_errors_name_the_first_offending_bit(self, alpha, a, betas, bit):
+        alpha, a = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(a, float))
+        with pytest.raises((ConfigError, DomainError)) as expected:
+            thresholds_scalar(float(alpha[bit]), float(a[bit]), betas)
+        for i in range(bit):
+            thresholds_scalar(float(alpha[i]), float(a[i]), betas)
+        with pytest.raises(expected.type) as got:
+            thresholds(alpha, a, betas)
+        assert str(got.value) == str(expected.value)
 
 
 class TestSelectOrder:

@@ -10,12 +10,16 @@ from semlink.channel import (
     ChannelRealization,
     FixedSnr,
     UniformMagnitude,
+    block_gains,
     draw_channel,
+    draw_channels,
     equalize,
     transmit,
 )
 from semlink.errors import DomainError
 from semlink.numerics import RandomSource
+
+from oracles import draw_channel_scalar
 
 
 def test_noiseless_transmit_is_exact():
@@ -43,6 +47,16 @@ def test_zero_h_rejected():
             equalize(np.array([1 + 0j]), h)
         with pytest.raises(DomainError):
             ChannelRealization(h=h, noise_var=1.0)
+
+
+def test_overflowing_gain_rejected():
+    # |h|^2 = 1e-320 is positive but subnormal: conj(h)/|h|^2 overflows
+    with pytest.raises(DomainError, match=r"equalizer gain conj\(h\)/\|h\|\^2 must be finite"):
+        equalize(np.array([1 + 0j]), 1e-160)
+    with pytest.raises(DomainError, match="equalizer gain"):
+        block_gains(np.array([1.0, 1e-160j, 2.0]))
+    with pytest.raises(DomainError, match="must be positive, got 0.0"):
+        block_gains(np.array([1.0, 1e-160, 1e-200]))
 
 
 @pytest.mark.parametrize("h", [1e-200, 1e-200j, complex(math.nan, 0.0), math.nan],
@@ -112,3 +126,34 @@ class TestDrawChannel:
         for g2 in (math.inf, 1e300):  # |h|^2 overflows
             with pytest.raises(DomainError, match="g2"):
                 UniformMagnitude(0.0, g2)
+        for noise_var in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="noise variance"):
+                FixedSnr(snr=1.0, noise_var=noise_var)
+            with pytest.raises(DomainError, match="noise variance"):
+                UniformMagnitude(0.37, 2.5, noise_var=noise_var)
+
+
+class TestDrawChannels:
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("dist", [FixedSnr(snr=2.5, noise_var=0.7),
+                                      UniformMagnitude(0.37, 2.5, noise_var=1.3)],
+                             ids=["fixed", "uniform"])
+    def test_equals_scalar_draws(self, dist, n):
+        # one array draw gives the bytes of n scalar draws, |h|^2, the SNR and
+        # equalize's gain included, and leaves the stream where they leave it
+        rng, ref = RandomSource(5), RandomSource(5)
+        h = draw_channels(dist, n, rng)
+        chans = [draw_channel_scalar(dist, ref) for _ in range(n)]
+        assert h.shape == (n,)
+        assert h.tobytes() == np.array([ch.h for ch in chans]).tobytes()
+        g2, gain = block_gains(h)
+        assert (g2 / dist.noise_var).tobytes() == np.array([ch.snr for ch in chans]).tobytes()
+        assert gain.tobytes() == np.array([np.conj(ch.h) / abs(ch.h) ** 2
+                                           for ch in chans]).tobytes()
+        assert rng.random(5).tobytes() == ref.random(5).tobytes()
+
+    def test_draw_channel_is_one_block(self):
+        for dist in (FixedSnr(snr=2.5), UniformMagnitude(0.37, 2.5)):
+            ch = draw_channel(dist, RandomSource(6))
+            assert ch == draw_channel_scalar(dist, RandomSource(6))
+            assert type(ch.h) is complex

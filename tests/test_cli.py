@@ -353,8 +353,12 @@ class TestTrainEvalPipeline:
         (("--uniform", "0.37:2.5"), "adaptive", "maybe", "expected true or false"),
         ((), "uniform", "0:1e-300", "channel gain |h|^2 must be positive"),
         (("--adaptive",), "uniform", "0:1e-300", "channel gain |h|^2 must be positive"),
+        # |h|^2 is subnormal, so 1/|h|^2 overflows the equalizer gain
+        ((), "uniform", "0:1e-160", "equalizer gain conj(h)/|h|^2 must be finite"),
+        (("--adaptive",), "uniform", "0:1e-160", "equalizer gain conj(h)/|h|^2 must be finite"),
     ], ids=["uniform-inf", "uniform-1e300", "uniform-empty", "both-channels", "adaptive-maybe",
-            "uniform-zero-gain", "uniform-zero-gain-adaptive"])
+            "uniform-zero-gain", "uniform-zero-gain-adaptive", "uniform-inf-gain",
+            "uniform-inf-gain-adaptive"])
     def test_bad_eval_input_is_a_one_line_error(self, capsys, tmp_path, model_dir, channel,
                                                 key, value, message, via_config):
         argv = ("eval", "--model-dir", str(model_dir), "--classes", "4", "--dim", "16",

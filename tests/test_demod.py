@@ -7,6 +7,7 @@ import pytest
 
 from semlink.constellation import SUPPORTED_ORDERS, build_constellation
 from semlink.demod import (
+    BitRegions,
     a_from_rho,
     build_regions,
     demod_llr,
@@ -347,3 +348,51 @@ class TestTritKernel:
         regions = build_regions(build_constellation(2), 0.0)
         with pytest.raises(DomainError, match=r"boundary offsets of shape .* do not fit \(3, 2\)"):
             demod_robust(np.zeros(3, complex), regions, np.zeros(shape))
+
+
+# per-bit offsets whose I/Q pairs (bit k, bit k + m/2) differ, some of them 0
+PAIR_MISMATCHED = {2: [0.0, 0.5], 4: [0.25, 0.0, 0.0, 1.0], 6: [0.5, 0.0, 1.0, 0.0, 0.25, 0.0]}
+
+
+class TestIqPairs:
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_pairs_share_transitions_and_pattern(self, m):
+        bits = build_regions(build_constellation(m), PAIR_MISMATCHED[m]).bits
+        for k in range(m // 2):
+            re, im = bits[k], bits[k + m // 2]
+            assert (re.axis, im.axis) == (0, 1)
+            assert np.array_equal(re.transitions, im.transitions)
+            assert np.array_equal(re.pattern, im.pattern)
+
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_pair_mismatched_offsets_equal_per_bit_classify(self, m):
+        # coordinates on every band edge of both axes, plus +-inf and NaN
+        regions = build_regions(build_constellation(m), PAIR_MISMATCHED[m])
+        re = np.concatenate([differential_coords(regions.bits[0], 3000, 80 + m), EDGE_COORDS])
+        im = re[RandomSource(90 + m).permutation(re.size)]
+        y = np.empty((re.size, 1), complex)  # set by part: inf * 1j would give NaN
+        y.real[:, 0], y.imag[:, 0] = re, im
+        got = demod_robust(y, regions).reshape(re.size, m)
+        for br in regions.bits:
+            coords = re if br.axis == 0 else im
+            assert np.array_equal(got[:, br.bit], br.classify(coords), equal_nan=True)
+        a_slots = np.broadcast_to(PAIR_MISMATCHED[m], (re.size, 1, m))
+        assert np.array_equal(demod_robust(y, build_regions(build_constellation(m), 0.0),
+                                           a_slots), got.reshape(-1))
+
+    @pytest.mark.parametrize("a", [None, 0.5, "per-slot"])
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_one_classify_call_per_pair(self, m, a, monkeypatch):
+        calls = []
+        classify = BitRegions.classify
+
+        def counting(self, coords, a=None):
+            calls.append(self.bit)
+            return classify(self, coords, a)
+
+        monkeypatch.setattr(BitRegions, "classify", counting)
+        y = random_samples(40, 16).reshape(4, 10)
+        if a == "per-slot":
+            a = mixed_offsets(40 * m, 17).reshape(4, 10, m)
+        demod_robust(y, build_regions(build_constellation(m), PAIR_MISMATCHED[m]), a)
+        assert calls == list(range(m // 2))
