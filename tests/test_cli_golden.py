@@ -29,9 +29,22 @@ CASES = {
     "eval_adaptive.csv": ["eval", "--model-dir", str(MODEL_DIR), *TINY_DATA,
                           "--adaptive", "--uniform", "0.37:2.5", "--profile", str(MIXED),
                           "--images-per-block", "2", "--seed", "6"],
+    # three full 2**16-bit link chunks and a partial one
+    "simulate_ber_chunks.csv": ["simulate-ber", "--order", "6", "--a", "0.5",
+                                "--snr-db", "0:6:6", "--n-bits", "200000", "--seed", "7"],
+    # two evaluation chunks, the second ending in a short block
+    "eval_adaptive_chunks.csv": ["eval", "--model-dir", str(MODEL_DIR),
+                                 *TINY_DATA[:4], "--per-class", "1000", "--noise-sigma", "1.0",
+                                 "--adaptive", "--uniform", "0.37:2.5", "--profile", str(MIXED),
+                                 "--images-per-block", "7", "--seed", "8"],
 }
 TRAIN = ["train", *TINY_DATA, "--profile", str(MIXED), "--epochs", "4",
          "--warmup-epochs", "1", "--batch-size", "16", "--seed", "2"]
+# a homogeneous a = 0.5 profile; 120 examples leave a short last batch of 24
+TRAIN_A05 = ["train", *TINY_DATA, "--latent-bits", "12", "--alpha", "0.4", "--a", "0.5",
+             "--epochs", "4", "--warmup-epochs", "1", "--batch-size", "32", "--seed", "3"]
+TRAIN_RUNS = {"train.csv": (TRAIN, MODEL_DIR),
+              "train_a05.csv": (TRAIN_A05, GOLDENS / "train_a05_models")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -41,17 +54,27 @@ def test_command_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDENS / name).read_bytes()
 
 
+def _check_train(name, tmp_path):
+    argv, model_dir = TRAIN_RUNS[name]
+    out = tmp_path / name
+    assert main([*argv, "--model-dir", str(tmp_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDENS / name).read_bytes()
+    for model in MODEL_FILES:
+        assert (tmp_path / model).read_bytes() == (model_dir / model).read_bytes(), model
+
+
 def test_train_golden(tmp_path):
-    out = tmp_path / "train.csv"
-    assert main([*TRAIN, "--model-dir", str(tmp_path), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDENS / "train.csv").read_bytes()
-    for name in MODEL_FILES:
-        assert (tmp_path / name).read_bytes() == (MODEL_DIR / name).read_bytes(), name
+    _check_train("train.csv", tmp_path)
+
+
+def test_train_a05_golden(tmp_path):
+    _check_train("train_a05.csv", tmp_path)
 
 
 def regenerate() -> None:
-    assert main([*TRAIN, "--model-dir", str(MODEL_DIR),
-                 "--out", str(GOLDENS / "train.csv")]) == 0
+    for name, (argv, model_dir) in TRAIN_RUNS.items():
+        assert main([*argv, "--model-dir", str(model_dir),
+                     "--out", str(GOLDENS / name)]) == 0
     for name, argv in CASES.items():
         assert main([*argv, "--out", str(GOLDENS / name)]) == 0
 
