@@ -88,8 +88,10 @@ def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0) & (mu < 0.5)):
         raise DomainError("flip probabilities must lie in [0, 0.5)")
-    out = np.zeros_like(mu)
     pos = mu > 0
+    if pos.all():
+        return q_function_array(q_inverse_array(mu) / 3.0) - mu
+    out = np.zeros_like(mu)
     out[pos] = q_function_array(q_inverse_array(mu[pos]) / 3.0) - mu[pos]
     return out
 

@@ -260,16 +260,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_models(model_dir) -> ModelTriple:
-    base = Path(model_dir)
-    enc, dec, clf = (load_model(base / name) for name in MODEL_FILES)
+def _load_models(model_dir, dataset) -> ModelTriple:
+    """Load the three model files and check that they chain with the dataset."""
+    paths = [Path(model_dir) / name for name in MODEL_FILES]
+    enc, dec, clf = (load_model(path) for path in paths)
+    dim = dataset.feature_dim
+    for path, what, got, want, source in (
+        (paths[0], "input", enc.in_dim, dim, "the dataset's feature dim"),
+        (paths[1], "input", dec.in_dim, enc.out_dim, "the encoder's output dim"),
+        (paths[1], "output", dec.out_dim, dim, "the dataset's feature dim"),
+        (paths[2], "input", clf.in_dim, dec.out_dim, "the decoder's output dim"),
+    ):
+        if got != want:
+            raise FormatError(f"{path}: {what} dim {got} does not match {source} {want}")
+    if clf.out_dim < dataset.n_classes:
+        raise FormatError(f"{paths[2]}: {clf.out_dim} outputs for a dataset of "
+                          f"{dataset.n_classes} classes")
     return ModelTriple(enc, dec, clf)
 
 
 def cmd_eval(args) -> int:
     eval_rng = RandomSource(args.seed)
     dataset = _load_dataset(args)
-    models = _load_models(args.model_dir)
+    models = _load_models(args.model_dir, dataset)
     profile = _profile_from_args(args, models.encoder.out_dim)
     betas = parse_betas(args.betas)
     metric_names = ["accuracy", "mse", "spectral_efficiency", "flip_rate",

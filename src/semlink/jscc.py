@@ -113,26 +113,21 @@ def sample_latent_bits(f: np.ndarray, rng: RandomSource) -> np.ndarray:
     return (rng.random(f.shape) < f).view(np.uint8)
 
 
-def noisy_latent_law(f, mu, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginal law of the decoder input: P(0), P(0.5), P(1) elementwise."""
-    f = np.asarray(f, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    keep = 1.0 - d - mu
-    p_one = mu * (1.0 - f) + keep * f
-    p_zero = mu * f + keep * (1.0 - f)
-    return p_zero, d * np.ones_like(p_zero), p_one
-
-
 def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
     """One draw per entry from the three-point law over {0, 0.5, 1}.
 
     Marginalizes the Bernoulli quantization and the erasure channel in a
-    single step.
+    single step: with P(1) = (1-d-mu) f + mu (1-f), a uniform u gives 0.5
+    when u < d, 1 when d <= u < d + P(1), and 0 otherwise.
     """
-    _, p_half, p_one = noisy_latent_law(f, mu, d)
-    u = rng.random(np.shape(p_one))
-    return np.where(u < p_half, TRIT_ERASURE, np.where(u < p_half + p_one, 1.0, 0.0))
+    f = np.asarray(f, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    p_one = (1.0 - d - mu) * f + mu * (1.0 - f)
+    u = rng.random(p_one.shape)
+    out = (u < d + p_one).astype(np.float64)
+    out[u < d] = TRIT_ERASURE
+    return out
 
 
 def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
@@ -154,7 +149,9 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
 
     grad_uhat = clf.backward(grad_logits) + loss_weight * grad_uhat_mse
     grad_bhat = dec.backward(grad_uhat)
-    enc.backward(grad_bhat)  # gradient w.r.t. probabilities := gradient w.r.t. b_hat
+    # gradient w.r.t. probabilities := gradient w.r.t. b_hat; the encoder's own
+    # input gradient has no use
+    enc.backward(grad_bhat, input_grad=False)
     return loss, mse, ce, logits
 
 
@@ -171,6 +168,7 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
     opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas = config.profile.alphas
+    no_alphas = np.zeros_like(alphas)
     result = TrainResult(models=models)
 
     # a diverging run overflows before its loss turns non-finite; that check
@@ -179,6 +177,8 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(x))
             warm = epoch < config.warmup_epochs
+            # mu is exactly 0 in warm-up and under a zero profile, and so is d
+            noiseless = warm or not alphas.any()
             tot_loss = tot_mse = tot_ce = 0.0
             correct = 0
             n_batches = 0
@@ -188,9 +188,8 @@ def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> T
                 f = models.encoder.forward(xb)
                 # warm-up scales the same draws by zero, keeping the stream
                 # aligned with a zero-robustness profile run
-                mu = sample_mu_matrix(np.zeros_like(alphas) if warm else alphas,
-                                      len(xb), noise_rng)
-                d = erasure_from_mu_array(mu)
+                mu = sample_mu_matrix(no_alphas if warm else alphas, len(xb), noise_rng)
+                d = 0.0 if noiseless else erasure_from_mu_array(mu)
                 b_hat = noisy_latent_sample(f, mu, d, noise_rng)
                 loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
                                                              config.loss_weight)

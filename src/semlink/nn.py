@@ -6,6 +6,14 @@ against finite differences. Each activation's gradient follows from its
 output alone, so a forward pass caches one array per layer plus the input.
 Everything runs in float64.
 
+Parameters live in flat buffers. A DenseModel allocates one `params` and one
+`grads` buffer and views every layer's weight, bias and gradients into them.
+An AdamState over several models copies their buffers into one `params` and
+one `grads` buffer of its own and rebinds each model, and each layer view, to
+its slice, once, when the state is built; from then on the state owns the
+memory and one step updates all models in place. The forward pass adds the
+bias and applies the activation in place on each layer's fresh product.
+
 Model files store each layer's activation as a one-byte id. Ids 2 (tanh) and
 4 (softmax) belonged to activations that no model used and that were dropped;
 they stay unassigned, so such a file fails to load with a FormatError.
@@ -28,12 +36,21 @@ MODEL_MAGIC = b"SEMLINK1"
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the activation in place: z is overwritten and returned."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
-        # exp of a non-positive argument only: no overflow on either side
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+        # exp of a non-positive argument only: no overflow on either side;
+        # the result is where(z >= 0, 1, e) / (1 + e) with e = exp(-|z|)
+        pos = z >= 0
+        e = np.abs(z)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.copyto(z, e)
+        np.copyto(z, 1.0, where=pos)
+        e += 1.0
+        z /= e
+        return z
     if kind == "identity":
         return z
     raise DomainError(f"unknown activation {kind!r}")
@@ -69,7 +86,10 @@ class DenseModel:
 
     `params` holds W0, b0, W1, b1, ... in the model file's payload order and
     `grads` mirrors it; every layer's weight, bias, grad_weight and grad_bias
-    are views into these two buffers.
+    are views into these two buffers. The model allocates both itself; an
+    AdamState built over it moves them into slices of its own buffers and
+    rebinds every view once, at construction, so arrays taken from a layer
+    before that point are no longer updated by training.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -80,21 +100,25 @@ class DenseModel:
                 raise DomainError(
                     f"layer dimensions do not chain: {prev.weight.shape} -> {nxt.weight.shape}"
                 )
-        size = sum(l.weight.size + l.bias.size for l in layers)
-        self.params = np.empty(size)
-        self.grads = np.zeros(size)
-        off = 0
-        for layer in layers:
-            for name in ("weight", "bias"):
-                value = getattr(layer, name)
-                view = self.params[off:off + value.size].reshape(value.shape)
-                view[...] = value
-                setattr(layer, name, view)
-                setattr(layer, "grad_" + name,
-                        self.grads[off:off + value.size].reshape(value.shape))
-                off += value.size
         self.layers = layers
+        self.params = np.concatenate([a.ravel() for l in layers for a in (l.weight, l.bias)])
+        self._bind(self.params, np.zeros_like(self.params))
         self._cache: list[np.ndarray] | None = None  # the input, then each layer's output
+
+    def _bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Point `params`, `grads` and every layer view at the given buffers.
+
+        The buffers must already hold the values; nothing is copied.
+        """
+        self.params, self.grads = params, grads
+        off = 0
+        for layer in self.layers:
+            for name in ("weight", "bias"):
+                shape = getattr(layer, name).shape
+                end = off + getattr(layer, name).size
+                setattr(layer, name, params[off:end].reshape(shape))
+                setattr(layer, "grad_" + name, grads[off:end].reshape(shape))
+                off = end
 
     @property
     def in_dim(self) -> int:
@@ -108,20 +132,27 @@ class DenseModel:
         """Run a (batch, in_dim) array through the stack, caching for backward.
 
         A (blocks, batch, in_dim) stack runs every block at once and drops the
-        cache, so only a 2-D forward can be followed by backward.
+        cache, so only a 2-D forward can be followed by backward. Each layer
+        adds its bias and applies its activation in place on its fresh product.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.in_dim:
             raise DomainError(f"expected input dim {self.in_dim}, got {x.shape[-1]}")
         cache = [x]
         for layer in self.layers:
-            x = _activate(x @ layer.weight.T + layer.bias, layer.activation)
+            z = x @ layer.weight.T
+            z += layer.bias
+            x = _activate(z, layer.activation)
             cache.append(x)
         self._cache = cache if cache[0].ndim == 2 else None
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Write parameter gradients into `grads`; returns the gradient w.r.t. input."""
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Write parameter gradients into `grads`; returns the gradient w.r.t. input.
+
+        With input_grad=False the first layer's input product is skipped and
+        None is returned; the gradients written are the same.
+        """
         if self._cache is None:
             raise StateError("backward called without a cached forward pass")
         grad = np.asarray(grad_out, dtype=np.float64)
@@ -130,6 +161,8 @@ class DenseModel:
             grad_z = _activation_backward(grad, out, layer.activation)
             np.matmul(grad_z.T, x_in, out=layer.grad_weight)
             grad_z.sum(axis=0, out=layer.grad_bias)
+            if i == 0 and not input_grad:
+                return None
             grad = grad_z @ layer.weight
         return grad
 
@@ -158,26 +191,55 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Bias-corrected Adam moments over the flat parameters of several models."""
+    """Bias-corrected Adam moments over the parameters of several models.
+
+    The state owns one flat `params` and one flat `grads` buffer over all its
+    models, in the order given, plus the two moments and two scratch buffers
+    of the same length. Construction copies each model's parameters and
+    gradients in and rebinds the model's `params`, `grads` and layer views to
+    its slice, so one step updates every model with a fixed number of in-place
+    array operations.
+    """
 
     def __init__(self, models: list[DenseModel]):
         self.models = list(models)
         self.step_count = 0
-        self._m = [np.zeros_like(model.params) for model in self.models]
-        self._v = [np.zeros_like(model.params) for model in self.models]
+        self.params = np.concatenate([model.params for model in self.models])
+        self.grads = np.concatenate([model.grads for model in self.models])
+        off = 0
+        for model in self.models:
+            end = off + model.params.size
+            model._bind(self.params[off:end], self.grads[off:end])
+            off = end
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
+        self._scratch = (np.empty_like(self.params), np.empty_like(self.params))
 
     def step(self, lr: float) -> None:
-        """One Adam update of every model from its last backward pass."""
+        """One Adam update of every model from its last backward pass.
+
+        Computes m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        params -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps), rounding as written.
+        """
         self.step_count += 1
         b1c = 1.0 - ADAM_BETA1 ** self.step_count
         b2c = 1.0 - ADAM_BETA2 ** self.step_count
-        for model, m, v in zip(self.models, self._m, self._v):
-            grad = model.grads
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad * grad
-            model.params -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+        g, m, v = self.grads, self._m, self._v
+        s, t = self._scratch
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+        s *= g
+        v += s
+        np.divide(v, b2c, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(m, b1c, out=t)
+        t *= lr
+        t /= s
+        self.params -= t
 
 
 def mse_loss(u: np.ndarray, u_hat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -232,6 +294,8 @@ def load_model(path) -> DenseModel:
         raise FormatError(f"{path}: truncated header at byte {len(blob)}")
     (n_layers,) = struct.unpack_from("<I", blob, off)
     off += 4
+    if n_layers == 0:
+        raise FormatError(f"{path}: the model has no layers")
     headers = []
     for _ in range(n_layers):
         if len(blob) < off + 9:
@@ -241,14 +305,27 @@ def load_model(path) -> DenseModel:
         if act_id not in _ACT_NAMES:
             raise FormatError(f"{path}: unknown activation id {act_id}")
         headers.append((rows, cols, _ACT_NAMES[act_id]))
+    for k, ((rows, _, _), (_, cols, _)) in enumerate(zip(headers, headers[1:]), 1):
+        if cols != rows:
+            raise FormatError(f"{path}: layer {k} takes {cols} inputs, layer {k - 1} "
+                              f"gives {rows}")
     size = sum(rows * (cols + 1) for rows, cols, _ in headers)
     if len(blob) < off + 8 * size:
         raise FormatError(f"{path}: expected {off + 8 * size} bytes, file has {len(blob)}")
+    if len(blob) > off + 8 * size:
+        raise FormatError(f"{path}: {len(blob) - off - 8 * size} bytes after the payload, "
+                          f"which ends at byte {off + 8 * size}")
     payload = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
     layers = []
-    for rows, cols, act in headers:
+    for k, (rows, cols, act) in enumerate(headers):
         w = payload[:rows * cols].reshape(rows, cols)
         b = payload[rows * cols:rows * (cols + 1)]
         payload = payload[rows * (cols + 1):]
+        for name, value in (("weight", w), ("bias", b)):
+            bad = np.flatnonzero(~np.isfinite(value))
+            if bad.size:
+                entry = ", ".join(map(str, np.unravel_index(bad[0], value.shape)))
+                raise FormatError(f"{path}: non-finite parameters start at layer {k} "
+                                  f"{name}[{entry}] ({value.flat[bad[0]]})")
         layers.append(Layer(w, b, act))
     return DenseModel(layers)

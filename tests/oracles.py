@@ -151,6 +151,24 @@ def sigmoid_two_branch(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def noisy_latent_law(f, mu, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Marginal law of the decoder input: P(0), P(0.5), P(1) elementwise."""
+    f = np.asarray(f, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    keep = 1.0 - d - mu
+    p_one = mu * (1.0 - f) + keep * f
+    p_zero = mu * f + keep * (1.0 - f)
+    return p_zero, d * np.ones_like(p_zero), p_one
+
+
+def noisy_latent_sample_by_law(f, mu, d, rng: RandomSource) -> np.ndarray:
+    """jscc.noisy_latent_sample as nested selects over the full three-point law."""
+    _, p_half, p_one = noisy_latent_law(f, mu, d)
+    u = rng.random(np.shape(p_one))
+    return np.where(u < p_half, TRIT_ERASURE, np.where(u < p_half + p_one, 1.0, 0.0))
+
+
 def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
                               rng: RandomSource) -> LinkStats:
     """harness.run_link_montecarlo without _carry: per chunk of LINK_CHUNK_BITS

@@ -2,15 +2,19 @@
 
 import contextlib
 import io
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink.cli import main, parse_sweep, load_profile, load_config_file
+from semlink.cli import MODEL_FILES, main, parse_sweep, load_profile, load_config_file
 from semlink.errors import ConfigError
+from semlink.nn import MODEL_MAGIC, init_model, save_model
+from semlink.numerics import RandomSource
 
 
 TINY_TRAIN = ("--classes", "2", "--dim", "4", "--per-class", "4", "--latent-bits", "4",
@@ -291,6 +295,72 @@ def model_dir(tmp_path_factory):
     ])
     assert code == 0
     return base
+
+
+GOLDEN_MODELS = Path(__file__).parent / "goldens" / "train_models"
+# the data the golden models were trained on: 8 features, 3 classes, 12 latent bits
+GOLDEN_DATA = ("--classes", "3", "--dim", "8", "--per-class", "4", "--noise-sigma", "1.0")
+
+
+def _patch_last_parameter(path, value):
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+class TestModelFileErrors:
+    """Every bad model file ends with exit 2 and one error line naming the file."""
+
+    @pytest.fixture
+    def models(self, tmp_path):
+        for name in MODEL_FILES:
+            shutil.copy(GOLDEN_MODELS / name, tmp_path / name)
+        return tmp_path
+
+    def run_eval(self, capsys, models, *data):
+        return run_cli(capsys, "eval", "--model-dir", str(models), *(data or GOLDEN_DATA),
+                       "--uniform", "0.37:2.5", "--adaptive")
+
+    def test_golden_models_evaluate(self, capsys, models):
+        assert self.run_eval(capsys, models)[0] == 0
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda d: _patch_last_parameter(d / "encoder.bin", np.nan),
+         "encoder.bin: non-finite parameters start at layer 2 bias[11] (nan)"),
+        (lambda d: _patch_last_parameter(d / "classifier.bin", -np.inf),
+         "classifier.bin: non-finite parameters start at layer 2 bias[2] (-inf)"),
+        (lambda d: (d / "decoder.bin").write_bytes((d / "decoder.bin").read_bytes() + b"\0"),
+         "decoder.bin: 1 bytes after the payload"),
+        (lambda d: (d / "classifier.bin").write_bytes(MODEL_MAGIC + bytes(4)),
+         "classifier.bin: the model has no layers"),
+        (lambda d: shutil.copy(d / "classifier.bin", d / "decoder.bin"),
+         "decoder.bin: input dim 8 does not match the encoder's output dim 12"),
+        (lambda d: save_model(init_model([12, 5], ["identity"], RandomSource(1)),
+                              d / "decoder.bin"),
+         "decoder.bin: output dim 5 does not match the dataset's feature dim 8"),
+        (lambda d: save_model(init_model([5, 3], ["identity"], RandomSource(1)),
+                              d / "classifier.bin"),
+         "classifier.bin: input dim 5 does not match the decoder's output dim 8"),
+    ], ids=["nan-encoder", "inf-classifier", "trailing-byte", "zero-layers",
+            "classifier-as-decoder", "decoder-output", "classifier-input"])
+    def test_bad_model_file_is_a_one_line_error(self, capsys, models, corrupt, message):
+        corrupt(models)
+        code, out, err = self.run_eval(capsys, models)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("data,message", [
+        (("--classes", "3", "--dim", "16", "--per-class", "4"),
+         "encoder.bin: input dim 8 does not match the dataset's feature dim 16"),
+        (("--classes", "4", "--dim", "8", "--per-class", "4"),
+         "classifier.bin: 3 outputs for a dataset of 4 classes"),
+    ], ids=["feature-dim", "classes"])
+    def test_models_that_do_not_fit_the_data(self, capsys, models, data, message):
+        code, out, err = self.run_eval(capsys, models, *data)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestTrainEvalPipeline:

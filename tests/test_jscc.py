@@ -16,7 +16,6 @@ from semlink.jscc import (
     backward_with_bypass,
     build_models,
     eval_under_bsec,
-    noisy_latent_law,
     noisy_latent_sample,
     sample_latent_bits,
     train,
@@ -24,6 +23,8 @@ from semlink.jscc import (
 )
 from semlink.nn import mse_loss, ce_loss
 from semlink.numerics import RandomSource
+
+from oracles import noisy_latent_law, noisy_latent_sample_by_law
 
 
 def tiny_dataset(seed=50, n_per_class=25, dim=16, classes=4, sigma=1.0):
@@ -77,9 +78,30 @@ class TestLatentSampling:
         rng = RandomSource(3)
         n = 10**6
         draws = noisy_latent_sample(np.full(n, 0.7), np.full(n, 0.1), np.full(n, 0.2), rng)
-        assert abs(np.mean(draws == 0.0) - 0.28) <= 3 * np.sqrt(0.28 * 0.72 / n)
-        assert abs(np.mean(draws == 0.5) - 0.20) <= 3 * np.sqrt(0.2 * 0.8 / n)
-        assert abs(np.mean(draws == 1.0) - 0.52) <= 3 * np.sqrt(0.52 * 0.48 / n)
+        for value, p in zip((0.0, 0.5, 1.0), noisy_latent_law(0.7, 0.1, 0.2)):
+            assert abs(np.mean(draws == value) - p) <= 3 * np.sqrt(p * (1 - p) / n)
+
+    def test_sample_frequencies_follow_per_entry_law(self):
+        rng = RandomSource(5)
+        shape = (1000, 64)
+        f = rng.random(shape)
+        mu = rng.random(shape) * 0.4
+        d = rng.random(shape) * (1.0 - mu) * 0.5
+        draws = noisy_latent_sample(f, mu, d, RandomSource(6))
+        for value, p in zip((0.0, 0.5, 1.0), noisy_latent_law(f, mu, d)):
+            # a sum of independent indicators: mean sum(p), variance sum(p(1-p))
+            z = (np.sum(draws == value) - p.sum()) / np.sqrt(np.sum(p * (1 - p)))
+            assert abs(z) < 4.0, (value, z)
+
+    @pytest.mark.parametrize("shapes", [((7, 5), (7, 5), (7, 5)), ((7, 5), (), ()),
+                                        ((7, 5), (5,), (7, 5))])
+    def test_sample_equals_nested_selects_over_the_law(self, shapes):
+        rng = RandomSource(8)
+        f = rng.random(shapes[0])
+        mu = rng.random(shapes[1]) * 0.3
+        d = rng.random(shapes[2]) * 0.3
+        np.testing.assert_array_equal(noisy_latent_sample(f, mu, d, RandomSource(9)),
+                                      noisy_latent_sample_by_law(f, mu, d, RandomSource(9)))
 
     def test_warmup_deterministic_bit(self):
         rng = RandomSource(4)

@@ -7,6 +7,7 @@ import pytest
 
 from semlink.errors import DomainError, FormatError, StateError
 from semlink.nn import (
+    MODEL_MAGIC,
     AdamState,
     DenseModel,
     Layer,
@@ -92,15 +93,15 @@ class TestActivations:
 
     def test_sigmoid_equals_two_branch_oracle_on_normals(self):
         z = RandomSource(36).std_normal((100, 100)) * 50.0
-        assert np.array_equal(_activate(z, "sigmoid"), sigmoid_two_branch(z), equal_nan=True)
+        assert np.array_equal(_activate(z.copy(), "sigmoid"), sigmoid_two_branch(z), equal_nan=True)
 
     def test_sigmoid_equals_two_branch_oracle_at_edges(self):
-        assert np.array_equal(_activate(self.EDGES, "sigmoid"), sigmoid_two_branch(self.EDGES),
+        assert np.array_equal(_activate(self.EDGES.copy(), "sigmoid"), sigmoid_two_branch(self.EDGES),
                               equal_nan=True)
 
     def test_relu_output_mask_equals_preactivation_mask(self):
         grad = np.arange(1.0, self.EDGES.size + 1)
-        assert np.array_equal(_activation_backward(grad, _activate(self.EDGES, "relu"), "relu"),
+        assert np.array_equal(_activation_backward(grad, _activate(self.EDGES.copy(), "relu"), "relu"),
                               grad * (self.EDGES > 0))
 
     @pytest.mark.parametrize("kind", ["tanh", "softmax"])
@@ -254,6 +255,18 @@ class TestBackprop:
         np.testing.assert_array_equal(second_in, first_in)
         assert np.any(first != 0.0)
 
+    @pytest.mark.parametrize("activations", [["relu", "sigmoid"], ["sigmoid", "identity"]])
+    def test_skipping_the_input_gradient_writes_the_same_gradients(self, activations):
+        rng = RandomSource(45)
+        model = random_model(rng, dims=[5, 7, 3], activations=activations)
+        out = model.forward(rng.std_normal((6, 5)))
+        _, grad_out = mse_loss(rng.std_normal((6, 3)), out)
+        assert model.backward(grad_out) is not None
+        full = model.grads.tobytes()
+        model.grads[...] = np.nan
+        assert model.backward(grad_out, input_grad=False) is None
+        assert model.grads.tobytes() == full
+
 
 class TestFlatBuffers:
     @staticmethod
@@ -285,6 +298,35 @@ class TestFlatBuffers:
         loaded = load_model(tmp_path / "model.bin")
         self.assert_views(loaded)
         np.testing.assert_array_equal(loaded.params, model.params)
+
+
+    def test_adam_state_owns_the_buffers_of_its_models(self, tmp_path):
+        models = [init_model(dims, acts, RandomSource(40 + i))
+                  for i, (dims, acts) in enumerate(README_STACKS.values())]
+        before = [model.params.copy() for model in models]
+        state = AdamState(models)
+        assert state.params.size == state.grads.size == sum(p.size for p in before)
+        np.testing.assert_array_equal(state.params, np.concatenate(before))
+        for model in models:
+            self.assert_views(model)
+            assert np.shares_memory(model.params, state.params)
+            assert np.shares_memory(model.grads, state.grads)
+            for layer in model.layers:
+                assert np.shares_memory(layer.weight, state.params)
+                assert np.shares_memory(layer.grad_weight, state.grads)
+        rng = RandomSource(43)
+        for _ in range(5):
+            for model in models:
+                out = model.forward(rng.std_normal((9, model.in_dim)))
+                model.backward(mse_loss(rng.std_normal((9, model.out_dim)), out)[1])
+            state.step(lr=0.01)
+        for i, model in enumerate(models):
+            assert not np.array_equal(model.params, before[i])
+            save_model(model, tmp_path / f"{i}.bin")
+            loaded = load_model(tmp_path / f"{i}.bin")
+            assert loaded.params.tobytes() == model.params.tobytes()
+            save_model(loaded, tmp_path / f"{i}-again.bin")
+            assert (tmp_path / f"{i}-again.bin").read_bytes() == (tmp_path / f"{i}.bin").read_bytes()
 
 
 def reference_adam_step(model, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -404,6 +446,49 @@ class TestPersistence:
         blob[8 + 4 + 9 + 8] = act_id  # the second layer header's activation byte
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=f"unknown activation id {act_id}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry,where", [(3, "layer 0 weight[0, 3]"),
+                                             (4 * 5 + 2, "layer 0 bias[2]"),
+                                             (25 + 1 * 5 + 2, "layer 1 weight[1, 2]"),
+                                             (25 + 10 + 1, "layer 1 bias[1]")])
+    def test_non_finite_payload_is_a_format_error(self, tmp_path, value, entry, where):
+        model = random_model(RandomSource(18), dims=[4, 5, 2],
+                             activations=["relu", "sigmoid"])
+        model.params[-1] = np.nan  # only the first bad entry is named
+        model.params[entry] = value
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: non-finite parameters start at {where} ({value})"
+
+    def test_trailing_bytes_are_a_format_error(self, tmp_path):
+        model = random_model(RandomSource(19), dims=[4, 2], activations=["sigmoid"])
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        size = len(path.read_bytes())
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(FormatError,
+                           match=f"3 bytes after the payload, which ends at byte {size}$"):
+            load_model(path)
+
+    def test_zero_layers_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(MODEL_MAGIC + bytes(4))
+        with pytest.raises(FormatError, match="model.bin: the model has no layers$"):
+            load_model(path)
+
+    def test_unchained_layer_headers_are_a_format_error(self, tmp_path):
+        model = random_model(RandomSource(20), dims=[4, 5, 2],
+                             activations=["relu", "identity"])
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[8 + 4 + 9 + 4] = 6  # the second layer header's column count
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="layer 1 takes 6 inputs, layer 0 gives 5$"):
             load_model(path)
 
     def test_truncated_payload(self, tmp_path):
