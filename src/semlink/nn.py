@@ -310,11 +310,12 @@ def load_model(path) -> DenseModel:
             raise FormatError(f"{path}: layer {k} takes {cols} inputs, layer {k - 1} "
                               f"gives {rows}")
     size = sum(rows * (cols + 1) for rows, cols, _ in headers)
-    if len(blob) < off + 8 * size:
-        raise FormatError(f"{path}: expected {off + 8 * size} bytes, file has {len(blob)}")
-    if len(blob) > off + 8 * size:
-        raise FormatError(f"{path}: {len(blob) - off - 8 * size} bytes after the payload, "
-                          f"which ends at byte {off + 8 * size}")
+    end = off + 8 * size
+    if len(blob) < end:
+        raise FormatError(f"{path}: expected {end} bytes, file has {len(blob)}")
+    if len(blob) > end:
+        raise FormatError(f"{path}: {len(blob) - end} bytes after the payload, "
+                          f"which ends at byte {end}")
     payload = np.frombuffer(blob, dtype="<f8", count=size, offset=off)
     layers = []
     for k, (rows, cols, act) in enumerate(headers):
