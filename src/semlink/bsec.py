@@ -83,17 +83,13 @@ def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
     """Erasure probabilities matched to sampled flip probabilities.
 
     d = Q(Q^-1(mu)/3) - mu elementwise, the 4-QAM relation at boundary offset
-    0.5; zero entries map to zero by continuity.
+    0.5. Zero entries map to zero by continuity, and the expression gives that
+    exactly: Q^-1(0) = inf without a warning, and Q(inf) = 0.
     """
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0) & (mu < 0.5)):
         raise DomainError("flip probabilities must lie in [0, 0.5)")
-    pos = mu > 0
-    if pos.all():
-        return q_function_array(q_inverse_array(mu) / 3.0) - mu
-    out = np.zeros_like(mu)
-    out[pos] = q_function_array(q_inverse_array(mu[pos]) / 3.0) - mu[pos]
-    return out
+    return q_function_array(q_inverse_array(mu) / 3.0) - mu
 
 
 def _check_link_point(order: int, snr: float, a: float) -> int:

@@ -294,8 +294,6 @@ def load_model(path) -> DenseModel:
         raise FormatError(f"{path}: truncated header at byte {len(blob)}")
     (n_layers,) = struct.unpack_from("<I", blob, off)
     off += 4
-    if n_layers == 0:
-        raise FormatError(f"{path}: the model has no layers")
     headers = []
     for _ in range(n_layers):
         if len(blob) < off + 9:
@@ -305,10 +303,6 @@ def load_model(path) -> DenseModel:
         if act_id not in _ACT_NAMES:
             raise FormatError(f"{path}: unknown activation id {act_id}")
         headers.append((rows, cols, _ACT_NAMES[act_id]))
-    for k, ((rows, _, _), (_, cols, _)) in enumerate(zip(headers, headers[1:]), 1):
-        if cols != rows:
-            raise FormatError(f"{path}: layer {k} takes {cols} inputs, layer {k - 1} "
-                              f"gives {rows}")
     size = sum(rows * (cols + 1) for rows, cols, _ in headers)
     end = off + 8 * size
     if len(blob) < end:
@@ -329,4 +323,7 @@ def load_model(path) -> DenseModel:
                 raise FormatError(f"{path}: non-finite parameters start at layer {k} "
                                   f"{name}[{entry}] ({value.flat[bad[0]]})")
         layers.append(Layer(w, b, act))
-    return DenseModel(layers)
+    try:
+        return DenseModel(layers)
+    except DomainError as e:
+        raise FormatError(f"{path}: {e}") from None

@@ -332,7 +332,7 @@ class TestModelFileErrors:
         (lambda d: (d / "decoder.bin").write_bytes((d / "decoder.bin").read_bytes() + b"\0"),
          "decoder.bin: 1 bytes after the payload"),
         (lambda d: (d / "classifier.bin").write_bytes(MODEL_MAGIC + bytes(4)),
-         "classifier.bin: the model has no layers"),
+         "classifier.bin: a model needs at least one layer"),
         (lambda d: shutil.copy(d / "classifier.bin", d / "decoder.bin"),
          "decoder.bin: input dim 8 does not match the encoder's output dim 12"),
         (lambda d: save_model(init_model([12, 5], ["identity"], RandomSource(1)),

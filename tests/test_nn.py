@@ -477,7 +477,7 @@ class TestPersistence:
     def test_zero_layers_is_a_format_error(self, tmp_path):
         path = tmp_path / "model.bin"
         path.write_bytes(MODEL_MAGIC + bytes(4))
-        with pytest.raises(FormatError, match="model.bin: the model has no layers$"):
+        with pytest.raises(FormatError, match="model.bin: a model needs at least one layer$"):
             load_model(path)
 
     def test_unchained_layer_headers_are_a_format_error(self, tmp_path):
@@ -487,8 +487,9 @@ class TestPersistence:
         save_model(model, path)
         blob = bytearray(path.read_bytes())
         blob[8 + 4 + 9 + 4] = 6  # the second layer header's column count
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="layer 1 takes 6 inputs, layer 0 gives 5$"):
+        path.write_bytes(bytes(blob) + bytes(8 * 2))  # the payload of a (2, 6) weight
+        with pytest.raises(FormatError, match=r"model.bin: layer dimensions do not chain: "
+                                              r"\(5, 4\) -> \(2, 6\)$"):
             load_model(path)
 
     def test_truncated_payload(self, tmp_path):
