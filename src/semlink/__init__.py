@@ -12,7 +12,7 @@ from .adaptmod import (
     tau,
 )
 from .bsec import BsecParams, RobustnessProfile, analytic_params
-from .channel import ChannelRealization, FixedSnr, UniformMagnitude, draw_channel, equalize, transmit
+from .channel import FixedSnr, UniformMagnitude
 from .constellation import Constellation, build_constellation
 from .datasets import Dataset, load_idx, synth_dataset
 from .demod import DecisionRegions, a_from_rho, build_regions, demod_llr, demod_robust, llr_exact, rho_from_a

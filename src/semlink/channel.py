@@ -1,4 +1,9 @@
-"""Quasi-static fading with AWGN, coherent equalization, and channel draws."""
+"""Quasi-static fading with AWGN, coherent equalization, and channel draws.
+
+A coherence block is its complex coefficient h; the noise variance belongs to
+the channel distribution. Blocks are drawn as 1-D arrays of h by
+draw_channels, and block_gains is the one check on h.
+"""
 
 from __future__ import annotations
 
@@ -14,25 +19,6 @@ from .numerics import RandomSource
 def _check_noise_var(noise_var: float) -> None:
     if not (noise_var >= 0):
         raise DomainError(f"noise variance must be >= 0, got {noise_var}")
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One coherence block: complex coefficient h and noise variance."""
-
-    h: complex
-    noise_var: float
-
-    def __post_init__(self):
-        _check_noise_var(self.noise_var)
-        if not (abs(self.h) ** 2 > 0):  # also rejects NaN and an underflowing |h|
-            raise DomainError(f"channel gain |h|^2 must be positive, got {abs(self.h) ** 2}")
-
-    @property
-    def snr(self) -> float:
-        if self.noise_var == 0:
-            return math.inf
-        return abs(self.h) ** 2 / self.noise_var
 
 
 @dataclass(frozen=True)
@@ -87,12 +73,6 @@ def draw_channels(dist: ChannelDistribution, n: int, rng: RandomSource) -> np.nd
     return mag * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def draw_channel(dist: ChannelDistribution, rng: RandomSource) -> ChannelRealization:
-    """Draw one coherence-block realization from a channel distribution."""
-    return ChannelRealization(h=complex(draw_channels(dist, 1, rng)[0]),
-                              noise_var=dist.noise_var)
-
-
 def block_gains(h) -> tuple[np.ndarray, np.ndarray]:
     """|h|^2 and the equalizer gain conj(h)/|h|^2 of each block of a 1-D h.
 
@@ -115,14 +95,16 @@ def block_gains(h) -> tuple[np.ndarray, np.ndarray]:
     return g2, gain
 
 
-def transmit(x: np.ndarray, ch: ChannelRealization, rng: RandomSource) -> np.ndarray:
-    """y[n] = h x[n] + v[n] with circularly symmetric complex Gaussian v."""
+def transmit(x: np.ndarray, h: complex, noise_var: float, rng: RandomSource) -> np.ndarray:
+    """y[n] = h x[n] + v[n] with circularly symmetric complex Gaussian v of
+    variance noise_var."""
+    _check_noise_var(noise_var)
     x = np.asarray(x, dtype=complex)
-    if ch.noise_var == 0:
-        return ch.h * x
-    scale = math.sqrt(ch.noise_var / 2.0)
+    if noise_var == 0:
+        return h * x
+    scale = math.sqrt(noise_var / 2.0)
     noise = scale * (rng.std_normal(x.size) + 1j * rng.std_normal(x.size))
-    return ch.h * x + noise.reshape(x.shape)
+    return h * x + noise.reshape(x.shape)
 
 
 def equalize(y: np.ndarray, h: complex) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import __version__
 from .adaptmod import (
     BetaAdjusters,
     capacity_uniform,
-    plan_from_thresholds,
+    orders_from_thresholds,
     threshold_table,
 )
 from .bsec import RobustnessProfile, analytic_params
@@ -218,11 +218,9 @@ def cmd_adaptive_plan(args) -> int:
     betas = parse_betas(args.betas)
     table = threshold_table(profile, betas)
     snr = 10.0 ** (args.snr_db / 10.0)
-    plan = plan_from_thresholds(snr, table)
+    orders = orders_from_thresholds([snr], table)[0].tolist()
     rows = []
-    for i, (alpha, (t2, t4, t6), order) in enumerate(
-        zip(profile.alphas, table, plan.orders)
-    ):
+    for i, (alpha, (t2, t4, t6), order) in enumerate(zip(profile.alphas, table, orders)):
         rows.append([i, float(alpha), float(t2), float(t4), float(t6), order])
     emit_csv(["bit", "alpha", "tau2", "tau4", "tau6", "order"], rows, args.out)
     return 0

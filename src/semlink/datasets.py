@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -21,8 +22,6 @@ class Dataset:
     features: np.ndarray   # (n, dim) float64, normalized
     labels: np.ndarray     # (n,) int64 in [0, n_classes)
     n_classes: int
-    norm_mean: float
-    norm_scale: float
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
@@ -38,12 +37,12 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _standardize(raw: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _standardize(raw: np.ndarray) -> np.ndarray:
     mean = float(raw.mean())
     scale = float(raw.std())
     if scale == 0.0:
         scale = 1.0
-    return (raw - mean) / scale, mean, scale
+    return (raw - mean) / scale
 
 
 def _read_exact(blob: bytes, offset: int, count: int, path, what: str) -> bytes:
@@ -55,32 +54,29 @@ def _read_exact(blob: bytes, offset: int, count: int, path, what: str) -> bytes:
     return blob[offset:offset + count]
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Images from a big-endian IDX file as a flattened (n, rows*cols) array."""
+def _read_idx(path, magic: int, dims: int, what: str) -> tuple[list[int], bytes]:
+    """Dimensions and payload of a big-endian IDX file of `dims` dimensions."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    header = _read_exact(blob, 0, 16, path, "header")
-    magic, n, rows, cols = struct.unpack(">IIII", header)
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    payload = _read_exact(blob, 16, n * rows * cols, path, "pixel payload")
+    size = 4 * (1 + dims)
+    found, *shape = struct.unpack(f">{1 + dims}I", _read_exact(blob, 0, size, path, "header"))
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x} at byte 0, expected 0x{magic:08x}")
+    return shape, _read_exact(blob, size, math.prod(shape), path, what)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Images from a big-endian IDX file as a flattened (n, rows*cols) array."""
+    (n, rows, cols), payload = _read_idx(path, IDX_IMAGES_MAGIC, 3, "pixel payload")
+    if n * rows * cols == 0:
+        raise FormatError(f"{path}: holds no pixels: {n} images of {rows}x{cols}")
     data = np.frombuffer(payload, dtype=np.uint8)
     return data.reshape(n, rows * cols).astype(np.float64)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Labels from a big-endian IDX file as an (n,) integer array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = _read_exact(blob, 0, 8, path, "header")
-    magic, n = struct.unpack(">II", header)
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    payload = _read_exact(blob, 8, n, path, "label payload")
+    _, payload = _read_idx(path, IDX_LABELS_MAGIC, 1, "label payload")
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
@@ -97,13 +93,11 @@ def load_idx(images_path, labels_path=None) -> Dataset:
             raise FormatError(
                 f"{labels_path}: {labels.shape[0]} labels for {pixels.shape[0]} images"
             )
-        n_classes = int(labels.max()) + 1 if labels.size else 1
+        n_classes = int(labels.max()) + 1
     else:
         labels = np.zeros(pixels.shape[0], dtype=np.int64)
         n_classes = 1
-    features, mean, scale = _standardize(pixels)
-    return Dataset(features=features, labels=labels, n_classes=n_classes,
-                   norm_mean=mean, norm_scale=scale)
+    return Dataset(features=_standardize(pixels), labels=labels, n_classes=n_classes)
 
 
 def synth_dataset(n_classes: int, dim: int, n_per_class: int, noise_sigma: float,
@@ -121,6 +115,4 @@ def synth_dataset(n_classes: int, dim: int, n_per_class: int, noise_sigma: float
     templates = template_rng.std_normal((n_classes, dim))
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     raw = templates[labels] + noise_sigma * noise_rng.std_normal((len(labels), dim))
-    features, mean, scale = _standardize(raw)
-    return Dataset(features=features, labels=labels, n_classes=n_classes,
-                   norm_mean=mean, norm_scale=scale)
+    return Dataset(features=_standardize(raw), labels=labels, n_classes=n_classes)

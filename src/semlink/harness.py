@@ -8,8 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# plan_from_thresholds stays importable from here: benchmarks/tracing.py
-# patches the planning call under this name
+# benchmarks/tracing.py patches plan_from_thresholds, transmit and equalize
+# under these names here, and transport_block below; the library itself does
+# not call them from here. All four go with ROADMAP item 7 once item 6 moves
+# the tracer off them.
 from .adaptmod import (  # noqa: F401
     BetaAdjusters,
     ModPlan,
@@ -19,12 +21,11 @@ from .adaptmod import (  # noqa: F401
     threshold_table,
 )
 from .bsec import RobustnessProfile, analytic_params
-# transmit and equalize stay importable from here: benchmarks/tracing.py
-# patches the channel calls under these names
+# transmit and equalize: kept here for the tracer only, as above
 from .channel import (  # noqa: F401
     ChannelDistribution,
-    ChannelRealization,
     FixedSnr,
+    _check_noise_var,
     block_gains,
     draw_channels,
     equalize,
@@ -182,9 +183,10 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray
     return out, np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
 
 
-def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
-                    ch: ChannelRealization, rng: RandomSource) -> tuple[np.ndarray, int]:
-    """Carry a (block, n_bits) bit matrix over one channel realization.
+def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray, h: complex,
+                    noise_var: float, rng: RandomSource) -> tuple[np.ndarray, int]:
+    """Carry a (block, n_bits) bit matrix over one channel block h with noise
+    variance noise_var.
 
     Bits are packed per adaptmod.symbol_runs run, padded with zeros,
     modulated with the run's constellation, faded, equalized, and demodulated
@@ -199,9 +201,10 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
         raise ConfigError("plan covers no bits")
     if len(a_offsets) != n_bits:
         raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
-    h = np.array([ch.h])
+    _check_noise_var(noise_var)
+    h = np.array([h])
     trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), h,
-                            block_gains(h)[1], ch.noise_var, a_offsets, rng)
+                            block_gains(h)[1], noise_var, a_offsets, rng)
     return trits, int(symbols[0])
 
 
@@ -252,6 +255,8 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         )
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
+    if len(x) == 0:
+        raise ConfigError("dataset is empty")
     if adaptive:
         table = threshold_table(profile, betas)
     else:

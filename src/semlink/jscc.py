@@ -155,13 +155,11 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
     return loss, mse, ce, logits
 
 
-def train(dataset, config: TrainingConfig, rng: RandomSource | None = None) -> TrainResult:
+def train(dataset, config: TrainingConfig) -> TrainResult:
     """Warm-up then robust training; fully deterministic given config.seed."""
     if len(dataset.features) == 0:
         raise ConfigError("dataset is empty")
-    if rng is None:
-        rng = RandomSource(config.seed)
-    model_rng, shuffle_rng, noise_rng = rng.split(3)
+    model_rng, shuffle_rng, noise_rng = RandomSource(config.seed).split(3)
 
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)

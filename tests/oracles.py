@@ -12,16 +12,18 @@ import numpy as np
 from semlink.adaptmod import (
     BetaAdjusters,
     ModPlan,
+    orders_from_thresholds,
     plan_from_thresholds,
+    symbol_runs,
     threshold_table,
 )
 from semlink.bsec import RobustnessProfile
 from semlink.channel import (
     ChannelDistribution,
-    ChannelRealization,
     FixedSnr,
     UniformMagnitude,
-    draw_channel,
+    block_gains,
+    draw_channels,
     equalize,
     transmit,
 )
@@ -83,9 +85,9 @@ def plan_groups(orders):
     return tuple(groups)
 
 
-def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> ChannelRealization:
-    """One block of channel.draw_channels by scalar uniform draws: |h| (for
-    UniformMagnitude), then the phase, and h = mag * complex(cos, sin)."""
+def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> complex:
+    """h of one block of channel.draw_channels by scalar uniform draws: |h|
+    (for UniformMagnitude), then the phase, and h = mag * complex(cos, sin)."""
     if isinstance(dist, FixedSnr):
         mag = math.sqrt(dist.snr * dist.noise_var)
     elif isinstance(dist, UniformMagnitude):
@@ -93,8 +95,7 @@ def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> Channel
     else:
         raise DomainError(f"unknown channel distribution {dist!r}")
     phase = rng.uniform(0.0, 2.0 * math.pi)
-    return ChannelRealization(h=mag * complex(math.cos(phase), math.sin(phase)),
-                              noise_var=dist.noise_var)
+    return mag * complex(math.cos(phase), math.sin(phase))
 
 
 def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:
@@ -131,14 +132,12 @@ def threshold_table_scalar(profile: RobustnessProfile, betas: BetaAdjusters) -> 
 
 def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfile,
                      betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
-    """Session spectral efficiency over random channel draws (bits/symbols)."""
-    table = threshold_table(profile, betas)
-    n_bits = len(profile)
-    total_symbols = 0
-    for _ in range(n_draws):
-        ch = draw_channel(channel_dist, rng)
-        total_symbols += plan_from_thresholds(ch.snr, table).symbol_count
-    return n_bits * n_draws / total_symbols
+    """Session spectral efficiency over n_draws channel blocks (bits/symbols)."""
+    g2, _ = block_gains(draw_channels(channel_dist, n_draws, rng))
+    with np.errstate(divide="ignore"):  # a noiseless block has infinite SNR
+        snr = g2 / channel_dist.noise_var
+    *_, symbols = symbol_runs(orders_from_thresholds(snr, threshold_table(profile, betas)))
+    return len(profile) * n_draws / int(symbols.sum())
 
 
 def sigmoid_two_branch(z: np.ndarray) -> np.ndarray:
@@ -179,12 +178,13 @@ def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
     n_sym = -(-n_bits // c.m)
     chunk = LINK_CHUNK_BITS // c.m
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    ch = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
+    noise_var = 1.0
+    h = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=noise_var), ch_rng)
     erasures = corrects = 0
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * c.m)
         x = c.points[pack_bits(bits, c.m)]
-        trits = demod_robust(equalize(transmit(x, ch, noise_rng), ch.h), regions)
+        trits = demod_robust(equalize(transmit(x, h, noise_var, noise_rng), h), regions)
         erasures += int(np.count_nonzero(trits == TRIT_ERASURE))
         corrects += int(np.count_nonzero(trits == bits))
     n = n_sym * c.m
@@ -200,7 +200,7 @@ def _regions_at_zero(order: int):
 
 
 def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
-                              ch: ChannelRealization, rng: RandomSource):
+                              h: complex, noise_var: float, rng: RandomSource):
     """harness.transport_block one plan_groups group at a time: pad, transmit,
     equalize; the symbol count is summed over the padded groups."""
     bits = np.atleast_2d(np.asarray(bits, dtype=np.int64))
@@ -216,7 +216,7 @@ def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.nda
         symbols += (idxs.size + pad) // order
         padded = np.pad(bits[:, idxs], ((0, 0), (0, pad)))
         words = pack_bits(padded.reshape(-1), order)
-        y_eq = equalize(transmit(c.points[words], ch, rng), ch.h)
+        y_eq = equalize(transmit(c.points[words], h, noise_var, rng), h)
         # padding slots carry a = 0; their trits are dropped below
         a_slots = np.pad(a_offsets[idxs], (0, pad)).reshape(-1, order)
         trits = demod_robust(y_eq.reshape(n_rows, -1), _regions_at_zero(order), a_slots)
@@ -242,6 +242,7 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
     y = np.asarray(dataset.labels, dtype=np.int64)
     table = threshold_table_scalar(profile, betas) if adaptive else None
     static_plan = None if adaptive else ModPlan((check_order(fixed_order),) * n_bits)
+    noise_var = channel_dist.noise_var
     ch_rng, bit_rng, noise_rng = rng.split(3)
 
     correct = 0
@@ -252,12 +253,13 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
     for start in range(0, len(x), images_per_block):
         xb = x[start:start + images_per_block]
         yb = y[start:start + images_per_block]
-        ch = draw_channel_scalar(channel_dist, ch_rng)
-        plan = plan_from_thresholds(ch.snr, table) if adaptive else static_plan
+        h = draw_channel_scalar(channel_dist, ch_rng)
+        snr = abs(h) ** 2 / noise_var if noise_var else math.inf
+        plan = plan_from_thresholds(snr, table) if adaptive else static_plan
         f = models.encoder.forward(xb)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)
         trits, symbols_per_image = transport_block_per_group(
-            bits, plan, profile.a_offsets, ch, noise_rng
+            bits, plan, profile.a_offsets, h, noise_var, noise_rng
         )
         total_symbols += symbols_per_image * len(xb)
         bit_sum += int(bits.sum())

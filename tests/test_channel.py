@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from semlink.channel import (
-    ChannelRealization,
     FixedSnr,
     UniformMagnitude,
     block_gains,
-    draw_channel,
     draw_channels,
     equalize,
     transmit,
@@ -24,15 +22,15 @@ from oracles import draw_channel_scalar
 
 def test_noiseless_transmit_is_exact():
     x = np.array([1 + 1j, -0.5 + 0.25j, 2 - 3j])
-    ch = ChannelRealization(h=0.7 - 0.2j, noise_var=0.0)
-    np.testing.assert_array_equal(transmit(x, ch, RandomSource(0)), ch.h * x)
+    h = 0.7 - 0.2j
+    np.testing.assert_array_equal(transmit(x, h, 0.0, RandomSource(0)), h * x)
 
 
 def test_noiseless_equalize_roundtrip():
     x = np.exp(1j * np.linspace(0, 5, 64))
-    ch = ChannelRealization(h=1.3 * cmath.exp(1j * 0.8), noise_var=0.0)
-    y = transmit(x, ch, RandomSource(0))
-    np.testing.assert_allclose(equalize(y, ch.h), x, atol=1e-12)
+    h = 1.3 * cmath.exp(1j * 0.8)
+    y = transmit(x, h, 0.0, RandomSource(0))
+    np.testing.assert_allclose(equalize(y, h), x, atol=1e-12)
 
 
 def test_real_positive_h_is_scalar_division():
@@ -45,8 +43,6 @@ def test_zero_h_rejected():
     for h in (0, math.nan, 1e-200):
         with pytest.raises(DomainError):
             equalize(np.array([1 + 0j]), h)
-        with pytest.raises(DomainError):
-            ChannelRealization(h=h, noise_var=1.0)
 
 
 def test_overflowing_gain_rejected():
@@ -64,14 +60,13 @@ def test_overflowing_gain_rejected():
 def test_zero_or_nan_gain_rejected(h):
     # |h|^2 underflows to 0 or is NaN although h != 0
     with pytest.raises(DomainError, match="channel gain"):
-        ChannelRealization(h=h, noise_var=1.0)
+        block_gains(np.array([1.0, h]))
 
 
 def test_noise_variance_and_split():
     n = 10**6
     x = np.zeros(n, dtype=complex)
-    ch = ChannelRealization(h=1.0, noise_var=1.0)
-    y = transmit(x, ch, RandomSource(21))
+    y = transmit(x, 1.0, 1.0, RandomSource(21))
     noise = y - x
     assert abs(np.mean(np.abs(noise) ** 2) - 1.0) <= 0.005
     assert abs(noise.real.var() - 0.5) <= 0.0035
@@ -83,22 +78,21 @@ def test_noise_variance_and_split():
 def test_equalized_residual_variance_is_inverse_snr():
     # h = 2 e^{j pi/3}, sigma^2 = 1 -> SNR = 4, residual variance 1/4
     n = 10**6
-    ch = ChannelRealization(h=2.0 * cmath.exp(1j * math.pi / 3), noise_var=1.0)
+    h = 2.0 * cmath.exp(1j * math.pi / 3)
     x = np.full(n, 1 + 1j, dtype=complex) / math.sqrt(2)
-    resid = equalize(transmit(x, ch, RandomSource(31)), ch.h) - x
-    assert ch.snr == pytest.approx(4.0, abs=1e-12)
+    resid = equalize(transmit(x, h, 1.0, RandomSource(31)), h) - x
+    assert abs(h) ** 2 == pytest.approx(4.0, abs=1e-12)
     assert abs(np.mean(np.abs(resid) ** 2) - 0.25) <= 0.002
 
 
 class TestDrawChannel:
     def test_fixed_snr_magnitude_exact(self):
-        ch = draw_channel(FixedSnr(snr=1.0, noise_var=1.0), RandomSource(3))
-        assert abs(ch.h) == pytest.approx(1.0, abs=1e-12)
-        assert ch.snr == pytest.approx(1.0, abs=1e-12)
+        h = draw_channels(FixedSnr(snr=1.0, noise_var=1.0), 1, RandomSource(3))
+        assert abs(h[0]) == pytest.approx(1.0, abs=1e-12)
+        assert block_gains(h)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_magnitude_mean(self):
-        rng = RandomSource(12)
-        mags = [abs(draw_channel(UniformMagnitude(0.37, 2.5), rng).h) for _ in range(10**5)]
+        mags = np.abs(draw_channels(UniformMagnitude(0.37, 2.5), 10**5, RandomSource(12)))
         assert abs(np.mean(mags) - 1.435) <= 0.01
         assert min(mags) >= 0.37 and max(mags) <= 2.5
 
@@ -107,9 +101,9 @@ class TestDrawChannel:
         n = 200_000
         for seed in (1, 2, 3):
             rng = RandomSource(seed)
-            ch = draw_channel(FixedSnr(snr=2.0), rng)
+            h = complex(draw_channels(FixedSnr(snr=2.0), 1, rng)[0])
             x = np.zeros(n, dtype=complex)
-            resid = equalize(transmit(x, ch, rng), ch.h)
+            resid = equalize(transmit(x, h, 1.0, rng), h)
             assert abs(np.mean(np.abs(resid) ** 2) - 0.5) <= 0.01
 
     def test_invalid_distributions(self):
@@ -117,8 +111,6 @@ class TestDrawChannel:
             FixedSnr(snr=0.0)
         with pytest.raises(DomainError):
             FixedSnr(snr=math.nan)
-        with pytest.raises(DomainError):
-            ChannelRealization(h=1.0, noise_var=math.nan)
         with pytest.raises(DomainError):
             UniformMagnitude(2.0, 1.0)
         with pytest.raises(DomainError):
@@ -131,6 +123,8 @@ class TestDrawChannel:
                 FixedSnr(snr=1.0, noise_var=noise_var)
             with pytest.raises(DomainError, match="noise variance"):
                 UniformMagnitude(0.37, 2.5, noise_var=noise_var)
+            with pytest.raises(DomainError, match="noise variance"):
+                transmit(np.ones(3), 1.0, noise_var, RandomSource(0))
 
 
 class TestDrawChannels:
@@ -143,17 +137,11 @@ class TestDrawChannels:
         # equalize's gain included, and leaves the stream where they leave it
         rng, ref = RandomSource(5), RandomSource(5)
         h = draw_channels(dist, n, rng)
-        chans = [draw_channel_scalar(dist, ref) for _ in range(n)]
+        hs = [draw_channel_scalar(dist, ref) for _ in range(n)]
         assert h.shape == (n,)
-        assert h.tobytes() == np.array([ch.h for ch in chans]).tobytes()
+        assert h.tobytes() == np.array(hs).tobytes()
         g2, gain = block_gains(h)
-        assert (g2 / dist.noise_var).tobytes() == np.array([ch.snr for ch in chans]).tobytes()
-        assert gain.tobytes() == np.array([np.conj(ch.h) / abs(ch.h) ** 2
-                                           for ch in chans]).tobytes()
+        assert (g2 / dist.noise_var).tobytes() == \
+            np.array([abs(hb) ** 2 / dist.noise_var for hb in hs]).tobytes()
+        assert gain.tobytes() == np.array([np.conj(hb) / abs(hb) ** 2 for hb in hs]).tobytes()
         assert rng.random(5).tobytes() == ref.random(5).tobytes()
-
-    def test_draw_channel_is_one_block(self):
-        for dist in (FixedSnr(snr=2.5), UniformMagnitude(0.37, 2.5)):
-            ch = draw_channel(dist, RandomSource(6))
-            assert ch == draw_channel_scalar(dist, RandomSource(6))
-            assert type(ch.h) is complex

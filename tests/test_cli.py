@@ -3,6 +3,7 @@
 import contextlib
 import io
 import shutil
+import struct
 import warnings
 from pathlib import Path
 
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlink.cli import MODEL_FILES, main, parse_sweep, load_profile, load_config_file
+from semlink.datasets import IDX_IMAGES_MAGIC
 from semlink.errors import ConfigError
 from semlink.nn import MODEL_MAGIC, init_model, save_model
 from semlink.numerics import RandomSource
 
 
+GOLDEN_MODELS = Path(__file__).parent / "goldens" / "train_models"
 TINY_TRAIN = ("--classes", "2", "--dim", "4", "--per-class", "4", "--latent-bits", "4",
               "--epochs", "1", "--warmup-epochs", "0")
 
@@ -242,6 +245,20 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "robustness levels must lie in [0, 0.5]" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--latent-bits", "4", "--epochs", "1", "--warmup-epochs", "0"),
+        ("eval", "--model-dir", str(GOLDEN_MODELS), "--snr-db", "0:0:1"),
+    ], ids=["train", "eval"])
+    def test_empty_idx_is_one_error_line_without_warning(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty-images.idx"
+        path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 28, 28))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--idx-images", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}: holds no pixels" in err
+
     def test_divergent_training_is_one_error_line_without_warning(self, capsys):
         # the updates overflow before the loss turns non-finite
         with warnings.catch_warnings():
@@ -297,7 +314,6 @@ def model_dir(tmp_path_factory):
     return base
 
 
-GOLDEN_MODELS = Path(__file__).parent / "goldens" / "train_models"
 # the data the golden models were trained on: 8 features, 3 classes, 12 latent bits
 GOLDEN_DATA = ("--classes", "3", "--dim", "8", "--per-class", "4", "--noise-sigma", "1.0")
 

@@ -1,5 +1,6 @@
 """IDX ingestion fixtures and the synthetic dataset generator."""
 
+import re
 import struct
 
 import numpy as np
@@ -59,6 +60,13 @@ class TestIdx:
         path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2, 2, 2) + b"\x00" * 5)
         with pytest.raises(FormatError, match="expected 24 bytes, file has 21"):
             load_idx_images(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2)], ids=["no-images", "no-pixels"])
+    def test_empty_images_rejected(self, tmp_path, shape):
+        path = tmp_path / "imgs"
+        write_idx_images(path, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: holds no pixels")):
+            load_idx(path)
 
     def test_labels_roundtrip(self, tmp_path):
         write_idx_labels(tmp_path / "labels", [3, 1, 4, 1, 5])

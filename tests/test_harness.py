@@ -8,17 +8,10 @@ import pytest
 
 from semlink.adaptmod import HETEROGENEOUS_BETAS, ModPlan, plan_from_thresholds, threshold_table
 from semlink.bsec import RobustnessProfile, analytic_params
-from semlink.channel import (
-    ChannelRealization,
-    FixedSnr,
-    UniformMagnitude,
-    draw_channel,
-    equalize,
-    transmit,
-)
+from semlink.channel import FixedSnr, UniformMagnitude, draw_channels, equalize, transmit
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
-from semlink.datasets import synth_dataset
+from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, DomainError
 from semlink import harness
 from semlink.harness import (
@@ -125,8 +118,8 @@ class TestTransportBlock:
         assert len(set(plan.orders)) == 3
         rng = RandomSource(5)
         bits = rng.bits(96 * 10).reshape(10, 96)
-        ch = draw_channel(FixedSnr(snr=1e9), rng)
-        trits, n_sym = transport_block(bits, plan, profile.a_offsets, ch, rng)
+        h = draw_channels(FixedSnr(snr=1e9), 1, rng)[0]
+        trits, n_sym = transport_block(bits, plan, profile.a_offsets, h, 1.0, rng)
         np.testing.assert_array_equal(trits, bits.astype(float))
         assert n_sym == plan.symbol_count
 
@@ -138,8 +131,8 @@ class TestTransportBlock:
         erased_low = erased_high = 0
         for _ in range(200):
             bits = rng.bits(8).reshape(1, 8)
-            ch = draw_channel(FixedSnr(snr=1.0), rng)
-            trits, _ = transport_block(bits, plan, profile.a_offsets, ch, rng)
+            h = draw_channels(FixedSnr(snr=1.0), 1, rng)[0]
+            trits, _ = transport_block(bits, plan, profile.a_offsets, h, 1.0, rng)
             erased_low += int(np.sum(trits[0, :4] == 0.5))
             erased_high += int(np.sum(trits[0, 4:] == 0.5))
         assert erased_low == 0
@@ -150,8 +143,8 @@ class TestTransportBlock:
         plan = ModPlan((4,) * 32)
         rng = RandomSource(7)
         bits = rng.bits(32 * 400).reshape(400, 32)
-        ch = draw_channel(FixedSnr(snr=4.0), rng)
-        trits, _ = transport_block(bits, plan, profile.a_offsets, ch, rng)
+        h = draw_channels(FixedSnr(snr=4.0), 1, rng)[0]
+        trits, _ = transport_block(bits, plan, profile.a_offsets, h, 1.0, rng)
         p = analytic_params(4, 4.0, 0.5)
         flip_rate = np.mean(trits == 1 - bits)
         assert abs(flip_rate - p.mu) / p.mu <= 0.2
@@ -166,29 +159,39 @@ class TestTransportBlock:
         adaptive = plan_from_thresholds(snr, threshold_table(
             RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
         permuted = plan_from_thresholds(snr, threshold_table(PERMUTED, HETEROGENEOUS_BETAS))
-        ch = ChannelRealization(h=0.9 * np.exp(0.7j) * math.sqrt(snr), noise_var=noise_var)
+        h = 0.9 * np.exp(0.7j) * math.sqrt(snr)
         # fixed-order plans: 36 bits is one unpadded run at every order, 37 is padded
         plans = [(adaptive, a_offsets), (permuted, PERMUTED.a_offsets)] + \
             [(ModPlan((order,) * n), a_offsets[:n]) for order in (2, 4, 6) for n in (36, 37)]
         for plan, a in plans:
             bits = RandomSource(11).bits(len(a) * rows).reshape(rows, len(a))
-            trits, n_sym = transport_block(bits, plan, a, ch, RandomSource(12))
-            expected, expected_sym = transport_block_per_group(bits, plan, a, ch,
+            trits, n_sym = transport_block(bits, plan, a, h, noise_var, RandomSource(12))
+            expected, expected_sym = transport_block_per_group(bits, plan, a, h, noise_var,
                                                                RandomSource(12))
             assert np.array_equal(trits, expected), plan
             assert n_sym == expected_sym
 
     def test_zero_bit_plan_rejected(self):
-        ch = ChannelRealization(h=1.0, noise_var=1.0)
         with pytest.raises(ConfigError, match="plan covers no bits"):
-            transport_block(np.zeros((1, 0)), ModPlan(()), np.zeros(0), ch, RandomSource(14))
+            transport_block(np.zeros((1, 0)), ModPlan(()), np.zeros(0), 1.0, 1.0, RandomSource(14))
 
     @pytest.mark.parametrize("n_offsets", [36, 38])
     def test_offset_count_must_match_plan(self, n_offsets):
         bits = RandomSource(13).bits(37).reshape(1, 37)
-        ch = ChannelRealization(h=1.0, noise_var=1.0)
         with pytest.raises(ConfigError, match=f"a_offsets covers {n_offsets} bits, not 37"):
-            transport_block(bits, ModPlan((2,) * 37), np.zeros(n_offsets), ch, RandomSource(14))
+            transport_block(bits, ModPlan((2,) * 37), np.zeros(n_offsets), 1.0, 1.0,
+                            RandomSource(14))
+
+    @pytest.mark.parametrize("h,noise_var,match", [
+        (1.0, -1.0, "noise variance must be >= 0"),
+        (1.0, math.nan, "noise variance must be >= 0"),
+        (math.nan, 1.0, "channel gain"),
+        (1e-160, 1.0, "equalizer gain"),
+    ], ids=["negative-noise", "nan-noise", "nan-h", "subnormal-gain"])
+    def test_bad_channel_rejected(self, h, noise_var, match):
+        bits = RandomSource(13).bits(4).reshape(1, 4)
+        with pytest.raises(DomainError, match=match):
+            transport_block(bits, ModPlan((2,) * 4), np.zeros(4), h, noise_var, RandomSource(14))
 
     def test_mixed_offsets_match_per_bit_regions(self):
         # every bit keeps its own offset across a mixed-order plan: replay the
@@ -199,8 +202,8 @@ class TestTransportBlock:
             RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
         assert len(set(plan.orders)) == 3
         bits = RandomSource(8).bits(96 * 6).reshape(6, 96)
-        ch = draw_channel(FixedSnr(snr=3.0), RandomSource(9))
-        trits, _ = transport_block(bits, plan, a_offsets, ch, RandomSource(10))
+        h = draw_channels(FixedSnr(snr=3.0), 1, RandomSource(9))[0]
+        trits, _ = transport_block(bits, plan, a_offsets, h, 1.0, RandomSource(10))
 
         noise_rng = RandomSource(10)
         expected = np.empty(bits.shape)
@@ -208,7 +211,7 @@ class TestTransportBlock:
             c = build_constellation(order)
             padded = np.pad(bits[:, idxs], ((0, 0), (0, (-len(idxs)) % order)))
             words = pack_bits(padded.reshape(-1), order)
-            y = equalize(transmit(c.points[words], ch, noise_rng), ch.h).reshape(6, -1)
+            y = equalize(transmit(c.points[words], h, 1.0, noise_rng), h).reshape(6, -1)
             for slot, i in enumerate(idxs):
                 br = build_regions(c, a_offsets[i]).bits[slot % order]
                 word = y[:, slot // order]
@@ -294,6 +297,13 @@ class TestEndToEnd:
         with pytest.raises(ConfigError, match="unsupported modulation order 3"):
             run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS,
                            False, ds, RandomSource(97), fixed_order=3)
+
+    def test_empty_dataset_rejected(self, trained_setup):
+        ds, profile, models = trained_setup
+        empty = Dataset(features=ds.features[:0], labels=ds.labels[:0], n_classes=ds.n_classes)
+        with pytest.raises(ConfigError, match="dataset is empty"):
+            run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS,
+                           False, empty, RandomSource(96))
 
     def test_bit_bias_reported(self, trained_setup):
         ds, profile, models = trained_setup

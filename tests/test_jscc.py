@@ -215,16 +215,14 @@ class TestTraining:
 
     def test_divergence_raises_with_epoch(self):
         features = np.full((8, 4), 1e200)
-        ds = Dataset(features=features, labels=np.zeros(8, dtype=np.int64),
-                     n_classes=1, norm_mean=0.0, norm_scale=1.0)
+        ds = Dataset(features=features, labels=np.zeros(8, dtype=np.int64), n_classes=1)
         cfg = tiny_config(n_bits=4, epochs=2, warmup_epochs=0, batch_size=8,
                           enc_hidden=(4,), dec_hidden=(4,), clf_hidden=(4,))
         with pytest.raises(TrainingError, match="epoch 0"):
             train(ds, cfg)
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(features=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64),
-                     n_classes=1, norm_mean=0.0, norm_scale=1.0)
+        ds = Dataset(features=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64), n_classes=1)
         with pytest.raises(ConfigError):
             train(ds, tiny_config(n_bits=4))
 
