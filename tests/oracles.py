@@ -134,9 +134,8 @@ def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfi
                      betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
     """Session spectral efficiency over n_draws channel blocks (bits/symbols)."""
     g2, _ = block_gains(draw_channels(channel_dist, n_draws, rng))
-    with np.errstate(divide="ignore"):  # a noiseless block has infinite SNR
-        snr = g2 / channel_dist.noise_var
-    *_, symbols = symbol_runs(orders_from_thresholds(snr, threshold_table(profile, betas)))
+    orders = orders_from_thresholds(g2 / channel_dist.noise_var, threshold_table(profile, betas))
+    *_, symbols = symbol_runs(orders)
     return len(profile) * n_draws / int(symbols.sum())
 
 
@@ -178,13 +177,12 @@ def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
     n_sym = -(-n_bits // c.m)
     chunk = LINK_CHUNK_BITS // c.m
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    noise_var = 1.0
-    h = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=noise_var), ch_rng)
+    h = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
     erasures = corrects = 0
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * c.m)
         x = c.points[pack_bits(bits, c.m)]
-        trits = demod_robust(equalize(transmit(x, h, noise_var, noise_rng), h), regions)
+        trits = demod_robust(equalize(transmit(x, h, 1.0, noise_rng), h), regions)
         erasures += int(np.count_nonzero(trits == TRIT_ERASURE))
         corrects += int(np.count_nonzero(trits == bits))
     n = n_sym * c.m
