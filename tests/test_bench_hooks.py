@@ -15,6 +15,9 @@ import pytest
 from semlink import harness
 from semlink.adaptmod import HETEROGENEOUS_BETAS, threshold_table
 from semlink.bsec import RobustnessProfile
+from semlink.channel import UniformMagnitude
+from semlink.datasets import synth_dataset
+from semlink.jscc import TrainingConfig, build_models
 from semlink.numerics import RandomSource
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -39,3 +42,24 @@ def test_counted_calls_record_spans_and_counts():
     assert {"adaptmod.plan", "harness.transport"} <= {span[0] for span in tracer.spans}
     for name in ("harness.transport_calls", "adaptmod.plans", "adaptmod.bit_slots"):
         assert tracer.counts[name] > 0, name
+
+
+def test_traced_runs_equal_plain_runs():
+    # the workloads' two channel jobs: a traced run returns what a plain run
+    # does and records the spans of its stages
+    profile = RobustnessProfile.linear_ramp(12, 0.29, 0.45, a=0.5)
+    ds = synth_dataset(3, 8, 20, 1.0, RandomSource(3))
+    models = build_models(8, 3, TrainingConfig(profile=profile), RandomSource(4))
+
+    def run():
+        return (harness.run_end_to_end(models, UniformMagnitude(0.37, 2.5), profile,
+                                       HETEROGENEOUS_BETAS, True, ds, RandomSource(5),
+                                       images_per_block=7),
+                harness.run_link_montecarlo(6, 3.0, 0.5, 70000, RandomSource(6)))  # two chunks
+
+    plain = run()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        traced = run()
+    assert traced == plain
+    assert {"harness.end_to_end", "harness.link", "nn.forward", "demod.classify"} <= \
+        {span[0] for span in tracer.spans}

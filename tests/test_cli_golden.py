@@ -37,6 +37,11 @@ CASES = {
                                  *TINY_DATA[:4], "--per-class", "1000", "--noise-sigma", "1.0",
                                  "--adaptive", "--uniform", "0.37:2.5", "--profile", str(MIXED),
                                  "--images-per-block", "7", "--seed", "8"],
+    # the fixed-SNR path (channel.FixedSnr) at fixed and adaptive orders
+    **{name: ["eval", "--model-dir", str(MODEL_DIR), *TINY_DATA, "--snr-db=-3:9:6",
+              "--profile", str(MIXED), "--images-per-block", "3", "--seed", "9", *mode]
+       for name, mode in (("eval_fixed.csv", ["--fixed-order", "4"]),
+                          ("eval_fixed_adaptive.csv", ["--adaptive"]))},
 }
 TRAIN = ["train", *TINY_DATA, "--profile", str(MIXED), "--epochs", "4",
          "--warmup-epochs", "1", "--batch-size", "16", "--seed", "2"]
