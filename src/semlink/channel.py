@@ -1,7 +1,7 @@
 """Quasi-static fading with AWGN, coherent equalization, and channel draws.
 
-A coherence block is its complex coefficient h; the noise variance belongs to
-the channel distribution. Blocks are drawn as 1-D arrays of h by
+A coherence block is its complex coefficient h over unit-variance noise, so
+the block's SNR is |h|^2. Blocks are drawn as 1-D arrays of h by
 draw_channels, and block_gains is the one check on h.
 """
 
@@ -16,22 +16,15 @@ from .errors import DomainError
 from .numerics import RandomSource
 
 
-def _check_noise_var(noise_var: float) -> None:
-    if not (noise_var >= 0):
-        raise DomainError(f"noise variance must be >= 0, got {noise_var}")
-
-
 @dataclass(frozen=True)
 class FixedSnr:
-    """Channel magnitude fixed by a target SNR; phase drawn uniformly."""
+    """|h| = sqrt(snr) with uniform phase."""
 
     snr: float
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if not (self.snr > 0):
             raise DomainError(f"snr must be positive, got {self.snr}")
-        _check_noise_var(self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -40,14 +33,12 @@ class UniformMagnitude:
 
     g1: float
     g2: float
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if not (0 <= self.g1 < self.g2):
             raise DomainError(f"require 0 <= g1 < g2, got [{self.g1}, {self.g2}]")
         if not math.isfinite(self.g2 * self.g2):  # |h|^2 is the block's SNR
             raise DomainError(f"g2^2 must be finite, got g2={self.g2}")
-        _check_noise_var(self.noise_var)
 
 
 ChannelDistribution = FixedSnr | UniformMagnitude
@@ -62,7 +53,7 @@ def draw_channels(dist: ChannelDistribution, n: int, rng: RandomSource) -> np.nd
     one-block draws.
     """
     if isinstance(dist, FixedSnr):
-        mag = math.sqrt(dist.snr * dist.noise_var)
+        mag = math.sqrt(dist.snr)
         phase = 2.0 * math.pi * rng.random(n)
     elif isinstance(dist, UniformMagnitude):
         u = rng.random((n, 2))
@@ -95,14 +86,11 @@ def block_gains(h) -> tuple[np.ndarray, np.ndarray]:
     return g2, gain
 
 
-def transmit(x: np.ndarray, h: complex, noise_var: float, rng: RandomSource) -> np.ndarray:
+def transmit(x: np.ndarray, h: complex, rng: RandomSource) -> np.ndarray:
     """y[n] = h x[n] + v[n] with circularly symmetric complex Gaussian v of
-    variance noise_var."""
-    _check_noise_var(noise_var)
+    unit variance."""
     x = np.asarray(x, dtype=complex)
-    if noise_var == 0:
-        return h * x
-    scale = math.sqrt(noise_var / 2.0)
+    scale = math.sqrt(0.5)
     noise = scale * (rng.std_normal(x.size) + 1j * rng.std_normal(x.size))
     return h * x + noise.reshape(x.shape)
 

@@ -227,6 +227,8 @@ def cmd_adaptive_plan(args) -> int:
 
 
 def _load_dataset(args):
+    if args.idx_labels and not args.idx_images:
+        raise ConfigError("--idx-labels needs --idx-images")
     if args.idx_images:
         return load_idx(args.idx_images, args.idx_labels)
     return synth_dataset(args.classes, args.dim, args.per_class, args.noise_sigma,

@@ -25,7 +25,6 @@ from .bsec import RobustnessProfile, analytic_params
 from .channel import (  # noqa: F401
     ChannelDistribution,
     FixedSnr,
-    _check_noise_var,
     block_gains,
     draw_channels,
     equalize,
@@ -88,15 +87,14 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     m = check_order(order)
     n_sym = -(-n_bits // m)
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    dist = FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0)
-    h = draw_channels(dist, 1, ch_rng)
+    h = draw_channels(FixedSnr(snr=10.0 ** (snr_db / 10.0)), 1, ch_rng)
     _, gain = block_gains(h)
     chunk = LINK_CHUNK_BITS // m
     counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * m).reshape(-1, m)
         trits, _ = _carry(bits, np.full((1, m), m), np.array([len(bits)]), h, gain,
-                          dist.noise_var, np.full(m, a), noise_rng)
+                          np.full(m, a), noise_rng)
         stats = _count_trits(bits, trits)
         counts += (stats.flips, stats.erasures, stats.corrects)
     return LinkStats(n_sym * m, *counts.tolist())
@@ -109,8 +107,7 @@ CHUNK_ENTRIES = 2 ** 15
 
 
 def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray,
-           gain: np.ndarray, noise_var: float, a_offsets,
-           rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+           gain: np.ndarray, a_offsets, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
     """Carry consecutive channel blocks of latent bits, each over its own channel.
 
     Block b owns the next rows[b] rows of bits and rides coefficient h[b],
@@ -132,9 +129,8 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray
     noise_start = np.cumsum(2 * draw_syms) - 2 * draw_syms
     row0 = np.cumsum(rows) - rows
     a_offsets = np.asarray(a_offsets, dtype=np.float64)
-    if noise_var != 0:
-        noise = rng.std_normal(int(2 * draw_syms.sum()))
-        scale = math.sqrt(noise_var / 2.0)
+    noise = rng.std_normal(int(2 * draw_syms.sum()))
+    scale = math.sqrt(0.5)
 
     out = None  # allocated late: a long link run then faults fewer fresh pages per chunk
     for order in (2, 4, 6):
@@ -173,8 +169,7 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray
             shape, keep = flat.shape, np.broadcast_to(live, flat.shape)
             dest = flat[keep]
         y = h[blk] * build_constellation(order).points[words]
-        if noise_var != 0:
-            y += scale * (noise[re] + 1j * noise[im]).reshape(words.shape)
+        y += scale * (noise[re] + 1j * noise[im]).reshape(words.shape)
         y *= gain[blk]
         trits = demod_robust(y, _order_regions(order), a_slots).reshape(shape)[keep]
         if out is None:
@@ -184,9 +179,8 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray
 
 
 def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray, h: complex,
-                    noise_var: float, rng: RandomSource) -> tuple[np.ndarray, int]:
-    """Carry a (block, n_bits) bit matrix over one channel block h with noise
-    variance noise_var.
+                    rng: RandomSource) -> tuple[np.ndarray, int]:
+    """Carry a (block, n_bits) bit matrix over one channel block h.
 
     Bits are packed per adaptmod.symbol_runs run, padded with zeros,
     modulated with the run's constellation, faded, equalized, and demodulated
@@ -201,10 +195,9 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray, h: c
         raise ConfigError("plan covers no bits")
     if len(a_offsets) != n_bits:
         raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
-    _check_noise_var(noise_var)
     h = np.array([h])
     trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), h,
-                            block_gains(h)[1], noise_var, a_offsets, rng)
+                            block_gains(h)[1], a_offsets, rng)
     return trits, int(symbols[0])
 
 
@@ -261,7 +254,6 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         table = threshold_table(profile, betas)
     else:
         fixed = np.full(n_bits, check_order(fixed_order))
-    noise_var = channel_dist.noise_var
     ch_rng, bit_rng, noise_rng = rng.split(3)
     chunk_images = max(1, CHUNK_ENTRIES // (images_per_block * n_bits)) * images_per_block
 
@@ -278,14 +270,13 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         h = draw_channels(channel_dist, len(rows), ch_rng)
         g2, gain = block_gains(h)
         if adaptive:
-            snr = g2 / noise_var if noise_var else np.full(len(rows), math.inf)
-            orders = orders_from_thresholds(snr, table)
+            orders = orders_from_thresholds(g2, table)
         else:
             orders = np.tile(fixed, (len(rows), 1))
         f = _forward_blocks(models.encoder, xc, images_per_block)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)
-        trits, symbols_per_row = _carry(bits, orders, rows, h, gain, noise_var,
-                                        profile.a_offsets, noise_rng)
+        trits, symbols_per_row = _carry(bits, orders, rows, h, gain, profile.a_offsets,
+                                        noise_rng)
         total_symbols += int(symbols_per_row @ rows)
         bit_sum += int(bits.sum())
         stats = _count_trits(bits, trits)
@@ -317,21 +308,19 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     }
 
 
-def trit_histogram_link(snr: float, a: float, n_bits: int, rng: RandomSource,
-                        order: int = 2) -> np.ndarray:
-    """(flips, erasures, corrects) counts from the physical link chain."""
-    stats = run_link_montecarlo(order, 10.0 * math.log10(snr), a, n_bits, rng)
+def trit_histogram_link(snr: float, a: float, n_bits: int, rng: RandomSource) -> np.ndarray:
+    """(flips, erasures, corrects) counts from the order-2 physical link chain."""
+    stats = run_link_montecarlo(2, 10.0 * math.log10(snr), a, n_bits, rng)
     return np.array([stats.flips, stats.erasures, stats.corrects])
 
 
-def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource,
-                        order: int = 2) -> np.ndarray:
-    """(flips, erasures, corrects) counts from the sampled stochastic model.
+def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource) -> np.ndarray:
+    """(flips, erasures, corrects) counts from the sampled order-2 stochastic model.
 
     The trits are drawn with training's latent sampler, whose law for a sure
     bit is the BSEC's.
     """
-    params = analytic_params(order, snr, a)
+    params = analytic_params(2, snr, a)
     bit_rng, ch_rng = rng.split(2)
     bits = bit_rng.bits(n_bits)
     stats = _count_trits(bits, noisy_latent_sample(bits, params.mu, params.d, ch_rng))

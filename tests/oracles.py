@@ -89,7 +89,7 @@ def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> complex
     """h of one block of channel.draw_channels by scalar uniform draws: |h|
     (for UniformMagnitude), then the phase, and h = mag * complex(cos, sin)."""
     if isinstance(dist, FixedSnr):
-        mag = math.sqrt(dist.snr * dist.noise_var)
+        mag = math.sqrt(dist.snr)
     elif isinstance(dist, UniformMagnitude):
         mag = rng.uniform(dist.g1, dist.g2)
     else:
@@ -134,7 +134,7 @@ def mean_adaptive_se(channel_dist: ChannelDistribution, profile: RobustnessProfi
                      betas: BetaAdjusters, n_draws: int, rng: RandomSource) -> float:
     """Session spectral efficiency over n_draws channel blocks (bits/symbols)."""
     g2, _ = block_gains(draw_channels(channel_dist, n_draws, rng))
-    orders = orders_from_thresholds(g2 / channel_dist.noise_var, threshold_table(profile, betas))
+    orders = orders_from_thresholds(g2, threshold_table(profile, betas))
     *_, symbols = symbol_runs(orders)
     return len(profile) * n_draws / int(symbols.sum())
 
@@ -177,12 +177,12 @@ def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
     n_sym = -(-n_bits // c.m)
     chunk = LINK_CHUNK_BITS // c.m
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    h = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0), noise_var=1.0), ch_rng)
+    h = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0)), ch_rng)
     erasures = corrects = 0
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * c.m)
         x = c.points[pack_bits(bits, c.m)]
-        trits = demod_robust(equalize(transmit(x, h, 1.0, noise_rng), h), regions)
+        trits = demod_robust(equalize(transmit(x, h, noise_rng), h), regions)
         erasures += int(np.count_nonzero(trits == TRIT_ERASURE))
         corrects += int(np.count_nonzero(trits == bits))
     n = n_sym * c.m
@@ -198,7 +198,7 @@ def _regions_at_zero(order: int):
 
 
 def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray,
-                              h: complex, noise_var: float, rng: RandomSource):
+                              h: complex, rng: RandomSource):
     """harness.transport_block one plan_groups group at a time: pad, transmit,
     equalize; the symbol count is summed over the padded groups."""
     bits = np.atleast_2d(np.asarray(bits, dtype=np.int64))
@@ -214,7 +214,7 @@ def transport_block_per_group(bits: np.ndarray, plan: ModPlan, a_offsets: np.nda
         symbols += (idxs.size + pad) // order
         padded = np.pad(bits[:, idxs], ((0, 0), (0, pad)))
         words = pack_bits(padded.reshape(-1), order)
-        y_eq = equalize(transmit(c.points[words], h, noise_var, rng), h)
+        y_eq = equalize(transmit(c.points[words], h, rng), h)
         # padding slots carry a = 0; their trits are dropped below
         a_slots = np.pad(a_offsets[idxs], (0, pad)).reshape(-1, order)
         trits = demod_robust(y_eq.reshape(n_rows, -1), _regions_at_zero(order), a_slots)
@@ -240,7 +240,6 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
     y = np.asarray(dataset.labels, dtype=np.int64)
     table = threshold_table_scalar(profile, betas) if adaptive else None
     static_plan = None if adaptive else ModPlan((check_order(fixed_order),) * n_bits)
-    noise_var = channel_dist.noise_var
     ch_rng, bit_rng, noise_rng = rng.split(3)
 
     correct = 0
@@ -252,12 +251,11 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
         xb = x[start:start + images_per_block]
         yb = y[start:start + images_per_block]
         h = draw_channel_scalar(channel_dist, ch_rng)
-        snr = abs(h) ** 2 / noise_var if noise_var else math.inf
-        plan = plan_from_thresholds(snr, table) if adaptive else static_plan
+        plan = plan_from_thresholds(abs(h) ** 2, table) if adaptive else static_plan
         f = models.encoder.forward(xb)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)
         trits, symbols_per_image = transport_block_per_group(
-            bits, plan, profile.a_offsets, h, noise_var, noise_rng
+            bits, plan, profile.a_offsets, h, noise_rng
         )
         total_symbols += symbols_per_image * len(xb)
         bit_sum += int(bits.sum())

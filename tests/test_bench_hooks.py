@@ -38,7 +38,7 @@ def test_counted_calls_record_spans_and_counts():
     bits = RandomSource(1).bits(2 * 12).reshape(2, 12)
     with tracing.installed(tracing.Tracer()) as tracer:
         plan = harness.plan_from_thresholds(1.0, table)
-        harness.transport_block(bits, plan, profile.a_offsets, 1.0, 1.0, RandomSource(2))
+        harness.transport_block(bits, plan, profile.a_offsets, 1.0, RandomSource(2))
     assert {"adaptmod.plan", "harness.transport"} <= {span[0] for span in tracer.spans}
     for name in ("harness.transport_calls", "adaptmod.plans", "adaptmod.bit_slots"):
         assert tracer.counts[name] > 0, name

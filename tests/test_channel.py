@@ -20,17 +20,10 @@ from semlink.numerics import RandomSource
 from oracles import draw_channel_scalar
 
 
-def test_noiseless_transmit_is_exact():
-    x = np.array([1 + 1j, -0.5 + 0.25j, 2 - 3j])
-    h = 0.7 - 0.2j
-    np.testing.assert_array_equal(transmit(x, h, 0.0, RandomSource(0)), h * x)
-
-
 def test_noiseless_equalize_roundtrip():
     x = np.exp(1j * np.linspace(0, 5, 64))
     h = 1.3 * cmath.exp(1j * 0.8)
-    y = transmit(x, h, 0.0, RandomSource(0))
-    np.testing.assert_allclose(equalize(y, h), x, atol=1e-12)
+    np.testing.assert_allclose(equalize(h * x, h), x, atol=1e-12)
 
 
 def test_real_positive_h_is_scalar_division():
@@ -63,10 +56,10 @@ def test_zero_or_nan_gain_rejected(h):
         block_gains(np.array([1.0, h]))
 
 
-def test_noise_variance_and_split():
+def test_unit_noise_power_and_split():
     n = 10**6
     x = np.zeros(n, dtype=complex)
-    y = transmit(x, 1.0, 1.0, RandomSource(21))
+    y = transmit(x, 1.0, RandomSource(21))
     noise = y - x
     assert abs(np.mean(np.abs(noise) ** 2) - 1.0) <= 0.005
     assert abs(noise.real.var() - 0.5) <= 0.0035
@@ -76,20 +69,21 @@ def test_noise_variance_and_split():
 
 
 def test_equalized_residual_variance_is_inverse_snr():
-    # h = 2 e^{j pi/3}, sigma^2 = 1 -> SNR = 4, residual variance 1/4
+    # h = 2 e^{j pi/3} over unit noise -> SNR = 4, residual variance 1/4
     n = 10**6
     h = 2.0 * cmath.exp(1j * math.pi / 3)
     x = np.full(n, 1 + 1j, dtype=complex) / math.sqrt(2)
-    resid = equalize(transmit(x, h, 1.0, RandomSource(31)), h) - x
+    resid = equalize(transmit(x, h, RandomSource(31)), h) - x
     assert abs(h) ** 2 == pytest.approx(4.0, abs=1e-12)
     assert abs(np.mean(np.abs(resid) ** 2) - 0.25) <= 0.002
 
 
 class TestDrawChannel:
     def test_fixed_snr_magnitude_exact(self):
-        h = draw_channels(FixedSnr(snr=1.0, noise_var=1.0), 1, RandomSource(3))
-        assert abs(h[0]) == pytest.approx(1.0, abs=1e-12)
-        assert block_gains(h)[0][0] == pytest.approx(1.0, abs=1e-12)
+        # the block's SNR is |h|^2
+        h = draw_channels(FixedSnr(snr=4.0), 1, RandomSource(3))
+        assert abs(h[0]) == pytest.approx(2.0, abs=1e-12)
+        assert block_gains(h)[0][0] == pytest.approx(4.0, abs=1e-12)
 
     def test_uniform_magnitude_mean(self):
         mags = np.abs(draw_channels(UniformMagnitude(0.37, 2.5), 10**5, RandomSource(12)))
@@ -103,7 +97,7 @@ class TestDrawChannel:
             rng = RandomSource(seed)
             h = complex(draw_channels(FixedSnr(snr=2.0), 1, rng)[0])
             x = np.zeros(n, dtype=complex)
-            resid = equalize(transmit(x, h, 1.0, rng), h)
+            resid = equalize(transmit(x, h, rng), h)
             assert abs(np.mean(np.abs(resid) ** 2) - 0.5) <= 0.01
 
     def test_invalid_distributions(self):
@@ -118,22 +112,14 @@ class TestDrawChannel:
         for g2 in (math.inf, 1e300):  # |h|^2 overflows
             with pytest.raises(DomainError, match="g2"):
                 UniformMagnitude(0.0, g2)
-        for noise_var in (-1.0, math.nan):
-            with pytest.raises(DomainError, match="noise variance"):
-                FixedSnr(snr=1.0, noise_var=noise_var)
-            with pytest.raises(DomainError, match="noise variance"):
-                UniformMagnitude(0.37, 2.5, noise_var=noise_var)
-            with pytest.raises(DomainError, match="noise variance"):
-                transmit(np.ones(3), 1.0, noise_var, RandomSource(0))
 
 
 class TestDrawChannels:
     @pytest.mark.parametrize("n", [1, 7, 200])
-    @pytest.mark.parametrize("dist", [FixedSnr(snr=2.5, noise_var=0.7),
-                                      UniformMagnitude(0.37, 2.5, noise_var=1.3)],
+    @pytest.mark.parametrize("dist", [FixedSnr(snr=2.5), UniformMagnitude(0.37, 2.5)],
                              ids=["fixed", "uniform"])
     def test_equals_scalar_draws(self, dist, n):
-        # one array draw gives the bytes of n scalar draws, |h|^2, the SNR and
+        # one array draw gives the bytes of n scalar draws, |h|^2 (the SNR) and
         # equalize's gain included, and leaves the stream where they leave it
         rng, ref = RandomSource(5), RandomSource(5)
         h = draw_channels(dist, n, rng)
@@ -141,7 +127,6 @@ class TestDrawChannels:
         assert h.shape == (n,)
         assert h.tobytes() == np.array(hs).tobytes()
         g2, gain = block_gains(h)
-        assert (g2 / dist.noise_var).tobytes() == \
-            np.array([abs(hb) ** 2 / dist.noise_var for hb in hs]).tobytes()
+        assert g2.tobytes() == np.array([abs(hb) ** 2 for hb in hs]).tobytes()
         assert gain.tobytes() == np.array([np.conj(hb) / abs(hb) ** 2 for hb in hs]).tobytes()
         assert rng.random(5).tobytes() == ref.random(5).tobytes()

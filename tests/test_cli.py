@@ -259,6 +259,15 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{path}: holds no pixels" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--latent-bits", "4", "--epochs", "1", "--warmup-epochs", "0"),
+        ("eval", "--model-dir", str(GOLDEN_MODELS), "--snr-db", "0:0:1"),
+    ], ids=["train", "eval"])
+    def test_idx_labels_without_images_is_a_one_line_error(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--idx-labels", str(tmp_path / "missing.idx"))
+        assert_one_line_error(code, out, err, "--idx-labels needs --idx-images")
+        assert err.startswith("error: ")
+
     def test_divergent_training_is_one_error_line_without_warning(self, capsys):
         # the updates overflow before the loss turns non-finite
         with warnings.catch_warnings():

@@ -119,7 +119,7 @@ class TestTransportBlock:
         rng = RandomSource(5)
         bits = rng.bits(96 * 10).reshape(10, 96)
         h = draw_channels(FixedSnr(snr=1e9), 1, rng)[0]
-        trits, n_sym = transport_block(bits, plan, profile.a_offsets, h, 1.0, rng)
+        trits, n_sym = transport_block(bits, plan, profile.a_offsets, h, rng)
         np.testing.assert_array_equal(trits, bits.astype(float))
         assert n_sym == plan.symbol_count
 
@@ -132,7 +132,7 @@ class TestTransportBlock:
         for _ in range(200):
             bits = rng.bits(8).reshape(1, 8)
             h = draw_channels(FixedSnr(snr=1.0), 1, rng)[0]
-            trits, _ = transport_block(bits, plan, profile.a_offsets, h, 1.0, rng)
+            trits, _ = transport_block(bits, plan, profile.a_offsets, h, rng)
             erased_low += int(np.sum(trits[0, :4] == 0.5))
             erased_high += int(np.sum(trits[0, 4:] == 0.5))
         assert erased_low == 0
@@ -144,54 +144,51 @@ class TestTransportBlock:
         rng = RandomSource(7)
         bits = rng.bits(32 * 400).reshape(400, 32)
         h = draw_channels(FixedSnr(snr=4.0), 1, rng)[0]
-        trits, _ = transport_block(bits, plan, profile.a_offsets, h, 1.0, rng)
+        trits, _ = transport_block(bits, plan, profile.a_offsets, h, rng)
         p = analytic_params(4, 4.0, 0.5)
         flip_rate = np.mean(trits == 1 - bits)
         assert abs(flip_rate - p.mu) / p.mu <= 0.2
 
-    @pytest.mark.parametrize("noise_var", [1.0, 0.0])
+    @pytest.mark.parametrize("phase", [1.0, 0.0])
     @pytest.mark.parametrize("rows", [1, 3, 10])
     @pytest.mark.parametrize("snr", [0.3, 1.0, 3.0, 20.0, 1e4])
-    def test_equals_per_group_transport(self, snr, rows, noise_var):
-        # plans with one, two and three orders; odd run lengths need padding
+    def test_equals_per_group_transport(self, snr, rows, phase):
+        # plans with one, two and three orders; odd run lengths need padding;
+        # a complex h and a real one (phase 0)
         alphas = np.linspace(0.29, 0.45, 37)
         a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 37)
         adaptive = plan_from_thresholds(snr, threshold_table(
             RobustnessProfile(alphas, a_offsets), HETEROGENEOUS_BETAS))
         permuted = plan_from_thresholds(snr, threshold_table(PERMUTED, HETEROGENEOUS_BETAS))
-        h = 0.9 * np.exp(0.7j) * math.sqrt(snr)
+        h = 0.9 * np.exp(1j * phase) * math.sqrt(snr)
         # fixed-order plans: 36 bits is one unpadded run at every order, 37 is padded
         plans = [(adaptive, a_offsets), (permuted, PERMUTED.a_offsets)] + \
             [(ModPlan((order,) * n), a_offsets[:n]) for order in (2, 4, 6) for n in (36, 37)]
         for plan, a in plans:
             bits = RandomSource(11).bits(len(a) * rows).reshape(rows, len(a))
-            trits, n_sym = transport_block(bits, plan, a, h, noise_var, RandomSource(12))
-            expected, expected_sym = transport_block_per_group(bits, plan, a, h, noise_var,
-                                                               RandomSource(12))
+            trits, n_sym = transport_block(bits, plan, a, h, RandomSource(12))
+            expected, expected_sym = transport_block_per_group(bits, plan, a, h, RandomSource(12))
             assert np.array_equal(trits, expected), plan
             assert n_sym == expected_sym
 
     def test_zero_bit_plan_rejected(self):
         with pytest.raises(ConfigError, match="plan covers no bits"):
-            transport_block(np.zeros((1, 0)), ModPlan(()), np.zeros(0), 1.0, 1.0, RandomSource(14))
+            transport_block(np.zeros((1, 0)), ModPlan(()), np.zeros(0), 1.0, RandomSource(14))
 
     @pytest.mark.parametrize("n_offsets", [36, 38])
     def test_offset_count_must_match_plan(self, n_offsets):
         bits = RandomSource(13).bits(37).reshape(1, 37)
         with pytest.raises(ConfigError, match=f"a_offsets covers {n_offsets} bits, not 37"):
-            transport_block(bits, ModPlan((2,) * 37), np.zeros(n_offsets), 1.0, 1.0,
-                            RandomSource(14))
+            transport_block(bits, ModPlan((2,) * 37), np.zeros(n_offsets), 1.0, RandomSource(14))
 
-    @pytest.mark.parametrize("h,noise_var,match", [
-        (1.0, -1.0, "noise variance must be >= 0"),
-        (1.0, math.nan, "noise variance must be >= 0"),
-        (math.nan, 1.0, "channel gain"),
-        (1e-160, 1.0, "equalizer gain"),
-    ], ids=["negative-noise", "nan-noise", "nan-h", "subnormal-gain"])
-    def test_bad_channel_rejected(self, h, noise_var, match):
+    @pytest.mark.parametrize("h,match", [
+        (math.nan, "channel gain"),
+        (1e-160, "equalizer gain"),
+    ], ids=["nan-h", "subnormal-gain"])
+    def test_bad_channel_rejected(self, h, match):
         bits = RandomSource(13).bits(4).reshape(1, 4)
         with pytest.raises(DomainError, match=match):
-            transport_block(bits, ModPlan((2,) * 4), np.zeros(4), h, noise_var, RandomSource(14))
+            transport_block(bits, ModPlan((2,) * 4), np.zeros(4), h, RandomSource(14))
 
     def test_mixed_offsets_match_per_bit_regions(self):
         # every bit keeps its own offset across a mixed-order plan: replay the
@@ -203,7 +200,7 @@ class TestTransportBlock:
         assert len(set(plan.orders)) == 3
         bits = RandomSource(8).bits(96 * 6).reshape(6, 96)
         h = draw_channels(FixedSnr(snr=3.0), 1, RandomSource(9))[0]
-        trits, _ = transport_block(bits, plan, a_offsets, h, 1.0, RandomSource(10))
+        trits, _ = transport_block(bits, plan, a_offsets, h, RandomSource(10))
 
         noise_rng = RandomSource(10)
         expected = np.empty(bits.shape)
@@ -211,7 +208,7 @@ class TestTransportBlock:
             c = build_constellation(order)
             padded = np.pad(bits[:, idxs], ((0, 0), (0, (-len(idxs)) % order)))
             words = pack_bits(padded.reshape(-1), order)
-            y = equalize(transmit(c.points[words], h, 1.0, noise_rng), h).reshape(6, -1)
+            y = equalize(transmit(c.points[words], h, noise_rng), h).reshape(6, -1)
             for slot, i in enumerate(idxs):
                 br = build_regions(c, a_offsets[i]).bits[slot % order]
                 word = y[:, slot // order]
