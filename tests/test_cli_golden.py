@@ -2,7 +2,9 @@
 
 Repeated-run determinism (criterion 10) only compares a build with itself;
 these goldens pin the output across refactors. A change that is meant to alter
-output regenerates them with `python tests/test_cli_golden.py` and says why.
+output rewrites the goldens it moves with `python tests/test_cli_golden.py
+NAME...` and says why; with no name, or an unknown one, the script lists the
+known names and exits 2. A train golden's name also rewrites its model files.
 """
 
 import sys
@@ -48,8 +50,12 @@ TRAIN = ["train", *TINY_DATA, "--profile", str(MIXED), "--epochs", "4",
 # a homogeneous a = 0.5 profile; 120 examples leave a short last batch of 24
 TRAIN_A05 = ["train", *TINY_DATA, "--latent-bits", "12", "--alpha", "0.4", "--a", "0.5",
              "--epochs", "4", "--warmup-epochs", "1", "--batch-size", "32", "--seed", "3"]
+# every epoch noiseless: the mu draws it skips are 175 and 140 doubles long
+TRAIN_ALPHA0 = ["train", *TINY_DATA, "--latent-bits", "7", "--alpha", "0", "--a", "0.5",
+                "--epochs", "3", "--warmup-epochs", "1", "--batch-size", "25", "--seed", "4"]
 TRAIN_RUNS = {"train.csv": (TRAIN, MODEL_DIR),
-              "train_a05.csv": (TRAIN_A05, GOLDENS / "train_a05_models")}
+              "train_a05.csv": (TRAIN_A05, GOLDENS / "train_a05_models"),
+              "train_alpha0.csv": (TRAIN_ALPHA0, GOLDENS / "train_alpha0_models")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -76,13 +82,36 @@ def test_train_a05_golden(tmp_path):
     _check_train("train_a05.csv", tmp_path)
 
 
-def regenerate() -> None:
-    for name, (argv, model_dir) in TRAIN_RUNS.items():
-        assert main([*argv, "--model-dir", str(model_dir),
-                     "--out", str(GOLDENS / name)]) == 0
-    for name, argv in CASES.items():
+def test_train_alpha0_golden(tmp_path):
+    _check_train("train_alpha0.csv", tmp_path)
+
+
+def test_regenerate_needs_known_names(capsys):
+    assert regenerate([]) == 2
+    assert regenerate(["train.csv", "nope.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "nope.csv" in err and "train_alpha0.csv" in err and "simulate_ber.csv" in err
+
+
+def regenerate(names: list[str]) -> int:
+    """Rewrite the named goldens, or list the known names and return 2."""
+    known = [*TRAIN_RUNS, *CASES]
+    unknown = [name for name in names if name not in known]
+    if not names or unknown:
+        print("usage: python tests/test_cli_golden.py NAME...", file=sys.stderr)
+        if unknown:
+            print(f"unknown goldens: {' '.join(unknown)}", file=sys.stderr)
+        print(f"known goldens: {' '.join(known)}", file=sys.stderr)
+        return 2
+    for name in names:
+        if name in TRAIN_RUNS:
+            argv, model_dir = TRAIN_RUNS[name]
+            argv = [*argv, "--model-dir", str(model_dir)]
+        else:
+            argv = CASES[name]
         assert main([*argv, "--out", str(GOLDENS / name)]) == 0
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))
