@@ -154,4 +154,6 @@ def exact_params(order: int, snr: float, a: float) -> BsecParams:
 def sample_mu_matrix(alphas: np.ndarray, n_examples: int, rng: RandomSource) -> np.ndarray:
     """(n_examples, n_bits) flip probabilities, independent across both axes."""
     alphas = np.asarray(alphas, dtype=float)
-    return rng.random((n_examples, alphas.size)) * alphas[None, :]
+    mu = rng.random((n_examples, alphas.size))
+    mu *= alphas
+    return mu

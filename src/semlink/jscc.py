@@ -6,7 +6,10 @@ the profile's robustness levels, matched erasure probabilities are derived in
 closed form, and the decoder input is drawn in one step from the marginal law
 over {0, 0.5, 1}. The sampling stage is non-differentiable, so gradients at
 the decoder input pass through to the encoder's probabilities unchanged.
-A warm-up period trains with a noiseless latent channel first.
+A warm-up period trains with a noiseless latent channel first. A noiseless
+batch (warm-up, or a zero profile) skips the flip-probability draw exactly,
+moving the noise stream past it, and samples plain Bernoulli bits, so its
+bytes equal a run that draws mu and scales it by zero.
 
 The reconstruction term is plain squared error. Viewing the decoder as
 Gaussian with some fixed isotropic variance would only wrap that error in
@@ -48,8 +51,8 @@ class TrainingConfig:
             raise ConfigError(
                 f"warmup_epochs={self.warmup_epochs} must lie in [0, epochs={self.epochs}]"
             )
-        if not (self.loss_weight >= 0):
-            raise ConfigError(f"loss weight must be >= 0, got {self.loss_weight}")
+        if not (0 <= self.loss_weight < math.inf):
+            raise ConfigError(f"loss weight must be finite and >= 0, got {self.loss_weight}")
         if not (0 < self.learning_rate < math.inf):
             raise ConfigError(
                 f"learning rate must be finite and > 0, got {self.learning_rate}"
@@ -123,10 +126,18 @@ def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    p_one = (1.0 - d - mu) * f + mu * (1.0 - f)
-    u = rng.random(p_one.shape)
-    out = (u < d + p_one).astype(np.float64)
-    out[u < d] = TRIT_ERASURE
+    shape = np.broadcast_shapes(f.shape, mu.shape, d.shape)
+    # P(1) and the threshold d + P(1), rounded as written above
+    p_one = np.subtract(1.0, d, out=np.empty(shape))
+    p_one -= mu
+    p_one *= f
+    out = np.subtract(1.0, f, out=np.empty(shape))
+    out *= mu
+    p_one += out
+    u = rng.random(shape)
+    p_one += d
+    np.less(u, p_one, out=out)
+    np.copyto(out, TRIT_ERASURE, where=u < d)
     return out
 
 
@@ -147,7 +158,9 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
     mse, grad_uhat_mse = mse_loss(u, u_hat)
     loss = loss_weight * mse + ce
 
-    grad_uhat = clf.backward(grad_logits) + loss_weight * grad_uhat_mse
+    grad_uhat_mse *= loss_weight
+    grad_uhat = clf.backward(grad_logits)
+    grad_uhat += grad_uhat_mse
     grad_bhat = dec.backward(grad_uhat)
     # gradient w.r.t. probabilities := gradient w.r.t. b_hat; the encoder's own
     # input gradient has no use
@@ -166,7 +179,6 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
     opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas = config.profile.alphas
-    no_alphas = np.zeros_like(alphas)
     result = TrainResult(models=models)
 
     # a diverging run overflows before its loss turns non-finite; that check
@@ -174,21 +186,25 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(x))
-            warm = epoch < config.warmup_epochs
+            x_epoch, y_epoch = x[order], y[order]
             # mu is exactly 0 in warm-up and under a zero profile, and so is d
-            noiseless = warm or not alphas.any()
+            noiseless = epoch < config.warmup_epochs or not alphas.any()
             tot_loss = tot_mse = tot_ce = 0.0
             correct = 0
             n_batches = 0
             for start in range(0, len(x), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                xb, yb = x[idx], y[idx]
+                xb = x_epoch[start:start + config.batch_size]
+                yb = y_epoch[start:start + config.batch_size]
                 f = models.encoder.forward(xb)
-                # warm-up scales the same draws by zero, keeping the stream
-                # aligned with a zero-robustness profile run
-                mu = sample_mu_matrix(no_alphas if warm else alphas, len(xb), noise_rng)
-                d = 0.0 if noiseless else erasure_from_mu_array(mu)
-                b_hat = noisy_latent_sample(f, mu, d, noise_rng)
+                if noiseless:
+                    # skip the mu draw exactly, leaving the stream where the
+                    # robust path's draw would; at mu = d = 0 the three-point
+                    # law is one Bernoulli(f) bit, bitwise
+                    noise_rng.skip(f.size)
+                    b_hat = sample_latent_bits(f, noise_rng).astype(np.float64)
+                else:
+                    mu = sample_mu_matrix(alphas, len(xb), noise_rng)
+                    b_hat = noisy_latent_sample(f, mu, erasure_from_mu_array(mu), noise_rng)
                 loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
                                                              config.loss_weight)
                 if not math.isfinite(loss):

@@ -56,11 +56,17 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise DomainError(f"unknown activation {kind!r}")
 
 
-def _activation_backward(grad_out: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
+def _activation_backward(grad_out: np.ndarray, out: np.ndarray, kind: str,
+                         in_place: bool = False) -> np.ndarray:
+    """Gradient at the affine output; in_place overwrites grad_out with it."""
+    dest = grad_out if in_place else None
     if kind == "relu":
-        return grad_out * (out > 0)  # the same mask as z > 0, also at -0.0 and NaN
+        # the same mask as z > 0, also at -0.0 and NaN
+        return np.multiply(grad_out, out > 0, out=dest)
     if kind == "sigmoid":
-        return grad_out * out * (1.0 - out)
+        grad = np.multiply(grad_out, out, out=dest)
+        grad *= 1.0 - out
+        return grad
     if kind == "identity":
         return grad_out
     raise DomainError(f"unknown activation {kind!r}")
@@ -156,9 +162,11 @@ class DenseModel:
         if self._cache is None:
             raise StateError("backward called without a cached forward pass")
         grad = np.asarray(grad_out, dtype=np.float64)
+        last = len(self.layers) - 1
         for i in reversed(range(len(self.layers))):
             layer, x_in, out = self.layers[i], self._cache[i], self._cache[i + 1]
-            grad_z = _activation_backward(grad, out, layer.activation)
+            # below the last layer, grad is this pass's own product
+            grad_z = _activation_backward(grad, out, layer.activation, i < last)
             np.matmul(grad_z.T, x_in, out=layer.grad_weight)
             grad_z.sum(axis=0, out=layer.grad_bias)
             if i == 0 and not input_grad:
@@ -250,8 +258,9 @@ def mse_loss(u: np.ndarray, u_hat: np.ndarray) -> tuple[float, np.ndarray]:
         raise DomainError(f"shape mismatch {u.shape} vs {u_hat.shape}")
     diff = u_hat - u
     value = float(np.mean(np.sum(diff * diff, axis=1)))
-    grad = 2.0 * diff / u.shape[0]
-    return value, grad
+    diff *= 2.0
+    diff /= u.shape[0]
+    return value, diff
 
 
 def ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -263,13 +272,16 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if labels.shape[0] != logits.shape[0]:
         raise DomainError("one label per logits row required")
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    row_sum = np.sum(e, axis=1, keepdims=True)
-    value = float(np.mean(np.log(row_sum[:, 0]) - shifted[np.arange(len(labels)), labels]))
-    grad = e / row_sum  # softmax
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return value, grad / len(labels)
+    rows = np.arange(len(labels))
+    grad = logits - np.max(logits, axis=1, keepdims=True)
+    picked = grad[rows, labels]
+    np.exp(grad, out=grad)
+    row_sum = np.sum(grad, axis=1, keepdims=True)
+    value = float(np.mean(np.log(row_sum[:, 0]) - picked))
+    grad /= row_sum  # softmax
+    grad[rows, labels] -= 1.0
+    grad /= len(labels)
+    return value, grad
 
 
 def save_model(model: DenseModel, path) -> None:

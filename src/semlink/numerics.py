@@ -90,6 +90,32 @@ class RandomSource:
         """Uniform draw(s) on [0, 1)."""
         return self._gen.random(size=size)
 
+    def skip(self, n: int) -> None:
+        """Move the stream past n doubles, as random(n) would, without drawing them.
+
+        Each double takes one 64-bit Philox word, and Philox makes words four
+        to a counter block: the current block is finished word by word, whole
+        blocks are jumped by advancing the counter, and the rest is drawn.
+        advance() also drops the pending 32-bit half of an odd bits() call,
+        which drawing doubles keeps, so it is put back.
+        """
+        if n < 0:
+            raise DomainError(f"skip requires n >= 0, got {n}")
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        head = min(n, 4 - state["buffer_pos"])
+        blocks, tail = divmod(n - head, 4)
+        if head:
+            bitgen.random_raw(head, output=False)
+        if blocks:
+            bitgen.advance(blocks)
+            if state["has_uint32"]:
+                moved = bitgen.state
+                moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+                bitgen.state = moved
+        if tail:
+            bitgen.random_raw(tail, output=False)
+
     def bits(self, n: int) -> np.ndarray:
         """n independent fair bits."""
         return self._gen.integers(0, 2, size=n)

@@ -215,6 +215,7 @@ class TestCommands:
         (("train", *TINY_TRAIN, "--learning-rate", "nan"), "learning rate"),
         (("train", *TINY_TRAIN, "--learning-rate", "-1"), "learning rate"),
         (("train", *TINY_TRAIN, "--loss-weight", "nan"), "loss weight"),
+        (("train", *TINY_TRAIN, "--loss-weight", "inf"), "loss weight"),
         (("train", *TINY_TRAIN, "--noise-sigma", "nan"), "noise_sigma"),
         (("train", *TINY_TRAIN, "--noise-sigma", "inf"), "noise_sigma"),
         (("train", *TINY_TRAIN, "--latent-bits", "0"), "at least 1 bit"),
@@ -225,7 +226,7 @@ class TestCommands:
         (("bsec-table", "--order", "2", "--a", "0.5", "--snr-db", "0:0:1",
           "--n-bits", "1000000000000000000000"), "n_bits must be in [1, 100000000]"),
     ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
-            "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup",
+            "loss-weight-inf", "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup",
             "capacity-g2-square-overflows", "simulate-ber-n-bits-huge", "bsec-table-n-bits-huge"])
     def test_bad_value_is_a_one_line_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink.bsec import RobustnessProfile
+from semlink.bsec import RobustnessProfile, sample_mu_matrix
 from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, TrainingError
 from semlink.jscc import (
@@ -107,6 +107,25 @@ class TestLatentSampling:
         rng = RandomSource(4)
         out = noisy_latent_sample(np.ones((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), rng)
         np.testing.assert_array_equal(out, 1.0)
+
+    @pytest.mark.parametrize("prior", [0, 1, 2, 3, 5])
+    def test_noiseless_shortcut_equals_zero_channel_sample(self, prior):
+        # training's noiseless batches skip the mu draw and take u < f; that
+        # must equal drawing mu = 0 and sampling the three-point law at d = 0
+        f = RandomSource(10).random((25, 7))
+        f[0, :3] = 0.0
+        f[1, 2:6] = 1.0
+        shortcut, drawn = RandomSource(11), RandomSource(11)
+        shortcut.random(prior)
+        drawn.random(prior)
+        shortcut.skip(f.size)
+        fast = sample_latent_bits(f, shortcut).astype(np.float64)
+        mu = sample_mu_matrix(np.zeros(7), 25, drawn)
+        np.testing.assert_array_equal(mu, 0.0)
+        slow = noisy_latent_sample(f, mu, 0.0, drawn)
+        assert fast.dtype == slow.dtype
+        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(shortcut.random(4), drawn.random(4))
 
 
 class TestBypassGradients:
@@ -238,8 +257,9 @@ class TestTraining:
         for bad in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ConfigError, match="learning rate"):
                 tiny_config(learning_rate=bad)
-        with pytest.raises(ConfigError, match="loss weight"):
-            tiny_config(loss_weight=math.nan)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="loss weight"):
+                tiny_config(loss_weight=bad)
 
     def test_eval_under_bsec_bounds(self):
         ds = tiny_dataset()

@@ -163,6 +163,26 @@ class TestRandomSource:
         np.testing.assert_array_equal(src.std_normal(1001), normals)
         np.testing.assert_array_equal(src.bits(7), bits)
 
+    def test_skip_equals_drawing(self):
+        # every offset in a 4-word Philox block, short skips, and whole blocks
+        for prior in range(9):
+            for n in (0, 1, 3, 4, 5, 175, 13313, 16384):
+                skipped, drawn = RandomSource(23), RandomSource(23)
+                skipped.random(prior)
+                drawn.random(prior)
+                skipped.skip(n)
+                np.testing.assert_array_equal(skipped.random(6), drawn.random(n + 6)[n:])
+        # an odd bits() call leaves half a word pending, which doubles do not use
+        for n in (1, 4, 5, 175, 13313):
+            skipped, drawn = RandomSource(24), RandomSource(24)
+            np.testing.assert_array_equal(skipped.bits(5), drawn.bits(5))
+            skipped.skip(n)
+            drawn.random(n)
+            np.testing.assert_array_equal(skipped.bits(7), drawn.bits(7))
+            np.testing.assert_array_equal(skipped.random(3), drawn.random(3))
+        with pytest.raises(DomainError, match="n >= 0"):
+            RandomSource(25).skip(-1)
+
     def test_seed_validation(self):
         with pytest.raises(DomainError):
             RandomSource(-1)
