@@ -137,7 +137,7 @@ def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
     u = rng.random(shape)
     p_one += d
     np.less(u, p_one, out=out)
-    np.copyto(out, TRIT_ERASURE, where=u < d)
+    np.putmask(out, u < d, TRIT_ERASURE)
     return out
 
 

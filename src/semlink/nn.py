@@ -46,8 +46,9 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
         e = np.abs(z)
         np.negative(e, out=e)
         np.exp(e, out=e)
-        np.copyto(z, e)
-        np.copyto(z, 1.0, where=pos)
+        # where(pos, 1, e) without a masked store, which is several times
+        # slower: e <= 1 everywhere, and a NaN e stays NaN
+        np.maximum(e, pos, out=z)
         e += 1.0
         z /= e
         return z

@@ -4,7 +4,9 @@ Repeated-run determinism (criterion 10) only compares a build with itself;
 these goldens pin the output across refactors. A change that is meant to alter
 output rewrites the goldens it moves with `python tests/test_cli_golden.py
 NAME...` and says why; with no name, or an unknown one, the script lists the
-known names and exits 2. A train golden's name also rewrites its model files.
+known names and exits 2. A train golden's name also rewrites its model files,
+and train goldens are rewritten first, since the eval goldens read
+`train_models`.
 """
 
 import sys
@@ -103,7 +105,9 @@ def regenerate(names: list[str]) -> int:
             print(f"unknown goldens: {' '.join(unknown)}", file=sys.stderr)
         print(f"known goldens: {' '.join(known)}", file=sys.stderr)
         return 2
-    for name in names:
+    for name in known:  # train runs first: the eval goldens read their models
+        if name not in names:
+            continue
         if name in TRAIN_RUNS:
             argv, model_dir = TRAIN_RUNS[name]
             argv = [*argv, "--model-dir", str(model_dir)]
