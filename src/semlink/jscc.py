@@ -186,15 +186,14 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(x))
-            x_epoch, y_epoch = x[order], y[order]
             # mu is exactly 0 in warm-up and under a zero profile, and so is d
             noiseless = epoch < config.warmup_epochs or not alphas.any()
             tot_loss = tot_mse = tot_ce = 0.0
             correct = 0
             n_batches = 0
             for start in range(0, len(x), config.batch_size):
-                xb = x_epoch[start:start + config.batch_size]
-                yb = y_epoch[start:start + config.batch_size]
+                idx = order[start:start + config.batch_size]
+                xb, yb = x[idx], y[idx]
                 f = models.encoder.forward(xb)
                 if noiseless:
                     # skip the mu draw exactly, leaving the stream where the
