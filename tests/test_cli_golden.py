@@ -30,6 +30,9 @@ CASES = {
     "bsec_table_order2.csv": ["bsec-table", "--order", "2", "--a", "0.5",
                               "--snr-db", "0:6:3", "--n-bits", "20000", "--seed", "1"],
     "adaptive_plan.csv": ["adaptive-plan", "--snr-db", "0", "--profile", str(RAMP96)],
+    "capacity.csv": ["capacity", "--g1", "0.37", "--g2", "2.5"],
+    # the order-4 boundary tables, analytic_params and the link closure
+    "selfcheck.txt": ["selfcheck", "--seed", "7"],
     "eval_adaptive.csv": ["eval", "--model-dir", str(MODEL_DIR), *TINY_DATA,
                           "--adaptive", "--uniform", "0.37:2.5", "--profile", str(MIXED),
                           "--images-per-block", "2", "--seed", "6"],
