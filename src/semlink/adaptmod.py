@@ -110,11 +110,6 @@ class ModPlan:
     orders: tuple[int, ...]
 
     @property
-    def symbol_count(self) -> int:
-        *_, symbols = symbol_runs([self.orders])
-        return int(symbols.sum())
-
-    @property
     def padding_bits(self) -> int:
         _, _, length, order, symbols = symbol_runs([self.orders])
         return int((symbols * order - length).sum())

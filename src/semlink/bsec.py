@@ -108,17 +108,14 @@ def analytic_params(order: int, snr: float, a: float) -> BsecParams:
     (Q((1-a)x) - Q((1+a)x)) with x = sqrt(3 snr / (2^m - 1)). Crossings past
     the nearest boundary are left out, so it understates the link's flip rate,
     by 37% at order 6 and -3 dB; exact_params is the link's exact triple.
+    The triple is always a valid BSEC: mu + d = pref Q((1-a)x) with (1-a)x >= 0
+    and pref <= 1, so mu + d <= 1/2.
     """
     m = _check_link_point(order, snr, a)
     pref = (4.0 / m) * (1.0 - 2.0 ** (-m / 2))
     x = math.sqrt(3.0 * snr / ((1 << m) - 1))
     mu = pref * q_function((1.0 + a) * x)
     d = pref * (q_function((1.0 - a) * x) - q_function((1.0 + a) * x))
-    if mu + d > 1.0:
-        raise DomainError(
-            f"flip+erasure probability {mu + d:.6g} exceeds 1 at order={m}, "
-            f"snr={snr}, a={a}; outside the approximation's validity region"
-        )
     return BsecParams(mu=mu, d=d, r=1.0 - mu - d)
 
 

@@ -4,7 +4,8 @@ Bit convention for an order-m constellation (m even): the first m/2 bits of a
 label select the real-axis amplitude, the last m/2 bits the imaginary-axis
 amplitude. Each axis uses reflected Gray coding with the all-zeros word at the
 most negative amplitude, so adjacent amplitude levels differ in exactly one of
-that axis's bits.
+that axis's bits. This Gray rule is the only source of each bit's level
+pattern: build_constellation places the points by it, demod reads it back.
 """
 
 from __future__ import annotations
@@ -59,21 +60,6 @@ class Constellation:
         """Per-axis amplitudes in ascending order."""
         n_levels = 1 << self.bits_per_axis
         return (2 * np.arange(n_levels) - (n_levels - 1)) * (self.d_min / 2)
-
-    def labels_by_level(self, axis: int) -> list[list[int]]:
-        """Labels of all points grouped by ascending amplitude on an axis.
-
-        axis 0 scans the real part, axis 1 the imaginary part. Groups are
-        formed by matching point coordinates against the level grid, so the
-        result reflects the stored points rather than the construction rule.
-        """
-        coords = self.points.real if axis == 0 else self.points.imag
-        levels = self.levels
-        groups: list[list[int]] = []
-        for amp in levels:
-            members = np.nonzero(np.abs(coords - amp) < self.d_min / 4)[0]
-            groups.append([int(w) for w in members])
-        return groups
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, check_order
+from .constellation import Constellation, check_order, gray_code
 from .errors import DomainError
 
 TRIT_ERASURE = 0.5
@@ -86,19 +86,13 @@ def llr_exact(y: complex, c: Constellation, snr: float) -> np.ndarray:
 def axis_bit_pattern(c: Constellation, bit: int) -> tuple[int, np.ndarray]:
     """Axis read by a bit and its value per ascending amplitude level.
 
-    Derived by scanning the stored labels level by level; raises if the bit is
-    not constant within a level (which would break per-axis demodulation).
+    Read off the Gray code of build_constellation: level l of the bit's axis
+    carries the word gray_code(m/2)[l], MSB first, in the bit's half of a label.
     """
     if not 0 <= bit < c.m:
         raise DomainError(f"bit index {bit} out of range for order {c.m}")
-    axis = 0 if bit < c.bits_per_axis else 1
-    pattern = []
-    for labels in c.labels_by_level(axis):
-        vals = {int(_bit_of_word(np.int64(w), bit, c.m)) for w in labels}
-        if len(vals) != 1:
-            raise DomainError(f"bit {bit} is not an axis-aligned bit")
-        pattern.append(vals.pop())
-    return axis, np.asarray(pattern)
+    half = c.bits_per_axis
+    return bit // half, (gray_code(half) >> (half - 1 - bit % half)) & 1
 
 
 def llr_maxlog(y, c: Constellation, snr: float) -> np.ndarray:
@@ -145,15 +139,15 @@ class BitRegions:
     def classify(self, coords: np.ndarray, a=None) -> np.ndarray:
         """Trit decision per coordinate; band-boundary hits erase to 0.5.
 
-        A coordinate takes the value of its Gray cell: pattern[0] below the
-        first transition, flipped once per transition it lies above (cell k
-        spans (t_(k-1), t_k]). It erases when a > 0 and it lies within
-        a*d_min/2 of any transition, band edges included. a defaults to the
-        regions' own offset and may be any array that broadcasts against
-        coords; entries that are not positive (NaN included) keep the binary
-        value. -inf and +inf take the value of the outer cells and erase when
-        a > 0; NaN lies above every transition, so it takes the last cell's
-        value and never erases.
+        A coordinate takes the value of its Gray cell: 0 below the first
+        transition (word 0 sits at the most negative level), flipped once per
+        transition it lies above (cell k spans (t_(k-1), t_k]). It erases when
+        a > 0 and it lies within a*d_min/2 of any transition, band edges
+        included. a defaults to the regions' own offset and may be any array
+        that broadcasts against coords; entries that are not positive (NaN
+        included) keep the binary value. -inf and +inf take the value of the
+        outer cells and erase when a > 0; NaN lies above every transition, so
+        it takes the last cell's value and never erases.
         """
         coords = np.asarray(coords, dtype=float)
         a = self.a if a is None else np.asarray(a, dtype=float)
@@ -162,8 +156,6 @@ class BitRegions:
         flip = ~(coords <= t[0])
         for tk in t[1:]:
             flip ^= ~(coords <= tk)
-        if self.pattern[0]:
-            flip = ~flip
         if not np.any(a > 0):
             return flip.astype(float)
         half_w = a * self.d_min / 2.0
@@ -221,7 +213,6 @@ class DecisionRegions:
     """Per-bit ternary decision regions for one constellation."""
 
     order: int
-    d_min: float
     bits: tuple[BitRegions, ...]
 
 
@@ -229,7 +220,7 @@ def build_regions(c: Constellation, a_offsets) -> DecisionRegions:
     """Build ternary decision regions from per-bit erasure offsets."""
     a_offsets = np.broadcast_to(np.asarray(a_offsets, dtype=float), (c.m,))
     bits = tuple(_bit_regions(c, bit, a_offsets[bit]) for bit in range(c.m))
-    return DecisionRegions(order=c.m, d_min=c.d_min, bits=bits)
+    return DecisionRegions(order=c.m, bits=bits)
 
 
 def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:

@@ -57,8 +57,8 @@ class TrainingConfig:
             raise ConfigError(
                 f"learning rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size >= 1 and epochs >= 0 required")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
     @property
     def latent_bits(self) -> int:

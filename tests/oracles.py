@@ -1,8 +1,8 @@
-"""Reference code shared by the tests: hard decisions, the searchsorted trit
-kernel, the scalar symbol-grouping rule, the scalar channel draw and
-threshold rule, the adaptive SE, the two-branch sigmoid, the per-chunk link
-Monte Carlo, and the block-by-block end-to-end pass with its per-group
-transport."""
+"""Reference code shared by the tests: hard decisions, the level scan of the
+stored points, the searchsorted trit kernel, the scalar symbol-grouping rule,
+the scalar channel draw and threshold rule, the adaptive SE, the two-branch
+sigmoid, the per-chunk link Monte Carlo, and the block-by-block end-to-end
+pass with its per-group transport."""
 
 import functools
 import math
@@ -58,6 +58,26 @@ def nearest_words(z, c):
     return lex[np.argmin(dr**2 + di**2, axis=1)]
 
 
+def labels_by_level(c, axis):
+    """Labels of all points grouped by ascending amplitude on an axis (0 real,
+    1 imaginary), found by matching the stored coordinates against the level
+    grid, so the result reflects the points rather than the Gray rule."""
+    coords = c.points.real if axis == 0 else c.points.imag
+    return [np.nonzero(np.abs(coords - amp) < c.d_min / 4)[0].tolist() for amp in c.levels]
+
+
+def scanned_bit_pattern(c, bit):
+    """demod.axis_bit_pattern by scanning the stored labels level by level;
+    the bit must be constant within each level."""
+    axis = 0 if bit < c.bits_per_axis else 1
+    pattern = []
+    for labels in labels_by_level(c, axis):
+        values = {(w >> (c.m - 1 - bit)) & 1 for w in labels}
+        assert len(values) == 1, f"bit {bit} is not an axis-aligned bit"
+        pattern.append(values.pop())
+    return axis, np.array(pattern)
+
+
 def classify_searchsorted(br, coords, a=None):
     """BitRegions.classify by one search: the cell of each coordinate, then its
     two bounding transitions (padded with -inf and +inf) for the erasure band."""
@@ -83,6 +103,11 @@ def plan_groups(orders):
             groups.append((orders[start], tuple(range(start, i))))
             start = i
     return tuple(groups)
+
+
+def plan_symbol_count(orders):
+    """Symbols of one row of orders: each plan_groups run padded to whole symbols."""
+    return sum(-(-len(idxs) // m) for m, idxs in plan_groups(orders))
 
 
 def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> complex:

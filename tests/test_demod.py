@@ -9,6 +9,7 @@ from semlink.constellation import SUPPORTED_ORDERS, build_constellation
 from semlink.demod import (
     BitRegions,
     a_from_rho,
+    axis_bit_pattern,
     build_regions,
     demod_llr,
     demod_robust,
@@ -19,7 +20,7 @@ from semlink.demod import (
 from semlink.errors import DomainError
 from semlink.numerics import RandomSource
 
-from oracles import classify_searchsorted, nearest_words, unpack_words
+from oracles import classify_searchsorted, nearest_words, scanned_bit_pattern, unpack_words
 
 A_GRID = (0.0, 0.25, 0.5, 1.0)
 # offsets past 1 overlap neighbouring bands; classify must still match its oracle
@@ -158,6 +159,28 @@ class TestRegions:
                     iv for iv in br.intervals if iv.lower <= u <= iv.upper
                 ]
                 assert len(claims) == 1, f"point {u} claimed by {len(claims)} regions"
+
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_bit_pattern_matches_scan_of_points(self, m):
+        c = build_constellation(m)
+        for bit in range(m):
+            axis, pattern = axis_bit_pattern(c, bit)
+            ref_axis, ref_pattern = scanned_bit_pattern(c, bit)
+            assert axis == ref_axis
+            assert np.array_equal(pattern, ref_pattern), bit
+
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    @pytest.mark.parametrize("a", A_GRID)
+    def test_first_cell_is_zero(self, m, a):
+        # word 0 sits at the most negative level, so classify needs no flip
+        for br in build_regions(build_constellation(m), a).bits:
+            assert br.pattern[0] == 0
+
+    def test_bit_index_out_of_range(self):
+        c = build_constellation(4)
+        for bit in (-1, 4):
+            with pytest.raises(DomainError):
+                axis_bit_pattern(c, bit)
 
     def test_per_bit_offsets(self):
         c = build_constellation(4)

@@ -29,6 +29,7 @@ from oracles import (
     link_montecarlo_per_chunk,
     mean_adaptive_se,
     plan_groups,
+    plan_symbol_count,
     run_end_to_end_per_block,
     transport_block_per_group,
 )
@@ -121,7 +122,7 @@ class TestTransportBlock:
         h = draw_channels(FixedSnr(snr=1e9), 1, rng)[0]
         trits, n_sym = transport_block(bits, plan, profile.a_offsets, h, rng)
         np.testing.assert_array_equal(trits, bits.astype(float))
-        assert n_sym == plan.symbol_count
+        assert n_sym == plan_symbol_count(plan.orders)
 
     def test_heterogeneous_offsets_respected(self):
         # a=0 bits never erase; a=1 bits erase often at low SNR
