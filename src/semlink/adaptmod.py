@@ -47,26 +47,24 @@ def tau(order: int, alpha, a, betas: BetaAdjusters) -> np.ndarray:
     """sqrt-SNR threshold above which an order meets its flip-rate budget.
 
     alpha and a may be arrays that broadcast together, one entry per bit.
-    Arguments of the inverse tail function at or above 1 mean the budget holds
-    at any SNR, reported as a zero threshold; nonpositive arguments are a
-    domain error naming the first offending bit.
+    alpha must lie in (0, 0.5], a profile's range less its noiseless 0, and a
+    in [0, 1]; a value outside is a domain error naming the first offending
+    bit. The inverse tail function's argument then stays below 1; one above
+    1/2 gives a negative root, clamped to 0.
     """
     m = check_order(order)
     a = np.asarray(a, dtype=np.float64)
     bad = ~((0.0 <= a) & (a <= 1.0))
     if np.any(bad):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a[bad].flat[0]}")
-    root = math.sqrt(1 << m)
-    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * np.asarray(alpha, np.float64)
-    bad = ~(arg > 0.0)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    bad = ~((0.0 < alpha) & (alpha <= 0.5))
     if np.any(bad):
-        raise DomainError(f"threshold argument {arg[bad].flat[0]} must be positive")
-    trivial = arg >= 1.0
-    # trivial arguments are read at 1/2, outside erfcinv's domain otherwise;
-    # + 0.0 turns its -0.0 at 1/2 into 0.0, as q_inverse does
-    q = q_inverse_array(np.where(trivial, 0.5, arg)) + 0.0
-    t = math.sqrt(((1 << m) - 1) / 3.0) * q / (1.0 + a)
-    return np.where(trivial, 0.0, np.maximum(t, 0.0))[()]
+        raise DomainError(f"robustness level must lie in (0, 0.5], got {alpha[bad].flat[0]}")
+    root = math.sqrt(1 << m)
+    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
+    t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse_array(arg) / (1.0 + a)
+    return np.maximum(t, 0.0)[()]
 
 
 def thresholds(alpha, a, betas: BetaAdjusters) -> np.ndarray:

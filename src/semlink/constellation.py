@@ -48,10 +48,6 @@ class Constellation:
     d_min: float
 
     @property
-    def size(self) -> int:
-        return 1 << self.m
-
-    @property
     def bits_per_axis(self) -> int:
         return self.m // 2
 

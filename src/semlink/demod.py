@@ -13,10 +13,11 @@ The boundary route is the production path and BitRegions.classify is its only
 trit kernel. It compares each coordinate with the bit's own one, two or four
 label transitions: the parity of the transitions below it gives the binary value
 (adjacent Gray cells always differ in the bit), and a closed band of half-width
-a*d_min/2 around each transition erases, with the offset a given per coordinate
-when it varies. demod_robust applies it once per I/Q pair of bits, which share
-their transitions, for the link Monte Carlo and the adaptive transport alike;
-the LLR routes serve as oracles.
+a*d_min/2 around each transition erases. The transitions do not depend on a, so
+build_regions fixes one offset and demod_robust may override it per bit slot.
+demod_robust applies the kernel once per I/Q pair of bits, which share their
+transitions, for the link Monte Carlo and the adaptive transport alike; the LLR
+routes serve as oracles.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def llr_exact(y: complex, c: Constellation, snr: float) -> np.ndarray:
     """
     if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
-    words = np.arange(c.size)
+    words = np.arange(1 << c.m)
     neg_metric = -snr * np.abs(y - c.points) ** 2
     out = np.empty(c.m)
     for bit in range(c.m):
@@ -126,31 +127,28 @@ class BitRegions:
     """Decision regions of one bit along its axis."""
 
     bit: int
-    axis: int                 # 0 = real part, 1 = imaginary part
-    a: float
     d_min: float
     transitions: np.ndarray   # label-transition points, ascending
-    pattern: np.ndarray       # binary value per cell; len = len(transitions) + 1
     intervals: tuple[Interval, ...]
 
     def index_set(self, output: float) -> tuple[int, ...]:
         return tuple(iv.index for iv in self.intervals if iv.output == output)
 
-    def classify(self, coords: np.ndarray, a=None) -> np.ndarray:
-        """Trit decision per coordinate; band-boundary hits erase to 0.5.
+    def classify(self, coords: np.ndarray, a) -> np.ndarray:
+        """Trit decision per coordinate at offset a; band-boundary hits erase to 0.5.
 
         A coordinate takes the value of its Gray cell: 0 below the first
         transition (word 0 sits at the most negative level), flipped once per
         transition it lies above (cell k spans (t_(k-1), t_k]). It erases when
         a > 0 and it lies within a*d_min/2 of any transition, band edges
-        included. a defaults to the regions' own offset and may be any array
-        that broadcasts against coords; entries that are not positive (NaN
-        included) keep the binary value. -inf and +inf take the value of the
-        outer cells and erase when a > 0; NaN lies above every transition, so
-        it takes the last cell's value and never erases.
+        included. a may be any array that broadcasts against coords; entries
+        that are not positive (NaN included) keep the binary value. -inf and
+        +inf take the value of the outer cells and erase when a > 0; NaN lies
+        above every transition, so it takes the last cell's value and never
+        erases.
         """
         coords = np.asarray(coords, dtype=float)
-        a = self.a if a is None else np.asarray(a, dtype=float)
+        a = np.asarray(a, dtype=float)
         t = self.transitions
         # ~(c <= t) rather than c > t: NaN counts past every transition
         flip = ~(coords <= t[0])
@@ -170,66 +168,54 @@ class BitRegions:
 
 
 def _bit_regions(c: Constellation, bit: int, a: float) -> BitRegions:
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"boundary offset a must lie in [0, 1], got {a}")
-    axis, pattern = axis_bit_pattern(c, bit)
+    pattern = axis_bit_pattern(c, bit)[1]
     d = c.d_min
-    n_levels = pattern.size
-    trans_levels = np.nonzero(pattern[:-1] != pattern[1:])[0]
     # Midpoint between levels l and l+1 is an exact integer multiple of d.
-    trans_mult = trans_levels + 1 - n_levels // 2
+    trans_mult = np.nonzero(pattern[:-1] != pattern[1:])[0] + 1 - pattern.size // 2
     transitions = trans_mult * d
     half_w = a * d / 2.0
-
+    # Ascending: cell k, then the band around transition k. Cell k lies above
+    # k transitions, so it outputs k % 2: word 0 sits at the most negative level.
     intervals: list[Interval] = []
-    if a > 0:
-        for mult, t in zip(trans_mult, transitions):
+    lo = -math.inf
+    for k, (mult, t) in enumerate(zip(trans_mult, transitions)):
+        intervals.append(Interval(float(k % 2), int(mult), lo, t - half_w))
+        if a > 0:
             intervals.append(Interval(TRIT_ERASURE, int(mult) + 1, t - half_w, t + half_w))
-
-    cell_pattern = np.concatenate(([pattern[0]], pattern[trans_levels + 1]))
-    for k, value in enumerate(cell_pattern):
-        lo = -math.inf if k == 0 else transitions[k - 1] + half_w
-        hi = math.inf if k == len(transitions) else transitions[k] - half_w
-        if k < len(transitions):
-            j = int(trans_mult[k])
-        else:
-            j = int(trans_mult[k - 1]) + 2
-        intervals.append(Interval(float(value), j, lo, hi))
-
-    intervals.sort(key=lambda iv: (iv.lower, iv.upper))
-    return BitRegions(
-        bit=bit,
-        axis=axis,
-        a=float(a),
-        d_min=d,
-        transitions=transitions,
-        pattern=cell_pattern,
-        intervals=tuple(intervals),
-    )
+        lo = t + half_w
+    last = float(len(transitions) % 2)
+    intervals.append(Interval(last, int(trans_mult[-1]) + 2, lo, math.inf))
+    return BitRegions(bit=bit, d_min=d, transitions=transitions, intervals=tuple(intervals))
 
 
 @dataclass(frozen=True)
 class DecisionRegions:
-    """Per-bit ternary decision regions for one constellation."""
+    """Per-bit ternary decision regions for one constellation at one offset."""
 
     order: int
+    a: float
     bits: tuple[BitRegions, ...]
 
 
-def build_regions(c: Constellation, a_offsets) -> DecisionRegions:
-    """Build ternary decision regions from per-bit erasure offsets."""
-    a_offsets = np.broadcast_to(np.asarray(a_offsets, dtype=float), (c.m,))
-    bits = tuple(_bit_regions(c, bit, a_offsets[bit]) for bit in range(c.m))
-    return DecisionRegions(order=c.m, bits=bits)
+def build_regions(c: Constellation, a: float) -> DecisionRegions:
+    """Build every bit's ternary decision regions at one erasure offset a in [0, 1].
+
+    demod_robust may override a per bit slot: the transitions do not depend on it.
+    """
+    if not (0.0 <= a <= 1.0):
+        raise DomainError(f"boundary offset a must lie in [0, 1], got {a}")
+    bits = tuple(_bit_regions(c, bit, float(a)) for bit in range(c.m))
+    return DecisionRegions(order=c.m, a=float(a), bits=bits)
 
 
 def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     """Demodulate equalized samples to trits {0, 0.5, 1}.
 
-    y may have any shape. a, when given, overrides the regions' offsets per
-    bit slot, must broadcast to exactly (*y.shape, order), is read in its own
-    shape and must lie in [0, 1] everywhere (NaN is rejected). Returns a flat
-    sequence of order*y.size trits, one m-bit group per symbol in row-major order.
+    y may have any shape. a defaults to the regions' own offset; when given, it
+    must broadcast to exactly (*y.shape, order), giving one offset per bit slot,
+    and is read in its own shape. Every offset must lie in [0, 1] (NaN is
+    rejected). Returns a flat sequence of order*y.size trits, one m-bit group
+    per symbol in row-major order.
 
     Bit k reads the real axis and bit k + order/2 the imaginary axis with the
     same transitions, so each such pair is one classify call over the stacked
@@ -237,16 +223,13 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     """
     y = np.asarray(y, dtype=complex)
     order = regions.order
-    if a is None:
-        a = np.array([br.a for br in regions.bits])
-    else:
-        a = np.asarray(a, dtype=float)
-        full = (*y.shape, order)
-        if a.ndim > len(full) or any(n not in (1, f) for n, f in zip(a.shape[::-1], full[::-1])):
-            raise DomainError(f"boundary offsets of shape {a.shape} do not fit {full}")
-        ok = (a >= 0) & (a <= 1)
-        if not np.all(ok):
-            raise DomainError(f"boundary offsets must lie in [0, 1], got {a[~ok].flat[0]}")
+    a = np.asarray(regions.a if a is None else a, dtype=float)
+    full = (*y.shape, order)
+    if a.ndim > len(full) or any(n not in (1, f) for n, f in zip(a.shape[::-1], full[::-1])):
+        raise DomainError(f"boundary offsets of shape {a.shape} do not fit {full}")
+    ok = (a >= 0) & (a <= 1)
+    if not np.all(ok):
+        raise DomainError(f"boundary offsets must lie in [0, 1], got {a[~ok].flat[0]}")
     # bit slot j * half + k is pair k's bit on axis j; the axis goes first, so
     # the pair's two offsets broadcast along whole rows of coordinates
     half = order // 2

@@ -78,13 +78,21 @@ def scanned_bit_pattern(c, bit):
     return axis, np.array(pattern)
 
 
-def classify_searchsorted(br, coords, a=None):
+def scanned_cell_values(c, bit):
+    """Binary value of each of the bit's decision cells, ascending: one entry
+    per run of equal values in scanned_bit_pattern."""
+    pattern = scanned_bit_pattern(c, bit)[1]
+    return pattern[np.flatnonzero(np.diff(pattern, prepend=-1))]
+
+
+def classify_searchsorted(c, br, coords, a):
     """BitRegions.classify by one search: the cell of each coordinate, then its
-    two bounding transitions (padded with -inf and +inf) for the erasure band."""
+    two bounding transitions (padded with -inf and +inf) for the erasure band.
+    Cell values come from the scan of the stored points."""
     coords = np.asarray(coords, dtype=float)
-    a = br.a if a is None else np.asarray(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     cell = np.searchsorted(br.transitions, coords, side="left")
-    out = br.pattern[cell].astype(float)
+    out = scanned_cell_values(c, br.bit)[cell].astype(float)
     if np.any(a > 0):
         half_w = a * br.d_min / 2.0
         ends = np.concatenate(([-np.inf], br.transitions, [np.inf]))
@@ -128,12 +136,10 @@ def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> floa
     m = check_order(order)
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
+    if not (0.0 < alpha <= 0.5):
+        raise DomainError(f"robustness level must lie in (0, 0.5], got {alpha}")
     root = math.sqrt(1 << m)
     arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
-    if not (arg > 0.0):
-        raise DomainError(f"threshold argument {arg} must be positive")
-    if arg >= 1.0:
-        return 0.0
     t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse(arg) / (1.0 + a)
     return max(t, 0.0)
 

@@ -25,6 +25,9 @@ from semlink.numerics import q_inverse
 
 from oracles import plan_groups, plan_symbol_count, tau_scalar, thresholds_scalar
 
+# the largest betas: orders 4 and 6 then reach arguments above 1/2 at alpha <= 0.5
+UNIT_BETAS = BetaAdjusters(1.0, 1.0, 1.0)
+
 
 # Scalar per-bit planner, kept as the oracle for plan_from_thresholds.
 class BelowFloorWarning(UserWarning):
@@ -117,20 +120,18 @@ class TestTau:
                         snr = tau(m, alpha, a, betas) ** 2
                         assert exact_params(m, snr, a).mu <= alpha
 
-    def test_trivially_met_budget_returns_zero(self):
-        # argument >= 1 means the flip budget holds at any SNR
-        assert tau(2, 0.5, 0.0, BetaAdjusters(1.0, 1.0, 1.0) ) == pytest.approx(
-            q_inverse(0.5), abs=1e-12
-        )
-        big = BetaAdjusters(1.0, 1.0, 1.0)
-        # order 4: arg = (4/3) * alpha = 1.2 >= 1 for alpha = 0.9 -> zero threshold;
-        # read at 1.2, the inverse tail function would give NaN, not a clamped 0
-        assert tau(4, 0.9, 0.0, big) == 0.0
+    def test_alpha_above_half_rejected(self):
+        # alpha = 0.5 is the profile's largest level and gives a zero root at
+        # order 2; above it, as in RobustnessProfile, tau raises
+        assert tau(2, 0.5, 0.0, UNIT_BETAS) == pytest.approx(q_inverse(0.5), abs=1e-12)
+        with pytest.raises(DomainError) as err:
+            tau(4, 0.9, 0.0, UNIT_BETAS)
+        assert str(err.value) == "robustness level must lie in (0, 0.5], got 0.9"
 
     def test_negative_threshold_clamped(self):
         # argument in (0.5, 1) would give a negative root; clamp to zero
-        assert tau(2, 0.45, 0.0, BetaAdjusters(1.0, 1.0, 1.0)) > 0
-        assert tau(4, 0.45, 0.0, BetaAdjusters(1.0, 1.0, 1.0)) == 0.0
+        assert tau(2, 0.45, 0.0, UNIT_BETAS) > 0
+        assert tau(4, 0.45, 0.0, UNIT_BETAS) == 0.0
 
     def test_nonincreasing_in_alpha(self):
         alphas = np.linspace(0.29, 0.45, 30)
@@ -154,24 +155,27 @@ class TestTau:
 class TestArrayThresholds:
     """tau and thresholds over arrays equal the scalar oracle byte for byte."""
 
-    # up to alpha = 2, so every order also meets arguments in (1/2, 1)
-    # (a negative root, clamped) and at or above 1 (a zero threshold)
-    ALPHAS = np.union1d(np.linspace(0.01, 2.0, 200), [0.5])  # 0.5: a zero root
+    # every alpha a profile can plan with; 0.5 is the largest, a zero root at
+    # order 2 with unit betas
+    ALPHAS = np.linspace(0.01, 0.5, 50)
     OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
-    @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS],
-                             ids=["homogeneous", "heterogeneous"])
+    @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS, UNIT_BETAS],
+                             ids=["homogeneous", "heterogeneous", "unit"])
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_tau_matches_scalar_oracle(self, m, betas):
         got = tau(m, self.ALPHAS[:, None], self.OFFSETS, betas)
         expected = np.array([[tau_scalar(m, float(alpha), float(a), betas)
                               for a in self.OFFSETS] for alpha in self.ALPHAS])
         assert got.tobytes() == expected.tobytes()
+        # alpha <= 0.5 keeps the argument at most 1/2, 2/3 and 6/7 at orders 2,
+        # 4 and 6 (betas of 1), so only orders 4 and 6 reach a negative root
         root = math.sqrt(1 << m)
         arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * self.ALPHAS
-        assert np.any(arg >= 1.0) and np.all(got[arg >= 1.0] == 0.0)
-        clamped = (arg > 0.5) & (arg < 1.0)
-        assert np.any(clamped) and np.all(got[clamped] == 0.0)
+        assert np.all(arg < 1.0)
+        clamped = arg > 0.5
+        assert np.any(clamped) == (m > 2 and betas is UNIT_BETAS)
+        assert np.all(got[clamped] == 0.0)
 
     @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS],
                              ids=["homogeneous", "heterogeneous"])
@@ -194,11 +198,13 @@ class TestArrayThresholds:
     @pytest.mark.parametrize("alpha,a,betas,bit", [
         ([0.3, 0.0, 0.2, 0.0], 0.5, HETEROGENEOUS_BETAS, 1),
         ([0.3, 0.4, 0.2], [0.5, 1.5, 2.0], HETEROGENEOUS_BETAS, 1),
+        ([0.3, 0.5, 0.51, 0.9], 0.5, HETEROGENEOUS_BETAS, 2),
         # the betas of test_ordering_violation_rejected fail every bit
         ([0.4, 0.3], 0.5, BetaAdjusters(0.01, 0.99, 0.99), 0),
         # these pass at alpha 0.1 and 0.2 and fail from 0.29 on
         ([0.1, 0.2, 0.35, 0.45], 0.5, BetaAdjusters(0.6, 1.0, 1.0), 2),
-    ], ids=["alpha-zero", "offset-out-of-range", "not-ascending", "not-ascending-later-bit"])
+    ], ids=["alpha-zero", "offset-out-of-range", "alpha-above-half", "not-ascending",
+            "not-ascending-later-bit"])
     def test_errors_name_the_first_offending_bit(self, alpha, a, betas, bit):
         alpha, a = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(a, float))
         with pytest.raises((ConfigError, DomainError)) as expected:

@@ -4,7 +4,8 @@ and the counted calls still feed their counters.
 benchmarks/tracing.py replaces each target found as owner.__dict__[attr], so a
 library change that deletes or moves one of them breaks traced benchmark runs.
 Its counters read the traced calls' arguments and results, so a changed
-signature breaks them too.
+signature breaks them too. The two cheap workload set-ups are pinned by their
+digests, so a change to the benchmark's inputs also fails here.
 """
 
 import sys
@@ -22,6 +23,7 @@ from semlink.numerics import RandomSource
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 TARGETS = [(owner, attr) for owner, attr, _, _ in tracing._targets()]
 
@@ -63,3 +65,10 @@ def test_traced_runs_equal_plain_runs():
     assert traced == plain
     assert {"harness.end_to_end", "harness.link", "nn.forward", "demod.classify"} <= \
         {span[0] for span in tracer.spans}
+
+
+def test_cheap_setups_keep_their_digests():
+    # the inputs the benchmark feeds its workloads: a refactor that moves them
+    # fails here rather than only in a benchmark run
+    assert workloads.WORKLOADS["link-mc"](101).setup() == "9eefb5fd99bc305c"
+    assert workloads.WORKLOADS["train-robust"](101).setup() == "fe68814bf71179f1"

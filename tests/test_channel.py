@@ -112,6 +112,8 @@ class TestDrawChannel:
         for g2 in (math.inf, 1e300):  # |h|^2 overflows
             with pytest.raises(DomainError, match="g2"):
                 UniformMagnitude(0.0, g2)
+        with pytest.raises(DomainError, match="^unknown channel distribution 'rayleigh'$"):
+            draw_channels("rayleigh", 1, RandomSource(0))
 
 
 class TestDrawChannels:

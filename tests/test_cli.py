@@ -21,6 +21,8 @@ from semlink.numerics import RandomSource
 
 GOLDEN_MODELS = Path(__file__).parent / "goldens" / "train_models"
 RAMP96 = Path(__file__).parent / "goldens" / "ramp96.profile"
+# the data the golden models were trained on: 8 features, 3 classes, 12 latent bits
+GOLDEN_DATA = ("--classes", "3", "--dim", "8", "--per-class", "4", "--noise-sigma", "1.0")
 TINY_TRAIN = ("--classes", "2", "--dim", "4", "--per-class", "4", "--latent-bits", "4",
               "--epochs", "1", "--warmup-epochs", "0")
 
@@ -230,10 +232,14 @@ class TestCommands:
          "invalid sweep"),
         (("adaptive-plan", "--snr-db", "3001", "--profile", str(RAMP96)), "above 3000 dB"),
         (("train", *TINY_TRAIN, "--batch-size", "0"), "batch_size"),
+        (("eval", "--model-dir", str(GOLDEN_MODELS), *GOLDEN_DATA, "--adaptive",
+          "--uniform", "0.37:2.5", "--profile", str(RAMP96)),
+         "encoder emits 12 bits, profile has 96"),
     ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
             "loss-weight-inf", "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup",
             "capacity-g2-square-overflows", "simulate-ber-n-bits-huge", "bsec-table-n-bits-huge",
-            "sweep-not-numeric", "plan-snr-above-ceiling", "zero-batch-size"])
+            "sweep-not-numeric", "plan-snr-above-ceiling", "zero-batch-size",
+            "eval-profile-longer-than-encoder"])
     def test_bad_value_is_a_one_line_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -351,9 +357,6 @@ def model_dir(tmp_path_factory):
     assert code == 0
     return base
 
-
-# the data the golden models were trained on: 8 features, 3 classes, 12 latent bits
-GOLDEN_DATA = ("--classes", "3", "--dim", "8", "--per-class", "4", "--noise-sigma", "1.0")
 
 
 def _patch_last_parameter(path, value):

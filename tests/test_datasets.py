@@ -9,6 +9,7 @@ import pytest
 from semlink.datasets import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
+    Dataset,
     load_idx,
     load_idx_images,
     load_idx_labels,
@@ -127,3 +128,11 @@ class TestSynth:
             synth_dataset(2, 8, 5, -0.1, RandomSource(0))
         with pytest.raises(DomainError, match="finite"):
             synth_dataset(2, 8, 5, np.inf, RandomSource(0))
+        for features, labels in ((np.zeros(3), np.zeros(3, int)),
+                                 (np.zeros((3, 2)), np.zeros(2, int))):
+            with pytest.raises(DomainError) as err:
+                Dataset(features, labels, n_classes=2)
+            assert str(err.value) == "features must be (n, dim) with one label per row"
+        for label in (-1, 2):
+            with pytest.raises(DomainError, match=r"^labels must lie in \[0, n_classes\)$"):
+                Dataset(np.zeros((3, 2)), np.array([0, label, 1]), n_classes=2)

@@ -20,7 +20,13 @@ from semlink.demod import (
 from semlink.errors import DomainError
 from semlink.numerics import RandomSource
 
-from oracles import classify_searchsorted, nearest_words, scanned_bit_pattern, unpack_words
+from oracles import (
+    classify_searchsorted,
+    nearest_words,
+    scanned_bit_pattern,
+    scanned_cell_values,
+    unpack_words,
+)
 
 A_GRID = (0.0, 0.25, 0.5, 1.0)
 # offsets past 1 overlap neighbouring bands; classify must still match its oracle
@@ -59,6 +65,8 @@ class TestThresholdOffsetMap:
             a_from_rho(1.0, 2, 0.0)
         with pytest.raises(DomainError):
             rho_from_a(1.2, 2, 1.0)
+        with pytest.raises(DomainError, match="^snr must be positive, got 0.0$"):
+            rho_from_a(0.5, 2, 0.0)
 
 
 class TestExactLlr:
@@ -108,6 +116,17 @@ class TestMaxLogLlr:
         rels = np.concatenate(rels)
         assert np.all(rels <= 0.09)
         assert np.quantile(rels, 0.95) <= 0.05
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda c: llr_exact(0j, c, 0.0), "snr must be positive, got 0.0"),
+        (lambda c: llr_maxlog(0j, c, -1.0), "snr must be positive, got -1.0"),
+        (lambda c: llr_maxlog(0j, c, math.nan), "snr must be positive, got nan"),
+        (lambda c: demod_llr(0j, c, 1.0, [0.5, 0.5, -0.1, 0.5]), "thresholds must be nonnegative"),
+    ], ids=["exact-snr", "maxlog-snr", "maxlog-nan-snr", "negative-rho"])
+    def test_invalid_inputs(self, call, message):
+        with pytest.raises(DomainError) as err:
+            call(build_constellation(4))
+        assert str(err.value) == message
 
     def test_real_bits_ignore_imaginary_part(self):
         c = build_constellation(4)
@@ -174,18 +193,14 @@ class TestRegions:
     def test_first_cell_is_zero(self, m, a):
         # word 0 sits at the most negative level, so classify needs no flip
         for br in build_regions(build_constellation(m), a).bits:
-            assert br.pattern[0] == 0
+            assert br.intervals[0].lower == -math.inf
+            assert br.intervals[0].output == 0.0
 
     def test_bit_index_out_of_range(self):
         c = build_constellation(4)
         for bit in (-1, 4):
             with pytest.raises(DomainError):
                 axis_bit_pattern(c, bit)
-
-    def test_per_bit_offsets(self):
-        c = build_constellation(4)
-        regions = build_regions(c, [0.0, 0.5, 0.25, 1.0])
-        assert [br.a for br in regions.bits] == [0.0, 0.5, 0.25, 1.0]
 
     def test_offset_out_of_range(self):
         with pytest.raises(DomainError):
@@ -251,12 +266,13 @@ class TestDemodRobust:
             prev = cur
 
 
-def two_search_classify(br, coords, a):
+def two_search_classify(c, br, coords, a):
     """An earlier BitRegions.classify body: one search for the cell and one
-    over the band lower edges, at a single offset a. Finite coordinates only:
-    it keeps the outer cells' value at -inf and +inf, where classify erases."""
+    over the band lower edges, at a single offset a, with the cell values of
+    the scanned points. Finite coordinates only: it keeps the outer cells'
+    value at -inf and +inf, where classify erases."""
     cell = np.searchsorted(br.transitions, coords, side="left")
-    out = br.pattern[cell].astype(float)
+    out = scanned_cell_values(c, br.bit)[cell].astype(float)
     if a > 0 and br.transitions.size:
         half_w = a * br.d_min / 2.0
         lo = br.transitions - half_w
@@ -293,14 +309,13 @@ def check_kernel_against_oracle(m, n, seed):
     for bit, br in enumerate(build_regions(c, 0.0).bits):
         coords = differential_coords(br, n, seed + bit)
         for a in A_GRID:
-            expected = two_search_classify(br, coords, a)
-            assert np.array_equal(build_regions(c, a).bits[bit].classify(coords), expected)
+            expected = two_search_classify(c, br, coords, a)
             assert np.array_equal(br.classify(coords, a), expected)
         a_mixed = mixed_offsets(coords.size, seed + 100 + bit)
         expected = np.empty(coords.size)
         for a in A_GRID:
             sel = a_mixed == a
-            expected[sel] = two_search_classify(br, coords[sel], a)
+            expected[sel] = two_search_classify(c, br, coords[sel], a)
         assert np.array_equal(br.classify(coords, a_mixed), expected)
 
 
@@ -321,27 +336,24 @@ class TestTritKernel:
             coords = np.concatenate([differential_coords(br, 5000, 60 + m + bit), EDGE_COORDS])
             for a in WIDE_A:
                 assert np.array_equal(br.classify(coords, a),
-                                      classify_searchsorted(br, coords, a), equal_nan=True)
-            for a in A_GRID:
-                own = build_regions(c, a).bits[bit]
-                assert np.array_equal(own.classify(coords), classify_searchsorted(own, coords),
-                                      equal_nan=True)
+                                      classify_searchsorted(c, br, coords, a), equal_nan=True)
             pool = np.array(WIDE_A + (-0.5, np.nan))
             a_mixed = pool[(RandomSource(70 + m + bit).random(coords.size) * pool.size).astype(int)]
             assert np.array_equal(br.classify(coords, a_mixed),
-                                  classify_searchsorted(br, coords, a_mixed), equal_nan=True)
+                                  classify_searchsorted(c, br, coords, a_mixed), equal_nan=True)
 
     def test_demod_robust_per_slot_offsets(self):
-        # a (words, order) offset grid equals per-bit regions built at each a
+        # a (words, order) offset grid equals classifying each slot at its own a
         c = build_constellation(4)
+        regions = build_regions(c, 0.0)
         y = random_samples(3000, 11).reshape(1000, 3)
         a_slots = mixed_offsets(3 * 4, 12).reshape(3, 4)
-        got = demod_robust(y, build_regions(c, 0.0), a_slots).reshape(1000, 3, 4)
+        got = demod_robust(y, regions, a_slots).reshape(1000, 3, 4)
         for word in range(3):
             for bit in range(4):
-                br = build_regions(c, a_slots[word, bit]).bits[bit]
-                coords = y[:, word].real if br.axis == 0 else y[:, word].imag
-                np.testing.assert_array_equal(got[:, word, bit], br.classify(coords))
+                coords = y[:, word].real if bit < 2 else y[:, word].imag
+                expected = regions.bits[bit].classify(coords, a_slots[word, bit])
+                np.testing.assert_array_equal(got[:, word, bit], expected)
 
     @pytest.mark.parametrize("a", [5.0, np.nan, -1.0])
     def test_demod_robust_rejects_bad_offsets(self, a):
@@ -380,28 +392,30 @@ PAIR_MISMATCHED = {2: [0.0, 0.5], 4: [0.25, 0.0, 0.0, 1.0], 6: [0.5, 0.0, 1.0, 0
 class TestIqPairs:
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_pairs_share_transitions_and_pattern(self, m):
-        bits = build_regions(build_constellation(m), PAIR_MISMATCHED[m]).bits
+        c = build_constellation(m)
+        bits = build_regions(c, 0.5).bits
         for k in range(m // 2):
-            re, im = bits[k], bits[k + m // 2]
-            assert (re.axis, im.axis) == (0, 1)
-            assert np.array_equal(re.transitions, im.transitions)
-            assert np.array_equal(re.pattern, im.pattern)
+            re, im = axis_bit_pattern(c, k), axis_bit_pattern(c, k + m // 2)
+            assert (re[0], im[0]) == (0, 1)
+            assert np.array_equal(re[1], im[1])
+            assert np.array_equal(bits[k].transitions, bits[k + m // 2].transitions)
+            assert bits[k].intervals == bits[k + m // 2].intervals
 
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_pair_mismatched_offsets_equal_per_bit_classify(self, m):
         # coordinates on every band edge of both axes, plus +-inf and NaN
-        regions = build_regions(build_constellation(m), PAIR_MISMATCHED[m])
+        regions = build_regions(build_constellation(m), 0.0)
         re = np.concatenate([differential_coords(regions.bits[0], 3000, 80 + m), EDGE_COORDS])
         im = re[RandomSource(90 + m).permutation(re.size)]
         y = np.empty((re.size, 1), complex)  # set by part: inf * 1j would give NaN
         y.real[:, 0], y.imag[:, 0] = re, im
-        got = demod_robust(y, regions).reshape(re.size, m)
-        for br in regions.bits:
-            coords = re if br.axis == 0 else im
-            assert np.array_equal(got[:, br.bit], br.classify(coords), equal_nan=True)
         a_slots = np.broadcast_to(PAIR_MISMATCHED[m], (re.size, 1, m))
-        assert np.array_equal(demod_robust(y, build_regions(build_constellation(m), 0.0),
-                                           a_slots), got.reshape(-1))
+        got = demod_robust(y, regions, a_slots).reshape(re.size, m)
+        for br in regions.bits:
+            coords = re if br.bit < m // 2 else im
+            assert np.array_equal(got[:, br.bit], br.classify(coords, PAIR_MISMATCHED[m][br.bit]),
+                                  equal_nan=True)
+        assert np.array_equal(demod_robust(y, regions, PAIR_MISMATCHED[m]), got.reshape(-1))
 
     @pytest.mark.parametrize("a", [None, 0.5, "per-slot"])
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
@@ -409,7 +423,7 @@ class TestIqPairs:
         calls = []
         classify = BitRegions.classify
 
-        def counting(self, coords, a=None):
+        def counting(self, coords, a):
             calls.append(self.bit)
             return classify(self, coords, a)
 
@@ -417,5 +431,5 @@ class TestIqPairs:
         y = random_samples(40, 16).reshape(4, 10)
         if a == "per-slot":
             a = mixed_offsets(40 * m, 17).reshape(4, 10, m)
-        demod_robust(y, build_regions(build_constellation(m), PAIR_MISMATCHED[m]), a)
+        demod_robust(y, build_regions(build_constellation(m), 0.25), a)
         assert calls == list(range(m // 2))

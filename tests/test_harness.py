@@ -193,7 +193,7 @@ class TestTransportBlock:
 
     def test_mixed_offsets_match_per_bit_regions(self):
         # every bit keeps its own offset across a mixed-order plan: replay the
-        # same noise and demodulate each bit with build_regions(c, a_i)
+        # same noise and classify each bit at its own a_i
         alphas = np.linspace(0.29, 0.45, 96)
         a_offsets = np.resize([0.0, 0.25, 0.5, 1.0, 0.75], 96)
         plan = plan_from_thresholds(1.0, threshold_table(
@@ -210,10 +210,12 @@ class TestTransportBlock:
             padded = np.pad(bits[:, idxs], ((0, 0), (0, (-len(idxs)) % order)))
             words = pack_bits(padded.reshape(-1), order)
             y = equalize(transmit(c.points[words], h, noise_rng), h).reshape(6, -1)
+            regions = build_regions(c, 0.0)
             for slot, i in enumerate(idxs):
-                br = build_regions(c, a_offsets[i]).bits[slot % order]
+                bit = slot % order
                 word = y[:, slot // order]
-                expected[:, i] = br.classify(word.real if br.axis == 0 else word.imag)
+                coords = word.real if bit < order // 2 else word.imag
+                expected[:, i] = regions.bits[bit].classify(coords, a_offsets[i])
         np.testing.assert_array_equal(trits, expected)
 
 
@@ -239,6 +241,12 @@ class TestStatisticalEquivalence:
     def test_rejects_non_finite_counts(self, bad):
         with pytest.raises(DomainError, match="finite nonnegative"):
             chi_square_homogeneity(np.array([100.0, bad, 700.0]), np.array([100, 200, 700]))
+
+    def test_rejects_zero_expected_count(self):
+        # no erasure in either histogram: that category's expected count is 0
+        with pytest.raises(DomainError) as err:
+            chi_square_homogeneity(np.array([100, 0, 700]), np.array([90, 0, 710]))
+        assert str(err.value) == "a category has zero expected count; test undefined"
 
 
 class TestMeanSe:

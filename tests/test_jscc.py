@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semlink.bsec import RobustnessProfile, sample_mu_matrix
 from semlink.datasets import Dataset, synth_dataset
-from semlink.errors import ConfigError, TrainingError
+from semlink.errors import ConfigError, DomainError, TrainingError
 from semlink.jscc import (
     ModelTriple,
     TrainingConfig,
@@ -267,6 +267,14 @@ class TestTraining:
         result = train(ds, cfg)
         acc, mse = eval_under_bsec(result.models, ds, 0.1, 0.1, RandomSource(60))
         assert 0.0 <= acc <= 1.0 and mse >= 0.0
+
+    @pytest.mark.parametrize("mu,d", [(0.6, 0.5), (-0.1, 0.0), (0.0, 1.5), (math.nan, 0.0)],
+                             ids=["sum-above-one", "negative-mu", "d-above-one", "nan-mu"])
+    def test_eval_under_bsec_rejects_invalid_channel(self, mu, d):
+        models = build_models(16, 4, tiny_config(), RandomSource(61))
+        with pytest.raises(DomainError) as err:
+            eval_under_bsec(models, tiny_dataset(), mu, d, RandomSource(62))
+        assert str(err.value) == f"invalid channel parameters mu={mu}, d={d}"
 
     def test_warmup_only_config_strips_noise(self):
         cfg = tiny_config()

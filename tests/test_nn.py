@@ -65,6 +65,22 @@ class TestForward:
         with pytest.raises(DomainError):
             model.forward(np.ones((1, 5)))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: mse_loss(np.zeros((2, 3)), np.zeros((2, 4))), "shape mismatch (2, 3) vs (2, 4)"),
+        (lambda: ce_loss(np.zeros((2, 3)), np.array([0, 1, 2])),
+         "one label per logits row required"),
+        (lambda: Layer(np.zeros(3), np.zeros(3), "relu"),
+         "layer weight must be (out, in) with matching bias"),
+        (lambda: Layer(np.zeros((3, 2)), np.zeros(2), "relu"),
+         "layer weight must be (out, in) with matching bias"),
+        (lambda: init_model([3, 4], ["relu", "relu"], RandomSource(1)),
+         "need len(dims) == len(activations) + 1"),
+    ], ids=["mse", "ce", "weight-not-2d", "bias-length", "init-lengths"])
+    def test_shape_checks(self, call, message):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
     def test_backward_requires_forward(self):
         model = random_model(RandomSource(4), dims=[3, 2], activations=["identity"])
         with pytest.raises(StateError):

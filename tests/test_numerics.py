@@ -127,6 +127,8 @@ class TestRandomSource:
         draws = [k.random(1000) for k in RandomSource(7).split(3)]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
+        with pytest.raises(DomainError, match=r"^split requires n >= 1, got 0$"):
+            RandomSource(7).split(0)
 
     def test_uniform_degenerate_interval(self):
         assert RandomSource(0).uniform(3.0, 3.0) == 3.0
