@@ -235,11 +235,20 @@ class TestCommands:
         (("eval", "--model-dir", str(GOLDEN_MODELS), *GOLDEN_DATA, "--adaptive",
           "--uniform", "0.37:2.5", "--profile", str(RAMP96)),
          "encoder emits 12 bits, profile has 96"),
+        (("adaptive-plan", "--snr-db", "0", "--profile", str(RAMP96), "--betas", "1,0.6"),
+         "error: betas must be B2,B4,B6, got '1,0.6'"),
+        (("adaptive-plan", "--snr-db", "0", "--profile", str(RAMP96), "--betas", "1,x,0.5"),
+         "error: invalid betas '1,x,0.5': could not convert string to float: 'x'"),
+        (("adaptive-plan", "--snr-db", "0", "--profile", str(RAMP96), "--betas", "0,0.6,0.5"),
+         "error: beta2=0.0 outside (0, 1]"),
+        (("simulate-ber", "--order", "2", "--snr-db", "0:1"),
+         "error: sweep must be LO:HI:STEP, got '0:1'"),
     ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
             "loss-weight-inf", "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup",
             "capacity-g2-square-overflows", "simulate-ber-n-bits-huge", "bsec-table-n-bits-huge",
             "sweep-not-numeric", "plan-snr-above-ceiling", "zero-batch-size",
-            "eval-profile-longer-than-encoder"])
+            "eval-profile-longer-than-encoder", "betas-two-fields", "betas-not-numeric",
+            "betas-out-of-domain", "sweep-two-fields"])
     def test_bad_value_is_a_one_line_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -315,8 +324,22 @@ class TestCommands:
         (("simulate-ber", "--order", "2", "--snr-db", "0:0:1", "--n-bits", "10"),
          "se", "5", "unrecognized arguments: --se=5"),
         (("train", *TINY_TRAIN), "c", "3", "unrecognized arguments: --c=3"),
+        # every subcommand refuses a prefix of --out, which the --config merge relies on
+        (("capacity", "--g1", "0.37", "--g2", "2.5"), "ou", "x",
+         "unrecognized arguments: --ou=x"),
+        (("demod-regions", "--order", "4", "--a", "0.5"), "ou", "x",
+         "unrecognized arguments: --ou=x"),
+        (("bsec-table", "--order", "2", "--a", "0.5", "--snr-db", "0:0:1", "--n-bits", "10"),
+         "ou", "x", "unrecognized arguments: --ou=x"),
+        (("adaptive-plan", "--snr-db", "0", "--profile", str(RAMP96)), "ou", "x",
+         "unrecognized arguments: --ou=x"),
+        (("eval", "--model-dir", str(GOLDEN_MODELS), *GOLDEN_DATA, "--snr-db", "0:0:1"),
+         "ou", "x", "unrecognized arguments: --ou=x"),
+        (("selfcheck",), "ou", "x", "unrecognized arguments: --ou=x"),
     ], ids=["seed-abc", "unknown-key", "order-3", "negative-warmup", "prefix-of-seed",
-            "prefix-of-config"])
+            "prefix-of-config", "prefix-of-out-capacity", "prefix-of-out-demod-regions",
+            "prefix-of-out-bsec-table", "prefix-of-out-adaptive-plan", "prefix-of-out-eval",
+            "prefix-of-out-selfcheck"])
     def test_flag_and_config_line_fail_alike(self, capsys, tmp_path, argv, key, value,
                                              message, via_config):
         argv = flag_or_config_line(tmp_path, argv, key, value, via_config)
