@@ -47,10 +47,11 @@ def tau(order: int, alpha, a, betas: BetaAdjusters) -> np.ndarray:
     """sqrt-SNR threshold above which an order meets its flip-rate budget.
 
     alpha and a may be arrays that broadcast together, one entry per bit.
-    alpha must lie in (0, 0.5], a profile's range less its noiseless 0, and a
-    in [0, 1]; a value outside is a domain error naming the first offending
-    bit. The inverse tail function's argument then stays below 1; one above
-    1/2 gives a negative root, clamped to 0.
+    alpha must lie in [0, 0.5], a profile's range, and a in [0, 1]; a value
+    outside is a domain error naming the first offending bit. Alpha 0 gives
+    an infinite threshold, so no order meets it and the bit rides order 2.
+    The inverse tail function's argument stays below 1; one above 1/2 gives
+    a negative root, clamped to 0.
     """
     m = check_order(order)
     a = np.asarray(a, dtype=np.float64)
@@ -58,9 +59,9 @@ def tau(order: int, alpha, a, betas: BetaAdjusters) -> np.ndarray:
     if np.any(bad):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a[bad].flat[0]}")
     alpha = np.asarray(alpha, dtype=np.float64)
-    bad = ~((0.0 < alpha) & (alpha <= 0.5))
+    bad = ~((0.0 <= alpha) & (alpha <= 0.5))
     if np.any(bad):
-        raise DomainError(f"robustness level must lie in (0, 0.5], got {alpha[bad].flat[0]}")
+        raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha[bad].flat[0]}")
     root = math.sqrt(1 << m)
     arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
     t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse_array(arg) / (1.0 + a)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every command writes CSV (header row first) to stdout or --out, formats
-numbers to 9 significant digits, and is byte-reproducible given --seed.
+Every command writes CSV (header row first; selfcheck writes PASS/FAIL lines)
+to stdout or --out, formats numbers to 9 significant digits, and is
+byte-reproducible given --seed. No subcommand accepts a prefix of a flag.
 Exit codes: 0 success, 1 domain/configuration error, 2 I/O or file-format
 error.
 """
@@ -26,8 +27,8 @@ from .bsec import RobustnessProfile, analytic_params
 from .channel import FixedSnr, UniformMagnitude
 from .constellation import SUPPORTED_ORDERS, build_constellation
 from .datasets import load_idx, synth_dataset
-from .demod import build_regions
-from .errors import ConfigError, DomainError, FormatError, SemlinkError
+from .demod import a_from_rho, build_regions
+from .errors import ConfigError, FormatError, SemlinkError
 from .harness import (
     chi_square_homogeneity,
     run_end_to_end,
@@ -51,25 +52,33 @@ def fmt(x) -> str:
     return str(x)
 
 
-def emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def write_output(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
+def emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
+    lines = [",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
+    write_output("\n".join(lines) + "\n", out_path)
+
+
+def parse_floats(spec: str, what: str, form: str) -> list[float]:
+    """The numbers of spec, split on the separator that form uses (`:` or `,`)."""
+    sep = ":" if ":" in form else ","
+    parts = spec.split(sep)
+    if len(parts) != form.count(sep) + 1:
+        raise ConfigError(f"{what} must be {form}, got {spec!r}")
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what} {spec!r}: {exc}") from exc
+
+
 def parse_sweep(spec: str) -> np.ndarray:
     """LO:HI:STEP inclusive sweep of SNRs in dB."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"sweep must be LO:HI:STEP, got {spec!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep {spec!r}: {exc}") from exc
+    lo, hi, step = parse_floats(spec, "sweep", "LO:HI:STEP")
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ConfigError(f"sweep bounds must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
@@ -82,36 +91,18 @@ def parse_sweep(spec: str) -> np.ndarray:
     return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
-def parse_betas(spec: str) -> BetaAdjusters:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"betas must be B2,B4,B6, got {spec!r}")
-    try:
-        return BetaAdjusters(*(float(p) for p in parts))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError | DomainError):
-            raise
-        raise ConfigError(f"invalid betas {spec!r}: {exc}") from exc
-
-
-def parse_range(spec: str) -> tuple[float, float]:
-    """G1:G2 magnitude range."""
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"range must be G1:G2, got {spec!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"invalid range {spec!r}: {exc}") from exc
+def _records(path):
+    """(line number, raw line, line less its # comment) for each line not left blank."""
+    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, raw, line
 
 
 def load_profile(path) -> RobustnessProfile:
     """Line-oriented profile file: `index,alpha,a` records, # comments."""
     entries = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, raw, line in _records(path):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise ConfigError(f"{path}:{ln}: expected `index,alpha,a`, got {raw!r}")
@@ -138,10 +129,7 @@ def load_profile(path) -> RobustnessProfile:
 def load_config_file(path) -> dict[str, str]:
     """`key = value` lines, UTF-8, # comments."""
     out = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, raw, line in _records(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected `key = value`, got {raw!r}")
         key, value = line.split("=", 1)
@@ -157,7 +145,7 @@ def parse_bool(text: str) -> bool:
 
 
 def _profile_from_args(args, n_bits: int) -> RobustnessProfile:
-    if getattr(args, "profile", None):
+    if args.profile:
         return load_profile(args.profile)
     if args.alpha_last is not None:
         return RobustnessProfile.linear_ramp(n_bits, args.alpha, args.alpha_last, a=args.a)
@@ -184,15 +172,20 @@ def cmd_demod_regions(args) -> int:
     return 0
 
 
-def cmd_bsec_table(args) -> int:
+def _link_sweep(args):
+    """(snr_db, snr, child stream) for each point of the --snr-db sweep."""
     rng = RandomSource(args.seed)
     sweep = parse_sweep(args.snr_db)
-    rows = []
     for snr_db, child in zip(sweep, rng.split(len(sweep))):
-        snr = 10.0 ** (snr_db / 10.0)
-        p = analytic_params(args.order, snr, args.a)
-        stats = run_link_montecarlo(args.order, float(snr_db), args.a, args.n_bits, child)
-        rows.append([float(snr_db), p.mu, p.d, p.r, stats.flip_rate, stats.erasure_rate,
+        yield float(snr_db), 10.0 ** (snr_db / 10.0), child
+
+
+def cmd_bsec_table(args) -> int:
+    rows = []
+    for snr_db, snr, child in _link_sweep(args):
+        p = analytic_params(args.order, snr, args.a)  # its errors come before the link's
+        stats = run_link_montecarlo(args.order, snr_db, args.a, args.n_bits, child)
+        rows.append([snr_db, p.mu, p.d, p.r, stats.flip_rate, stats.erasure_rate,
                      stats.correct_rate, stats.n_bits])
     emit_csv(["snr_db", "mu", "d", "r", "empirical_mu", "empirical_d", "empirical_r",
               "n_bits"], rows, args.out)
@@ -200,12 +193,10 @@ def cmd_bsec_table(args) -> int:
 
 
 def cmd_simulate_ber(args) -> int:
-    rng = RandomSource(args.seed)
-    sweep = parse_sweep(args.snr_db)
     rows = []
-    for snr_db, child in zip(sweep, rng.split(len(sweep))):
-        stats = run_link_montecarlo(args.order, float(snr_db), args.a, args.n_bits, child)
-        rows.append([float(snr_db), args.order, args.a, stats.n_bits, stats.flip_rate,
+    for snr_db, _, child in _link_sweep(args):
+        stats = run_link_montecarlo(args.order, snr_db, args.a, args.n_bits, child)
+        rows.append([snr_db, args.order, args.a, stats.n_bits, stats.flip_rate,
                      stats.erasure_rate])
     emit_csv(["snr_db", "order", "a", "n_bits", "ber", "erasure_rate"], rows, args.out)
     return 0
@@ -215,7 +206,7 @@ def cmd_adaptive_plan(args) -> int:
     if args.snr_db > MAX_SNR_DB:
         raise ConfigError(f"snr-db {args.snr_db} is above {MAX_SNR_DB:g} dB")
     profile = load_profile(args.profile)
-    betas = parse_betas(args.betas)
+    betas = BetaAdjusters(*parse_floats(args.betas, "betas", "B2,B4,B6"))
     table = threshold_table(profile, betas)
     snr = 10.0 ** (args.snr_db / 10.0)
     orders = orders_from_thresholds([snr], table)[0].tolist()
@@ -284,26 +275,22 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     models = _load_models(args.model_dir, dataset)
     profile = _profile_from_args(args, models.encoder.out_dim)
-    betas = parse_betas(args.betas)
+    betas = BetaAdjusters(*parse_floats(args.betas, "betas", "B2,B4,B6"))
+    if args.uniform is not None:
+        g1, g2 = parse_floats(args.uniform, "range", "G1:G2")
+        runs = [("uniform", "", UniformMagnitude(g1, g2), eval_rng)]
+    else:
+        sweep = parse_sweep(args.snr_db)
+        runs = [("fixed", float(snr_db), FixedSnr(snr=10.0 ** (snr_db / 10.0)), child)
+                for snr_db, child in zip(sweep, eval_rng.split(len(sweep)))]
     metric_names = ["accuracy", "mse", "spectral_efficiency", "flip_rate",
                     "erasure_rate", "bit_bias"]
     rows = []
-    if args.uniform is not None:
-        g1, g2 = parse_range(args.uniform)
-        metrics = run_end_to_end(models, UniformMagnitude(g1, g2), profile, betas,
-                                 args.adaptive, dataset, eval_rng,
-                                 images_per_block=args.images_per_block,
+    for channel, snr_db, distribution, stream in runs:
+        metrics = run_end_to_end(models, distribution, profile, betas, args.adaptive,
+                                 dataset, stream, images_per_block=args.images_per_block,
                                  fixed_order=args.fixed_order)
-        rows.append(["uniform", "", *(metrics[k] for k in metric_names)])
-    else:
-        sweep = parse_sweep(args.snr_db)
-        for snr_db, child in zip(sweep, eval_rng.split(len(sweep))):
-            snr = 10.0 ** (snr_db / 10.0)
-            metrics = run_end_to_end(models, FixedSnr(snr=snr), profile, betas,
-                                     args.adaptive, dataset, child,
-                                     images_per_block=args.images_per_block,
-                                     fixed_order=args.fixed_order)
-            rows.append(["fixed", float(snr_db), *(metrics[k] for k in metric_names)])
+        rows.append([channel, snr_db, *(metrics[k] for k in metric_names)])
     emit_csv(["channel", "snr_db", *metric_names], rows, args.out)
     return 0
 
@@ -314,8 +301,6 @@ def cmd_selfcheck(args) -> int:
 
     cc = capacity_uniform(0.37, 2.5)
     checks.append(("capacity-uniform", abs(cc - 1.57) <= 0.005, f"C={cc:.6f}"))
-
-    from .demod import a_from_rho
 
     anchor = all(a_from_rho(s, 2, s) == 0.5 for s in (0.1, 1.0, 10.0))
     checks.append(("offset-anchor", anchor, "a(rho=snr, order 2) == 0.5"))
@@ -342,14 +327,9 @@ def cmd_selfcheck(args) -> int:
     _, pval = chi_square_homogeneity(h1, h2)
     checks.append(("train-test-match", pval > 0.01, f"p={pval:.4f}"))
 
-    failed = [name for name, ok, _ in checks if not ok]
-    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 1 if failed else 0
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n" for name, ok, detail in checks]
+    write_output("".join(lines), args.out)
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 # ---------------------------------------------------------------- parser
@@ -394,53 +374,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity", help="ergodic capacity for sqrt(SNR) ~ U[g1, g2]",
-                       epilog="CSV columns: g1, g2, capacity", allow_abbrev=False)
+    def command(name, func, help, epilog=None) -> argparse.ArgumentParser:
+        # no prefixes: a --config key is inserted as a flag and must match it in full
+        p = sub.add_parser(name, help=help, epilog=epilog, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("capacity", cmd_capacity, "ergodic capacity for sqrt(SNR) ~ U[g1, g2]",
+                "CSV columns: g1, g2, capacity")
     p.add_argument("--g1", type=float, required=True)
     p.add_argument("--g2", type=float, required=True)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("demod-regions", help="decision interval table per bit (CSV)",
-                       epilog="CSV columns: bit (1-based), output (0/0.5/1), "
-                              "lower, upper (interval bounds, +/-inf at the ends)",
-                       allow_abbrev=False)
+    p = command("demod-regions", cmd_demod_regions, "decision interval table per bit (CSV)",
+                "CSV columns: bit (1-based), output (0/0.5/1), "
+                "lower, upper (interval bounds, +/-inf at the ends)")
     p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, required=True)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_demod_regions)
 
-    p = sub.add_parser("bsec-table", help="analytic vs empirical channel parameters",
-                       epilog="CSV columns: snr_db, mu, d, r (closed form), "
-                              "empirical_mu, empirical_d, empirical_r, n_bits", allow_abbrev=False)
+    p = command("bsec-table", cmd_bsec_table, "analytic vs empirical channel parameters",
+                "CSV columns: snr_db, mu, d, r (closed form), "
+                "empirical_mu, empirical_d, empirical_r, n_bits")
     p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--snr-db", required=True, help="sweep LO:HI:STEP in dB")
     p.add_argument("--n-bits", type=int, default=100000)
     _add_common(p)
-    p.set_defaults(func=cmd_bsec_table)
 
-    p = sub.add_parser("simulate-ber", help="link Monte Carlo flip/erasure rates",
-                       epilog="CSV columns: snr_db, order, a, n_bits, ber, erasure_rate",
-                       allow_abbrev=False)
+    p = command("simulate-ber", cmd_simulate_ber, "link Monte Carlo flip/erasure rates",
+                "CSV columns: snr_db, order, a, n_bits, ber, erasure_rate")
     p.add_argument("--order", type=int, required=True, choices=SUPPORTED_ORDERS)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--snr-db", required=True, help="sweep LO:HI:STEP in dB")
     p.add_argument("--n-bits", type=int, default=100000)
     _add_common(p)
-    p.set_defaults(func=cmd_simulate_ber)
 
-    p = sub.add_parser("adaptive-plan", help="per-bit thresholds and chosen orders",
-                       epilog="CSV columns: bit (0-based), alpha, tau2, tau4, tau6, "
-                              "order (selected bits per symbol)", allow_abbrev=False)
+    p = command("adaptive-plan", cmd_adaptive_plan, "per-bit thresholds and chosen orders",
+                "CSV columns: bit (0-based), alpha, tau2, tau4, tau6, "
+                "order (selected bits per symbol)")
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--profile", required=True, help="profile file: index,alpha,a lines")
     p.add_argument("--betas", default="1,0.6,0.5", help="B2,B4,B6 adjusting factors")
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_adaptive_plan)
 
-    p = sub.add_parser("train", help="train encoder/decoder/classifier over sampled BSECs",
-                       epilog="CSV columns: epoch, loss, mse, ce, accuracy", allow_abbrev=False)
+    p = command("train", cmd_train, "train encoder/decoder/classifier over sampled BSECs",
+                "CSV columns: epoch, loss, mse, ce, accuracy")
     _add_dataset_args(p)
     _add_profile_args(p)
     p.add_argument("--latent-bits", type=int, default=64,
@@ -453,12 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight of the reconstruction loss term")
     p.add_argument("--model-dir", default=None, help="directory for saved models")
     _add_common(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="end-to-end evaluation over a physical link",
-                       epilog="CSV columns: channel (fixed/uniform), snr_db, accuracy, "
-                              "mse, spectral_efficiency, flip_rate, erasure_rate, "
-                              "bit_bias (mean sampled encoder bit)", allow_abbrev=False)
+    p = command("eval", cmd_eval, "end-to-end evaluation over a physical link",
+                "CSV columns: channel (fixed/uniform), snr_db, accuracy, "
+                "mse, spectral_efficiency, flip_rate, erasure_rate, "
+                "bit_bias (mean sampled encoder bit)")
     _add_dataset_args(p)
     _add_profile_args(p)
     p.add_argument("--model-dir", required=True)
@@ -472,12 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images-per-block", type=int, default=10,
                    help="images sharing one channel draw")
     _add_common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("selfcheck", help="run quick internal consistency checks",
-                       allow_abbrev=False)
-    _add_common(p)
-    p.set_defaults(func=cmd_selfcheck)
+    _add_common(command("selfcheck", cmd_selfcheck, "run quick internal consistency checks"))
 
     return parser
 

@@ -136,11 +136,12 @@ def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> floa
     m = check_order(order)
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
-    if not (0.0 < alpha <= 0.5):
-        raise DomainError(f"robustness level must lie in (0, 0.5], got {alpha}")
+    if not (0.0 <= alpha <= 0.5):
+        raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha}")
     root = math.sqrt(1 << m)
     arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
-    t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse(arg) / (1.0 + a)
+    q_inv = q_inverse(arg) if arg > 0 else math.inf  # a zero budget: no order meets it
+    t = math.sqrt(((1 << m) - 1) / 3.0) * q_inv / (1.0 + a)
     return max(t, 0.0)
 
 

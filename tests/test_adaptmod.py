@@ -126,7 +126,7 @@ class TestTau:
         assert tau(2, 0.5, 0.0, UNIT_BETAS) == pytest.approx(q_inverse(0.5), abs=1e-12)
         with pytest.raises(DomainError) as err:
             tau(4, 0.9, 0.0, UNIT_BETAS)
-        assert str(err.value) == "robustness level must lie in (0, 0.5], got 0.9"
+        assert str(err.value) == "robustness level must lie in [0, 0.5], got 0.9"
 
     def test_negative_threshold_clamped(self):
         # argument in (0.5, 1) would give a negative root; clamp to zero
@@ -155,9 +155,9 @@ class TestTau:
 class TestArrayThresholds:
     """tau and thresholds over arrays equal the scalar oracle byte for byte."""
 
-    # every alpha a profile can plan with; 0.5 is the largest, a zero root at
-    # order 2 with unit betas
-    ALPHAS = np.linspace(0.01, 0.5, 50)
+    # every alpha a profile can plan with: 0 gives an infinite threshold, and
+    # 0.5, the largest, a zero root at order 2 with unit betas
+    ALPHAS = np.r_[0.0, np.linspace(0.01, 0.5, 50)]
     OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
     @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS, UNIT_BETAS],
@@ -196,14 +196,14 @@ class TestArrayThresholds:
         assert thresholds(0.4, 0.5, HETEROGENEOUS_BETAS).shape == (3,)
 
     @pytest.mark.parametrize("alpha,a,betas,bit", [
-        ([0.3, 0.0, 0.2, 0.0], 0.5, HETEROGENEOUS_BETAS, 1),
+        ([0.3, -0.1, 0.2, 0.0], 0.5, HETEROGENEOUS_BETAS, 1),
         ([0.3, 0.4, 0.2], [0.5, 1.5, 2.0], HETEROGENEOUS_BETAS, 1),
         ([0.3, 0.5, 0.51, 0.9], 0.5, HETEROGENEOUS_BETAS, 2),
         # the betas of test_ordering_violation_rejected fail every bit
         ([0.4, 0.3], 0.5, BetaAdjusters(0.01, 0.99, 0.99), 0),
         # these pass at alpha 0.1 and 0.2 and fail from 0.29 on
         ([0.1, 0.2, 0.35, 0.45], 0.5, BetaAdjusters(0.6, 1.0, 1.0), 2),
-    ], ids=["alpha-zero", "offset-out-of-range", "alpha-above-half", "not-ascending",
+    ], ids=["alpha-negative", "offset-out-of-range", "alpha-above-half", "not-ascending",
             "not-ascending-later-bit"])
     def test_errors_name_the_first_offending_bit(self, alpha, a, betas, bit):
         alpha, a = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(a, float))

@@ -169,6 +169,27 @@ class TestCommands:
         assert sorted(set(orders)) == [2, 4, 6]
         assert orders == sorted(orders)
 
+    def test_zero_alpha_bit_plans_order_2(self, capsys, tmp_path):
+        # a zero flip budget meets no order's threshold at any SNR
+        profile = tmp_path / "profile.csv"
+        profile.write_text("0,0.3,0.5\n1,0,0.5\n")
+        code, out, _ = run_cli(capsys, "adaptive-plan", "--snr-db", "40",
+                               "--profile", str(profile))
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0.3,0.349600342,1.0528937,1.99243971,6",
+                                        "1,0,inf,inf,inf,2"]
+
+    def test_zero_alpha_models_evaluate_adaptively(self, capsys):
+        # the train_alpha0 golden's models with their own profile: every bit
+        # rides order 2, so the adaptive pass is the fixed order-2 pass
+        argv = ("eval", "--model-dir", str(GOLDEN_MODELS.parent / "train_alpha0_models"),
+                "--classes", "3", "--dim", "8", "--per-class", "40", "--noise-sigma", "1.0",
+                "--alpha", "0", "--a", "0.5", "--uniform", "0.37:2.5", "--adaptive")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("uniform,,0.375,7.18505371,1.75,")
+        assert run_cli(capsys, *argv, "false") == (0, out, "")
+
     def test_config_file_defaults_and_override(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("g1 = 0.37\ng2 = 2.5\n")

@@ -11,7 +11,6 @@ from semlink.bsec import RobustnessProfile, sample_mu_matrix
 from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, DomainError, TrainingError
 from semlink.jscc import (
-    ModelTriple,
     TrainingConfig,
     backward_with_bypass,
     build_models,
