@@ -92,7 +92,8 @@ def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
     return q_function_array(q_inverse_array(mu) / 3.0) - mu
 
 
-def _check_link_point(order: int, snr: float, a: float) -> int:
+def check_link_point(order: int, snr: float, a: float) -> int:
+    """The order of a link operating point, after checking order, snr and offset."""
     m = check_order(order)
     if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
@@ -111,7 +112,7 @@ def analytic_params(order: int, snr: float, a: float) -> BsecParams:
     The triple is always a valid BSEC: mu + d = pref Q((1-a)x) with (1-a)x >= 0
     and pref <= 1, so mu + d <= 1/2.
     """
-    m = _check_link_point(order, snr, a)
+    m = check_link_point(order, snr, a)
     pref = (4.0 / m) * (1.0 - 2.0 ** (-m / 2))
     x = math.sqrt(3.0 * snr / ((1 << m) - 1))
     mu = pref * q_function((1.0 + a) * x)
@@ -128,7 +129,7 @@ def exact_params(order: int, snr: float, a: float) -> BsecParams:
     the bit's levels and over the m bits of a symbol: erasure intervals add to
     d, binary intervals whose output differs from the sent bit add to mu.
     """
-    m = _check_link_point(order, snr, a)
+    m = check_link_point(order, snr, a)
     c = build_constellation(m)
     sigma = 1.0 / math.sqrt(2.0 * snr)
     mu = d = 0.0

@@ -82,4 +82,4 @@ def pack_bits(bits: np.ndarray, m: int) -> np.ndarray:
     if bits.size % m != 0:
         raise DomainError(f"bit count {bits.size} is not a multiple of {m}")
     weights = 1 << np.arange(m - 1, -1, -1)
-    return bits.reshape(-1, m).astype(np.int64) @ weights
+    return bits.reshape(-1, m).astype(np.int64, copy=False) @ weights

@@ -134,7 +134,7 @@ class BitRegions:
     def index_set(self, output: float) -> tuple[int, ...]:
         return tuple(iv.index for iv in self.intervals if iv.output == output)
 
-    def classify(self, coords: np.ndarray, a) -> np.ndarray:
+    def classify(self, coords: np.ndarray, a, out=None) -> np.ndarray:
         """Trit decision per coordinate at offset a; band-boundary hits erase to 0.5.
 
         A coordinate takes the value of its Gray cell: 0 below the first
@@ -145,17 +145,21 @@ class BitRegions:
         that are not positive (NaN included) keep the binary value. -inf and
         +inf take the value of the outer cells and erase when a > 0; NaN lies
         above every transition, so it takes the last cell's value and never
-        erases.
+        erases. out, a float64 array of the shape of coords, receives the trits
+        when given; the trits are returned either way.
         """
         coords = np.asarray(coords, dtype=float)
         a = np.asarray(a, dtype=float)
+        if out is None:
+            out = np.empty(coords.shape)
         t = self.transitions
         # ~(c <= t) rather than c > t: NaN counts past every transition
         flip = ~(coords <= t[0])
         for tk in t[1:]:
             flip ^= ~(coords <= tk)
         if not np.any(a > 0):
-            return flip.astype(float)
+            np.copyto(out, flip)
+            return out
         half_w = a * self.d_min / 2.0
         erase = np.isinf(coords)
         for tk in t:
@@ -164,7 +168,7 @@ class BitRegions:
             erase &= a > 0
         # flip + (flip ^ erase) is 2 for a kept 1, 0 for a kept 0 and 1 for an
         # erasure; halving it needs no masked write
-        return np.multiply(flip.view(np.uint8) + (flip ^ erase).view(np.uint8), 0.5)
+        return np.multiply(flip.view(np.uint8) + (flip ^ erase).view(np.uint8), 0.5, out=out)
 
 
 def _bit_regions(c: Constellation, bit: int, a: float) -> BitRegions:
@@ -208,14 +212,19 @@ def build_regions(c: Constellation, a: float) -> DecisionRegions:
     return DecisionRegions(order=c.m, a=float(a), bits=bits)
 
 
-def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
+def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None, out=None,
+                 work=None) -> np.ndarray:
     """Demodulate equalized samples to trits {0, 0.5, 1}.
 
     y may have any shape. a defaults to the regions' own offset; when given, it
     must broadcast to exactly (*y.shape, order), giving one offset per bit slot,
     and is read in its own shape. Every offset must lie in [0, 1] (NaN is
     rejected). Returns a flat sequence of order*y.size trits, one m-bit group
-    per symbol in row-major order.
+    per symbol in row-major order; or, when out is given, writes them into out,
+    a float64 array of shape (*y.shape, order) of any layout, and returns it.
+    work, a float64 array of at least 4 * y.size entries, holds the stacked
+    coordinates and each pair's trits when given, so a caller that
+    demodulates chunk after chunk allocates nothing large per call.
 
     Bit k reads the real axis and bit k + order/2 the imaginary axis with the
     same transitions, so each such pair is one classify call over the stacked
@@ -236,13 +245,20 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None) -> np.ndarray:
     lead = a.shape[:-1]
     a = np.broadcast_to(a, (*lead, order)).reshape(*lead, 2, half)
     a = np.moveaxis(a, -2, 0).reshape(2, *(1,) * (y.ndim - len(lead)), *lead, half)
-    # out first: the temporaries then sit above it at the top of the heap, and
-    # a link run faults far fewer fresh pages per chunk
-    out = np.empty((*y.shape, order))
-    coords = np.stack((y.real, y.imag))
+    if out is not None and (out.shape != full or out.dtype != np.float64):
+        raise DomainError(f"out must be a float64 array of shape {full}, "
+                          f"got {out.dtype} of shape {out.shape}")
+    trits = np.empty(full) if out is None else out
+    if work is None:
+        work = np.empty(4 * y.size)
+    elif work.dtype != np.float64 or work.ndim != 1 or work.size < 4 * y.size:
+        raise DomainError(f"work must be a 1-D float64 array of at least {4 * y.size} "
+                          f"entries, got {work.dtype} of shape {work.shape}")
+    coords = np.stack((y.real, y.imag), out=work[:2 * y.size].reshape(2, *y.shape))
+    pair = work[2 * y.size:4 * y.size].reshape(2, *y.shape)
     for k in range(half):
-        out[..., k], out[..., k + half] = regions.bits[k].classify(coords, a[..., k])
-    return out.reshape(-1)
+        trits[..., k], trits[..., k + half] = regions.bits[k].classify(coords, a[..., k], pair)
+    return trits.reshape(-1) if out is None else out
 
 
 def demod_llr(y: np.ndarray, c: Constellation, snr: float, rho) -> np.ndarray:

@@ -20,7 +20,7 @@ from .adaptmod import (  # noqa: F401
     symbol_runs,
     threshold_table,
 )
-from .bsec import RobustnessProfile, analytic_params
+from .bsec import RobustnessProfile, analytic_params, check_link_point
 # transmit and equalize: kept here for the tracer only, as above
 from .channel import (  # noqa: F401
     ChannelDistribution,
@@ -80,21 +80,25 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     chunk of LINK_CHUNK_BITS // order symbols goes to _carry as one block of
     one-symbol rows and the trit counts are summed. So each chunk draws its
     noise like one channel.transmit call: its real parts, then its imaginary
-    parts.
+    parts. The order, SNR and offset are checked before anything is drawn, and
+    the chunks share one set of _carry buffers.
     """
     if not (1 <= n_bits <= MAX_LINK_BITS):
         raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
-    m = check_order(order)
+    snr = 10.0 ** (snr_db / 10.0)
+    m = check_link_point(order, snr, a)
     n_sym = -(-n_bits // m)
     bit_rng, ch_rng, noise_rng = rng.split(3)
-    h = draw_channels(FixedSnr(snr=10.0 ** (snr_db / 10.0)), 1, ch_rng)
+    h = draw_channels(FixedSnr(snr=snr), 1, ch_rng)
     _, gain = block_gains(h)
     chunk = LINK_CHUNK_BITS // m
+    runs = symbol_runs(np.full((1, m), m))
+    a_row = np.full(m, a)
+    store = {}
     counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * m).reshape(-1, m)
-        trits, _ = _carry(bits, np.full((1, m), m), np.array([len(bits)]), h, gain,
-                          np.full(m, a), noise_rng)
+        trits, _ = _carry(bits, runs, np.array([len(bits)]), h, gain, a_row, noise_rng, store)
         stats = _count_trits(bits, trits)
         counts += (stats.flips, stats.erasures, stats.corrects)
     return LinkStats(n_sym * m, *counts.tolist())
@@ -106,33 +110,52 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
 CHUNK_ENTRIES = 2 ** 15
 
 
-def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray,
-           gain: np.ndarray, a_offsets, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+def _buffer(store: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of the given shape: a view of the store's flat
+    array of that name, which is replaced by a larger one when too small."""
+    n = math.prod(shape)
+    buf = store.get(name)
+    if buf is None or buf.size < n:
+        buf = store[name] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
+
+
+def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: np.ndarray,
+           gain: np.ndarray, a_offsets, rng: RandomSource,
+           store: dict) -> tuple[np.ndarray, np.ndarray]:
     """Carry consecutive channel blocks of latent bits, each over its own channel.
 
     Block b owns the next rows[b] rows of bits and rides coefficient h[b],
-    equalized by gain[b] (channel.block_gains), with per-bit orders orders[b].
-    Every run of adaptmod.symbol_runs is zero-padded to whole symbols,
+    equalized by gain[b] (channel.block_gains); runs is adaptmod.symbol_runs
+    of the blocks' per-bit orders. Every run is zero-padded to whole symbols,
     modulated, faded, equalized and demodulated with each bit's own erasure
     offset, one demod_robust call per order over all the chunk's blocks (one
     classify call per I/Q bit pair); the trits of padding slots are dropped.
     Noise is drawn in one call and laid out block by block, run by run, all
     real parts before all imaginary parts: the order in which one transmit
     call per run would draw it. An order with one unpadded run reads its bits
-    and noise as slices. Otherwise its slot map (each symbol's run, place in
-    the run and bit slots) is built once for a block row and broadcast over
-    the block's rows, so the index work does not grow with the rows. Returns
-    the trit matrix and each block's symbol count per row.
+    and noise as slices and demodulates straight into the trit matrix.
+    Otherwise its slot map (each symbol's run, place in the run and bit slots)
+    is built once for a block row and broadcast over the block's rows, so the
+    index work does not grow with the rows. Returns the trit matrix and each
+    block's symbol count per row.
+
+    The noise, the symbols as they are faded and equalized, and the trits are
+    computed in place: h * x, plus the scaled noise's real and imaginary
+    parts, times the gain, which gives the bytes of channel.transmit then
+    channel.equalize. These arrays live in store (see _buffer), so the trit
+    matrix returned is overwritten by the next call with the same store.
     """
-    run_block, run_start, run_len, run_order, run_syms = symbol_runs(orders)
+    run_block, run_start, run_len, run_order, run_syms = runs
     draw_syms = run_syms * rows[run_block]  # symbols per run over all its rows
     noise_start = np.cumsum(2 * draw_syms) - 2 * draw_syms
     row0 = np.cumsum(rows) - rows
     a_offsets = np.asarray(a_offsets, dtype=np.float64)
-    noise = rng.std_normal(int(2 * draw_syms.sum()))
-    scale = math.sqrt(0.5)
+    n_noise = int(2 * draw_syms.sum())
+    noise = rng.std_normal(n_noise, out=_buffer(store, "noise", (n_noise,)))
+    noise *= math.sqrt(0.5)
 
-    out = None  # allocated late: a long link run then faults fewer fresh pages per chunk
+    out = _buffer(store, "trits", bits.shape)
     for order in (2, 4, 6):
         sel = np.flatnonzero(run_order == order)
         if sel.size == 0:
@@ -146,7 +169,8 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray
             words = pack_bits(bits[dest], order).reshape(rows[blk], -1)
             re, im = slice(s, s + n), slice(s + n, s + 2 * n)
             a_slots = a_offsets[dest[1]].reshape(-1, order)
-            shape, keep = (rows[blk], run_len[r]), slice(None)
+            # splits only the last axis of a row slice: a view, never a copy
+            trits = out[dest].reshape(*words.shape, order)
         else:
             # slot map of one block row: run and symbol j of every symbol
             # (padding slots point at slot 0; their trits are dropped)
@@ -166,15 +190,20 @@ def _carry(bits: np.ndarray, orders: np.ndarray, rows: np.ndarray, h: np.ndarray
             re = noise_start[run] + i * run_syms[run] + j
             im = re + draw_syms[run]
             a_slots = a_offsets[slot]
-            shape, keep = flat.shape, np.broadcast_to(live, flat.shape)
-            dest = flat[keep]
-        y = h[blk] * build_constellation(order).points[words]
-        y += scale * (noise[re] + 1j * noise[im]).reshape(words.shape)
+            keep = np.broadcast_to(live, flat.shape)
+            trits = _buffer(store, "gathered", flat.shape)
+        # mode="clip" writes straight into the buffer; the default "raise"
+        # would fill a copy first, and every word is in range anyway
+        y = np.take(build_constellation(order).points, words, mode="clip",
+                    out=_buffer(store, "faded", words.shape, complex))
+        np.multiply(h[blk], y, out=y)
+        y.real += noise[re].reshape(words.shape)
+        y.imag += noise[im].reshape(words.shape)
         y *= gain[blk]
-        trits = demod_robust(y, _order_regions(order), a_slots).reshape(shape)[keep]
-        if out is None:
-            out = np.empty(bits.shape)
-        (out if whole else out.reshape(-1))[dest] = trits
+        demod_robust(y, _order_regions(order), a_slots, out=trits,
+                     work=_buffer(store, "work", (4 * y.size,)))
+        if not whole:
+            out.reshape(-1)[flat[keep]] = trits[keep]
     return out, np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
 
 
@@ -196,8 +225,8 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray, h: c
     if len(a_offsets) != n_bits:
         raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
     h = np.array([h])
-    trits, symbols = _carry(bits, np.array([plan.orders]), np.array([n_rows]), h,
-                            block_gains(h)[1], a_offsets, rng)
+    trits, symbols = _carry(bits, symbol_runs(np.array([plan.orders])), np.array([n_rows]),
+                            h, block_gains(h)[1], a_offsets, rng, {})
     return trits, int(symbols[0])
 
 
@@ -211,14 +240,16 @@ def _forward_blocks(model, x: np.ndarray, size: int) -> np.ndarray:
     """model.forward over consecutive blocks of `size` rows of x.
 
     The full blocks go in as one (blocks, size, dim) stack, whose products
-    equal the per-block ones bit for bit; a shorter last block is its own call.
+    equal the per-block ones bit for bit; a shorter last block is its own
+    (1, rows, dim) stack. Stacks keep no activations, so neither call leaves
+    a cache behind.
     """
     full = len(x) - len(x) % size
     parts = []
     if full:
         parts.append(model.forward(x[:full].reshape(-1, size, x.shape[1])).reshape(full, -1))
     if full < len(x):
-        parts.append(model.forward(x[full:]))
+        parts.append(model.forward(x[full:][None])[0])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -256,6 +287,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         fixed = np.full(n_bits, check_order(fixed_order))
     ch_rng, bit_rng, noise_rng = rng.split(3)
     chunk_images = max(1, CHUNK_ENTRIES // (images_per_block * n_bits)) * images_per_block
+    store = {}  # _carry's buffers, shared by the chunks
 
     correct = 0
     sq_err_sum = 0.0
@@ -275,8 +307,8 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
             orders = np.tile(fixed, (len(rows), 1))
         f = _forward_blocks(models.encoder, xc, images_per_block)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)
-        trits, symbols_per_row = _carry(bits, orders, rows, h, gain, profile.a_offsets,
-                                        noise_rng)
+        trits, symbols_per_row = _carry(bits, symbol_runs(orders), rows, h, gain,
+                                        profile.a_offsets, noise_rng, store)
         total_symbols += int(symbols_per_row @ rows)
         bit_sum += int(bits.sum())
         stats = _count_trits(bits, trits)

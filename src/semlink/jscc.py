@@ -227,15 +227,20 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
 
 def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
                     rng: RandomSource) -> tuple[float, float]:
-    """(accuracy, mse) with latent bits passed through a fixed BSEC."""
+    """(accuracy, mse) with latent bits passed through a fixed BSEC.
+
+    Inference keeps no activations: each forward takes the data as one
+    (1, rows, dim) stack, which DenseModel.forward runs without a cache, so
+    every model's cache is None afterwards.
+    """
     if not (0.0 <= mu <= 1.0 and 0.0 <= d <= 1.0 and mu + d <= 1.0):
         raise DomainError(f"invalid channel parameters mu={mu}, d={d}")
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
-    f = models.encoder.forward(x)
+    f = models.encoder.forward(x[None])[0]
     b_hat = noisy_latent_sample(f, np.full_like(f, mu), np.full_like(f, d), rng)
-    u_hat = models.decoder.forward(b_hat)
-    logits = models.classifier.forward(u_hat)
+    u_hat = models.decoder.forward(b_hat[None])[0]
+    logits = models.classifier.forward(u_hat[None])[0]
     acc = float(np.mean(np.argmax(logits, axis=1) == y))
     mse, _ = mse_loss(x, u_hat)
     return acc, mse

@@ -139,8 +139,10 @@ class DenseModel:
         """Run a (batch, in_dim) array through the stack, caching for backward.
 
         A (blocks, batch, in_dim) stack runs every block at once and drops the
-        cache, so only a 2-D forward can be followed by backward. Each layer
-        adds its bias and applies its activation in place on its fresh product.
+        cache, so only a 2-D forward can be followed by backward. Inference
+        passes its data as such a stack, (1, batch, in_dim) for one batch, and
+        so keeps no activations. Each layer adds its bias and applies its
+        activation in place on its fresh product.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.in_dim:

@@ -76,8 +76,10 @@ class RandomSource:
         a, b = self._gen.standard_normal(2)
         return float(a), float(b)
 
-    def std_normal(self, size) -> np.ndarray:
-        return self._gen.standard_normal(size)
+    def std_normal(self, size, out=None) -> np.ndarray:
+        """Standard normal draws; out, a C-contiguous float64 array of that
+        size, receives the same values the allocating draw would return."""
+        return self._gen.standard_normal(size, out=out)
 
     def bernoulli(self, p: float, size=None):
         """Bernoulli(p) draw(s) as 0/1 integers."""

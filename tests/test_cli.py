@@ -375,6 +375,13 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: snr must be positive") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("a", ["2", "nan", "-0.1"])
+    @pytest.mark.parametrize("command", ["bsec-table", "simulate-ber"])
+    def test_bad_offset_has_one_message(self, capsys, command, a):
+        argv = (command, "--order", "2", f"--a={a}", "--snr-db", "0:0:1", "--n-bits", "10")
+        assert_one_line_error(*run_cli(capsys, *argv),
+                              f"error: boundary offset must lie in [0, 1], got {float(a)}\n")
+
     def test_selfcheck_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck", "--seed", "11")
         assert code == 0

@@ -384,6 +384,49 @@ class TestTritKernel:
         with pytest.raises(DomainError, match=r"boundary offsets of shape .* do not fit \(3, 2\)"):
             demod_robust(np.zeros(3, complex), regions, np.zeros(shape))
 
+    @pytest.mark.parametrize("a", [0.0, 0.5, np.array([0.0, 0.5] * 150)])
+    def test_classify_out_receives_the_trits(self, a):
+        # a = 0 leaves through the binary decision's early return
+        br = build_regions(build_constellation(4), 0.0).bits[0]
+        coords = random_samples(300, 20).real
+        out = np.full(300, np.nan)
+        assert br.classify(coords, a, out) is out
+        assert np.array_equal(out, br.classify(coords, a))
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, "per-slot"])
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_demod_robust_out_writes_the_same_trits(self, m, a):
+        # a = 0 takes classify's early return for the binary decision
+        regions = build_regions(build_constellation(m), 0.0)
+        y = random_samples(600, 18).reshape(20, 30)
+        if a == "per-slot":
+            a = mixed_offsets(600 * m, 19).reshape(20, 30, m)
+        expected = demod_robust(y, regions, a)
+        # a strided view of a wider matrix, as a trit matrix's column slice is
+        wide = np.full((20, 30 * m + 5), -1.0)
+        view = wide[:, 2:2 + 30 * m].reshape(20, 30, m)
+        work = np.full(4 * 600 + 3, np.nan)  # larger than needed is fine
+        assert demod_robust(y, regions, a, out=view, work=work) is view
+        assert np.array_equal(wide[:, 2:2 + 30 * m].reshape(-1), expected)
+        assert np.array_equal(demod_robust(y, regions, a, work=work), expected)
+        assert np.all(wide[:, :2] == -1.0) and np.all(wide[:, 2 + 30 * m:] == -1.0)
+
+    @pytest.mark.parametrize("out", [np.empty((3, 2)), np.empty((3, 4), np.int64)],
+                             ids=["shape", "dtype"])
+    def test_demod_robust_rejects_out_that_does_not_fit(self, out):
+        # an integer out would truncate an erasure's 0.5 to 0 without a word
+        regions = build_regions(build_constellation(4), 0.0)
+        with pytest.raises(DomainError, match=r"out must be a float64 array of shape \(3, 4\)"):
+            demod_robust(np.zeros(3, complex), regions, out=out)
+
+    @pytest.mark.parametrize("work", [np.empty(11), np.empty(12, np.float32), np.empty((2, 6))],
+                             ids=["short", "dtype", "2-d"])
+    def test_demod_robust_rejects_work_that_does_not_fit(self, work):
+        # a float32 work would round the coordinates before they are classified
+        regions = build_regions(build_constellation(4), 0.0)
+        with pytest.raises(DomainError, match="work must be a 1-D float64 array of at least 12"):
+            demod_robust(np.zeros(3, complex), regions, work=work)
+
 
 # per-bit offsets whose I/Q pairs (bit k, bit k + m/2) differ, some of them 0
 PAIR_MISMATCHED = {2: [0.0, 0.5], 4: [0.25, 0.0, 0.0, 1.0], 6: [0.5, 0.0, 1.0, 0.0, 0.25, 0.0]}
@@ -423,9 +466,9 @@ class TestIqPairs:
         calls = []
         classify = BitRegions.classify
 
-        def counting(self, coords, a):
+        def counting(self, coords, a, out=None):
             calls.append(self.bit)
-            return classify(self, coords, a)
+            return classify(self, coords, a, out)
 
         monkeypatch.setattr(BitRegions, "classify", counting)
         y = random_samples(40, 16).reshape(4, 10)

@@ -6,9 +6,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semlink.adaptmod import HETEROGENEOUS_BETAS, ModPlan, plan_from_thresholds, threshold_table
+from semlink.adaptmod import (
+    HETEROGENEOUS_BETAS,
+    ModPlan,
+    plan_from_thresholds,
+    symbol_runs,
+    threshold_table,
+)
 from semlink.bsec import RobustnessProfile, analytic_params
-from semlink.channel import FixedSnr, UniformMagnitude, draw_channels, equalize, transmit
+from semlink.channel import (
+    FixedSnr,
+    UniformMagnitude,
+    block_gains,
+    draw_channels,
+    equalize,
+    transmit,
+)
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
 from semlink.datasets import Dataset, synth_dataset
@@ -74,6 +87,16 @@ class TestLinkMonteCarlo:
         with pytest.raises(DomainError, match=r"n_bits must be in \[1, 100000000\]"):
             run_link_montecarlo(2, 0.0, 0.0, n_bits, RandomSource(47))
 
+    @pytest.mark.parametrize("a", [2.0, math.nan, -0.1])
+    def test_bad_offset_rejected_before_any_draw(self, a):
+        rng = RandomSource(47)
+        with pytest.raises(DomainError) as err:
+            run_link_montecarlo(2, 0.0, a, 100, rng)
+        assert str(err.value) == f"boundary offset must lie in [0, 1], got {a}"
+        # the run did not split its stream: the next split is the first
+        np.testing.assert_array_equal(rng.split(1)[0].random(3),
+                                      RandomSource(47).split(1)[0].random(3))
+
     @pytest.mark.parametrize("order", (2, 4, 6))
     @pytest.mark.parametrize("a", (0.0, 0.5))
     def test_closure_against_analytic(self, order, a):
@@ -109,6 +132,28 @@ class TestLinkMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[2] < 1.2 * peaks[0], peaks
+
+
+class TestFadeArithmetic:
+    """_carry's faded, equalized samples against transmit then equalize, bit for bit."""
+
+    @pytest.mark.parametrize("mag", [1e-150, 1.3, 1e150], ids=["tiny", "unit", "huge"])
+    @pytest.mark.parametrize("order", (2, 4, 6))
+    @pytest.mark.parametrize("path", ["whole", "gathered"])
+    def test_samples_equal_transmit_then_equalize(self, path, order, mag):
+        rows = 7
+        # a run of whole symbols is read as slices; a padded one is gathered
+        n_bits = 3 * order if path == "whole" else 3 * order - 1
+        bits = RandomSource(50).bits(rows * n_bits).reshape(rows, n_bits)
+        h = np.array([mag * complex(math.cos(2.0), math.sin(2.0))])
+        store = {}
+        harness._carry(bits, symbol_runs(np.full((1, n_bits), order)), np.array([rows]), h,
+                       block_gains(h)[1], np.full(n_bits, 0.5), RandomSource(51), store)
+        padded = np.pad(bits, ((0, 0), (0, -n_bits % order)))
+        x = build_constellation(order).points[pack_bits(padded.reshape(-1), order)]
+        expected = equalize(transmit(x, h[0], RandomSource(51)), h[0])
+        got = store["faded"][:expected.size]
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestTransportBlock:
@@ -348,6 +393,19 @@ class TestChunkedPass:
             args = (models, channel, profile, HETEROGENEOUS_BETAS, adaptive, ds)
             assert run_end_to_end(*args, RandomSource(42), **kwargs) == \
                 run_end_to_end_per_block(*args, RandomSource(42), **kwargs), profile
+
+
+def test_end_to_end_keeps_no_activations():
+    """A pass whose last block is short leaves no model a cache."""
+    profile = RobustnessProfile.homogeneous(12, 0.4, a=0.5)
+    models = build_models(16, 4, TrainingConfig(profile=profile), RandomSource(47))
+    triple = (models.encoder, models.decoder, models.classifier)
+    for model in triple:
+        model.forward(np.ones((3, model.in_dim)))  # a training-style forward caches
+    ds = synth_dataset(5, 16, 5, 1.0, RandomSource(48))  # 25 images
+    run_end_to_end(models, UniformMagnitude(0.37, 2.5), profile, HETEROGENEOUS_BETAS, True,
+                   ds, RandomSource(49), images_per_block=10)
+    assert [model._cache for model in triple] == [None, None, None]
 
 
 def test_end_to_end_memory_is_bounded():

@@ -1,6 +1,7 @@
 """Latent sampling laws, the gradient bypass, and the training schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,29 @@ class TestTraining:
         result = train(ds, cfg)
         acc, mse = eval_under_bsec(result.models, ds, 0.1, 0.1, RandomSource(60))
         assert 0.0 <= acc <= 1.0 and mse >= 0.0
+
+    def test_eval_under_bsec_keeps_no_activations(self):
+        ds = tiny_dataset()
+        models = build_models(16, 4, tiny_config(), RandomSource(63))
+        triple = (models.encoder, models.decoder, models.classifier)
+        for model in triple:
+            model.forward(np.ones((3, model.in_dim)))  # a training-style forward caches
+        eval_under_bsec(models, ds, 0.1, 0.1, RandomSource(64))
+        assert [model._cache for model in triple] == [None, None, None]
+
+    def test_eval_under_bsec_holds_no_memory_afterwards(self):
+        # the criterion-9 shape: 2000 x 64 inputs through the README stacks
+        profile = RobustnessProfile.homogeneous(64, 0.4, a=0.5)
+        ds = synth_dataset(10, 64, 200, 2.0, RandomSource(65))
+        models = build_models(64, 10, TrainingConfig(profile=profile), RandomSource(66))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eval_under_bsec(models, ds, 0.2, 0.0, RandomSource(67))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
 
     @pytest.mark.parametrize("mu,d", [(0.6, 0.5), (-0.1, 0.0), (0.0, 1.5), (math.nan, 0.0)],
                              ids=["sum-above-one", "negative-mu", "d-above-one", "nan-mu"])

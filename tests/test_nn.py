@@ -146,6 +146,15 @@ class TestStackedForward:
         per_block = np.concatenate([model.forward(b) for b in blocks])
         assert np.array_equal(stacked.reshape(-1, dims[-1]), per_block)
 
+    @pytest.mark.parametrize("rows", [1, 7, 2000])
+    @pytest.mark.parametrize("stack", list(README_STACKS))
+    def test_one_block_stack_equals_2d_forward(self, stack, rows):
+        # the form inference uses for a whole dataset or a short last block
+        dims, activations = README_STACKS[stack]
+        model = init_model(dims, activations, RandomSource(37))
+        x = RandomSource(38).std_normal((rows, dims[0]))
+        assert np.array_equal(model.forward(x[None])[0], model.forward(x))
+
     def test_stack_drops_the_cache(self):
         model = random_model(RandomSource(36), dims=[4, 3, 2], activations=["relu", "identity"])
         model.forward(np.ones((5, 4)))

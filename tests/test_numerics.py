@@ -165,6 +165,15 @@ class TestRandomSource:
         np.testing.assert_array_equal(src.std_normal(1001), normals)
         np.testing.assert_array_equal(src.bits(7), bits)
 
+    def test_std_normal_into_out_equals_the_allocating_draw(self):
+        drawn, filled = RandomSource(26), RandomSource(26)
+        for n in (1, 7, 4096):
+            buf = np.full(n, np.nan)
+            assert filled.std_normal(n, out=buf) is buf
+            np.testing.assert_array_equal(buf, drawn.std_normal(n))
+        # both streams stand at the same place afterwards
+        np.testing.assert_array_equal(filled.random(5), drawn.random(5))
+
     def test_skip_equals_drawing(self):
         # every offset in a 4-word Philox block, short skips, and whole blocks
         for prior in range(9):
