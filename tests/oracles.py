@@ -1,8 +1,9 @@
 """Reference code shared by the tests: hard decisions, the level scan of the
 stored points, the searchsorted trit kernel, the scalar symbol-grouping rule,
 the scalar channel draw and threshold rule, the adaptive SE, the two-branch
-sigmoid, the per-chunk link Monte Carlo, and the block-by-block end-to-end
-pass with its per-group transport."""
+sigmoid, the per-chunk link Monte Carlo, the block-by-block end-to-end
+pass with its per-group transport, and the whole-array evaluation under a
+fixed BSEC."""
 
 import functools
 import math
@@ -31,7 +32,8 @@ from semlink.constellation import SUPPORTED_ORDERS, build_constellation, check_o
 from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
 from semlink.errors import ConfigError, DomainError
 from semlink.harness import LINK_CHUNK_BITS, LinkStats
-from semlink.jscc import ModelTriple, sample_latent_bits
+from semlink.jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
+from semlink.nn import mse_loss
 from semlink.numerics import RandomSource, q_inverse
 
 
@@ -309,3 +311,20 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
         "erasure_rate": erasures / total_bits,
         "bit_bias": bit_sum / total_bits,
     }
+
+
+def eval_under_bsec_whole(models: ModelTriple, dataset, mu: float, d: float,
+                          rng: RandomSource) -> tuple[float, float]:
+    """jscc.eval_under_bsec as one pass over the whole dataset: every forward,
+    the uniforms and the squared errors as full (rows, dim) arrays."""
+    if not (0.0 <= mu <= 1.0 and 0.0 <= d <= 1.0 and mu + d <= 1.0):
+        raise DomainError(f"invalid channel parameters mu={mu}, d={d}")
+    x = np.asarray(dataset.features, dtype=np.float64)
+    y = np.asarray(dataset.labels, dtype=np.int64)
+    f = models.encoder.forward(x[None])[0]
+    b_hat = noisy_latent_sample(f, np.full_like(f, mu), np.full_like(f, d), rng)
+    u_hat = models.decoder.forward(b_hat[None])[0]
+    logits = models.classifier.forward(u_hat[None])[0]
+    acc = float(np.mean(np.argmax(logits, axis=1) == y))
+    mse, _ = mse_loss(x, u_hat)
+    return acc, mse

@@ -17,7 +17,13 @@ from semlink.bsec import (
 )
 from semlink.errors import DomainError
 from semlink.jscc import noisy_latent_sample
-from semlink.numerics import RandomSource, q_function, q_inverse
+from semlink.numerics import (
+    RandomSource,
+    q_function,
+    q_function_array,
+    q_inverse,
+    q_inverse_array,
+)
 
 Q05 = 0.3085375387259869
 Q15 = 0.0668072012688581
@@ -115,6 +121,16 @@ class TestErasureFromMu:
         for snr in (0.5, 1.0, 2.0, 4.0):
             p = analytic_params(2, snr, 0.5)
             assert erasure_from_mu_array(np.array([p.mu]))[0] == pytest.approx(p.d, abs=1e-10)
+
+    def test_same_bits_as_the_composed_map(self):
+        """The map equals Q(Q^-1(mu)/3) - mu composed from the allocating array
+        functions, bit for bit, on a training-shaped batch with its edge values."""
+        mu = sample_mu_matrix(np.full(64, 0.4), 256, RandomSource(11))
+        mu[0, :5] = (0.0, 1e-300, 1e-12, 0.25, np.nextafter(0.5, 0.0))
+        want = q_function_array(q_inverse_array(mu) / 3.0) - mu
+        got = erasure_from_mu_array(mu)
+        assert got.shape == mu.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestAnalyticParams:

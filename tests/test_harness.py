@@ -277,6 +277,25 @@ class TestStatisticalEquivalence:
         _, p = chi_square_homogeneity(h_link, h_wrong)
         assert p < 1e-6
 
+    @pytest.mark.parametrize("helper", [trit_histogram_link, trit_histogram_bsec],
+                             ids=["link", "bsec"])
+    @pytest.mark.parametrize("snr,a,n_bits,message", [
+        (0.0, 0.5, 10, "snr must be positive, got 0.0"),
+        (-1.0, 0.5, 10, "snr must be positive, got -1.0"),
+        (math.nan, 0.5, 10, "snr must be positive, got nan"),
+        (1.0, 2.0, 10, "boundary offset must lie in [0, 1], got 2.0"),
+        (1.0, 0.5, 0, f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got 0"),
+        (1.0, 0.5, -1, f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got -1"),
+    ], ids=["snr-zero", "snr-negative", "snr-nan", "offset", "n-bits-zero", "n-bits-negative"])
+    def test_histograms_reject_bad_input_alike(self, helper, snr, a, n_bits, message):
+        rng = RandomSource(81)
+        with pytest.raises(DomainError) as err:
+            helper(snr, a, n_bits, rng)
+        assert str(err.value) == message
+        # nothing was drawn: the helper did not split its stream
+        np.testing.assert_array_equal(rng.split(1)[0].random(3),
+                                      RandomSource(81).split(1)[0].random(3))
+
     def test_statistic_zero_for_identical_tables(self):
         h = np.array([100, 200, 700])
         stat, p = chi_square_homogeneity(h, h)

@@ -24,7 +24,7 @@ from semlink.jscc import (
 from semlink.nn import mse_loss, ce_loss
 from semlink.numerics import RandomSource
 
-from oracles import noisy_latent_law, noisy_latent_sample_by_law
+from oracles import eval_under_bsec_whole, noisy_latent_law, noisy_latent_sample_by_law
 
 
 def tiny_dataset(seed=50, n_per_class=25, dim=16, classes=4, sigma=1.0):
@@ -202,6 +202,64 @@ class TestBypassGradients:
                 assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+# n at and around one and two EVAL_BLOCK_ROWS (512) and a few block counts beyond
+STREAM_ROWS = (1, 37, 255, 256, 511, 512, 513, 767, 1000, 1023, 1024, 1025, 2000, 2001,
+               4099, 8000)
+STREAM_CHANNELS = [(0.2, 0.0), (0.15, 0.1)]
+
+
+def first_rows(dataset, n):
+    return Dataset(features=dataset.features[:n], labels=dataset.labels[:n],
+                   n_classes=dataset.n_classes)
+
+
+@pytest.fixture(scope="module")
+def criterion9_shapes():
+    """8000 rows of 64-dim data over 10 classes and a briefly trained model on
+    the README stacks with 64 latent bits, as criterion 9 uses."""
+    profile = RobustnessProfile.homogeneous(64, 0.4, a=0.5)
+    dataset = synth_dataset(10, 64, 800, 2.0, RandomSource(68))
+    config = TrainingConfig(profile=profile, epochs=4, warmup_epochs=1, seed=69)
+    return dataset, train(first_rows(dataset, 2000), config).models
+
+
+class TestStreamedEvaluation:
+    """eval_under_bsec over row blocks against the whole-array pass, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(models, dataset, mu, d, seed):
+        streamed = eval_under_bsec(models, dataset, mu, d, RandomSource(seed))
+        whole = eval_under_bsec_whole(models, dataset, mu, d, RandomSource(seed))
+        assert [v.hex() for v in streamed] == [v.hex() for v in whole]
+
+    @pytest.mark.parametrize("mu,d", STREAM_CHANNELS)
+    @pytest.mark.parametrize("n", STREAM_ROWS)
+    def test_equals_whole_array_pass(self, criterion9_shapes, n, mu, d):
+        dataset, models = criterion9_shapes
+        self.assert_same_bits(models, first_rows(dataset, n), mu, d, 70)
+
+    @pytest.mark.parametrize("mu,d", STREAM_CHANNELS)
+    @pytest.mark.parametrize("n", (5, 600))
+    def test_equals_whole_array_pass_tiny_models(self, n, mu, d):
+        dataset = synth_dataset(4, 16, 150, 1.0, RandomSource(71))
+        models = train(first_rows(dataset, 100), tiny_config()).models
+        self.assert_same_bits(models, first_rows(dataset, n), mu, d, 72)
+
+    def test_memory_is_flat(self, criterion9_shapes):
+        """The traced peak of a pass does not grow with the number of rows."""
+        dataset, models = criterion9_shapes
+        peaks = []
+        for n in (2000, 8000):
+            rows = first_rows(dataset, n)
+            tracemalloc.start()
+            try:
+                eval_under_bsec(models, rows, 0.2, 0.0, RandomSource(73))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], peaks
+
+
 class TestTraining:
     def test_loss_decreases(self):
         ds = tiny_dataset()
@@ -298,6 +356,17 @@ class TestTraining:
         with pytest.raises(DomainError) as err:
             eval_under_bsec(models, tiny_dataset(), mu, d, RandomSource(62))
         assert str(err.value) == f"invalid channel parameters mu={mu}, d={d}"
+
+    def test_eval_under_bsec_rejects_empty_dataset(self):
+        models = build_models(16, 4, tiny_config(), RandomSource(61))
+        empty = Dataset(features=np.zeros((0, 16)), labels=np.zeros(0, dtype=np.int64),
+                        n_classes=4)
+        rng = RandomSource(62)
+        with pytest.raises(ConfigError) as err:
+            eval_under_bsec(models, empty, 0.1, 0.1, rng)
+        assert str(err.value) == "dataset is empty"
+        # nothing was drawn: the stream still starts where a fresh one does
+        np.testing.assert_array_equal(rng.random(3), RandomSource(62).random(3))
 
     def test_warmup_only_config_strips_noise(self):
         cfg = tiny_config()

@@ -71,6 +71,19 @@ class TestQFunction:
             q_function_array(xs), [q_function(x) for x in xs], rtol=0, atol=1e-14
         )
 
+    def test_out_path_gives_the_same_bits(self):
+        xs = np.linspace(-8, 8, 57)
+        want = q_function_array(xs).view(np.uint64)
+        buf = np.empty_like(xs)
+        assert q_function_array(xs, out=buf) is buf
+        np.testing.assert_array_equal(buf.view(np.uint64), want)
+        same = xs.copy()  # out may be the input itself
+        q_function_array(same, out=same)
+        np.testing.assert_array_equal(same.view(np.uint64), want)
+
+    def test_scalar_in_scalar_out(self):
+        assert type(q_function_array(0.3)) is np.float64
+
 
 class TestQInverse:
     def test_half_is_zero(self):
@@ -108,6 +121,19 @@ class TestQInverse:
         np.testing.assert_allclose(
             q_inverse_array(ps), [q_inverse(p) for p in ps], rtol=0, atol=1e-12
         )
+
+    def test_out_path_gives_the_same_bits(self):
+        ps = np.concatenate([[0.0, 1e-300, 0.5, 1.0], np.linspace(1e-6, 1 - 1e-6, 41)])
+        want = q_inverse_array(ps).view(np.uint64)
+        buf = np.empty_like(ps)
+        assert q_inverse_array(ps, out=buf) is buf
+        np.testing.assert_array_equal(buf.view(np.uint64), want)
+        same = ps.copy()  # out may be the input itself
+        q_inverse_array(same, out=same)
+        np.testing.assert_array_equal(same.view(np.uint64), want)
+
+    def test_scalar_in_scalar_out(self):
+        assert type(q_inverse_array(0.3)) is np.float64
 
 
 class TestRandomSource:
