@@ -84,12 +84,17 @@ def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
 
     d = Q(Q^-1(mu)/3) - mu elementwise, the 4-QAM relation at boundary offset
     0.5. Zero entries map to zero by continuity, and the expression gives that
-    exactly: Q^-1(0) = inf without a warning, and Q(inf) = 0.
+    exactly: Q^-1(0) = inf without a warning, and Q(inf) = 0. Every step
+    after the check runs in the one result buffer.
     """
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0) & (mu < 0.5)):
         raise DomainError("flip probabilities must lie in [0, 0.5)")
-    return q_function_array(q_inverse_array(mu) / 3.0) - mu
+    d = q_inverse_array(mu, out=np.empty(mu.shape))
+    d /= 3.0
+    q_function_array(d, out=d)
+    d -= mu
+    return d
 
 
 def check_link_point(order: int, snr: float, a: float) -> int:

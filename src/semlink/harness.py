@@ -72,6 +72,11 @@ MAX_LINK_BITS = 10 ** 8
 LINK_CHUNK_BITS = 2 ** 16
 
 
+def _check_n_bits(n_bits: int) -> None:
+    if not (1 <= n_bits <= MAX_LINK_BITS):
+        raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
+
+
 def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
                         rng: RandomSource) -> LinkStats:
     """Random bits through map -> fade -> equalize -> ternary demodulation.
@@ -83,8 +88,7 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     parts. The order, SNR and offset are checked before anything is drawn, and
     the chunks share one set of _carry buffers.
     """
-    if not (1 <= n_bits <= MAX_LINK_BITS):
-        raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
+    _check_n_bits(n_bits)
     snr = 10.0 ** (snr_db / 10.0)
     m = check_link_point(order, snr, a)
     n_sym = -(-n_bits // m)
@@ -341,7 +345,12 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
 
 
 def trit_histogram_link(snr: float, a: float, n_bits: int, rng: RandomSource) -> np.ndarray:
-    """(flips, erasures, corrects) counts from the order-2 physical link chain."""
+    """(flips, erasures, corrects) counts from the order-2 physical link chain.
+
+    n_bits, snr and the offset are checked before the SNR goes to decibels.
+    """
+    _check_n_bits(n_bits)
+    check_link_point(2, snr, a)
     stats = run_link_montecarlo(2, 10.0 * math.log10(snr), a, n_bits, rng)
     return np.array([stats.flips, stats.erasures, stats.corrects])
 
@@ -350,8 +359,9 @@ def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource) ->
     """(flips, erasures, corrects) counts from the sampled order-2 stochastic model.
 
     The trits are drawn with training's latent sampler, whose law for a sure
-    bit is the BSEC's.
+    bit is the BSEC's. Bad input is rejected with the link's messages.
     """
+    _check_n_bits(n_bits)
     params = analytic_params(2, snr, a)
     bit_rng, ch_rng = rng.split(2)
     bits = bit_rng.bits(n_bits)

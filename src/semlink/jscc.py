@@ -225,25 +225,45 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     return result
 
 
+# Rows per block of an evaluation pass. Blocks are nearly equal, so a pass
+# of more than one block runs every product on at least 256 rows, where
+# OpenBLAS gives each row the bits of a whole-array product.
+EVAL_BLOCK_ROWS = 512
+
+
 def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
                     rng: RandomSource) -> tuple[float, float]:
     """(accuracy, mse) with latent bits passed through a fixed BSEC.
 
-    Inference keeps no activations: each forward takes the data as one
-    (1, rows, dim) stack, which DenseModel.forward runs without a cache, so
-    every model's cache is None afterwards.
+    The rows run encode -> sample -> decode -> classify in consecutive,
+    nearly equal blocks of at most EVAL_BLOCK_ROWS rows, which draw their
+    uniforms from rng in row order, so memory is O(block) and the result
+    equals one whole-array pass bit for bit. Inference keeps no activations:
+    each forward takes its block as a (1, rows, dim) stack, which
+    DenseModel.forward runs without a cache, so every model's cache is None
+    afterwards.
     """
     if not (0.0 <= mu <= 1.0 and 0.0 <= d <= 1.0 and mu + d <= 1.0):
         raise DomainError(f"invalid channel parameters mu={mu}, d={d}")
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
-    f = models.encoder.forward(x[None])[0]
-    b_hat = noisy_latent_sample(f, np.full_like(f, mu), np.full_like(f, d), rng)
-    u_hat = models.decoder.forward(b_hat[None])[0]
-    logits = models.classifier.forward(u_hat[None])[0]
-    acc = float(np.mean(np.argmax(logits, axis=1) == y))
-    mse, _ = mse_loss(x, u_hat)
-    return acc, mse
+    n = len(x)
+    if n == 0:
+        raise ConfigError("dataset is empty")
+    n_blocks = -(-n // EVAL_BLOCK_ROWS)
+    correct = 0
+    sq_err = np.empty(n)  # per-row squared error, averaged as mse_loss does
+    for k in range(n_blocks):
+        lo, hi = n * k // n_blocks, n * (k + 1) // n_blocks
+        f = models.encoder.forward(x[None, lo:hi])[0]
+        b_hat = noisy_latent_sample(f, mu, d, rng)
+        u_hat = models.decoder.forward(b_hat[None])[0]
+        logits = models.classifier.forward(u_hat[None])[0]
+        correct += int(np.sum(np.argmax(logits, axis=1) == y[lo:hi]))
+        u_hat -= x[lo:hi]
+        u_hat *= u_hat
+        np.sum(u_hat, axis=1, out=sq_err[lo:hi])
+    return correct / n, float(np.mean(sq_err))
 
 
 def warmup_only_config(config: TrainingConfig) -> TrainingConfig:

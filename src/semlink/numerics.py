@@ -20,9 +20,16 @@ def q_function(x: float) -> float:
     return float(q_function_array(x))
 
 
-def q_function_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized q_function (no finiteness check)."""
-    return 0.5 * _erfc_array(np.asarray(x, dtype=float) / _SQRT2)
+def q_function_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized q_function (no finiteness check).
+
+    With out, a float64 array of x's shape that may be x itself, every step
+    runs in place there and out is returned; a scalar x without out gives a
+    scalar.
+    """
+    y = np.divide(np.asarray(x, dtype=float), _SQRT2, out=out)
+    y = _erfc_array(y, out=out)
+    return np.multiply(y, 0.5, out=out)
 
 
 def q_inverse(p: float) -> float:
@@ -33,9 +40,11 @@ def q_inverse(p: float) -> float:
     return float(q_inverse_array(p)) + 0.0  # erfcinv gives -0.0 at p = 1/2
 
 
-def q_inverse_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized q_inverse (no range check)."""
-    return _SQRT2 * _erfcinv_array(2.0 * np.asarray(p, dtype=float))
+def q_inverse_array(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized q_inverse (no range check); out works as in q_function_array."""
+    y = np.multiply(np.asarray(p, dtype=float), 2.0, out=out)
+    y = _erfcinv_array(y, out=out)
+    return np.multiply(y, _SQRT2, out=out)
 
 
 class RandomSource:
