@@ -15,9 +15,9 @@ from .bsec import BsecParams, RobustnessProfile, analytic_params
 from .channel import FixedSnr, UniformMagnitude
 from .constellation import Constellation, build_constellation
 from .datasets import Dataset, load_idx, synth_dataset
-from .demod import DecisionRegions, a_from_rho, build_regions, demod_llr, demod_robust, llr_exact, rho_from_a
+from .demod import DecisionRegions, a_from_rho, build_regions, demod_robust
 from .errors import ConfigError, DomainError, FormatError, SemlinkError, StateError, TrainingError
 from .harness import LinkStats, run_end_to_end, run_link_montecarlo
 from .jscc import ModelTriple, TrainingConfig, eval_under_bsec, train
 from .nn import AdamState, DenseModel, Layer, ce_loss, init_model, load_model, mse_loss, save_model
-from .numerics import RandomSource, q_function, q_inverse
+from .numerics import RandomSource, q_function

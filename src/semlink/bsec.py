@@ -102,6 +102,8 @@ def check_link_point(order: int, snr: float, a: float) -> int:
     m = check_order(order)
     if not (snr > 0):
         raise DomainError(f"snr must be positive, got {snr}")
+    if not math.isfinite(snr):
+        raise DomainError(f"snr must be finite, got {snr}")
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
     return m

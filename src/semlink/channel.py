@@ -25,6 +25,8 @@ class FixedSnr:
     def __post_init__(self):
         if not (self.snr > 0):
             raise DomainError(f"snr must be positive, got {self.snr}")
+        if not math.isfinite(self.snr):
+            raise DomainError(f"snr must be finite, got {self.snr}")
 
 
 @dataclass(frozen=True)

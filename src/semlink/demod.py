@@ -1,23 +1,19 @@
-"""Ternary robust demodulation.
+"""Ternary robust demodulation by closed-form decision boundaries.
 
-Three routes to the same decision, kept deliberately redundant:
+Around every per-axis label transition an erasure band of half-width a*d_min/2
+emits the intermediate value 0.5, while the complement keeps the binary
+decision of its cell (outermost cells extend to infinity). These boundary
+tables are the library's only route to trits: the max-log LLR rule they equal
+and the exact LLR live in tests/oracles.py, where the three check each other.
 
-* exact per-bit log-likelihood ratios over the full constellation,
-* a max-log approximation split per I/Q axis, and
-* closed-form decision boundaries: around every per-axis label transition an
-  erasure band of half-width a*d_min/2 emits the intermediate value 0.5, while
-  the complement keeps the binary decision of its cell (outermost cells extend
-  to infinity).
-
-The boundary route is the production path and BitRegions.classify is its only
-trit kernel. It compares each coordinate with the bit's own one, two or four
-label transitions: the parity of the transitions below it gives the binary value
-(adjacent Gray cells always differ in the bit), and a closed band of half-width
-a*d_min/2 around each transition erases. The transitions do not depend on a, so
-build_regions fixes one offset and demod_robust may override it per bit slot.
-demod_robust applies the kernel once per I/Q pair of bits, which share their
-transitions, for the link Monte Carlo and the adaptive transport alike; the LLR
-routes serve as oracles.
+BitRegions.classify is the only trit kernel. It compares each coordinate with
+the bit's own one, two or four label transitions: the parity of the
+transitions below it gives the binary value (adjacent Gray cells always differ
+in the bit), and a closed band of half-width a*d_min/2 around each transition
+erases. The transitions do not depend on a, so build_regions fixes one offset
+and demod_robust may override it per bit slot. demod_robust applies the kernel
+once per I/Q pair of bits, which share their transitions, for the link Monte
+Carlo and the adaptive transport alike.
 """
 
 from __future__ import annotations
@@ -31,16 +27,6 @@ from .constellation import Constellation, check_order, gray_code
 from .errors import DomainError
 
 TRIT_ERASURE = 0.5
-
-
-def rho_from_a(a: float, order: int, snr: float) -> float:
-    """LLR threshold equivalent to a boundary offset: rho = 6 snr a / (2^m - 1)."""
-    m = check_order(order)
-    if not (snr > 0):
-        raise DomainError(f"snr must be positive, got {snr}")
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"boundary offset a must lie in [0, 1], got {a}")
-    return 6.0 * snr * a / ((1 << m) - 1)
 
 
 def a_from_rho(rho: float, order: int, snr: float) -> float:
@@ -59,31 +45,6 @@ def a_from_rho(rho: float, order: int, snr: float) -> float:
     return a
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    mx = np.max(v)
-    return float(mx + np.log(np.sum(np.exp(v - mx))))
-
-
-def _bit_of_word(words: np.ndarray, bit: int, m: int) -> np.ndarray:
-    return (words >> (m - 1 - bit)) & 1
-
-
-def llr_exact(y: complex, c: Constellation, snr: float) -> np.ndarray:
-    """Exact LLRs ln P(bit=0|y)/P(bit=1|y) for all m bits, uniform priors.
-
-    Accumulated in the log domain so high-SNR evaluations do not underflow.
-    """
-    if not (snr > 0):
-        raise DomainError(f"snr must be positive, got {snr}")
-    words = np.arange(1 << c.m)
-    neg_metric = -snr * np.abs(y - c.points) ** 2
-    out = np.empty(c.m)
-    for bit in range(c.m):
-        b = _bit_of_word(words, bit, c.m)
-        out[bit] = _logsumexp(neg_metric[b == 0]) - _logsumexp(neg_metric[b == 1])
-    return out
-
-
 def axis_bit_pattern(c: Constellation, bit: int) -> tuple[int, np.ndarray]:
     """Axis read by a bit and its value per ascending amplitude level.
 
@@ -94,24 +55,6 @@ def axis_bit_pattern(c: Constellation, bit: int) -> tuple[int, np.ndarray]:
         raise DomainError(f"bit index {bit} out of range for order {c.m}")
     half = c.bits_per_axis
     return bit // half, (gray_code(half) >> (half - 1 - bit % half)) & 1
-
-
-def llr_maxlog(y, c: Constellation, snr: float) -> np.ndarray:
-    """Max-log LLRs of all m bits, each from its own axis's coordinate.
-
-    y may have any shape; the result has shape (*y.shape, m).
-    """
-    if not (snr > 0):
-        raise DomainError(f"snr must be positive, got {snr}")
-    y = np.asarray(y, dtype=complex)
-    out = np.empty((*y.shape, c.m))
-    for bit in range(c.m):
-        axis, pattern = axis_bit_pattern(c, bit)
-        coords = y.real if axis == 0 else y.imag
-        d2 = (coords[..., None] - c.levels) ** 2
-        out[..., bit] = snr * (np.min(d2[..., pattern == 1], axis=-1)
-                               - np.min(d2[..., pattern == 0], axis=-1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -226,6 +169,10 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None, out=None,
     coordinates and each pair's trits when given, so a caller that
     demodulates chunk after chunk allocates nothing large per call.
 
+    Samples must be finite, and are not checked. A NaN coordinate takes its
+    bits' last-cell values and never erases: at order 4 and a = 0.5,
+    nan+0.3j gives [1, 0, 1, 1].
+
     Bit k reads the real axis and bit k + order/2 the imaginary axis with the
     same transitions, so each such pair is one classify call over the stacked
     real and imaginary parts.
@@ -260,15 +207,3 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None, out=None,
         trits[..., k], trits[..., k + half] = regions.bits[k].classify(coords, a[..., k], pair)
     return trits.reshape(-1) if out is None else out
 
-
-def demod_llr(y: np.ndarray, c: Constellation, snr: float, rho) -> np.ndarray:
-    """Threshold max-log per-axis LLRs into trits.
-
-    rho may be a scalar or a per-bit array of nonnegative thresholds; the LLR
-    magnitude at or below rho erases to 0.5.
-    """
-    rho = np.broadcast_to(np.asarray(rho, dtype=float), (c.m,))
-    if not np.all(rho >= 0):
-        raise DomainError("thresholds must be nonnegative")
-    llr = llr_maxlog(np.atleast_1d(y), c, snr)
-    return np.where(llr > rho, 0.0, np.where(llr < -rho, 1.0, TRIT_ERASURE)).reshape(-1)

@@ -32,16 +32,8 @@ def q_function_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return np.multiply(y, 0.5, out=out)
 
 
-def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1)."""
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"q_inverse requires 0 < p < 1, got {p!r}")
-    return float(q_inverse_array(p)) + 0.0  # erfcinv gives -0.0 at p = 1/2
-
-
 def q_inverse_array(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized q_inverse (no range check); out works as in q_function_array."""
+    """Inverse of q_function_array (no range check); out works as in q_function_array."""
     y = np.multiply(np.asarray(p, dtype=float), 2.0, out=out)
     y = _erfcinv_array(y, out=out)
     return np.multiply(y, _SQRT2, out=out)

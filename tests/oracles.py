@@ -1,9 +1,12 @@
 """Reference code shared by the tests: hard decisions, the level scan of the
-stored points, the searchsorted trit kernel, the scalar symbol-grouping rule,
-the scalar channel draw and threshold rule, the adaptive SE, the two-branch
-sigmoid, the per-chunk link Monte Carlo, the block-by-block end-to-end
-pass with its per-group transport, and the whole-array evaluation under a
-fixed BSEC."""
+stored points, the searchsorted trit kernel, the two LLR routes (exact
+per-bit LLRs with their helpers _logsumexp and _bit_of_word, and max-log
+per-axis LLRs thresholded into trits by demod_llr) with rho_from_a, the
+offset's equivalent LLR threshold, the scalar q_inverse, the scalar
+symbol-grouping rule, the scalar channel draw and threshold rule, the
+adaptive SE, the two-branch sigmoid, the per-chunk link Monte Carlo, the
+block-by-block end-to-end pass with its per-group transport, and the
+whole-array evaluation under a fixed BSEC."""
 
 import functools
 import math
@@ -28,13 +31,19 @@ from semlink.channel import (
     equalize,
     transmit,
 )
-from semlink.constellation import SUPPORTED_ORDERS, build_constellation, check_order, pack_bits
-from semlink.demod import TRIT_ERASURE, build_regions, demod_robust
+from semlink.constellation import (
+    SUPPORTED_ORDERS,
+    Constellation,
+    build_constellation,
+    check_order,
+    pack_bits,
+)
+from semlink.demod import TRIT_ERASURE, axis_bit_pattern, build_regions, demod_robust
 from semlink.errors import ConfigError, DomainError
 from semlink.harness import LINK_CHUNK_BITS, LinkStats
 from semlink.jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
 from semlink.nn import mse_loss
-from semlink.numerics import RandomSource, q_inverse
+from semlink.numerics import RandomSource, q_inverse_array
 
 
 def unpack_words(words, m):
@@ -104,6 +113,72 @@ def classify_searchsorted(c, br, coords, a):
     return out
 
 
+def _logsumexp(v: np.ndarray) -> float:
+    mx = np.max(v)
+    return float(mx + np.log(np.sum(np.exp(v - mx))))
+
+
+def _bit_of_word(words: np.ndarray, bit: int, m: int) -> np.ndarray:
+    return (words >> (m - 1 - bit)) & 1
+
+
+def llr_exact(y: complex, c: Constellation, snr: float) -> np.ndarray:
+    """Exact LLRs ln P(bit=0|y)/P(bit=1|y) for all m bits, uniform priors.
+
+    Accumulated in the log domain so high-SNR evaluations do not underflow.
+    """
+    if not (snr > 0):
+        raise DomainError(f"snr must be positive, got {snr}")
+    words = np.arange(1 << c.m)
+    neg_metric = -snr * np.abs(y - c.points) ** 2
+    out = np.empty(c.m)
+    for bit in range(c.m):
+        b = _bit_of_word(words, bit, c.m)
+        out[bit] = _logsumexp(neg_metric[b == 0]) - _logsumexp(neg_metric[b == 1])
+    return out
+
+
+def llr_maxlog(y, c: Constellation, snr: float) -> np.ndarray:
+    """Max-log LLRs of all m bits, each from its own axis's coordinate.
+
+    y may have any shape; the result has shape (*y.shape, m).
+    """
+    if not (snr > 0):
+        raise DomainError(f"snr must be positive, got {snr}")
+    y = np.asarray(y, dtype=complex)
+    out = np.empty((*y.shape, c.m))
+    for bit in range(c.m):
+        axis, pattern = axis_bit_pattern(c, bit)
+        coords = y.real if axis == 0 else y.imag
+        d2 = (coords[..., None] - c.levels) ** 2
+        out[..., bit] = snr * (np.min(d2[..., pattern == 1], axis=-1)
+                               - np.min(d2[..., pattern == 0], axis=-1))
+    return out
+
+
+def demod_llr(y: np.ndarray, c: Constellation, snr: float, rho) -> np.ndarray:
+    """Threshold max-log per-axis LLRs into trits.
+
+    rho may be a scalar or a per-bit array of nonnegative thresholds; the LLR
+    magnitude at or below rho erases to 0.5.
+    """
+    rho = np.broadcast_to(np.asarray(rho, dtype=float), (c.m,))
+    if not np.all(rho >= 0):
+        raise DomainError("thresholds must be nonnegative")
+    llr = llr_maxlog(np.atleast_1d(y), c, snr)
+    return np.where(llr > rho, 0.0, np.where(llr < -rho, 1.0, TRIT_ERASURE)).reshape(-1)
+
+
+def rho_from_a(a: float, order: int, snr: float) -> float:
+    """LLR threshold equivalent to a boundary offset: rho = 6 snr a / (2^m - 1)."""
+    m = check_order(order)
+    if not (snr > 0):
+        raise DomainError(f"snr must be positive, got {snr}")
+    if not (0.0 <= a <= 1.0):
+        raise DomainError(f"boundary offset a must lie in [0, 1], got {a}")
+    return 6.0 * snr * a / ((1 << m) - 1)
+
+
 def plan_groups(orders):
     """Maximal same-order runs of one row of orders as (order, bit indices) pairs."""
     groups = []
@@ -131,6 +206,14 @@ def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> complex
         raise DomainError(f"unknown channel distribution {dist!r}")
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return mag * complex(math.cos(phase), math.sin(phase))
+
+
+def q_inverse(p: float) -> float:
+    """Inverse of q_function on (0, 1)."""
+    p = float(p)
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"q_inverse requires 0 < p < 1, got {p!r}")
+    return float(q_inverse_array(p)) + 0.0  # erfcinv gives -0.0 at p = 1/2
 
 
 def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:

@@ -21,7 +21,7 @@ from semlink.channel import FixedSnr, UniformMagnitude
 from semlink.cli import main
 from semlink.constellation import build_constellation
 from semlink.datasets import synth_dataset
-from semlink.demod import a_from_rho, build_regions, demod_llr, demod_robust, rho_from_a
+from semlink.demod import a_from_rho, build_regions, demod_robust
 from semlink.harness import (
     chi_square_homogeneity,
     run_end_to_end,
@@ -33,7 +33,7 @@ from semlink.jscc import TrainingConfig, eval_under_bsec, train, warmup_only_con
 from semlink.nn import init_model, mse_loss
 from semlink.numerics import RandomSource
 
-from oracles import mean_adaptive_se, nearest_words, unpack_words
+from oracles import demod_llr, mean_adaptive_se, nearest_words, rho_from_a, unpack_words
 
 
 def verdict(ok: bool, name: str, detail: str) -> None:

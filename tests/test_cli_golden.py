@@ -9,6 +9,8 @@ and train goldens are rewritten first, since the eval goldens read
 `train_models`.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -89,6 +91,23 @@ def test_train_a05_golden(tmp_path):
 
 def test_train_alpha0_golden(tmp_path):
     _check_train("train_alpha0.csv", tmp_path)
+
+
+def test_goldens_hold_with_one_blas_thread(tmp_path):
+    # byte identity rests on a product's bits not depending on the BLAS thread
+    # count; pytest's own process runs with the default count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = {"train.csv": [*TRAIN, "--model-dir", str(tmp_path)],
+            "eval_adaptive.csv": CASES["eval_adaptive.csv"]}
+    for name, argv in runs.items():
+        done = subprocess.run([sys.executable, "-m", "semlink.cli", *argv,
+                               "--out", str(tmp_path / name)], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        assert (tmp_path / name).read_bytes() == (GOLDENS / name).read_bytes(), name
+    for model in MODEL_FILES:
+        assert (tmp_path / model).read_bytes() == (MODEL_DIR / model).read_bytes(), model
 
 
 def test_regenerate_needs_known_names(capsys):

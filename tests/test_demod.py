@@ -11,18 +11,18 @@ from semlink.demod import (
     a_from_rho,
     axis_bit_pattern,
     build_regions,
-    demod_llr,
     demod_robust,
-    llr_exact,
-    llr_maxlog,
-    rho_from_a,
 )
 from semlink.errors import DomainError
 from semlink.numerics import RandomSource
 
 from oracles import (
     classify_searchsorted,
+    demod_llr,
+    llr_exact,
+    llr_maxlog,
     nearest_words,
+    rho_from_a,
     scanned_bit_pattern,
     scanned_cell_values,
     unpack_words,

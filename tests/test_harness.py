@@ -13,7 +13,7 @@ from semlink.adaptmod import (
     symbol_runs,
     threshold_table,
 )
-from semlink.bsec import RobustnessProfile, analytic_params
+from semlink.bsec import RobustnessProfile, analytic_params, exact_params
 from semlink.channel import (
     FixedSnr,
     UniformMagnitude,
@@ -295,6 +295,18 @@ class TestStatisticalEquivalence:
         # nothing was drawn: the helper did not split its stream
         np.testing.assert_array_equal(rng.split(1)[0].random(3),
                                       RandomSource(81).split(1)[0].random(3))
+
+    @pytest.mark.parametrize("call", [
+        lambda: analytic_params(4, math.inf, 0.5),
+        lambda: exact_params(4, math.inf, 0.5),
+        lambda: run_link_montecarlo(2, math.inf, 0.5, 10, RandomSource(82)),
+        lambda: trit_histogram_link(math.inf, 0.5, 10, RandomSource(82)),
+        lambda: trit_histogram_bsec(math.inf, 0.5, 10, RandomSource(82)),
+    ], ids=["analytic", "exact", "link-mc-db", "histogram-link", "histogram-bsec"])
+    def test_infinite_snr_rejected_alike(self, call):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == "snr must be finite, got inf"
 
     def test_statistic_zero_for_identical_tables(self):
         h = np.array([100, 200, 700])

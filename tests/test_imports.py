@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is read somewhere.
+"""Every imported name in the package and the tests is read somewhere, and
+every public library function is read by the library.
 
 No linter ships with the project, so this is its unused-import check. A
 name counts as read if it is loaded anywhere in its module, or in a string
@@ -7,6 +8,12 @@ told apart. Package `__init__` files are left out: their imports are the
 package's exports. An import statement whose first line carries
 `# noqa: F401` is kept on purpose, for example so that a tracer can patch the
 name where it is used.
+
+A public module-level function of `src/semlink` must be loaded, as a name or
+an attribute, somewhere in `src/semlink` outside its own body; an import is
+no read. Code that only tests call belongs in `tests/oracles.py`. The few
+functions that other callers still hold are pinned as an exact set, so the
+list can only shrink.
 """
 
 import ast
@@ -15,7 +22,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "semlink").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC = sorted((ROOT / "src" / "semlink").glob("*.py"))
+FILES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree: ast.Module, lines: list[str]):
@@ -71,3 +79,57 @@ def test_no_unused_imports():
              for path in FILES if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# Read by no library code; each entry names its callers and, where one is
+# planned, the ROADMAP item that removes it.
+UNREAD_BY_LIBRARY = {
+    "exact_params",  # criteria 4 and 12; item 2 moves its scalar loop to the oracles
+    "eval_under_bsec",  # the train-robust workload and criteria 9 and 12
+    "warmup_only_config",  # the train-robust workload and criteria 9 and 12
+    # benchmarks/tracing.py patches these four by name; item 7 deletes them
+    "transport_block",
+    "plan_from_thresholds",
+    "transmit",
+    "equalize",
+}
+
+
+def loaded_names(node: ast.AST):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+
+
+def unread_functions(sources: dict[str, str]) -> set[str]:
+    """Public module-level functions of sources (file name -> text, `__init__.py`
+    defining none) that no module loads outside the function's own body."""
+    defined, readers = set(), {}
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if owner and not owner.startswith("_") and name != "__init__.py":
+                defined.add(owner)
+            for read in loaded_names(stmt):
+                readers.setdefault(read, set()).add(owner)
+    return {f for f in defined if not readers.get(f, set()) - {f}}
+
+
+@pytest.mark.parametrize("sources,unread", [
+    ({"a.py": "def f(): pass\ndef g(): f()\n"}, {"g"}),
+    ({"a.py": "def f(): f()\n"}, {"f"}),
+    ({"a.py": "def f(): pass\n", "b.py": "from a import f\n"}, {"f"}),
+    ({"a.py": "def f(): pass\n", "b.py": "import a\nx = a.f\n"}, set()),
+    ({"a.py": "def _f(): pass\n"}, set()),
+    ({"__init__.py": "def f(): pass\n"}, set()),
+], ids=["caller", "recursion-only", "import-only", "attribute", "private", "package-init"])
+def test_the_unread_check_itself(sources, unread):
+    assert unread_functions(sources) == unread
+
+
+def test_library_functions_are_read_by_the_library():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
+    assert "demod.py" in sources
+    assert unread_functions(sources) == UNREAD_BY_LIBRARY

@@ -14,9 +14,10 @@ from semlink.numerics import (
     RandomSource,
     q_function,
     q_function_array,
-    q_inverse,
     q_inverse_array,
 )
+
+from oracles import q_inverse
 
 
 def oracle_q(x: float) -> float:
