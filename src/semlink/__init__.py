@@ -9,7 +9,6 @@ from .adaptmod import (
     HOMOGENEOUS_BETAS,
     ModPlan,
     capacity_uniform,
-    tau,
 )
 from .bsec import BsecParams, RobustnessProfile, analytic_params
 from .channel import FixedSnr, UniformMagnitude

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsec import RobustnessProfile
-from .constellation import SUPPORTED_ORDERS, check_order
+from .constellation import SUPPORTED_ORDERS
 from .errors import ConfigError, DomainError
 from .numerics import q_inverse_array
 
@@ -34,26 +34,24 @@ class BetaAdjusters:
             if not (0.0 < v <= 1.0):
                 raise DomainError(f"{name}={v} outside (0, 1]")
 
-    def for_order(self, order: int) -> float:
-        return {2: self.beta2, 4: self.beta4, 6: self.beta6}[check_order(order)]
-
 
 # Reference settings: uniform robustness levels vs. a linear ramp of them.
 HOMOGENEOUS_BETAS = BetaAdjusters(0.6599, 0.6003, 0.5553)
 HETEROGENEOUS_BETAS = BetaAdjusters(1.0, 0.6, 0.5)
 
 
-def tau(order: int, alpha, a, betas: BetaAdjusters) -> np.ndarray:
-    """sqrt-SNR threshold above which an order meets its flip-rate budget.
+def thresholds(alpha, a, betas: BetaAdjusters) -> np.ndarray:
+    """(..., 3) array of sqrt-SNR thresholds (tau_2, tau_4, tau_6) per alpha and a.
 
-    alpha and a may be arrays that broadcast together, one entry per bit.
-    alpha must lie in [0, 0.5], a profile's range, and a in [0, 1]; a value
-    outside is a domain error naming the first offending bit. Alpha 0 gives
-    an infinite threshold, so no order meets it and the bit rides order 2.
-    The inverse tail function's argument stays below 1; one above 1/2 gives
-    a negative root, clamped to 0.
+    Above tau_M, order M meets its flip-rate budget beta_M * alpha. alpha and
+    a may be arrays that broadcast together, one entry per bit. alpha must lie
+    in [0, 0.5], a profile's range, and a in [0, 1]; a value outside is a
+    domain error naming the first offending bit. Alpha 0 gives infinite
+    thresholds, so no order meets it and the bit rides order 2. The inverse
+    tail function's argument stays below 1; one above 1/2 gives a negative
+    root, clamped to 0. Raises ConfigError, naming the first offending bit,
+    if a row is not ascending.
     """
-    m = check_order(order)
     a = np.asarray(a, dtype=np.float64)
     bad = ~((0.0 <= a) & (a <= 1.0))
     if np.any(bad):
@@ -62,22 +60,15 @@ def tau(order: int, alpha, a, betas: BetaAdjusters) -> np.ndarray:
     bad = ~((0.0 <= alpha) & (alpha <= 0.5))
     if np.any(bad):
         raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha[bad].flat[0]}")
-    root = math.sqrt(1 << m)
-    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
-    t = math.sqrt(((1 << m) - 1) / 3.0) * q_inverse_array(arg) / (1.0 + a)
-    return np.maximum(t, 0.0)[()]
-
-
-def thresholds(alpha, a, betas: BetaAdjusters) -> np.ndarray:
-    """(..., 3) array of (tau_2, tau_4, tau_6) per alpha and a.
-
-    Raises ConfigError, naming the first offending bit, if a row is not
-    ascending.
-    """
-    t = np.stack([tau(m, alpha, a, betas) for m in SUPPORTED_ORDERS], axis=-1)
+    m = np.array(SUPPORTED_ORDERS)
+    root = np.sqrt(1 << m)
+    beta = np.array([betas.beta2, betas.beta4, betas.beta6])
+    arg = m * root / (4.0 * (root - 1.0)) * beta * alpha[..., None]
+    t = np.sqrt(((1 << m) - 1) / 3.0) * q_inverse_array(arg) / (1.0 + a[..., None])
+    t = np.maximum(t, 0.0)
     bad = ~((t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2]))
     if np.any(bad):
-        alpha, a = np.broadcast_arrays(np.asarray(alpha, np.float64), np.asarray(a, np.float64))
+        alpha, a = np.broadcast_arrays(alpha, a)
         i = np.flatnonzero(bad)[0]
         t2, t4, t6 = t.reshape(-1, 3)[i]
         raise ConfigError(

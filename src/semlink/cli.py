@@ -34,7 +34,6 @@ from .harness import (
     run_end_to_end,
     run_link_montecarlo,
     trit_histogram_bsec,
-    trit_histogram_link,
 )
 from .jscc import ModelTriple, TrainingConfig, train
 from .nn import load_model, save_model
@@ -172,7 +171,7 @@ def cmd_demod_regions(args) -> int:
     return 0
 
 
-def _link_sweep(args):
+def _sweep(args):
     """(snr_db, snr, child stream) for each point of the --snr-db sweep."""
     rng = RandomSource(args.seed)
     sweep = parse_sweep(args.snr_db)
@@ -182,7 +181,7 @@ def _link_sweep(args):
 
 def cmd_bsec_table(args) -> int:
     rows = []
-    for snr_db, snr, child in _link_sweep(args):
+    for snr_db, snr, child in _sweep(args):
         p = analytic_params(args.order, snr, args.a)  # its errors come before the link's
         stats = run_link_montecarlo(args.order, snr_db, args.a, args.n_bits, child)
         rows.append([snr_db, p.mu, p.d, p.r, stats.flip_rate, stats.erasure_rate,
@@ -194,7 +193,7 @@ def cmd_bsec_table(args) -> int:
 
 def cmd_simulate_ber(args) -> int:
     rows = []
-    for snr_db, _, child in _link_sweep(args):
+    for snr_db, _, child in _sweep(args):
         stats = run_link_montecarlo(args.order, snr_db, args.a, args.n_bits, child)
         rows.append([snr_db, args.order, args.a, stats.n_bits, stats.flip_rate,
                      stats.erasure_rate])
@@ -271,18 +270,16 @@ def _load_models(model_dir, dataset) -> ModelTriple:
 
 
 def cmd_eval(args) -> int:
-    eval_rng = RandomSource(args.seed)
     dataset = _load_dataset(args)
     models = _load_models(args.model_dir, dataset)
     profile = _profile_from_args(args, models.encoder.out_dim)
     betas = BetaAdjusters(*parse_floats(args.betas, "betas", "B2,B4,B6"))
     if args.uniform is not None:
         g1, g2 = parse_floats(args.uniform, "range", "G1:G2")
-        runs = [("uniform", "", UniformMagnitude(g1, g2), eval_rng)]
+        runs = [("uniform", "", UniformMagnitude(g1, g2), RandomSource(args.seed))]
     else:
-        sweep = parse_sweep(args.snr_db)
-        runs = [("fixed", float(snr_db), FixedSnr(snr=10.0 ** (snr_db / 10.0)), child)
-                for snr_db, child in zip(sweep, eval_rng.split(len(sweep)))]
+        runs = [("fixed", snr_db, FixedSnr(snr=snr), child)
+                for snr_db, snr, child in _sweep(args)]
     metric_names = ["accuracy", "mse", "spectral_efficiency", "flip_rate",
                     "erasure_rate", "bit_bias"]
     rows = []
@@ -322,9 +319,9 @@ def cmd_selfcheck(args) -> int:
     checks.append(("link-closure", closure,
                    f"flip {stats.flip_rate:.5f} vs {p.mu:.5f}"))
 
-    h1 = trit_histogram_link(1.0, 0.5, 10**5, rng.split(1)[0])
+    link = run_link_montecarlo(2, 0.0, 0.5, 10**5, rng.split(1)[0])
     h2 = trit_histogram_bsec(1.0, 0.5, 10**5, rng.split(1)[0])
-    _, pval = chi_square_homogeneity(h1, h2)
+    _, pval = chi_square_homogeneity([link.flips, link.erasures, link.corrects], h2)
     checks.append(("train-test-match", pval > 0.01, f"p={pval:.4f}"))
 
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n" for name, ok, detail in checks]

@@ -63,17 +63,13 @@ def build_constellation(order: int) -> Constellation:
     """Construct the Gray-labeled unit-energy square QAM constellation."""
     m = check_order(order)
     half = m // 2
-    n_levels = 1 << half
-    d = math.sqrt(6.0 / ((1 << m) - 1))
-    amp = (2 * np.arange(n_levels) - (n_levels - 1)) * (d / 2)
+    c = Constellation(m=m, points=np.empty(1 << m, dtype=complex),
+                      d_min=math.sqrt(6.0 / ((1 << m) - 1)))
     gray = gray_code(half)
-
-    points = np.empty(1 << m, dtype=complex)
-    for li in range(n_levels):
-        for lq in range(n_levels):
-            points[(int(gray[li]) << half) | int(gray[lq])] = amp[li] + 1j * amp[lq]
-    points.setflags(write=False)
-    return Constellation(m=m, points=points, d_min=d)
+    levels = c.levels
+    c.points[(gray[:, None] << half) | gray] = levels[:, None] + 1j * levels
+    c.points.setflags(write=False)
+    return c
 
 
 def pack_bits(bits: np.ndarray, m: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .channel import (  # noqa: F401
     equalize,
     transmit,
 )
-from .constellation import build_constellation, check_order, pack_bits
+from .constellation import SUPPORTED_ORDERS, build_constellation, check_order, pack_bits
 from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
 from .jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
@@ -89,7 +89,10 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     the chunks share one set of _carry buffers.
     """
     _check_n_bits(n_bits)
-    snr = 10.0 ** (snr_db / 10.0)
+    try:
+        snr = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:  # rejected below as infinite, like +inf dB
+        snr = math.inf
     m = check_link_point(order, snr, a)
     n_sym = -(-n_bits // m)
     bit_rng, ch_rng, noise_rng = rng.split(3)
@@ -287,8 +290,9 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         raise ConfigError("dataset is empty")
     if adaptive:
         table = threshold_table(profile, betas)
-    else:
-        fixed = np.full(n_bits, check_order(fixed_order))
+    else:  # thresholds 0 up to the fixed order and infinite above it
+        above = np.array(SUPPORTED_ORDERS) > check_order(fixed_order)
+        table = np.tile(np.where(above, np.inf, 0.0), (n_bits, 1))
     ch_rng, bit_rng, noise_rng = rng.split(3)
     chunk_images = max(1, CHUNK_ENTRIES // (images_per_block * n_bits)) * images_per_block
     store = {}  # _carry's buffers, shared by the chunks
@@ -305,10 +309,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         rows = np.diff(bounds)
         h = draw_channels(channel_dist, len(rows), ch_rng)
         g2, gain = block_gains(h)
-        if adaptive:
-            orders = orders_from_thresholds(g2, table)
-        else:
-            orders = np.tile(fixed, (len(rows), 1))
+        orders = orders_from_thresholds(g2, table)
         f = _forward_blocks(models.encoder, xc, images_per_block)
         bits = sample_latent_bits(f, bit_rng).astype(np.int64)
         trits, symbols_per_row = _carry(bits, symbol_runs(orders), rows, h, gain,
@@ -342,17 +343,6 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         "erasure_rate": erasures / total_bits,
         "bit_bias": bit_sum / total_bits,
     }
-
-
-def trit_histogram_link(snr: float, a: float, n_bits: int, rng: RandomSource) -> np.ndarray:
-    """(flips, erasures, corrects) counts from the order-2 physical link chain.
-
-    n_bits, snr and the offset are checked before the SNR goes to decibels.
-    """
-    _check_n_bits(n_bits)
-    check_link_point(2, snr, a)
-    stats = run_link_montecarlo(2, 10.0 * math.log10(snr), a, n_bits, rng)
-    return np.array([stats.flips, stats.erasures, stats.corrects])
 
 
 def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource) -> np.ndarray:

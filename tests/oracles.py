@@ -216,15 +216,21 @@ def q_inverse(p: float) -> float:
     return float(q_inverse_array(p)) + 0.0  # erfcinv gives -0.0 at p = 1/2
 
 
+def beta_for(order: int, betas: BetaAdjusters) -> float:
+    """The beta factor of one order."""
+    return {2: betas.beta2, 4: betas.beta4, 6: betas.beta6}[check_order(order)]
+
+
 def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:
-    """adaptmod.tau for one bit, in Python floats."""
+    """One order's column of adaptmod.thresholds for one bit, in Python floats,
+    before the ascending check."""
     m = check_order(order)
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
     if not (0.0 <= alpha <= 0.5):
         raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha}")
     root = math.sqrt(1 << m)
-    arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * alpha
+    arg = m * root / (4.0 * (root - 1.0)) * beta_for(m, betas) * alpha
     q_inv = q_inverse(arg) if arg > 0 else math.inf  # a zero budget: no order meets it
     t = math.sqrt(((1 << m) - 1) / 3.0) * q_inv / (1.0 + a)
     return max(t, 0.0)

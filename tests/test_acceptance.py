@@ -27,7 +27,6 @@ from semlink.harness import (
     run_end_to_end,
     run_link_montecarlo,
     trit_histogram_bsec,
-    trit_histogram_link,
 )
 from semlink.jscc import TrainingConfig, eval_under_bsec, train, warmup_only_config
 from semlink.nn import init_model, mse_loss
@@ -324,10 +323,10 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
 
 
 def test_criterion_11_train_test_statistical_equivalence():
-    snr = 10 ** (0.0 / 10.0)
-    h_link = trit_histogram_link(snr, 0.5, 10**5, RandomSource(777))
-    h_bsec = trit_histogram_bsec(snr, 0.5, 10**5, RandomSource(778))
+    link = run_link_montecarlo(2, 0.0, 0.5, 10**5, RandomSource(777))
+    h_link = [link.flips, link.erasures, link.corrects]
+    h_bsec = trit_histogram_bsec(1.0, 0.5, 10**5, RandomSource(778))
     stat, p = chi_square_homogeneity(h_link, h_bsec)
     verdict(p > 0.01, "criterion-11 train/test equivalence",
             f"chi2={stat:.3f}, p={p:.4f} (> 0.01 required); "
-            f"link={h_link.tolist()} model={h_bsec.tolist()}")
+            f"link={h_link} model={h_bsec.tolist()}")

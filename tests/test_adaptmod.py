@@ -15,13 +15,20 @@ from semlink.adaptmod import (
     orders_from_thresholds,
     plan_from_thresholds,
     symbol_runs,
-    tau,
     threshold_table,
     thresholds,
 )
 from semlink.bsec import RobustnessProfile, analytic_params, exact_params
+from semlink.constellation import SUPPORTED_ORDERS
 from semlink.errors import ConfigError, DomainError
-from oracles import plan_groups, plan_symbol_count, q_inverse, tau_scalar, thresholds_scalar
+from oracles import (
+    beta_for,
+    plan_groups,
+    plan_symbol_count,
+    q_inverse,
+    tau_scalar,
+    thresholds_scalar,
+)
 
 # the largest betas: orders 4 and 6 then reach arguments above 1/2 at alpha <= 0.5
 UNIT_BETAS = BetaAdjusters(1.0, 1.0, 1.0)
@@ -76,18 +83,21 @@ class TestTau:
         betas = BetaAdjusters(0.9, 0.7, 0.6)
         for alpha in (0.3, 0.4, 0.45):
             for a in (0.0, 0.5):
-                assert tau(2, alpha, a, betas) == pytest.approx(
-                    q_inverse(0.9 * alpha) / (1 + a), abs=1e-12
-                )
-                assert tau(4, alpha, a, betas) == pytest.approx(
-                    math.sqrt(5) * q_inverse(4 * 0.7 * alpha / 3) / (1 + a), abs=1e-12
-                )
-                assert tau(6, alpha, a, betas) == pytest.approx(
-                    math.sqrt(21) * q_inverse(12 * 0.6 * alpha / 7) / (1 + a), abs=1e-12
-                )
+                forms = (q_inverse(0.9 * alpha) / (1 + a),
+                         math.sqrt(5) * q_inverse(4 * 0.7 * alpha / 3) / (1 + a),
+                         math.sqrt(21) * q_inverse(12 * 0.6 * alpha / 7) / (1 + a))
+                if alpha < 0.45:
+                    assert tuple(thresholds(alpha, a, betas)) == pytest.approx(forms, abs=1e-12)
+                    continue
+                # tau_6 falls below tau_4 here; the error shows all three
+                with pytest.raises(ConfigError) as err:
+                    thresholds(alpha, a, betas)
+                assert str(err.value) == (
+                    f"thresholds not ascending for alpha={alpha}, a={a}: "
+                    "tau2={:.6g}, tau4={:.6g}, tau6={:.6g}".format(*forms))
 
     def test_homogeneous_reference(self):
-        t2 = tau(2, 0.4, 0.5, HOMOGENEOUS_BETAS)
+        t2 = thresholds(0.4, 0.5, HOMOGENEOUS_BETAS)[0]
         assert t2 == pytest.approx(0.4209, abs=5e-4)
         assert 10 * math.log10(t2**2) == pytest.approx(-7.52, abs=0.02)
 
@@ -99,13 +109,12 @@ class TestTau:
 
     def test_budget_met_at_threshold(self):
         for betas in (HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS):
-            for m in (2, 4, 6):
-                for alpha in (0.3, 0.45):
-                    t = tau(m, alpha, 0.5, betas)
+            for alpha in (0.3, 0.45):
+                for m, t in zip(SUPPORTED_ORDERS, thresholds(alpha, 0.5, betas)):
                     if t > 0:
                         snr = t * t
                         assert analytic_params(m, snr, 0.5).mu == pytest.approx(
-                            betas.for_order(m) * alpha, rel=1e-9
+                            beta_for(m, betas) * alpha, rel=1e-9
                         )
 
     def test_exact_flip_rate_within_alpha_at_threshold(self):
@@ -115,27 +124,29 @@ class TestTau:
             for m in (4, 6):
                 for alpha in np.linspace(0.29, 0.45, 17):
                     for a in (0.0, 0.5):
-                        snr = tau(m, alpha, a, betas) ** 2
+                        snr = thresholds(alpha, a, betas)[SUPPORTED_ORDERS.index(m)] ** 2
                         assert exact_params(m, snr, a).mu <= alpha
 
     def test_alpha_above_half_rejected(self):
         # alpha = 0.5 is the profile's largest level and gives a zero root at
-        # order 2; above it, as in RobustnessProfile, tau raises
-        assert tau(2, 0.5, 0.0, UNIT_BETAS) == pytest.approx(q_inverse(0.5), abs=1e-12)
+        # order 2; above it, as in RobustnessProfile, thresholds raises
+        assert thresholds(0.5, 0.0, UNIT_BETAS)[0] == pytest.approx(q_inverse(0.5), abs=1e-12)
         with pytest.raises(DomainError) as err:
-            tau(4, 0.9, 0.0, UNIT_BETAS)
+            thresholds(0.9, 0.0, UNIT_BETAS)
         assert str(err.value) == "robustness level must lie in [0, 0.5], got 0.9"
 
     def test_negative_threshold_clamped(self):
         # argument in (0.5, 1) would give a negative root; clamp to zero
-        assert tau(2, 0.45, 0.0, UNIT_BETAS) > 0
-        assert tau(4, 0.45, 0.0, UNIT_BETAS) == 0.0
+        assert thresholds(0.5, 0.0, UNIT_BETAS).tolist() == [0.0, 0.0, 0.0]
+        # at alpha 0.45 only orders 4 and 6 clamp, so the row does not ascend
+        with pytest.raises(ConfigError) as err:
+            thresholds(0.45, 0.0, UNIT_BETAS)
+        assert str(err.value) == ("thresholds not ascending for alpha=0.45, a=0.0: "
+                                  "tau2=0.125661, tau4=0, tau6=0")
 
     def test_nonincreasing_in_alpha(self):
-        alphas = np.linspace(0.29, 0.45, 30)
-        for m in (2, 4, 6):
-            ts = [tau(m, a, 0.5, HETEROGENEOUS_BETAS) for a in alphas]
-            assert all(x >= y for x, y in zip(ts, ts[1:]))
+        t = thresholds(np.linspace(0.29, 0.45, 30), 0.5, HETEROGENEOUS_BETAS)
+        assert np.all(t[1:] <= t[:-1])
 
     def test_ordering_over_alpha_grid(self):
         for betas in (HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS):
@@ -151,29 +162,48 @@ class TestTau:
 
 
 class TestArrayThresholds:
-    """tau and thresholds over arrays equal the scalar oracle byte for byte."""
+    """thresholds over arrays equals the scalar oracle byte for byte."""
 
     # every alpha a profile can plan with: 0 gives an infinite threshold, and
     # 0.5, the largest, a zero root at order 2 with unit betas
     ALPHAS = np.r_[0.0, np.linspace(0.01, 0.5, 50)]
     OFFSETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    def ascending(self, betas) -> np.ndarray:
+        """Mask of the ALPHAS whose rows the scalar oracle accepts at every offset."""
+        mask = []
+        for alpha in self.ALPHAS:
+            try:
+                for a in self.OFFSETS:
+                    thresholds_scalar(float(alpha), float(a), betas)
+            except ConfigError:
+                mask.append(False)
+            else:
+                mask.append(True)
+        return np.array(mask)
+
     @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS, UNIT_BETAS],
                              ids=["homogeneous", "heterogeneous", "unit"])
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_tau_matches_scalar_oracle(self, m, betas):
-        got = tau(m, self.ALPHAS[:, None], self.OFFSETS, betas)
         expected = np.array([[tau_scalar(m, float(alpha), float(a), betas)
                               for a in self.OFFSETS] for alpha in self.ALPHAS])
-        assert got.tobytes() == expected.tobytes()
+        # at the largest alphas some rows do not ascend (with unit betas,
+        # orders 4 and 6 clamp to 0 before order 2), and thresholds rejects them
+        ascending = self.ascending(betas)
+        got = thresholds(self.ALPHAS[ascending, None], self.OFFSETS, betas)
+        assert got[..., SUPPORTED_ORDERS.index(m)].tobytes() == expected[ascending].tobytes()
+        if not ascending.all():
+            with pytest.raises(ConfigError, match="thresholds not ascending"):
+                thresholds(self.ALPHAS[~ascending, None], self.OFFSETS, betas)
         # alpha <= 0.5 keeps the argument at most 1/2, 2/3 and 6/7 at orders 2,
         # 4 and 6 (betas of 1), so only orders 4 and 6 reach a negative root
         root = math.sqrt(1 << m)
-        arg = m * root / (4.0 * (root - 1.0)) * betas.for_order(m) * self.ALPHAS
+        arg = m * root / (4.0 * (root - 1.0)) * beta_for(m, betas) * self.ALPHAS
         assert np.all(arg < 1.0)
         clamped = arg > 0.5
         assert np.any(clamped) == (m > 2 and betas is UNIT_BETAS)
-        assert np.all(got[clamped] == 0.0)
+        assert np.all(expected[clamped] == 0.0)
 
     @pytest.mark.parametrize("betas", [HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS],
                              ids=["homogeneous", "heterogeneous"])
@@ -190,8 +220,8 @@ class TestArrayThresholds:
         assert threshold_table(profile, betas).tobytes() == expected.tobytes()
 
     def test_scalar_arguments_give_scalars(self):
-        assert np.ndim(tau(4, 0.4, 0.5, HETEROGENEOUS_BETAS)) == 0
         assert thresholds(0.4, 0.5, HETEROGENEOUS_BETAS).shape == (3,)
+        assert thresholds([0.4], 0.5, HETEROGENEOUS_BETAS).shape == (1, 3)
 
     @pytest.mark.parametrize("alpha,a,betas,bit", [
         ([0.3, -0.1, 0.2, 0.0], 0.5, HETEROGENEOUS_BETAS, 1),
@@ -251,7 +281,7 @@ class TestSelectOrder:
             t2, _, _ = thresholds(alpha, a, HETEROGENEOUS_BETAS)
             s = rng.uniform(max(t2, 0.05), 3.0)
             m = select_order(s * s, alpha, a, HETEROGENEOUS_BETAS)
-            assert analytic_params(m, s * s, a).mu <= HETEROGENEOUS_BETAS.for_order(m) * alpha + 1e-12
+            assert analytic_params(m, s * s, a).mu <= beta_for(m, HETEROGENEOUS_BETAS) * alpha + 1e-12
 
     def test_ordering_violation_rejected(self):
         bad = BetaAdjusters(0.01, 0.99, 0.99)
@@ -284,8 +314,8 @@ class TestPlanning:
             np.full(96, 0.5),
         )
         # pick an SNR where low-alpha bits ride order 2 and high-alpha order 4
-        t4_high = tau(4, 0.45, 0.5, HETEROGENEOUS_BETAS)
-        t4_low = tau(4, 0.3, 0.5, HETEROGENEOUS_BETAS)
+        t4_high = thresholds(0.45, 0.5, HETEROGENEOUS_BETAS)[1]
+        t4_low = thresholds(0.3, 0.5, HETEROGENEOUS_BETAS)[1]
         s = 0.5 * (t4_high + t4_low)
         plan = plan_assignment(s * s, profile, HETEROGENEOUS_BETAS)
         assert sorted(set(plan.orders)) == [2, 4]
@@ -392,4 +422,4 @@ def test_beta_validation():
         BetaAdjusters(0.0, 0.5, 0.5)
     with pytest.raises(DomainError):
         BetaAdjusters(0.5, 0.5, 1.5)
-    assert HETEROGENEOUS_BETAS.for_order(2) == 1.0
+    assert HETEROGENEOUS_BETAS.beta2 == 1.0

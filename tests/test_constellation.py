@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semlink.constellation import SUPPORTED_ORDERS, build_constellation, pack_bits
+from semlink.constellation import SUPPORTED_ORDERS, build_constellation, gray_code, pack_bits
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import RandomSource
 
@@ -43,6 +43,19 @@ class TestGeometry:
             for j in range(i + 1, len(pts))
         ]
         assert min(gaps) == pytest.approx(c.d_min, abs=1e-12)
+
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_points_equal_the_per_point_loop(self, m):
+        """The indexed assignment places every point as a loop over both axes'
+        levels and Gray words does, byte for byte."""
+        half, gray = m // 2, gray_code(m // 2)
+        n_levels = 1 << half
+        amp = (2 * np.arange(n_levels) - (n_levels - 1)) * (math.sqrt(6.0 / ((1 << m) - 1)) / 2)
+        expected = np.empty(1 << m, dtype=complex)
+        for li in range(n_levels):
+            for lq in range(n_levels):
+                expected[(int(gray[li]) << half) | int(gray[lq])] = amp[li] + 1j * amp[lq]
+        assert build_constellation(m).points.tobytes() == expected.tobytes()
 
     def test_order2_points(self):
         c = build_constellation(2)

@@ -33,7 +33,6 @@ from semlink.harness import (
     run_link_montecarlo,
     transport_block,
     trit_histogram_bsec,
-    trit_histogram_link,
 )
 from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
@@ -264,29 +263,41 @@ class TestTransportBlock:
         np.testing.assert_array_equal(trits, expected)
 
 
+def link_histogram(snr, a, n_bits, rng):
+    """(flips, erasures, corrects) of the order-2 link at a linear snr, passed
+    to run_link_montecarlo in decibels (snr 0 as -inf dB)."""
+    stats = run_link_montecarlo(2, 10.0 * math.log10(snr) if snr else -math.inf, a, n_bits, rng)
+    return np.array([stats.flips, stats.erasures, stats.corrects])
+
+
 class TestStatisticalEquivalence:
     def test_chi_square_accepts_matched_channels(self):
-        h_link = trit_histogram_link(1.0, 0.5, 10**5, RandomSource(77))
+        h_link = link_histogram(1.0, 0.5, 10**5, RandomSource(77))
         h_bsec = trit_histogram_bsec(1.0, 0.5, 10**5, RandomSource(78))
         _, p = chi_square_homogeneity(h_link, h_bsec)
         assert p > 0.01
 
     def test_chi_square_rejects_mismatched_channels(self):
-        h_link = trit_histogram_link(1.0, 0.5, 10**5, RandomSource(79))
+        h_link = link_histogram(1.0, 0.5, 10**5, RandomSource(79))
         h_wrong = trit_histogram_bsec(4.0, 0.5, 10**5, RandomSource(80))
         _, p = chi_square_homogeneity(h_link, h_wrong)
         assert p < 1e-6
 
-    @pytest.mark.parametrize("helper", [trit_histogram_link, trit_histogram_bsec],
-                             ids=["link", "bsec"])
-    @pytest.mark.parametrize("snr,a,n_bits,message", [
-        (0.0, 0.5, 10, "snr must be positive, got 0.0"),
-        (-1.0, 0.5, 10, "snr must be positive, got -1.0"),
-        (math.nan, 0.5, 10, "snr must be positive, got nan"),
-        (1.0, 2.0, 10, "boundary offset must lie in [0, 1], got 2.0"),
-        (1.0, 0.5, 0, f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got 0"),
-        (1.0, 0.5, -1, f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got -1"),
-    ], ids=["snr-zero", "snr-negative", "snr-nan", "offset", "n-bits-zero", "n-bits-negative"])
+    # a negative snr has no decibel form, so the link skips that case
+    @pytest.mark.parametrize("helper,snr,a,n_bits,message", [
+        pytest.param(helper, snr, a, n_bits, message, id=f"{name}-{short}")
+        for name, snr, a, n_bits, message in [
+            ("snr-zero", 0.0, 0.5, 10, "snr must be positive, got 0.0"),
+            ("snr-negative", -1.0, 0.5, 10, "snr must be positive, got -1.0"),
+            ("snr-nan", math.nan, 0.5, 10, "snr must be positive, got nan"),
+            ("offset", 1.0, 2.0, 10, "boundary offset must lie in [0, 1], got 2.0"),
+            ("n-bits-zero", 1.0, 0.5, 0, f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got 0"),
+            ("n-bits-negative", 1.0, 0.5, -1,
+             f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got -1"),
+        ]
+        for helper, short in ((link_histogram, "link"), (trit_histogram_bsec, "bsec"))
+        if not (helper is link_histogram and snr < 0)
+    ])
     def test_histograms_reject_bad_input_alike(self, helper, snr, a, n_bits, message):
         rng = RandomSource(81)
         with pytest.raises(DomainError) as err:
@@ -300,9 +311,12 @@ class TestStatisticalEquivalence:
         lambda: analytic_params(4, math.inf, 0.5),
         lambda: exact_params(4, math.inf, 0.5),
         lambda: run_link_montecarlo(2, math.inf, 0.5, 10, RandomSource(82)),
-        lambda: trit_histogram_link(math.inf, 0.5, 10, RandomSource(82)),
+        # 10 ** 400 overflows a float, so 4000 dB is an infinite snr too
+        lambda: run_link_montecarlo(2, 4000.0, 0.5, 10, RandomSource(82)),
+        lambda: run_link_montecarlo(2, np.float64(4000.0), 0.5, 10, RandomSource(82)),
         lambda: trit_histogram_bsec(math.inf, 0.5, 10, RandomSource(82)),
-    ], ids=["analytic", "exact", "link-mc-db", "histogram-link", "histogram-bsec"])
+    ], ids=["analytic", "exact", "link-mc-db", "link-mc-overflow", "link-mc-overflow-numpy",
+            "histogram-bsec"])
     def test_infinite_snr_rejected_alike(self, call):
         with pytest.raises(DomainError) as err:
             call()

@@ -11,9 +11,10 @@ name where it is used.
 
 A public module-level function of `src/semlink` must be loaded, as a name or
 an attribute, somewhere in `src/semlink` outside its own body; an import is
-no read. Code that only tests call belongs in `tests/oracles.py`. The few
-functions that other callers still hold are pinned as an exact set, so the
-list can only shrink.
+no read. So must a public method or property of a `src/semlink` class, as an
+attribute of that name. Code that only tests call belongs in
+`tests/oracles.py`. The few functions and methods that other callers still
+hold are pinned as exact sets, so the lists can only shrink.
 """
 
 import ast
@@ -133,3 +134,51 @@ def test_library_functions_are_read_by_the_library():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
     assert "demod.py" in sources
     assert unread_functions(sources) == UNREAD_BY_LIBRARY
+
+
+# Public methods and properties read by no library code, named as
+# Class.method. benchmarks/tracing.py reads all three; item 7 removes them.
+# Reads are matched by attribute name alone, so RandomSource.uniform passes
+# only because cli reads args.uniform.
+UNREAD_METHODS_BY_LIBRARY = {
+    "ModPlan.padding_bits",
+    "RandomSource.bernoulli",
+    "RandomSource.normal_pair",
+}
+
+
+def attribute_loads(node: ast.AST) -> list[str]:
+    return [sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
+
+
+def unread_methods(sources: dict[str, str]) -> set[str]:
+    """Public methods and properties of the classes in sources (file name ->
+    text) that no module loads as an attribute outside the method's own body."""
+    methods, loads = [], []
+    for source in sources.values():
+        tree = ast.parse(source)
+        loads += attribute_loads(tree)
+        methods += [(cls.name, item) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for item in cls.body if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")]
+    return {f"{cls}.{method.name}" for cls, method in methods
+            if loads.count(method.name) == attribute_loads(method).count(method.name)}
+
+
+@pytest.mark.parametrize("sources,unread", [
+    ({"a.py": "class A:\n    def f(self): pass\nA().f()\n"}, set()),
+    ({"a.py": "class A:\n    def f(self): self.f()\n"}, {"A.f"}),
+    ({"a.py": "class A:\n    def f(self): pass\n", "b.py": "x.f\n"}, set()),
+    ({"a.py": "class A:\n    @property\n    def f(self): pass\n"}, {"A.f"}),
+    ({"a.py": "class A:\n    def f(self): pass\nx.f = 1\n"}, {"A.f"}),
+    ({"a.py": "class A:\n    def _f(self): pass\n    def __init__(self): pass\n"}, set()),
+], ids=["caller", "recursion-only", "other-module", "property", "only-stored", "private"])
+def test_the_unread_method_check_itself(sources, unread):
+    assert unread_methods(sources) == unread
+
+
+def test_library_methods_are_read_by_the_library():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
+    assert "numerics.py" in sources
+    assert unread_methods(sources) == UNREAD_METHODS_BY_LIBRARY

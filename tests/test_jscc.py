@@ -245,6 +245,27 @@ class TestStreamedEvaluation:
         models = train(first_rows(dataset, 100), tiny_config()).models
         self.assert_same_bits(models, first_rows(dataset, n), mu, d, 72)
 
+    @pytest.mark.parametrize("n,blocks", [
+        (512, [512]),
+        (513, [256, 257]),
+        (1025, [341, 342, 342]),
+        (1537, [384, 384, 384, 385]),
+    ], ids=["512", "513", "1025", "1537"])
+    def test_blocks_are_nearly_equal(self, n, blocks, monkeypatch):
+        """A multi-block pass splits its rows evenly rather than into full
+        blocks and a short last one, so no block has fewer than 256 rows."""
+        dataset = synth_dataset(4, 16, 400, 1.0, RandomSource(74))
+        models = build_models(16, 4, tiny_config(), RandomSource(75))
+        forward, rows = models.encoder.forward, []
+
+        def counting_forward(x):
+            rows.append(x.shape[-2])
+            return forward(x)
+
+        monkeypatch.setattr(models.encoder, "forward", counting_forward)
+        eval_under_bsec(models, first_rows(dataset, n), 0.2, 0.0, RandomSource(76))
+        assert rows == blocks
+
     def test_memory_is_flat(self, criterion9_shapes):
         """The traced peak of a pass does not grow with the number of rows."""
         dataset, models = criterion9_shapes
