@@ -30,6 +30,15 @@ Q05 = 0.3085375387259869
 Q15 = 0.0668072012688581
 
 
+def analytic_params_scalar(order, snr, a):
+    """The closed form of analytic_params with one scalar q_function call per tail."""
+    pref = (4.0 / order) * (1.0 - 2.0 ** (-order / 2))
+    x = math.sqrt(3.0 * snr / ((1 << order) - 1))
+    mu = pref * q_function((1.0 + a) * x)
+    d = pref * (q_function((1.0 - a) * x) - q_function((1.0 + a) * x))
+    return mu, d, 1.0 - mu - d
+
+
 class TestParams:
     def test_valid_triple(self):
         p = BsecParams(0.1, 0.2, 0.7)
@@ -174,6 +183,18 @@ class TestAnalyticParams:
     def test_triple_always_normalized(self, m, snr, a):
         p = analytic_params(m, snr, a)
         assert abs(p.mu + p.d + p.r - 1.0) <= 1e-12
+
+    def test_same_bits_as_the_scalar_composition(self):
+        # orders 2/4/6, five offsets and -30 to 60 dB in 0.25 dB steps
+        for m in (2, 4, 6):
+            for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+                for snr_db in np.arange(-120, 241) / 4.0:
+                    snr = 10.0 ** (float(snr_db) / 10.0)
+                    p = analytic_params(m, snr, a)
+                    got = (p.mu, p.d, p.r)
+                    assert all(type(v) is float for v in got)
+                    assert [v.hex() for v in got] == \
+                        [v.hex() for v in analytic_params_scalar(m, snr, a)], (m, a, snr_db)
 
     def test_domain(self):
         with pytest.raises(DomainError):

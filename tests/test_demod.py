@@ -355,6 +355,16 @@ class TestTritKernel:
                 expected = regions.bits[bit].classify(coords, a_slots[word, bit])
                 np.testing.assert_array_equal(got[:, word, bit], expected)
 
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_trits_do_not_depend_on_the_regions_build_offset(self, m):
+        # demod_robust reads only the transitions, which no offset moves
+        c = build_constellation(m)
+        y = random_samples(600, 21).reshape(20, 30)
+        a_slots = mixed_offsets(600 * m, 22).reshape(20, 30, m)
+        want = demod_robust(y, build_regions(c, 0.0), a_slots)
+        for a in (0.5, 1.0):
+            assert np.array_equal(demod_robust(y, build_regions(c, a), a_slots), want)
+
     @pytest.mark.parametrize("a", [5.0, np.nan, -1.0])
     def test_demod_robust_rejects_bad_offsets(self, a):
         c = build_constellation(2)
