@@ -19,4 +19,4 @@ from .errors import ConfigError, DomainError, FormatError, SemlinkError, StateEr
 from .harness import LinkStats, run_end_to_end, run_link_montecarlo
 from .jscc import ModelTriple, TrainingConfig, eval_under_bsec, train
 from .nn import AdamState, DenseModel, Layer, ce_loss, init_model, load_model, mse_loss, save_model
-from .numerics import RandomSource, q_function
+from .numerics import RandomSource

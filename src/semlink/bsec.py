@@ -19,7 +19,7 @@ import numpy as np
 from .constellation import build_constellation, check_order
 from .demod import TRIT_ERASURE, axis_bit_pattern, build_regions
 from .errors import DomainError
-from .numerics import RandomSource, q_function, q_function_array, q_inverse_array
+from .numerics import RandomSource, q_function_array, q_inverse_array
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,9 @@ def analytic_params(order: int, snr: float, a: float) -> BsecParams:
     m = check_link_point(order, snr, a)
     pref = (4.0 / m) * (1.0 - 2.0 ** (-m / 2))
     x = math.sqrt(3.0 * snr / ((1 << m) - 1))
-    mu = pref * q_function((1.0 + a) * x)
-    d = pref * (q_function((1.0 - a) * x) - q_function((1.0 + a) * x))
+    q_far, q_near = q_function_array(np.array([1.0 + a, 1.0 - a]) * x).tolist()
+    mu = pref * q_far
+    d = pref * (q_near - q_far)
     return BsecParams(mu=mu, d=d, r=1.0 - mu - d)
 
 

@@ -10,10 +10,11 @@ BitRegions.classify is the only trit kernel. It compares each coordinate with
 the bit's own one, two or four label transitions: the parity of the
 transitions below it gives the binary value (adjacent Gray cells always differ
 in the bit), and a closed band of half-width a*d_min/2 around each transition
-erases. The transitions do not depend on a, so build_regions fixes one offset
-and demod_robust may override it per bit slot. demod_robust applies the kernel
-once per I/Q pair of bits, which share their transitions, for the link Monte
-Carlo and the adaptive transport alike.
+erases. The transitions do not depend on a, so demod_robust takes its offsets
+from the caller, one per bit slot; build_regions' offset only sets the
+interval tables. demod_robust applies the kernel once per I/Q pair of bits,
+which share their transitions, for the link Monte Carlo and the adaptive
+transport alike.
 """
 
 from __future__ import annotations
@@ -137,31 +138,30 @@ def _bit_regions(c: Constellation, bit: int, a: float) -> BitRegions:
 
 @dataclass(frozen=True)
 class DecisionRegions:
-    """Per-bit ternary decision regions for one constellation at one offset."""
+    """Per-bit ternary decision regions of one constellation, tabled at one offset."""
 
     order: int
-    a: float
     bits: tuple[BitRegions, ...]
 
 
 def build_regions(c: Constellation, a: float) -> DecisionRegions:
-    """Build every bit's ternary decision regions at one erasure offset a in [0, 1].
+    """Build every bit's ternary decision regions, tabled at one offset a in [0, 1].
 
-    demod_robust may override a per bit slot: the transitions do not depend on it.
+    demod_robust reads only the transitions, which do not depend on a.
     """
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"boundary offset a must lie in [0, 1], got {a}")
     bits = tuple(_bit_regions(c, bit, float(a)) for bit in range(c.m))
-    return DecisionRegions(order=c.m, a=float(a), bits=bits)
+    return DecisionRegions(order=c.m, bits=bits)
 
 
-def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None, out=None,
+def demod_robust(y: np.ndarray, regions: DecisionRegions, a, out=None,
                  work=None) -> np.ndarray:
-    """Demodulate equalized samples to trits {0, 0.5, 1}.
+    """Demodulate equalized samples to trits {0, 0.5, 1} at offsets a.
 
-    y may have any shape. a defaults to the regions' own offset; when given, it
-    must broadcast to exactly (*y.shape, order), giving one offset per bit slot,
-    and is read in its own shape. Every offset must lie in [0, 1] (NaN is
+    y may have any shape. a must broadcast to exactly (*y.shape, order),
+    giving one offset per bit slot, and is read in its own shape; the offset
+    regions was built at is not read. Every offset must lie in [0, 1] (NaN is
     rejected). Returns a flat sequence of order*y.size trits, one m-bit group
     per symbol in row-major order; or, when out is given, writes them into out,
     a float64 array of shape (*y.shape, order) of any layout, and returns it.
@@ -179,7 +179,7 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a=None, out=None,
     """
     y = np.asarray(y, dtype=complex)
     order = regions.order
-    a = np.asarray(regions.a if a is None else a, dtype=float)
+    a = np.asarray(a, dtype=float)
     full = (*y.shape, order)
     if a.ndim > len(full) or any(n not in (1, f) for n, f in zip(a.shape[::-1], full[::-1])):
         raise DomainError(f"boundary offsets of shape {a.shape} do not fit {full}")

@@ -60,10 +60,6 @@ class TrainingConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    @property
-    def latent_bits(self) -> int:
-        return len(self.profile)
-
 
 @dataclass(frozen=True)
 class ModelTriple:
@@ -90,7 +86,7 @@ class TrainResult:
 def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
                  rng: RandomSource) -> ModelTriple:
     """Default dense stacks; the encoder ends in a sigmoid, classifier in logits."""
-    n = config.latent_bits
+    n = len(config.profile)
     enc_rng, dec_rng, clf_rng = rng.split(3)
     enc = init_model(
         [input_dim, *config.enc_hidden, n],
@@ -268,5 +264,5 @@ def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
 
 def warmup_only_config(config: TrainingConfig) -> TrainingConfig:
     """Same schedule with a zero-robustness profile (noiseless latent channel)."""
-    n = config.latent_bits
+    n = len(config.profile)
     return replace(config, profile=RobustnessProfile.homogeneous(n, 0.0, a=0.0))

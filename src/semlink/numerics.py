@@ -12,16 +12,8 @@ from .errors import DomainError
 _SQRT2 = math.sqrt(2.0)
 
 
-def q_function(x: float) -> float:
-    """Upper-tail probability P(Z > x) for a standard normal Z."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"q_function requires a finite argument, got {x!r}")
-    return float(q_function_array(x))
-
-
 def q_function_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized q_function (no finiteness check).
+    """Upper-tail probabilities P(Z > x) for a standard normal Z (no finiteness check).
 
     With out, a float64 array of x's shape that may be x itself, every step
     runs in place there and out is returned; a scalar x without out gives a

@@ -2,8 +2,8 @@
 stored points, the searchsorted trit kernel, the two LLR routes (exact
 per-bit LLRs with their helpers _logsumexp and _bit_of_word, and max-log
 per-axis LLRs thresholded into trits by demod_llr) with rho_from_a, the
-offset's equivalent LLR threshold, the scalar q_inverse, the scalar
-symbol-grouping rule, the scalar channel draw and threshold rule, the
+offset's equivalent LLR threshold, the scalar q_function and q_inverse, the
+scalar symbol-grouping rule, the scalar channel draw and threshold rule, the
 adaptive SE, the two-branch sigmoid, the per-chunk link Monte Carlo, the
 block-by-block end-to-end pass with its per-group transport, and the
 whole-array evaluation under a fixed BSEC."""
@@ -43,7 +43,7 @@ from semlink.errors import ConfigError, DomainError
 from semlink.harness import LINK_CHUNK_BITS, LinkStats
 from semlink.jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
 from semlink.nn import mse_loss
-from semlink.numerics import RandomSource, q_inverse_array
+from semlink.numerics import RandomSource, q_function_array, q_inverse_array
 
 
 def unpack_words(words, m):
@@ -208,6 +208,14 @@ def draw_channel_scalar(dist: ChannelDistribution, rng: RandomSource) -> complex
     return mag * complex(math.cos(phase), math.sin(phase))
 
 
+def q_function(x: float) -> float:
+    """Upper-tail probability P(Z > x) for a standard normal Z."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"q_function requires a finite argument, got {x!r}")
+    return float(q_function_array(x))
+
+
 def q_inverse(p: float) -> float:
     """Inverse of q_function on (0, 1)."""
     p = float(p)
@@ -294,7 +302,7 @@ def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
                               rng: RandomSource) -> LinkStats:
     """harness.run_link_montecarlo without _carry: per chunk of LINK_CHUNK_BITS
     // order symbols, one bit draw, one transmit and one equalize call over the
-    chunk's whole arrays, and one demodulation with build_regions(c, a)."""
+    chunk's whole arrays, and one demodulation at offset a."""
     c = build_constellation(order)
     regions = build_regions(c, a)
     n_sym = -(-n_bits // c.m)
@@ -305,7 +313,7 @@ def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
     for start in range(0, n_sym, chunk):
         bits = bit_rng.bits(min(chunk, n_sym - start) * c.m)
         x = c.points[pack_bits(bits, c.m)]
-        trits = demod_robust(equalize(transmit(x, h, noise_rng), h), regions)
+        trits = demod_robust(equalize(transmit(x, h, noise_rng), h), regions, a)
         erasures += int(np.count_nonzero(trits == TRIT_ERASURE))
         corrects += int(np.count_nonzero(trits == bits))
     n = n_sym * c.m

@@ -148,7 +148,7 @@ def test_criterion_05_demodulator_equivalence():
         for a in (0.0, 0.25, 0.5, 1.0):
             y = 1.5 * (rng.std_normal(10**5) + 1j * rng.std_normal(10**5))
             snr = 2.2
-            by_regions = demod_robust(y, build_regions(c, a))
+            by_regions = demod_robust(y, build_regions(c, a), a)
             by_llr = demod_llr(y, c, snr, rho_from_a(a, order, snr))
             disagreements += int(np.sum(by_regions != by_llr))
             pairs += 1

@@ -19,12 +19,11 @@ from semlink.errors import DomainError
 from semlink.jscc import noisy_latent_sample
 from semlink.numerics import (
     RandomSource,
-    q_function,
     q_function_array,
     q_inverse_array,
 )
 
-from oracles import q_inverse
+from oracles import q_function, q_inverse
 
 Q05 = 0.3085375387259869
 Q15 = 0.0668072012688581

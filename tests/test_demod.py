@@ -212,7 +212,7 @@ class TestDemodRobust:
         c = build_constellation(4)
         regions = build_regions(c, 0.5)
         d = c.d_min
-        trits = demod_robust(np.array([0j, d + 0j, 2 * d + 0j]), regions).reshape(3, 4)
+        trits = demod_robust(np.array([0j, d + 0j, 2 * d + 0j]), regions, 0.5).reshape(3, 4)
         assert trits[0, 1] == 1.0
         assert trits[1, 1] == 0.5
         assert trits[2, 1] == 0.0
@@ -222,14 +222,14 @@ class TestDemodRobust:
         regions = build_regions(c, 0.5)
         br = regions.bits[1]
         edge = [iv for iv in br.intervals if iv.output == 0.5][1].upper
-        trits = demod_robust(np.array([complex(edge, 0.0)]), regions).reshape(1, 4)
+        trits = demod_robust(np.array([complex(edge, 0.0)]), regions, 0.5).reshape(1, 4)
         assert trits[0, 1] == 0.5
 
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_zero_offset_matches_hard_decision(self, m):
         c = build_constellation(m)
         y = random_samples(5000, 7)
-        trits = demod_robust(y, build_regions(c, 0.0))
+        trits = demod_robust(y, build_regions(c, 0.0), 0.0)
         assert not np.any(trits == 0.5)
         hard = unpack_words(nearest_words(y, c), m)
         np.testing.assert_array_equal(trits, hard.astype(float))
@@ -240,7 +240,7 @@ class TestDemodRobust:
         c = build_constellation(m)
         snr = 1.9
         y = random_samples(20000, 8)
-        by_regions = demod_robust(y, build_regions(c, a))
+        by_regions = demod_robust(y, build_regions(c, a), a)
         by_llr = demod_llr(y, c, snr, rho_from_a(a, m, snr))
         np.testing.assert_array_equal(by_regions, by_llr)
 
@@ -256,9 +256,9 @@ class TestDemodRobust:
         # growing the band may only turn binary decisions into erasures
         c = build_constellation(m)
         y = random_samples(4000, 10)
-        prev = demod_robust(y, build_regions(c, 0.0))
+        prev = demod_robust(y, build_regions(c, 0.0), 0.0)
         for a in (0.25, 0.5, 1.0):
-            cur = demod_robust(y, build_regions(c, a))
+            cur = demod_robust(y, build_regions(c, a), a)
             both_binary = (cur != 0.5) & (prev != 0.5)
             np.testing.assert_array_equal(cur[both_binary], prev[both_binary])
             # erasures never revert to binary as a grows
@@ -427,7 +427,7 @@ class TestTritKernel:
         # an integer out would truncate an erasure's 0.5 to 0 without a word
         regions = build_regions(build_constellation(4), 0.0)
         with pytest.raises(DomainError, match=r"out must be a float64 array of shape \(3, 4\)"):
-            demod_robust(np.zeros(3, complex), regions, out=out)
+            demod_robust(np.zeros(3, complex), regions, 0.0, out=out)
 
     @pytest.mark.parametrize("work", [np.empty(11), np.empty(12, np.float32), np.empty((2, 6))],
                              ids=["short", "dtype", "2-d"])
@@ -435,7 +435,7 @@ class TestTritKernel:
         # a float32 work would round the coordinates before they are classified
         regions = build_regions(build_constellation(4), 0.0)
         with pytest.raises(DomainError, match="work must be a 1-D float64 array of at least 12"):
-            demod_robust(np.zeros(3, complex), regions, work=work)
+            demod_robust(np.zeros(3, complex), regions, 0.0, work=work)
 
 
 # per-bit offsets whose I/Q pairs (bit k, bit k + m/2) differ, some of them 0
@@ -470,7 +470,7 @@ class TestIqPairs:
                                   equal_nan=True)
         assert np.array_equal(demod_robust(y, regions, PAIR_MISMATCHED[m]), got.reshape(-1))
 
-    @pytest.mark.parametrize("a", [None, 0.5, "per-slot"])
+    @pytest.mark.parametrize("a", [0.5, "per-slot"])
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_one_classify_call_per_pair(self, m, a, monkeypatch):
         calls = []

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from semlink.errors import DomainError
 from semlink.numerics import (
     RandomSource,
-    q_function,
     q_function_array,
     q_inverse_array,
 )
 
-from oracles import q_inverse
+from oracles import q_function, q_inverse
 
 
 def oracle_q(x: float) -> float:
