@@ -52,10 +52,12 @@ class RobustnessProfile:
         object.__setattr__(self, "a_offsets", a_offsets)
         if alphas.shape != a_offsets.shape or alphas.ndim != 1 or alphas.size == 0:
             raise DomainError("alphas and a_offsets must be nonempty 1-D arrays of equal length")
-        if np.any(~((0 <= alphas) & (alphas <= 0.5))):
-            raise DomainError("robustness levels must lie in [0, 0.5]")
-        if np.any(~((0 <= a_offsets) & (a_offsets <= 1))):
-            raise DomainError("boundary offsets must lie in [0, 1]")
+        for name, v, hi in (("robustness levels", alphas, 0.5),
+                            ("boundary offsets", a_offsets, 1)):
+            bad = np.flatnonzero(~((0 <= v) & (v <= hi)))  # NaN included
+            if bad.size:
+                i = bad[0]
+                raise DomainError(f"{name} must lie in [0, {hi}], got {v[i]} at bit {i}")
 
     def __len__(self) -> int:
         return self.alphas.size

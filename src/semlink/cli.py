@@ -28,7 +28,7 @@ from .channel import FixedSnr, UniformMagnitude
 from .constellation import SUPPORTED_ORDERS, build_constellation
 from .datasets import load_idx, synth_dataset
 from .demod import a_from_rho, build_regions
-from .errors import ConfigError, FormatError, SemlinkError
+from .errors import ConfigError, DomainError, FormatError, SemlinkError
 from .harness import (
     chi_square_homogeneity,
     run_end_to_end,
@@ -92,7 +92,11 @@ def parse_sweep(spec: str) -> np.ndarray:
 
 def _records(path):
     """(line number, raw line, line less its # comment) for each line not left blank."""
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield ln, raw, line
@@ -119,10 +123,11 @@ def load_profile(path) -> RobustnessProfile:
     if base not in (0, 1) or sorted(entries) != list(range(base, base + len(entries))):
         raise ConfigError(f"{path}: indices must be contiguous from 0 or 1")
     ordered = [entries[i] for i in sorted(entries)]
-    return RobustnessProfile(
-        np.array([alpha for alpha, _ in ordered]),
-        np.array([a for _, a in ordered]),
-    )
+    try:
+        return RobustnessProfile(np.array([alpha for alpha, _ in ordered]),
+                                 np.array([a for _, a in ordered]))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -10,11 +10,10 @@ BitRegions.classify is the only trit kernel. It compares each coordinate with
 the bit's own one, two or four label transitions: the parity of the
 transitions below it gives the binary value (adjacent Gray cells always differ
 in the bit), and a closed band of half-width a*d_min/2 around each transition
-erases. The transitions do not depend on a, so demod_robust takes its offsets
-from the caller, one per bit slot; build_regions' offset only sets the
-interval tables. demod_robust applies the kernel once per I/Q pair of bits,
-which share their transitions, for the link Monte Carlo and the adaptive
-transport alike.
+erases. The transitions do not depend on a: demod_robust takes one offset per
+bit slot from its caller, and build_regions' offset sets only the interval
+tables. demod_robust applies the kernel once per I/Q pair of bits, which share
+their transitions, for the link Monte Carlo and the adaptive transport alike.
 """
 
 from __future__ import annotations

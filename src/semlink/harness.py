@@ -72,9 +72,13 @@ MAX_LINK_BITS = 10 ** 8
 LINK_CHUNK_BITS = 2 ** 16
 
 
-def _check_n_bits(n_bits: int) -> None:
+def _check_n_bits(n_bits: int) -> int:
+    """n_bits as a Python int, after checking that it is an integer in range."""
+    if not isinstance(n_bits, (int, np.integer)):
+        raise DomainError(f"n_bits must be an integer, got {n_bits!r}")
     if not (1 <= n_bits <= MAX_LINK_BITS):
         raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
+    return int(n_bits)
 
 
 def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
@@ -88,7 +92,7 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     parts. The order, SNR and offset are checked before anything is drawn, and
     the chunks share one set of _carry buffers.
     """
-    _check_n_bits(n_bits)
+    n_bits = _check_n_bits(n_bits)
     try:
         snr = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:  # rejected below as infinite, like +inf dB
@@ -351,7 +355,7 @@ def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource) ->
     The trits are drawn with training's latent sampler, whose law for a sure
     bit is the BSEC's. Bad input is rejected with the link's messages.
     """
-    _check_n_bits(n_bits)
+    n_bits = _check_n_bits(n_bits)
     params = analytic_params(2, snr, a)
     bit_rng, ch_rng = rng.split(2)
     bits = bit_rng.bits(n_bits)

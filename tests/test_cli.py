@@ -285,12 +285,28 @@ class TestCommands:
         (("adaptive-plan", "--snr-db", "0", "--profile"), "# nothing\n# here\n", "empty profile"),
         (("capacity", "--g1", "0.37", "--g2", "2.5", "--config"), "seed 5\n",
          "expected `key = value`"),
+        (("adaptive-plan", "--snr-db", "0", "--profile"), "1,0.3,0.5\n2,0.7,0.5\n",
+         "input.txt: robustness levels must lie in [0, 0.5], got 0.7 at bit 1"),
+        (("adaptive-plan", "--snr-db", "0", "--profile"), "0,0.3,0.5\n1,0.3,nan\n",
+         "input.txt: boundary offsets must lie in [0, 1], got nan at bit 1"),
     ], ids=["profile-two-fields", "profile-not-numeric", "profile-duplicate-index",
-            "profile-only-comments", "config-without-equals"])
+            "profile-only-comments", "config-without-equals", "profile-alpha-out-of-range",
+            "profile-offset-out-of-range"])
     def test_bad_input_file_is_a_one_line_error(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.txt"
         path.write_text(text)
         assert_one_line_error(*run_cli(capsys, *argv, str(path)), message)
+
+    @pytest.mark.parametrize("argv", [
+        ("adaptive-plan", "--snr-db", "0", "--profile"),
+        ("capacity", "--g1", "0.37", "--g2", "2.5", "--config"),
+    ], ids=["profile", "config"])
+    def test_non_utf8_input_file_is_a_one_line_format_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"# fine so far\n\xff\n")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: byte 14 is not valid UTF-8 (invalid start byte)\n"
 
     def test_overflowing_ramp_is_one_error_line_without_warning(self, capsys):
         # the ramp's span overflows; its endpoints are rejected before it is built

@@ -86,6 +86,11 @@ class TestLinkMonteCarlo:
         with pytest.raises(DomainError, match=r"n_bits must be in \[1, 100000000\]"):
             run_link_montecarlo(2, 0.0, 0.0, n_bits, RandomSource(47))
 
+    def test_numpy_integer_bit_count_accepted(self):
+        stats = run_link_montecarlo(2, 0.0, 0.5, np.int64(1000), RandomSource(47))
+        assert stats == run_link_montecarlo(2, 0.0, 0.5, 1000, RandomSource(47))
+        assert type(stats.n_bits) is int
+
     @pytest.mark.parametrize("a", [2.0, math.nan, -0.1])
     def test_bad_offset_rejected_before_any_draw(self, a):
         rng = RandomSource(47)
@@ -294,6 +299,7 @@ class TestStatisticalEquivalence:
             ("n-bits-zero", 1.0, 0.5, 0, f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got 0"),
             ("n-bits-negative", 1.0, 0.5, -1,
              f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got -1"),
+            ("n-bits-float", 1.0, 0.5, 1e5, "n_bits must be an integer, got 100000.0"),
         ]
         for helper, short in ((link_histogram, "link"), (trit_histogram_bsec, "bsec"))
         if not (helper is link_histogram and snr < 0)
