@@ -159,8 +159,8 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a, out=None,
     """Demodulate equalized samples to trits {0, 0.5, 1} at offsets a.
 
     y may have any shape. a must broadcast to exactly (*y.shape, order),
-    giving one offset per bit slot, and is read in its own shape; the offset
-    regions was built at is not read. Every offset must lie in [0, 1] (NaN is
+    giving one offset per bit slot, and is read in its own shape; regions is
+    read only for its transitions. Every offset must lie in [0, 1] (NaN is
     rejected). Returns a flat sequence of order*y.size trits, one m-bit group
     per symbol in row-major order; or, when out is given, writes them into out,
     a float64 array of shape (*y.shape, order) of any layout, and returns it.
