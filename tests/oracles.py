@@ -1,4 +1,4 @@
-"""Reference code shared by the tests: hard decisions, the level scan of the
+"""Reference code shared by the tests: bit packing by matrix product, hard decisions, the level scan of the
 stored points, the searchsorted trit kernel, the two LLR routes (exact
 per-bit LLRs with their helpers _logsumexp and _bit_of_word, and max-log
 per-axis LLRs thresholded into trits by demod_llr) with rho_from_a, the
@@ -51,6 +51,13 @@ def unpack_words(words, m):
     words = np.asarray(words, dtype=np.int64)
     shifts = np.arange(m - 1, -1, -1)
     return ((words[:, None] >> shifts) & 1).reshape(-1)
+
+
+def pack_bits_matmul(bits, m):
+    """pack_bits by an int64 matrix product with the MSB-first bit weights."""
+    bits = np.asarray(bits)
+    weights = 1 << np.arange(m - 1, -1, -1)
+    return bits.reshape(-1, m).astype(np.int64, copy=False) @ weights
 
 
 def nearest_words(z, c):

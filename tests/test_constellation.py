@@ -9,7 +9,7 @@ from semlink.constellation import SUPPORTED_ORDERS, build_constellation, gray_co
 from semlink.errors import ConfigError, DomainError
 from semlink.numerics import RandomSource
 
-from oracles import labels_by_level, nearest_words, unpack_words
+from oracles import labels_by_level, nearest_words, pack_bits_matmul, unpack_words
 
 R = 1 / math.sqrt(2)
 
@@ -141,6 +141,27 @@ class TestLabeling:
         bits = rng.bits(6 * 50)
         words = pack_bits(bits, 6)
         np.testing.assert_array_equal(unpack_words(words, 6), bits)
+
+
+    @pytest.mark.parametrize("kind", ["int64", "uint8", "bool", "list", "empty", "strided"])
+    @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
+    def test_pack_equals_the_matrix_product(self, m, kind):
+        bits = RandomSource(4).bits(m * 300).astype(np.int64)
+        bits[:m] = 1  # the all-ones word, whose MSB is set
+        if kind == "uint8":
+            bits = bits.astype(np.uint8)
+        elif kind == "bool":
+            bits = bits.astype(bool)
+        elif kind == "list":
+            bits = bits.tolist()
+        elif kind == "empty":
+            bits = np.empty(0, np.int64)
+        elif kind == "strided":  # a column slice of a wider matrix, as _carry packs
+            bits = np.pad(bits.reshape(30, -1), ((0, 0), (1, 2)))[:, 1:-2]
+        words = pack_bits(bits, m)
+        expected = pack_bits_matmul(bits, m)
+        assert words.dtype == np.int64 and words.shape == expected.shape
+        np.testing.assert_array_equal(words, expected)
 
 
 class TestNearestPoint:

@@ -19,6 +19,17 @@ from semlink.numerics import (
 from oracles import q_function, q_inverse
 
 
+def assert_same_state(a: RandomSource, b: RandomSource):
+    """Both sources' Philox states are equal, buffer and pending half included."""
+    sa, sb = a._gen.bit_generator.state, b._gen.bit_generator.state
+    assert sa.keys() == sb.keys()
+    for key in ("has_uint32", "uinteger", "buffer_pos"):
+        assert sa[key] == sb[key], key
+    for key in ("counter", "key"):
+        np.testing.assert_array_equal(sa["state"][key], sb["state"][key])
+    np.testing.assert_array_equal(sa["buffer"], sb["buffer"])
+
+
 def oracle_q(x: float) -> float:
     """Gauss-Legendre quadrature of the normal pdf; error far below 1e-13.
 
@@ -219,6 +230,28 @@ class TestRandomSource:
             np.testing.assert_array_equal(skipped.random(3), drawn.random(3))
         with pytest.raises(DomainError, match="n >= 0"):
             RandomSource(25).skip(-1)
+
+    def test_bits_equal_the_generators_bounded_draw(self):
+        # one bits() call per step, with the other draws and skip() in between,
+        # against Generator.integers(0, 2) on a twin: the same values, and both
+        # streams left in the same state, pending 32-bit half included
+        src, twin = RandomSource(27), RandomSource(27)
+        picks = np.random.default_rng(28)
+        for step in range(120):
+            n = int(picks.integers(0, 5001))
+            if step % 3 == 0:
+                n |= 1  # odd counts leave half a word pending
+            got = src.bits(n)
+            expected = twin._gen.integers(0, 2, size=n)
+            np.testing.assert_array_equal(got, expected)
+            assert got.shape == (n,)
+            assert_same_state(src, twin)
+            other = ("random", "std_normal", "skip", "permutation", None)[step % 5]
+            k = int(picks.integers(0, 40))
+            if other is not None:
+                getattr(src, other)(k)
+                getattr(twin, other)(k)
+                assert_same_state(src, twin)
 
     def test_seed_validation(self):
         with pytest.raises(DomainError):
