@@ -74,8 +74,9 @@ class RobustnessProfile:
         """alpha_i = (alpha_last - alpha_first) (i-1)/(n-1) + alpha_first."""
         if n < 2:
             raise DomainError("a linear ramp needs at least 2 bits")
-        if not (0 <= alpha_first <= 0.5 and 0 <= alpha_last <= 0.5):
-            raise DomainError("robustness levels must lie in [0, 0.5]")
+        for name, alpha in (("alpha_first", alpha_first), ("alpha_last", alpha_last)):
+            if not (0 <= alpha <= 0.5):
+                raise DomainError(f"robustness levels must lie in [0, 0.5], got {name} {alpha}")
         i = np.arange(n, dtype=float)
         alphas = (alpha_last - alpha_first) * i / (n - 1) + alpha_first
         return cls(alphas, np.full(n, float(a)))

@@ -73,9 +73,16 @@ def build_constellation(order: int) -> Constellation:
 
 
 def pack_bits(bits: np.ndarray, m: int) -> np.ndarray:
-    """Group a flat bit array into integer m-bit words, MSB first."""
+    """Group 0/1 integers or bools, read flat, into int64 m-bit words, MSB first.
+
+    Each word is built by shift-or over the m columns of a (words, m) reshape.
+    """
     bits = np.asarray(bits)
     if bits.size % m != 0:
         raise DomainError(f"bit count {bits.size} is not a multiple of {m}")
-    weights = 1 << np.arange(m - 1, -1, -1)
-    return bits.reshape(-1, m).astype(np.int64, copy=False) @ weights
+    cols = bits.reshape(-1, m)
+    words = cols[:, 0].astype(np.int64)
+    for k in range(1, m):
+        words <<= 1
+        words |= cols[:, k]
+    return words

@@ -88,8 +88,8 @@ class BitRegions:
         that are not positive (NaN included) keep the binary value. -inf and
         +inf take the value of the outer cells and erase when a > 0; NaN lies
         above every transition, so it takes the last cell's value and never
-        erases. out, a float64 array of the shape of coords, receives the trits
-        when given; the trits are returned either way.
+        erases. out, a float64 array of the shape of coords and of any layout,
+        receives the trits when given; the trits are returned either way.
         """
         coords = np.asarray(coords, dtype=float)
         a = np.asarray(a, dtype=float)
@@ -100,15 +100,16 @@ class BitRegions:
         flip = ~(coords <= t[0])
         for tk in t[1:]:
             flip ^= ~(coords <= tk)
-        if not np.any(a > 0):
-            np.copyto(out, flip)
-            return out
+        positive = a > 0
+        if not np.any(positive):
+            # a uint8 multiply, not copyto: copying bools into a strided out is slow
+            return np.multiply(flip.view(np.uint8), 1.0, out=out)
         half_w = a * self.d_min / 2.0
         erase = np.isinf(coords)
         for tk in t:
             erase |= (tk - half_w <= coords) & (coords <= tk + half_w)
-        if np.ndim(a):
-            erase &= a > 0
+        if not np.all(positive):
+            erase &= positive
         # flip + (flip ^ erase) is 2 for a kept 1, 0 for a kept 0 and 1 for an
         # erasure; halving it needs no masked write
         return np.multiply(flip.view(np.uint8) + (flip ^ erase).view(np.uint8), 0.5, out=out)
@@ -164,9 +165,9 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a, out=None,
     rejected). Returns a flat sequence of order*y.size trits, one m-bit group
     per symbol in row-major order; or, when out is given, writes them into out,
     a float64 array of shape (*y.shape, order) of any layout, and returns it.
-    work, a float64 array of at least 4 * y.size entries, holds the stacked
-    coordinates and each pair's trits when given, so a caller that
-    demodulates chunk after chunk allocates nothing large per call.
+    work, a float64 array of at least 2 * y.size entries, holds the stacked
+    coordinates when given, so a caller that demodulates chunk after chunk
+    allocates nothing large per call.
 
     Samples must be finite, and are not checked. A NaN coordinate takes its
     bits' last-cell values and never erases: at order 4 and a = 0.5,
@@ -174,7 +175,7 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a, out=None,
 
     Bit k reads the real axis and bit k + order/2 the imaginary axis with the
     same transitions, so each such pair is one classify call over the stacked
-    real and imaginary parts.
+    real and imaginary parts, which writes the pair's two trit slots in place.
     """
     y = np.asarray(y, dtype=complex)
     order = regions.order
@@ -196,13 +197,13 @@ def demod_robust(y: np.ndarray, regions: DecisionRegions, a, out=None,
                           f"got {out.dtype} of shape {out.shape}")
     trits = np.empty(full) if out is None else out
     if work is None:
-        work = np.empty(4 * y.size)
-    elif work.dtype != np.float64 or work.ndim != 1 or work.size < 4 * y.size:
-        raise DomainError(f"work must be a 1-D float64 array of at least {4 * y.size} "
+        work = np.empty(2 * y.size)
+    elif work.dtype != np.float64 or work.ndim != 1 or work.size < 2 * y.size:
+        raise DomainError(f"work must be a 1-D float64 array of at least {2 * y.size} "
                           f"entries, got {work.dtype} of shape {work.shape}")
     coords = np.stack((y.real, y.imag), out=work[:2 * y.size].reshape(2, *y.shape))
-    pair = work[2 * y.size:4 * y.size].reshape(2, *y.shape)
     for k in range(half):
-        trits[..., k], trits[..., k + half] = regions.bits[k].classify(coords, a[..., k], pair)
+        # slots k and k + half, axis first: the pair's trits, written in place
+        regions.bits[k].classify(coords, a[..., k], np.moveaxis(trits[..., k::half], -1, 0))
     return trits.reshape(-1) if out is None else out
 

@@ -74,7 +74,7 @@ LINK_CHUNK_BITS = 2 ** 16
 
 def _check_n_bits(n_bits: int) -> int:
     """n_bits as a Python int, after checking that it is an integer in range."""
-    if not isinstance(n_bits, (int, np.integer)):
+    if isinstance(n_bits, bool) or not isinstance(n_bits, (int, np.integer)):
         raise DomainError(f"n_bits must be an integer, got {n_bits!r}")
     if not (1 <= n_bits <= MAX_LINK_BITS):
         raise DomainError(f"n_bits must be in [1, {MAX_LINK_BITS}], got {n_bits}")
@@ -156,6 +156,7 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     parts, times the gain, which gives the bytes of channel.transmit then
     channel.equalize. These arrays live in store (see _buffer), so the trit
     matrix returned is overwritten by the next call with the same store.
+    Latent bits may come as uint8 or int64; both pack to the same words.
     """
     run_block, run_start, run_len, run_order, run_syms = runs
     draw_syms = run_syms * rows[run_block]  # symbols per run over all its rows
@@ -212,7 +213,7 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
         y.imag += noise[im].reshape(words.shape)
         y *= gain[blk]
         demod_robust(y, _order_regions(order), a_slots, out=trits,
-                     work=_buffer(store, "work", (4 * y.size,)))
+                     work=_buffer(store, "work", (2 * y.size,)))
         if not whole:
             out.reshape(-1)[flat[keep]] = trits[keep]
     return out, np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
@@ -315,7 +316,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         g2, gain = block_gains(h)
         orders = orders_from_thresholds(g2, table)
         f = _forward_blocks(models.encoder, xc, images_per_block)
-        bits = sample_latent_bits(f, bit_rng).astype(np.int64)
+        bits = sample_latent_bits(f, bit_rng)
         trits, symbols_per_row = _carry(bits, symbol_runs(orders), rows, h, gain,
                                         profile.a_offsets, noise_rng, store)
         total_symbols += int(symbols_per_row @ rows)

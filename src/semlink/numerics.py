@@ -112,8 +112,36 @@ class RandomSource:
             bitgen.random_raw(tail, output=False)
 
     def bits(self, n: int) -> np.ndarray:
-        """n independent fair bits."""
-        return self._gen.integers(0, 2, size=n)
+        """n independent fair bits as uint8, drawn as Generator.integers(0, 2, size=n) would.
+
+        That bounded draw takes one 32-bit half per bit, low half of each
+        64-bit word first, and keeps the top bit; with a range of two it never
+        rejects. So the bits are read straight from the raw words: a half left
+        pending by an odd call goes first, and an odd count leaves its last
+        word's high half pending in turn, which puts the stream where the
+        bounded draw would.
+        """
+        if n < 0:
+            raise DomainError(f"bits requires n >= 0, got {n}")
+        out = np.empty(n, np.uint8)
+        if n == 0:
+            return out
+        bitgen = self._gen.bit_generator
+        state = bitgen.state
+        pending = state["has_uint32"]
+        if pending:
+            out[0] = state["uinteger"] >> 31
+        rest = n - pending
+        if rest:
+            words = bitgen.random_raw((rest + 1) // 2).astype("<u8", copy=False)
+            # the halves in stream order, as signed: the top bit is the sign
+            np.less(words.view("<i4")[:rest], 0, out=out[pending:].view(bool))
+            state = bitgen.state
+            # each word drawn parks its high half, as the bounded draw does
+            state["uinteger"] = int(words[-1] >> 32)
+        state["has_uint32"] = rest % 2
+        bitgen.state = state
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -319,6 +319,15 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "robustness levels must lie in [0, 0.5]" in err
 
+    @pytest.mark.parametrize("ramp,message", [
+        (("--alpha", "0.7", "--alpha-last", "0.1"), "got alpha_first 0.7"),
+        (("--alpha", "0.1", "--alpha-last", "0.7"), "got alpha_last 0.7"),
+    ], ids=["first", "last"])
+    def test_ramp_endpoint_out_of_range_is_named(self, capsys, ramp, message):
+        code, out, err = run_cli(capsys, "train", *TINY_TRAIN[:-2], *ramp)
+        assert (code, out) == (1, "")
+        assert err == f"error: robustness levels must lie in [0, 0.5], {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ("train", "--latent-bits", "4", "--epochs", "1", "--warmup-epochs", "0"),
         ("eval", "--model-dir", str(GOLDEN_MODELS), "--snr-db", "0:0:1"),

@@ -429,12 +429,12 @@ class TestTritKernel:
         with pytest.raises(DomainError, match=r"out must be a float64 array of shape \(3, 4\)"):
             demod_robust(np.zeros(3, complex), regions, 0.0, out=out)
 
-    @pytest.mark.parametrize("work", [np.empty(11), np.empty(12, np.float32), np.empty((2, 6))],
+    @pytest.mark.parametrize("work", [np.empty(5), np.empty(12, np.float32), np.empty((2, 6))],
                              ids=["short", "dtype", "2-d"])
     def test_demod_robust_rejects_work_that_does_not_fit(self, work):
         # a float32 work would round the coordinates before they are classified
         regions = build_regions(build_constellation(4), 0.0)
-        with pytest.raises(DomainError, match="work must be a 1-D float64 array of at least 12"):
+        with pytest.raises(DomainError, match="work must be a 1-D float64 array of at least 6"):
             demod_robust(np.zeros(3, complex), regions, 0.0, work=work)
 
 

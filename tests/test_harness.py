@@ -160,21 +160,6 @@ class TestFadeArithmetic:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-    @pytest.mark.parametrize("order", (2, 4, 6))
-    def test_faded_lookup_equals_lookup_then_fade(self, order):
-        # h * points looked up gives the bytes of h times the looked-up points
-        points = build_constellation(order).points
-        picks = np.random.default_rng(order)
-        words = picks.integers(0, 1 << order, size=4096)
-        hs = picks.standard_normal((200, 2)) * 10.0 ** picks.uniform(-150, 150, (200, 1))
-        hs[:50, 1] = 0.0  # real h: products of zero with negative parts give -0.0
-        for re, im in hs:
-            h = np.complex128(complex(re, im))
-            faded = np.take(h * points, words)
-            expected = np.multiply(h, np.take(points, words))
-            assert np.array_equal(faded.view(np.uint64), expected.view(np.uint64))
-
-
 class TestTransportBlock:
     def test_noiseless_roundtrip_mixed_plan(self):
         profile = RobustnessProfile.linear_ramp(96, 0.29, 0.45, a=0.5)
@@ -315,6 +300,7 @@ class TestStatisticalEquivalence:
             ("n-bits-negative", 1.0, 0.5, -1,
              f"n_bits must be in [1, {harness.MAX_LINK_BITS}], got -1"),
             ("n-bits-float", 1.0, 0.5, 1e5, "n_bits must be an integer, got 100000.0"),
+            ("n-bits-bool", 1.0, 0.5, True, "n_bits must be an integer, got True"),
         ]
         for helper, short in ((link_histogram, "link"), (trit_histogram_bsec, "bsec"))
         if not (helper is link_histogram and snr < 0)

@@ -252,6 +252,8 @@ class TestRandomSource:
                 getattr(src, other)(k)
                 getattr(twin, other)(k)
                 assert_same_state(src, twin)
+        with pytest.raises(DomainError, match="n >= 0"):
+            src.bits(-1)
 
     def test_seed_validation(self):
         with pytest.raises(DomainError):
