@@ -1,12 +1,12 @@
-"""Reference code shared by the tests: bit packing by matrix product, hard decisions, the level scan of the
-stored points, the searchsorted trit kernel, the two LLR routes (exact
-per-bit LLRs with their helpers _logsumexp and _bit_of_word, and max-log
-per-axis LLRs thresholded into trits by demod_llr) with rho_from_a, the
-offset's equivalent LLR threshold, the scalar q_function and q_inverse, the
-scalar symbol-grouping rule, the scalar channel draw and threshold rule, the
-adaptive SE, the two-branch sigmoid, the per-chunk link Monte Carlo, the
-block-by-block end-to-end pass with its per-group transport, and the
-whole-array evaluation under a fixed BSEC."""
+"""Reference code shared by the tests: bit packing by matrix product, hard
+decisions, the level scan of the stored points, the searchsorted trit
+kernel, the two LLR routes (exact per-bit LLRs with their helpers _logsumexp
+and _bit_of_word, and max-log per-axis LLRs thresholded into trits by
+demod_llr) with rho_from_a, the offset's equivalent LLR threshold, the
+scalar q_function and q_inverse, the scalar symbol-grouping rule, the scalar
+channel draw and threshold rule, the adaptive SE, the two-branch sigmoid,
+the per-chunk link Monte Carlo, the block-by-block end-to-end pass with its
+per-group transport, and the whole-array evaluation under a fixed BSEC."""
 
 import functools
 import math

@@ -142,7 +142,6 @@ class TestLabeling:
         words = pack_bits(bits, 6)
         np.testing.assert_array_equal(unpack_words(words, 6), bits)
 
-
     @pytest.mark.parametrize("kind", ["int64", "uint8", "bool", "list", "empty", "strided"])
     @pytest.mark.parametrize("m", SUPPORTED_ORDERS)
     def test_pack_equals_the_matrix_product(self, m, kind):
