@@ -447,6 +447,34 @@ class TestChunkedPass:
                 run_end_to_end_per_block(*args, RandomSource(42), **kwargs), profile
 
 
+@pytest.fixture(scope="module")
+def wide_setup():
+    """Untrained stacks over 64 features and 64 bits, 2130 images, and two
+    64-bit profiles: the README ramp and a permuted ramp with PERMUTED's
+    mixed offsets."""
+    ramp = RobustnessProfile.linear_ramp(64, 0.29, 0.45, a=0.5)
+    permuted = RobustnessProfile(ramp.alphas[RandomSource(5).permutation(64)],
+                                 np.resize(PERMUTED.a_offsets[:4], 64))
+    models = build_models(64, 10, TrainingConfig(profile=ramp), RandomSource(50))
+    ds = synth_dataset(10, 64, 213, 2.0, RandomSource(51))
+    return ds, (ramp, permuted), models
+
+
+@pytest.mark.parametrize("adaptive,order", [(True, 2), (False, 6)], ids=["adaptive", "order6"])
+@pytest.mark.parametrize("which", [0, 1], ids=["ramp", "permuted"])
+def test_default_chunks_equal_per_block_pass(wide_setup, which, adaptive, order):
+    """At the default CHUNK_ENTRIES, 2130 images at 7 per block span at least
+    three chunks, the last one short and ending in a short block."""
+    ds, profiles, models = wide_setup
+    chunk_images = harness.CHUNK_ENTRIES // (7 * 64) * 7
+    assert len(ds.features) > 2 * chunk_images and len(ds.features) % chunk_images % 7
+    args = (models, UniformMagnitude(0.37, 2.5), profiles[which], HETEROGENEOUS_BETAS,
+            adaptive, ds)
+    kwargs = dict(images_per_block=7, fixed_order=order)
+    assert run_end_to_end(*args, RandomSource(52), **kwargs) == \
+        run_end_to_end_per_block(*args, RandomSource(52), **kwargs)
+
+
 def test_end_to_end_keeps_no_activations():
     """A pass whose last block is short leaves no model a cache."""
     profile = RobustnessProfile.homogeneous(12, 0.4, a=0.5)
