@@ -115,10 +115,13 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     return LinkStats(n_sym * m, *counts.tolist())
 
 
-# Latent entries (images x bits) per chunk of an end-to-end pass: enough
-# blocks to share each stage's per-call overhead (one noise draw, one
-# demodulation per order, stacked forwards), few enough to keep memory bounded.
-CHUNK_ENTRIES = 2 ** 15
+# Latent entries (images x bits) per chunk of an end-to-end pass. Each chunk
+# costs about a thousand Python-level calls (0.6-1 ms) whatever its size (one
+# noise draw, one demodulation per order, stacked forwards), so a pass runs in
+# few chunks of whole blocks, and memory stays bounded at any pass size.
+# Chunking stops at 2 ** 16: at 2 ** 17, one chunk for 2000 images of 64 bits,
+# such a pass ran about 12% slower, most likely as its arrays outgrow the cache.
+CHUNK_ENTRIES = 2 ** 16
 
 
 def _buffer(store: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -141,15 +144,20 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     of the blocks' per-bit orders. Every run is zero-padded to whole symbols,
     modulated, faded, equalized and demodulated with each bit's own erasure
     offset, one demod_robust call per order over all the chunk's blocks (one
-    classify call per I/Q bit pair); the trits of padding slots are dropped.
-    Noise is drawn in one call and laid out block by block, run by run, all
-    real parts before all imaginary parts: the order in which one transmit
-    call per run would draw it. An order with one unpadded run reads its bits
-    and noise as slices and demodulates straight into the trit matrix.
-    Otherwise its slot map (each symbol's run, place in the run and bit slots)
-    is built once for a block row and broadcast over the block's rows, so the
-    index work does not grow with the rows. Returns the trit matrix and each
-    block's symbol count per row.
+    classify call per I/Q bit pair). Noise is drawn in one call and laid out
+    block by block, run by run, all real parts before all imaginary parts:
+    the order in which one transmit call per run would draw it.
+
+    An order with one unpadded run reads its bits and noise as slices and
+    demodulates straight into the trit matrix; when every order does (the
+    link), the bits are not copied and the trit matrix is C-contiguous.
+    Otherwise the bits are copied next to one extra zero column, the padding
+    column: each gathered order's slot map (each symbol's run, place in the
+    run and bit slots) is built once for a block row and broadcast over the
+    block's rows, so the index work does not grow with the rows, and its
+    padding slots read their zero bits from that column and write their trits
+    back to it. The trit matrix returned is then a view without that column.
+    Returns the trit matrix and each block's symbol count per row.
 
     The noise, the symbols as they are faded and equalized, and the trits are
     computed in place: h * x, plus the scaled noise's real and imaginary
@@ -167,14 +175,22 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     noise = rng.std_normal(n_noise, out=_buffer(store, "noise", (n_noise,)))
     noise *= math.sqrt(0.5)
 
-    out = _buffer(store, "trits", bits.shape)
-    for order in (2, 4, 6):
-        sel = np.flatnonzero(run_order == order)
-        if sel.size == 0:
-            continue
-        r = sel[0]
-        whole = sel.size == 1 and run_len[r] % order == 0
-        if whole:
+    sels = {order: np.flatnonzero(run_order == order) for order in (2, 4, 6)}
+    whole = {order: sel.size == 1 and run_len[sel[0]] % order == 0
+             for order, sel in sels.items() if sel.size}
+    n_rows, n_bits = bits.shape
+    if all(whole.values()):
+        src, width = bits, n_bits
+    else:  # bits plus the zero padding column
+        src, width = _buffer(store, "bits", (n_rows, n_bits + 1), np.uint8), n_bits + 1
+        src[:, :n_bits] = bits
+        src[:, n_bits] = 0
+        a_offsets = np.append(a_offsets, 0.0)
+    out = _buffer(store, "trits", (n_rows, width))
+    for order, is_whole in whole.items():
+        sel = sels[order]
+        if is_whole:
+            r = sel[0]
             blk, s, n = run_block[r], noise_start[r], draw_syms[r]
             dest = (slice(row0[blk], row0[blk] + rows[blk]),
                     slice(run_start[r], run_start[r] + run_len[r]))
@@ -185,24 +201,21 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
             trits = out[dest].reshape(*words.shape, order)
         else:
             # slot map of one block row: run and symbol j of every symbol
-            # (padding slots point at slot 0; their trits are dropped)
+            # (padding slots point at the padding column)
             counts = run_syms[sel]
             run = np.repeat(sel, counts)
             j = np.arange(run.size) - np.repeat(np.cumsum(counts) - counts, counts)
             blk = run_block[run]
             slot = run_start[run][:, None] + j[:, None] * order + np.arange(order)
-            live = slot < (run_start + run_len)[run][:, None]
-            slot[~live] = 0
+            slot[slot >= (run_start + run_len)[run][:, None]] = n_bits
             # row i of each block; a short block repeats its last row, which
             # rewrites the same trits
             i = np.minimum(np.arange(rows.max())[:, None], rows[blk] - 1)
-            flat = ((row0[blk] + i) * bits.shape[1])[..., None] + slot
-            words = pack_bits(bits.reshape(-1)[flat], order).reshape(i.shape) \
-                & pack_bits(live, order)  # zero padding bits
+            flat = ((row0[blk] + i) * width)[..., None] + slot
+            words = pack_bits(src.reshape(-1)[flat], order).reshape(i.shape)
             re = noise_start[run] + i * run_syms[run] + j
             im = re + draw_syms[run]
             a_slots = a_offsets[slot]
-            keep = np.broadcast_to(live, flat.shape)
             trits = _buffer(store, "gathered", flat.shape)
         # mode="clip" writes straight into the buffer; the default "raise"
         # would fill a copy first, and every word is in range anyway
@@ -214,9 +227,9 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
         y *= gain[blk]
         demod_robust(y, _order_regions(order), a_slots, out=trits,
                      work=_buffer(store, "work", (2 * y.size,)))
-        if not whole:
-            out.reshape(-1)[flat[keep]] = trits[keep]
-    return out, np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
+        if not is_whole:
+            out.reshape(-1)[flat] = trits
+    return out[:, :n_bits], np.add.reduceat(run_syms, np.flatnonzero(run_start == 0))
 
 
 def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray, h: complex,
@@ -280,8 +293,13 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     entries, each chunk with one call per stage: one channel draw for all its
     blocks (channel.draw_channels), one order matrix, one latent-bit draw,
     one _carry and stacked forwards. Every random stream is drawn in the same
-    order as a block-by-block pass, so the results are the same.
+    order as a block-by-block pass, so the results are the same. A chunk's
+    arrays are freed before the next chunk allocates its own, so the pass
+    holds one chunk's arrays at a time.
     """
+    if isinstance(images_per_block, bool) or not isinstance(images_per_block,
+                                                            (int, np.integer)):
+        raise ConfigError(f"images_per_block must be an integer, got {images_per_block!r}")
     if images_per_block < 1:
         raise ConfigError(f"images_per_block must be >= 1, got {images_per_block}")
     n_bits = len(profile)
@@ -336,6 +354,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
             sums.append(float(np.sum(sq_err[full:])))
         for s in sums:  # not sum(), which compensates float sums from Python 3.12 on
             sq_err_sum += s
+        del f, bits, trits, u_hat, logits, sq_err  # before the next chunk allocates
 
     n = len(x)
     total_bits = n * n_bits

@@ -408,6 +408,25 @@ class TestEndToEnd:
             run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS,
                            False, empty, RandomSource(96))
 
+    @pytest.mark.parametrize("per_block", [2.5, 3.0, math.nan, True, np.float64(2.0)],
+                             ids=["fraction", "whole-float", "nan", "bool", "numpy-float"])
+    def test_non_integer_block_size_rejected_before_any_draw(self, trained_setup, per_block):
+        ds, profile, models = trained_setup
+        rng = RandomSource(96)
+        with pytest.raises(ConfigError) as err:
+            run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS,
+                           True, ds, rng, images_per_block=per_block)
+        assert str(err.value) == f"images_per_block must be an integer, got {per_block!r}"
+        # the pass did not split its stream: the next split is the first
+        np.testing.assert_array_equal(rng.split(1)[0].random(3),
+                                      RandomSource(96).split(1)[0].random(3))
+
+    def test_numpy_integer_block_size_accepted(self, trained_setup):
+        ds, profile, models = trained_setup
+        args = (models, UniformMagnitude(0.37, 2.5), profile, HETEROGENEOUS_BETAS, True, ds)
+        assert run_end_to_end(*args, RandomSource(96), images_per_block=np.int32(7)) == \
+            run_end_to_end(*args, RandomSource(96), images_per_block=7)
+
     def test_bit_bias_reported(self, trained_setup):
         ds, profile, models = trained_setup
         metrics = run_end_to_end(models, FixedSnr(snr=4.0), profile,
