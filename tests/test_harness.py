@@ -1,6 +1,8 @@
 """Link Monte Carlo closure, block transport, and full-system evaluation."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -124,6 +126,54 @@ class TestLinkMonteCarlo:
                        10**5 + 1):
             assert run_link_montecarlo(order, snr_db, a, n_bits, RandomSource(48)) == \
                 link_montecarlo_per_chunk(order, snr_db, a, n_bits, RandomSource(48)), n_bits
+
+    @pytest.mark.parametrize("order", (2, 4, 6))
+    @pytest.mark.parametrize("a", (0.0, 0.5))
+    def test_one_cpu_run_equals_whole_array_run(self, monkeypatch, order, a):
+        """With one usable CPU, a 16-chunk run ending in a short chunk equals
+        the whole-array reference."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        n_bits = 16 * (harness.LINK_CHUNK_BITS // order * order) - order - 1
+        assert run_link_montecarlo(order, 6.0, a, n_bits, RandomSource(54)) == \
+            link_montecarlo_per_chunk(order, 6.0, a, n_bits, RandomSource(54))
+
+    def test_draw_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
+        """A bit draw that fails on the third chunk ends the run with its error,
+        no chunk is drawn after it, and no thread outlives the run."""
+        real_bits = RandomSource.bits
+        calls = []
+
+        def failing_bits(self, n):
+            calls.append(n)
+            if len(calls) == 3:
+                raise RuntimeError("third draw")
+            return real_bits(self, n)
+
+        monkeypatch.setattr(RandomSource, "bits", failing_bits)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third draw"):
+            run_link_montecarlo(2, 6.0, 0.5, 8 * harness.LINK_CHUNK_BITS, RandomSource(53))
+        assert threading.active_count() == before
+        assert len(calls) == 3
+
+    def test_carry_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
+        """A demodulation that fails on the second chunk ends the run with its
+        error, and no thread outlives the run."""
+        real_demod = harness.demod_robust
+        calls = []
+
+        def failing_demod(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("second carry")
+            return real_demod(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "demod_robust", failing_demod)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second carry"):
+            run_link_montecarlo(4, 6.0, 0.5, 8 * harness.LINK_CHUNK_BITS, RandomSource(53))
+        assert threading.active_count() == before
+        assert len(calls) == 2
 
     def test_memory_is_flat(self):
         """Traced peak memory of a run does not grow with the number of bits."""
