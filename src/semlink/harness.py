@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +94,15 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     noise like one channel.transmit call: its real parts, then its imaginary
     parts. The order, SNR and offset are checked before anything is drawn, and
     the chunks share one set of _carry buffers.
+
+    A chunk's bits and noise depend on nothing an earlier chunk computes, so
+    when the run spans two chunks or more and the process may use two CPUs,
+    one worker thread draws chunk k + 1 while chunk k is carried, into the
+    other of two noise buffers. Otherwise each chunk is drawn inline: one
+    chunk leaves nothing to overlap, and on one CPU the thread only adds its
+    switching. Each stream is drawn by one thread in chunk order, so the
+    values are those of an inline run. The worker is joined before the call
+    returns or raises.
     """
     n_bits = _check_n_bits(n_bits)
     try:
@@ -103,15 +115,37 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     h = draw_channels(FixedSnr(snr=snr), 1, ch_rng)
     _, gain = block_gains(h)
     chunk = LINK_CHUNK_BITS // m
+    n_chunks = -(-n_sym // chunk)
     runs = symbol_runs(np.full((1, m), m))
     a_row = np.full(m, a)
+    threaded = n_chunks > 1 and len(os.sched_getaffinity(0)) > 1
+    # chunk k's noise goes to buffer k % 2: the worker fills one while the
+    # other is carried, and chunk k + 2 is submitted once chunk k is carried
+    noise_bufs = np.empty((2 if threaded else 1, 2 * min(chunk, n_sym)))
+
+    def draw(k):
+        n = min(chunk, n_sym - k * chunk)
+        bits = bit_rng.bits(n * m).reshape(n, m)
+        rows = np.array([n])
+        n_noise = _noise_size(runs, rows)
+        noise = noise_rng.std_normal(n_noise, out=noise_bufs[k % len(noise_bufs), :n_noise])
+        return bits, rows, noise
+
     store = {}
     counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
-    for start in range(0, n_sym, chunk):
-        bits = bit_rng.bits(min(chunk, n_sym - start) * m).reshape(-1, m)
-        trits, _ = _carry(bits, runs, np.array([len(bits)]), h, gain, a_row, noise_rng, store)
-        stats = _count_trits(bits, trits)
-        counts += (stats.flips, stats.erasures, stats.corrects)
+    # leaving the with block joins the worker, on an error too
+    with ThreadPoolExecutor(max_workers=1) if threaded else contextlib.nullcontext() as pool:
+        ahead = pool.submit(draw, 0) if threaded else None
+        for k in range(n_chunks):
+            if threaded:
+                bits, rows, noise = ahead.result()
+                if k + 1 < n_chunks:
+                    ahead = pool.submit(draw, k + 1)
+            else:
+                bits, rows, noise = draw(k)
+            trits, _ = _carry(bits, runs, rows, h, gain, a_row, noise, store)
+            stats = _count_trits(bits, trits)
+            counts += (stats.flips, stats.erasures, stats.corrects)
     return LinkStats(n_sym * m, *counts.tolist())
 
 
@@ -134,8 +168,15 @@ def _buffer(store: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
     return buf[:n].reshape(shape)
 
 
+def _noise_size(runs: tuple[np.ndarray, ...], rows: np.ndarray) -> int:
+    """Unit normals _carry takes for adaptmod.symbol_runs runs over blocks of
+    rows[b] rows: a real and an imaginary part per symbol."""
+    run_block, *_, run_syms = runs
+    return int(2 * (run_syms * rows[run_block]).sum())
+
+
 def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: np.ndarray,
-           gain: np.ndarray, a_offsets, rng: RandomSource,
+           gain: np.ndarray, a_offsets, noise: np.ndarray,
            store: dict) -> tuple[np.ndarray, np.ndarray]:
     """Carry consecutive channel blocks of latent bits, each over its own channel.
 
@@ -144,9 +185,11 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     of the blocks' per-bit orders. Every run is zero-padded to whole symbols,
     modulated, faded, equalized and demodulated with each bit's own erasure
     offset, one demod_robust call per order over all the chunk's blocks (one
-    classify call per I/Q bit pair). Noise is drawn in one call and laid out
-    block by block, run by run, all real parts before all imaginary parts:
-    the order in which one transmit call per run would draw it.
+    classify call per I/Q bit pair). noise holds the _noise_size(runs, rows)
+    unit normals of the chunk, drawn by the caller in one call, laid out block
+    by block, run by run, all real parts before all imaginary parts: the order
+    in which one transmit call per run would draw them. They are scaled to the
+    channel's variance in place, so noise is overwritten.
 
     An order with one unpadded run reads its bits and noise as slices and
     demodulates straight into the trit matrix; when every order does (the
@@ -159,11 +202,11 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     back to it. The trit matrix returned is then a view without that column.
     Returns the trit matrix and each block's symbol count per row.
 
-    The noise, the symbols as they are faded and equalized, and the trits are
-    computed in place: h * x, plus the scaled noise's real and imaginary
-    parts, times the gain, which gives the bytes of channel.transmit then
-    channel.equalize. These arrays live in store (see _buffer), so the trit
-    matrix returned is overwritten by the next call with the same store.
+    The symbols as they are faded and equalized and the trits are computed in
+    place: h * x, plus the scaled noise's real and imaginary parts, times the
+    gain, which gives the bytes of channel.transmit then channel.equalize.
+    These arrays live in store (see _buffer), so the trit matrix returned is
+    overwritten by the next call with the same store.
     Latent bits may come as uint8 or int64; both pack to the same words.
     """
     run_block, run_start, run_len, run_order, run_syms = runs
@@ -171,8 +214,6 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     noise_start = np.cumsum(2 * draw_syms) - 2 * draw_syms
     row0 = np.cumsum(rows) - rows
     a_offsets = np.asarray(a_offsets, dtype=np.float64)
-    n_noise = int(2 * draw_syms.sum())
-    noise = rng.std_normal(n_noise, out=_buffer(store, "noise", (n_noise,)))
     noise *= math.sqrt(0.5)
 
     sels = {order: np.flatnonzero(run_order == order) for order in (2, 4, 6)}
@@ -250,8 +291,9 @@ def transport_block(bits: np.ndarray, plan: ModPlan, a_offsets: np.ndarray, h: c
     if len(a_offsets) != n_bits:
         raise ConfigError(f"a_offsets covers {len(a_offsets)} bits, not {n_bits}")
     h = np.array([h])
-    trits, symbols = _carry(bits, symbol_runs(np.array([plan.orders])), np.array([n_rows]),
-                            h, block_gains(h)[1], a_offsets, rng, {})
+    runs, rows = symbol_runs(np.array([plan.orders])), np.array([n_rows])
+    trits, symbols = _carry(bits, runs, rows, h, block_gains(h)[1], a_offsets,
+                            rng.std_normal(_noise_size(runs, rows)), {})
     return trits, int(symbols[0])
 
 
@@ -335,8 +377,11 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         orders = orders_from_thresholds(g2, table)
         f = _forward_blocks(models.encoder, xc, images_per_block)
         bits = sample_latent_bits(f, bit_rng)
-        trits, symbols_per_row = _carry(bits, symbol_runs(orders), rows, h, gain,
-                                        profile.a_offsets, noise_rng, store)
+        runs = symbol_runs(orders)
+        n_noise = _noise_size(runs, rows)
+        noise = noise_rng.std_normal(n_noise, out=_buffer(store, "noise", (n_noise,)))
+        trits, symbols_per_row = _carry(bits, runs, rows, h, gain, profile.a_offsets, noise,
+                                        store)
         total_symbols += int(symbols_per_row @ rows)
         bit_sum += int(bits.sum())
         stats = _count_trits(bits, trits)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -137,6 +138,47 @@ class TestLinkMonteCarlo:
         assert run_link_montecarlo(order, 6.0, a, n_bits, RandomSource(54)) == \
             link_montecarlo_per_chunk(order, 6.0, a, n_bits, RandomSource(54))
 
+    @pytest.mark.parametrize("cpus,n_chunks,threaded", [({0, 1}, 4, True), ({0, 1}, 1, False),
+                                                          ({0}, 4, False)],
+                             ids=["two-cpus", "one-chunk", "one-cpu"])
+    def test_draws_run_on_one_worker_or_inline(self, monkeypatch, cpus, n_chunks, threaded):
+        """A run of two chunks or more with two usable CPUs draws every chunk
+        on one worker thread, and no more than one; otherwise it draws inline."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        real_bits = RandomSource.bits
+        seen = []
+
+        def recorded_bits(self, n):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return real_bits(self, n)
+
+        monkeypatch.setattr(RandomSource, "bits", recorded_bits)
+        before = threading.active_count()
+        run_link_montecarlo(2, 6.0, 0.5, n_chunks * harness.LINK_CHUNK_BITS, RandomSource(55))
+        assert threading.active_count() == before
+        assert len(seen) == n_chunks
+        idents = {ident for ident, _ in seen}
+        assert len(idents) == 1
+        assert (idents != {threading.get_ident()}) == threaded
+        assert max(count for _, count in seen) == before + threaded
+
+    @pytest.mark.parametrize("order", (2, 6))
+    def test_threaded_run_equals_inline_run_under_fast_switching(self, monkeypatch, order):
+        """With the worker forced on and threads switching every microsecond, a
+        9-chunk run equals the one-CPU run: no noise buffer is refilled while
+        it is carried."""
+        n_bits = 9 * harness.LINK_CHUNK_BITS - 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        inline = run_link_montecarlo(order, 3.0, 0.5, n_bits, RandomSource(56))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_link_montecarlo(order, 3.0, 0.5, n_bits, RandomSource(56))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == inline
+
     def test_draw_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
         """A bit draw that fails on the third chunk ends the run with its error,
         no chunk is drawn after it, and no thread outlives the run."""
@@ -200,9 +242,11 @@ class TestFadeArithmetic:
         n_bits = 3 * order if path == "whole" else 3 * order - 1
         bits = RandomSource(50).bits(rows * n_bits).reshape(rows, n_bits)
         h = np.array([mag * complex(math.cos(2.0), math.sin(2.0))])
+        symbols = rows * 3  # three symbols a row on either path
         store = {}
         harness._carry(bits, symbol_runs(np.full((1, n_bits), order)), np.array([rows]), h,
-                       block_gains(h)[1], np.full(n_bits, 0.5), RandomSource(51), store)
+                       block_gains(h)[1], np.full(n_bits, 0.5),
+                       RandomSource(51).std_normal(2 * symbols), store)
         padded = np.pad(bits, ((0, 0), (0, -n_bits % order)))
         x = build_constellation(order).points[pack_bits(padded.reshape(-1), order)]
         expected = equalize(transmit(x, h[0], RandomSource(51)), h[0])
@@ -557,12 +601,15 @@ def test_end_to_end_keeps_no_activations():
     assert [model._cache for model in triple] == [None, None, None]
 
 
-def test_end_to_end_memory_is_bounded():
-    """Traced peak memory of a pass does not grow with the number of images."""
+def test_end_to_end_memory_is_bounded(monkeypatch):
+    """Traced peak memory of a pass does not grow with the number of images:
+    at a chunk size that holds the smaller pass (1000 images) exactly, the
+    larger pass spans eight chunks, whatever the default chunk size."""
     profile = RobustnessProfile.linear_ramp(64, 0.29, 0.45, a=0.5)
     models = build_models(64, 10, TrainingConfig(profile=profile), RandomSource(44))
+    monkeypatch.setattr(harness, "CHUNK_ENTRIES", 1000 * 64)
     peaks = []
-    for per_class in (100, 400):
+    for per_class in (100, 800):
         ds = synth_dataset(10, 64, per_class, 2.0, RandomSource(45))
         tracemalloc.start()
         try:
