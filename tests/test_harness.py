@@ -182,6 +182,7 @@ class TestLinkMonteCarlo:
     def test_draw_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
         """A bit draw that fails on the third chunk ends the run with its error,
         no chunk is drawn after it, and no thread outlives the run."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the worker path
         real_bits = RandomSource.bits
         calls = []
 
@@ -201,6 +202,7 @@ class TestLinkMonteCarlo:
     def test_carry_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
         """A demodulation that fails on the second chunk ends the run with its
         error, and no thread outlives the run."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the worker path
         real_demod = harness.demod_robust
         calls = []
 
