@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -96,13 +94,11 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     the chunks share one set of _carry buffers.
 
     A chunk's bits and noise depend on nothing an earlier chunk computes, so
-    when the run spans two chunks or more and the process may use two CPUs,
-    one worker thread draws chunk k + 1 while chunk k is carried, into the
-    other of two noise buffers. Otherwise each chunk is drawn inline: one
-    chunk leaves nothing to overlap, and on one CPU the thread only adds its
-    switching. Each stream is drawn by one thread in chunk order, so the
-    values are those of an inline run. The worker is joined before the call
-    returns or raises.
+    chunk 0 is drawn inline and one worker thread draws chunk k + 1 while
+    chunk k is carried, into the other of two noise buffers. A one-chunk run
+    submits nothing, so it starts no thread. Each stream is drawn by one
+    thread at a time, in chunk order, so the values are those of an inline
+    run. The worker is joined before the call returns or raises.
     """
     n_bits = _check_n_bits(n_bits)
     try:
@@ -118,10 +114,9 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     n_chunks = -(-n_sym // chunk)
     runs = symbol_runs(np.full((1, m), m))
     a_row = np.full(m, a)
-    threaded = n_chunks > 1 and len(os.sched_getaffinity(0)) > 1
     # chunk k's noise goes to buffer k % 2: the worker fills one while the
     # other is carried, and chunk k + 2 is submitted once chunk k is carried
-    noise_bufs = np.empty((2 if threaded else 1, 2 * min(chunk, n_sym)))
+    noise_bufs = np.empty((min(n_chunks, 2), 2 * min(chunk, n_sym)))
 
     def draw(k):
         n = min(chunk, n_sym - k * chunk)
@@ -133,16 +128,13 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
 
     store = {}
     counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
-    # leaving the with block joins the worker, on an error too
-    with ThreadPoolExecutor(max_workers=1) if threaded else contextlib.nullcontext() as pool:
-        ahead = pool.submit(draw, 0) if threaded else None
+    # the pool starts its thread on the first submit; leaving the with block
+    # joins it, on an error too
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for k in range(n_chunks):
-            if threaded:
-                bits, rows, noise = ahead.result()
-                if k + 1 < n_chunks:
-                    ahead = pool.submit(draw, k + 1)
-            else:
-                bits, rows, noise = draw(k)
+            bits, rows, noise = draw(0) if k == 0 else ahead.result()
+            if k + 1 < n_chunks:
+                ahead = pool.submit(draw, k + 1)
             trits, _ = _carry(bits, runs, rows, h, gain, a_row, noise, store)
             stats = _count_trits(bits, trits)
             counts += (stats.flips, stats.erasures, stats.corrects)

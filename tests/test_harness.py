@@ -1,7 +1,6 @@
 """Link Monte Carlo closure, block transport, and full-system evaluation."""
 
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -130,21 +129,17 @@ class TestLinkMonteCarlo:
 
     @pytest.mark.parametrize("order", (2, 4, 6))
     @pytest.mark.parametrize("a", (0.0, 0.5))
-    def test_one_cpu_run_equals_whole_array_run(self, monkeypatch, order, a):
-        """With one usable CPU, a 16-chunk run ending in a short chunk equals
-        the whole-array reference."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    def test_16_chunk_run_equals_whole_array_run(self, order, a):
+        """A 16-chunk run ending in a short chunk equals the whole-array
+        reference."""
         n_bits = 16 * (harness.LINK_CHUNK_BITS // order * order) - order - 1
         assert run_link_montecarlo(order, 6.0, a, n_bits, RandomSource(54)) == \
             link_montecarlo_per_chunk(order, 6.0, a, n_bits, RandomSource(54))
 
-    @pytest.mark.parametrize("cpus,n_chunks,threaded", [({0, 1}, 4, True), ({0, 1}, 1, False),
-                                                          ({0}, 4, False)],
-                             ids=["two-cpus", "one-chunk", "one-cpu"])
-    def test_draws_run_on_one_worker_or_inline(self, monkeypatch, cpus, n_chunks, threaded):
-        """A run of two chunks or more with two usable CPUs draws every chunk
-        on one worker thread, and no more than one; otherwise it draws inline."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    @pytest.mark.parametrize("n_chunks", (1, 2, 4))
+    def test_draws_ahead_on_one_worker(self, monkeypatch, n_chunks):
+        """Chunk 0 is drawn inline and every later chunk on one worker thread,
+        with no more than one extra thread alive; a one-chunk run starts none."""
         real_bits = RandomSource.bits
         seen = []
 
@@ -157,32 +152,28 @@ class TestLinkMonteCarlo:
         run_link_montecarlo(2, 6.0, 0.5, n_chunks * harness.LINK_CHUNK_BITS, RandomSource(55))
         assert threading.active_count() == before
         assert len(seen) == n_chunks
-        idents = {ident for ident, _ in seen}
-        assert len(idents) == 1
-        assert (idents != {threading.get_ident()}) == threaded
-        assert max(count for _, count in seen) == before + threaded
+        assert seen[0] == (threading.get_ident(), before)
+        later = {ident for ident, _ in seen[1:]}
+        assert len(later) == min(n_chunks - 1, 1)
+        assert threading.get_ident() not in later
+        assert all(count == before + 1 for _, count in seen[1:])
 
     @pytest.mark.parametrize("order", (2, 6))
-    def test_threaded_run_equals_inline_run_under_fast_switching(self, monkeypatch, order):
-        """With the worker forced on and threads switching every microsecond, a
-        9-chunk run equals the one-CPU run: no noise buffer is refilled while
-        it is carried."""
+    def test_run_under_fast_switching_equals_whole_array_run(self, order):
+        """With threads switching every microsecond, a 9-chunk run equals the
+        whole-array reference: no noise buffer is refilled while it is carried."""
         n_bits = 9 * harness.LINK_CHUNK_BITS - 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        inline = run_link_montecarlo(order, 3.0, 0.5, n_bits, RandomSource(56))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_link_montecarlo(order, 3.0, 0.5, n_bits, RandomSource(56))
+            run = run_link_montecarlo(order, 3.0, 0.5, n_bits, RandomSource(56))
         finally:
             sys.setswitchinterval(interval)
-        assert threaded == inline
+        assert run == link_montecarlo_per_chunk(order, 3.0, 0.5, n_bits, RandomSource(56))
 
     def test_draw_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
         """A bit draw that fails on the third chunk ends the run with its error,
         no chunk is drawn after it, and no thread outlives the run."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the worker path
         real_bits = RandomSource.bits
         calls = []
 
@@ -202,7 +193,6 @@ class TestLinkMonteCarlo:
     def test_carry_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
         """A demodulation that fails on the second chunk ends the run with its
         error, and no thread outlives the run."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the worker path
         real_demod = harness.demod_robust
         calls = []
 
