@@ -1,6 +1,7 @@
 """Link Monte Carlo closure, block transport, and full-system evaluation."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -135,6 +136,14 @@ class TestLinkMonteCarlo:
         n_bits = 16 * (harness.LINK_CHUNK_BITS // order * order) - order - 1
         assert run_link_montecarlo(order, 6.0, a, n_bits, RandomSource(54)) == \
             link_montecarlo_per_chunk(order, 6.0, a, n_bits, RandomSource(54))
+
+    def test_runs_without_sched_getaffinity(self, monkeypatch):
+        """A run of several chunks needs no os.sched_getaffinity, which only
+        some platforms have."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        n_bits = 3 * harness.LINK_CHUNK_BITS + 1
+        assert run_link_montecarlo(2, 6.0, 0.5, n_bits, RandomSource(57)) == \
+            link_montecarlo_per_chunk(2, 6.0, 0.5, n_bits, RandomSource(57))
 
     @pytest.mark.parametrize("n_chunks", (1, 2, 4))
     def test_draws_ahead_on_one_worker(self, monkeypatch, n_chunks):
