@@ -84,6 +84,15 @@ class TestLinkMonteCarlo:
         assert {type(v) for v in (stats.n_bits, stats.flips, stats.erasures,
                                   stats.corrects)} == {int}
 
+    @pytest.mark.parametrize("n_bits", [1000, 3 * 2 ** 16 + 1], ids=["one-chunk", "four-chunk"])
+    def test_fields_are_python_numbers(self, n_bits):
+        """Counts are Python ints and rates Python floats, over one chunk or
+        several: a numpy scalar would repr as np.int64(...)."""
+        stats = run_link_montecarlo(4, 3.0, 0.5, n_bits, RandomSource(45))
+        assert [type(getattr(stats, f)) for f in ("n_bits", "flips", "erasures", "corrects",
+                                                  "flip_rate", "erasure_rate", "correct_rate")] \
+            == [int] * 4 + [float] * 3
+
     @pytest.mark.parametrize("n_bits", [0, harness.MAX_LINK_BITS + 1])
     def test_bit_count_out_of_range(self, n_bits):
         with pytest.raises(DomainError, match=r"n_bits must be in \[1, 100000000\]"):
@@ -521,6 +530,17 @@ class TestEndToEnd:
         args = (models, UniformMagnitude(0.37, 2.5), profile, HETEROGENEOUS_BETAS, True, ds)
         assert run_end_to_end(*args, RandomSource(96), images_per_block=np.int32(7)) == \
             run_end_to_end(*args, RandomSource(96), images_per_block=7)
+
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+    def test_result_values_are_python_numbers(self, trained_setup, adaptive):
+        """Every result value is a Python int or float, so the dict's repr, which
+        the eval-adaptive benchmark digest hashes, names no numpy type."""
+        ds, profile, models = trained_setup
+        metrics = run_end_to_end(models, UniformMagnitude(0.37, 2.5), profile,
+                                 HETEROGENEOUS_BETAS, adaptive, ds, RandomSource(98))
+        assert {k: type(v) for k, v in metrics.items()} == {
+            "n_images": int, "accuracy": float, "mse": float, "spectral_efficiency": float,
+            "flip_rate": float, "erasure_rate": float, "bit_bias": float}
 
     def test_bit_bias_reported(self, trained_setup):
         ds, profile, models = trained_setup

@@ -18,6 +18,9 @@ hold are pinned as exact sets, so the lists can only shrink.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,3 +185,21 @@ def test_library_methods_are_read_by_the_library():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
     assert "numerics.py" in sources
     assert unread_methods(sources) == UNREAD_METHODS_BY_LIBRARY
+
+
+SUBMODULES = {"adaptmod", "bsec", "channel", "constellation", "datasets", "demod",
+              "errors", "harness", "jscc", "nn", "numerics"}
+
+
+def test_package_import_loads_the_submodules():
+    """`import semlink` loads and binds every submodule but the CLI, so
+    `semlink.harness` resolves and timing the import times their loading."""
+    probe = ("import sys, types, semlink; "
+             "print(sorted(k[8:] for k in sys.modules if k.startswith('semlink.'))); "
+             "print(sorted(k for k, v in vars(semlink).items() "
+             "if isinstance(v, types.ModuleType)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines() == [str(sorted(SUBMODULES))] * 2
