@@ -2,11 +2,11 @@
 
 A BSEC carries a bit through unchanged with probability r, erases it to 0.5
 with probability d, and flips it with probability mu (mu + d + r = 1). Setting
-d = 0 recovers a BSC, mu = 0 a BEC. Two maps take (order, snr, a) to
-(mu, d, r): the paper's closed form, which keeps only the nearest boundary and
-drives the adaptive thresholds, and the exact map of the simulated link, which
-integrates the noise over the boundary demodulator's own decision intervals.
-The training-time sampler draws per-bit channel parameters from the former.
+d = 0 recovers a BSC, mu = 0 a BEC. The paper's closed form takes (order,
+snr, a) to (mu, d, r); it keeps only the nearest boundary, drives the adaptive
+thresholds, and gives the training-time sampler its erasure law. The link's
+exact map, which integrates the noise over the boundary demodulator's own
+decision intervals, is a test reference (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import build_constellation, check_order
-from .demod import TRIT_ERASURE, axis_bit_pattern, build_regions
+from .constellation import check_order
 from .errors import DomainError
 from .numerics import RandomSource, q_function_array, q_inverse_array
 
@@ -118,7 +117,8 @@ def analytic_params(order: int, snr: float, a: float) -> BsecParams:
     mu = (4/m)(1 - 2^(-m/2)) Q((1+a)x) and d = (4/m)(1 - 2^(-m/2))
     (Q((1-a)x) - Q((1+a)x)) with x = sqrt(3 snr / (2^m - 1)). Crossings past
     the nearest boundary are left out, so it understates the link's flip rate,
-    by 37% at order 6 and -3 dB; exact_params is the link's exact triple.
+    by 37% at order 6 and -3 dB against the link's exact triple (exact_params
+    in tests/oracles.py).
     The triple is always a valid BSEC: mu + d = pref Q((1-a)x) with (1-a)x >= 0
     and pref <= 1, so mu + d <= 1/2.
     """
@@ -128,35 +128,6 @@ def analytic_params(order: int, snr: float, a: float) -> BsecParams:
     q_far, q_near = q_function_array(np.array([1.0 + a, 1.0 - a]) * x).tolist()
     mu = pref * q_far
     d = pref * (q_near - q_far)
-    return BsecParams(mu=mu, d=d, r=1.0 - mu - d)
-
-
-def exact_params(order: int, snr: float, a: float) -> BsecParams:
-    """Exact BSEC triple of the simulated link at (order, snr, boundary offset).
-
-    Each bit's axis coordinate is its level plus Gaussian noise of standard
-    deviation 1/sqrt(2 snr), the per-axis share of the equalized noise. The
-    noise mass of every decision interval of build_regions is averaged over
-    the bit's levels and over the m bits of a symbol: erasure intervals add to
-    d, binary intervals whose output differs from the sent bit add to mu.
-    """
-    m = check_link_point(order, snr, a)
-    c = build_constellation(m)
-    sigma = 1.0 / math.sqrt(2.0 * snr)
-    mu = d = 0.0
-    for br in build_regions(c, a).bits:
-        out = np.array([iv.output for iv in br.intervals])
-        lo = np.array([iv.lower for iv in br.intervals])
-        hi = np.array([iv.upper for iv in br.intervals])
-        for level, sent in zip(c.levels, axis_bit_pattern(c, br.bit)[1]):
-            z_lo, z_hi = (lo - level) / sigma, (hi - level) / sigma
-            # take each interval's mass from the tail it lies in, for precision
-            mass = np.where(z_hi <= 0, q_function_array(-z_hi) - q_function_array(-z_lo),
-                            q_function_array(z_lo) - q_function_array(z_hi))
-            d += mass[out == TRIT_ERASURE].sum()
-            mu += mass[out == 1.0 - sent].sum()
-    n = m * c.levels.size
-    mu, d = float(mu / n), float(d / n)
     return BsecParams(mu=mu, d=d, r=1.0 - mu - d)
 
 

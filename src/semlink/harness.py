@@ -9,33 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# benchmarks/tracing.py patches plan_from_thresholds, transmit and equalize
-# under these names here, and transport_block below; the library itself does
-# not call them from here. All four go with ROADMAP item 7 once item 6 moves
-# the tracer off them.
-from .adaptmod import (  # noqa: F401
-    BetaAdjusters,
-    ModPlan,
-    orders_from_thresholds,
-    plan_from_thresholds,
-    symbol_runs,
-    threshold_table,
-)
+from .adaptmod import BetaAdjusters, ModPlan, orders_from_thresholds, symbol_runs, threshold_table
 from .bsec import RobustnessProfile, analytic_params, check_link_point
-# transmit and equalize: kept here for the tracer only, as above
-from .channel import (  # noqa: F401
-    ChannelDistribution,
-    FixedSnr,
-    block_gains,
-    draw_channels,
-    equalize,
-    transmit,
-)
+from .channel import ChannelDistribution, FixedSnr, block_gains, draw_channels
 from .constellation import SUPPORTED_ORDERS, build_constellation, check_order, pack_bits
 from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
 from .jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
 from .numerics import RandomSource
+
+# benchmarks/tracing.py patches plan_from_thresholds, transmit and equalize
+# under these names here, and transport_block below; the library itself does
+# not call them from here. All four go with ROADMAP item 7 once item 6 moves
+# the tracer off them.
+from .adaptmod import plan_from_thresholds  # noqa: F401
+from .channel import equalize, transmit  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -60,17 +48,24 @@ class LinkStats:
         return self.corrects / self.n_bits
 
 
-def _count_trits(bits: np.ndarray, trits: np.ndarray) -> LinkStats:
-    erasures = int(np.count_nonzero(trits == TRIT_ERASURE))
-    corrects = int(np.count_nonzero(trits == bits))
-    flips = bits.size - erasures - corrects
-    return LinkStats(n_bits=bits.size, flips=flips, erasures=erasures, corrects=corrects)
+def _count_trits(bits: np.ndarray, trits: np.ndarray) -> np.ndarray:
+    """(flips, erasures, corrects) of trits against the bits sent, as int64."""
+    erasures = np.count_nonzero(trits == TRIT_ERASURE)
+    corrects = np.count_nonzero(trits == bits)
+    return np.array([bits.size - erasures - corrects, erasures, corrects], dtype=np.int64)
 
 
-# Largest link Monte Carlo run, a cap on run time only: the run is carried in
-# chunks of LINK_CHUNK_BITS bits, so its memory does not grow with n_bits.
+# Latent entries per _carry call: the link carries CHUNK_ENTRIES bits per
+# chunk and an end-to-end pass about CHUNK_ENTRIES images x bits, in whole
+# blocks, so neither's memory grows with its size. A chunk of a pass costs
+# about a thousand Python-level calls (0.6-1 ms) whatever its size (one noise
+# draw, one demodulation per order, stacked forwards), so a pass runs in few
+# chunks. Chunking stops at 2 ** 16: at 2 ** 17, one chunk for 2000 images of
+# 64 bits, such a pass ran about 12% slower, most likely as its arrays
+# outgrow the cache.
+CHUNK_ENTRIES = 2 ** 16
+# Largest link Monte Carlo run, a cap on run time only.
 MAX_LINK_BITS = 10 ** 8
-LINK_CHUNK_BITS = 2 ** 16
 
 
 def _check_n_bits(n_bits: int) -> int:
@@ -87,7 +82,7 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     """Random bits through map -> fade -> equalize -> ternary demodulation.
 
     n_bits is rounded up to a whole number of symbols. Over one channel, each
-    chunk of LINK_CHUNK_BITS // order symbols goes to _carry as one block of
+    chunk of CHUNK_ENTRIES // order symbols goes to _carry as one block of
     one-symbol rows and the trit counts are summed. So each chunk draws its
     noise like one channel.transmit call: its real parts, then its imaginary
     parts. The order, SNR and offset are checked before anything is drawn, and
@@ -110,7 +105,7 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     bit_rng, ch_rng, noise_rng = rng.split(3)
     h = draw_channels(FixedSnr(snr=snr), 1, ch_rng)
     _, gain = block_gains(h)
-    chunk = LINK_CHUNK_BITS // m
+    chunk = CHUNK_ENTRIES // m
     n_chunks = -(-n_sym // chunk)
     runs = symbol_runs(np.full((1, m), m))
     a_row = np.full(m, a)
@@ -136,18 +131,8 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
             if k + 1 < n_chunks:
                 ahead = pool.submit(draw, k + 1)
             trits, _ = _carry(bits, runs, rows, h, gain, a_row, noise, store)
-            stats = _count_trits(bits, trits)
-            counts += (stats.flips, stats.erasures, stats.corrects)
+            counts += _count_trits(bits, trits)
     return LinkStats(n_sym * m, *counts.tolist())
-
-
-# Latent entries (images x bits) per chunk of an end-to-end pass. Each chunk
-# costs about a thousand Python-level calls (0.6-1 ms) whatever its size (one
-# noise draw, one demodulation per order, stacked forwards), so a pass runs in
-# few chunks of whole blocks, and memory stays bounded at any pass size.
-# Chunking stops at 2 ** 16: at 2 ** 17, one chunk for 2000 images of 64 bits,
-# such a pass ran about 12% slower, most likely as its arrays outgrow the cache.
-CHUNK_ENTRIES = 2 ** 16
 
 
 def _buffer(store: dict, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -358,7 +343,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     sq_err_sum = 0.0
     total_symbols = 0
     bit_sum = 0
-    flips = erasures = 0
+    counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
     for start in range(0, len(x), chunk_images):
         xc = x[start:start + chunk_images]
         yc = y[start:start + chunk_images]
@@ -376,9 +361,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
                                         store)
         total_symbols += int(symbols_per_row @ rows)
         bit_sum += int(bits.sum())
-        stats = _count_trits(bits, trits)
-        flips += stats.flips
-        erasures += stats.erasures
+        counts += _count_trits(bits, trits)
         u_hat = _forward_blocks(models.decoder, trits, images_per_block)
         logits = _forward_blocks(models.classifier, u_hat, images_per_block)
         correct += int(np.sum(np.argmax(logits, axis=1) == yc))
@@ -395,6 +378,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
 
     n = len(x)
     total_bits = n * n_bits
+    flips, erasures, _ = counts.tolist()
     return {
         "n_images": n,
         "accuracy": correct / n,
@@ -416,8 +400,7 @@ def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource) ->
     params = analytic_params(2, snr, a)
     bit_rng, ch_rng = rng.split(2)
     bits = bit_rng.bits(n_bits)
-    stats = _count_trits(bits, noisy_latent_sample(bits, params.mu, params.d, ch_rng))
-    return np.array([stats.flips, stats.erasures, stats.corrects])
+    return _count_trits(bits, noisy_latent_sample(bits, params.mu, params.d, ch_rng))
 
 
 def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, float]:

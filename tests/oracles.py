@@ -5,7 +5,7 @@ and _bit_of_word, and max-log per-axis LLRs thresholded into trits by
 demod_llr) with rho_from_a, the offset's equivalent LLR threshold, the
 scalar q_function and q_inverse, the scalar symbol-grouping rule, the scalar
 channel draw and threshold rule, the adaptive SE, the two-branch sigmoid,
-the per-chunk link Monte Carlo, the block-by-block end-to-end pass with its
+the exact link map exact_params, the per-chunk link Monte Carlo, the block-by-block end-to-end pass with its
 per-group transport, and the whole-array evaluation under a fixed BSEC."""
 
 import functools
@@ -21,7 +21,7 @@ from semlink.adaptmod import (
     symbol_runs,
     threshold_table,
 )
-from semlink.bsec import RobustnessProfile
+from semlink.bsec import BsecParams, RobustnessProfile, check_link_point
 from semlink.channel import (
     ChannelDistribution,
     FixedSnr,
@@ -40,7 +40,7 @@ from semlink.constellation import (
 )
 from semlink.demod import TRIT_ERASURE, axis_bit_pattern, build_regions, demod_robust
 from semlink.errors import ConfigError, DomainError
-from semlink.harness import LINK_CHUNK_BITS, LinkStats
+from semlink.harness import CHUNK_ENTRIES, LinkStats
 from semlink.jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
 from semlink.nn import mse_loss
 from semlink.numerics import RandomSource, q_function_array, q_inverse_array
@@ -305,15 +305,44 @@ def noisy_latent_sample_by_law(f, mu, d, rng: RandomSource) -> np.ndarray:
     return np.where(u < p_half, TRIT_ERASURE, np.where(u < p_half + p_one, 1.0, 0.0))
 
 
+def exact_params(order: int, snr: float, a: float) -> BsecParams:
+    """Exact BSEC triple of the simulated link at (order, snr, boundary offset).
+
+    Each bit's axis coordinate is its level plus Gaussian noise of standard
+    deviation 1/sqrt(2 snr), the per-axis share of the equalized noise. The
+    noise mass of every decision interval of build_regions is averaged over
+    the bit's levels and over the m bits of a symbol: erasure intervals add to
+    d, binary intervals whose output differs from the sent bit add to mu.
+    """
+    m = check_link_point(order, snr, a)
+    c = build_constellation(m)
+    sigma = 1.0 / math.sqrt(2.0 * snr)
+    mu = d = 0.0
+    for br in build_regions(c, a).bits:
+        out = np.array([iv.output for iv in br.intervals])
+        lo = np.array([iv.lower for iv in br.intervals])
+        hi = np.array([iv.upper for iv in br.intervals])
+        for level, sent in zip(c.levels, axis_bit_pattern(c, br.bit)[1]):
+            z_lo, z_hi = (lo - level) / sigma, (hi - level) / sigma
+            # take each interval's mass from the tail it lies in, for precision
+            mass = np.where(z_hi <= 0, q_function_array(-z_hi) - q_function_array(-z_lo),
+                            q_function_array(z_lo) - q_function_array(z_hi))
+            d += mass[out == TRIT_ERASURE].sum()
+            mu += mass[out == 1.0 - sent].sum()
+    n = m * c.levels.size
+    mu, d = float(mu / n), float(d / n)
+    return BsecParams(mu=mu, d=d, r=1.0 - mu - d)
+
+
 def link_montecarlo_per_chunk(order: int, snr_db: float, a: float, n_bits: int,
                               rng: RandomSource) -> LinkStats:
-    """harness.run_link_montecarlo without _carry: per chunk of LINK_CHUNK_BITS
+    """harness.run_link_montecarlo without _carry: per chunk of CHUNK_ENTRIES
     // order symbols, one bit draw, one transmit and one equalize call over the
     chunk's whole arrays, and one demodulation at offset a."""
     c = build_constellation(order)
     regions = build_regions(c, a)
     n_sym = -(-n_bits // c.m)
-    chunk = LINK_CHUNK_BITS // c.m
+    chunk = CHUNK_ENTRIES // c.m
     bit_rng, ch_rng, noise_rng = rng.split(3)
     h = draw_channel_scalar(FixedSnr(snr=10.0 ** (snr_db / 10.0)), ch_rng)
     erasures = corrects = 0

@@ -16,7 +16,7 @@ from semlink.adaptmod import (
     plan_from_thresholds,
     threshold_table,
 )
-from semlink.bsec import RobustnessProfile, analytic_params, exact_params
+from semlink.bsec import RobustnessProfile, analytic_params
 from semlink.channel import FixedSnr, UniformMagnitude
 from semlink.cli import main
 from semlink.constellation import build_constellation
@@ -32,7 +32,14 @@ from semlink.jscc import TrainingConfig, eval_under_bsec, train, warmup_only_con
 from semlink.nn import init_model, mse_loss
 from semlink.numerics import RandomSource
 
-from oracles import demod_llr, mean_adaptive_se, nearest_words, rho_from_a, unpack_words
+from oracles import (
+    demod_llr,
+    exact_params,
+    mean_adaptive_se,
+    nearest_words,
+    rho_from_a,
+    unpack_words,
+)
 
 
 def verdict(ok: bool, name: str, detail: str) -> None:

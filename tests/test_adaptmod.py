@@ -18,11 +18,12 @@ from semlink.adaptmod import (
     threshold_table,
     thresholds,
 )
-from semlink.bsec import RobustnessProfile, analytic_params, exact_params
+from semlink.bsec import RobustnessProfile, analytic_params
 from semlink.constellation import SUPPORTED_ORDERS
 from semlink.errors import ConfigError, DomainError
 from oracles import (
     beta_for,
+    exact_params,
     plan_groups,
     plan_symbol_count,
     q_inverse,

@@ -12,7 +12,6 @@ from semlink.bsec import (
     RobustnessProfile,
     analytic_params,
     erasure_from_mu_array,
-    exact_params,
     sample_mu_matrix,
 )
 from semlink.errors import DomainError
@@ -23,7 +22,7 @@ from semlink.numerics import (
     q_inverse_array,
 )
 
-from oracles import q_function, q_inverse
+from oracles import exact_params, q_function, q_inverse
 
 Q05 = 0.3085375387259869
 Q15 = 0.0668072012688581

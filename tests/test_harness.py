@@ -16,7 +16,7 @@ from semlink.adaptmod import (
     symbol_runs,
     threshold_table,
 )
-from semlink.bsec import RobustnessProfile, analytic_params, exact_params
+from semlink.bsec import RobustnessProfile, analytic_params
 from semlink.channel import (
     FixedSnr,
     UniformMagnitude,
@@ -41,6 +41,7 @@ from semlink.jscc import TrainingConfig, build_models, train
 from semlink.numerics import RandomSource
 
 from oracles import (
+    exact_params,
     link_montecarlo_per_chunk,
     mean_adaptive_se,
     plan_groups,
@@ -131,7 +132,7 @@ class TestLinkMonteCarlo:
     def test_equals_whole_array_run(self, order, a, snr_db):
         """The run equals the reference that carries each chunk as whole arrays
         through transmit and equalize, at and around the chunk edges."""
-        edge = harness.LINK_CHUNK_BITS // order * order  # bits in one full chunk
+        edge = harness.CHUNK_ENTRIES // order * order  # bits in one full chunk
         for n_bits in (1, 5, 7, edge - 1, edge, edge + 1, 2 * edge + 3, 3 * edge - 2,
                        10**5 + 1):
             assert run_link_montecarlo(order, snr_db, a, n_bits, RandomSource(48)) == \
@@ -142,7 +143,7 @@ class TestLinkMonteCarlo:
     def test_16_chunk_run_equals_whole_array_run(self, order, a):
         """A 16-chunk run ending in a short chunk equals the whole-array
         reference."""
-        n_bits = 16 * (harness.LINK_CHUNK_BITS // order * order) - order - 1
+        n_bits = 16 * (harness.CHUNK_ENTRIES // order * order) - order - 1
         assert run_link_montecarlo(order, 6.0, a, n_bits, RandomSource(54)) == \
             link_montecarlo_per_chunk(order, 6.0, a, n_bits, RandomSource(54))
 
@@ -150,7 +151,7 @@ class TestLinkMonteCarlo:
         """A run of several chunks needs no os.sched_getaffinity, which only
         some platforms have."""
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        n_bits = 3 * harness.LINK_CHUNK_BITS + 1
+        n_bits = 3 * harness.CHUNK_ENTRIES + 1
         assert run_link_montecarlo(2, 6.0, 0.5, n_bits, RandomSource(57)) == \
             link_montecarlo_per_chunk(2, 6.0, 0.5, n_bits, RandomSource(57))
 
@@ -167,7 +168,7 @@ class TestLinkMonteCarlo:
 
         monkeypatch.setattr(RandomSource, "bits", recorded_bits)
         before = threading.active_count()
-        run_link_montecarlo(2, 6.0, 0.5, n_chunks * harness.LINK_CHUNK_BITS, RandomSource(55))
+        run_link_montecarlo(2, 6.0, 0.5, n_chunks * harness.CHUNK_ENTRIES, RandomSource(55))
         assert threading.active_count() == before
         assert len(seen) == n_chunks
         assert seen[0] == (threading.get_ident(), before)
@@ -180,7 +181,7 @@ class TestLinkMonteCarlo:
     def test_run_under_fast_switching_equals_whole_array_run(self, order):
         """With threads switching every microsecond, a 9-chunk run equals the
         whole-array reference: no noise buffer is refilled while it is carried."""
-        n_bits = 9 * harness.LINK_CHUNK_BITS - 1
+        n_bits = 9 * harness.CHUNK_ENTRIES - 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -204,7 +205,7 @@ class TestLinkMonteCarlo:
         monkeypatch.setattr(RandomSource, "bits", failing_bits)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="third draw"):
-            run_link_montecarlo(2, 6.0, 0.5, 8 * harness.LINK_CHUNK_BITS, RandomSource(53))
+            run_link_montecarlo(2, 6.0, 0.5, 8 * harness.CHUNK_ENTRIES, RandomSource(53))
         assert threading.active_count() == before
         assert len(calls) == 3
 
@@ -223,7 +224,7 @@ class TestLinkMonteCarlo:
         monkeypatch.setattr(harness, "demod_robust", failing_demod)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="second carry"):
-            run_link_montecarlo(4, 6.0, 0.5, 8 * harness.LINK_CHUNK_BITS, RandomSource(53))
+            run_link_montecarlo(4, 6.0, 0.5, 8 * harness.CHUNK_ENTRIES, RandomSource(53))
         assert threading.active_count() == before
         assert len(calls) == 2
 
@@ -328,6 +329,12 @@ class TestTransportBlock:
     def test_zero_bit_plan_rejected(self):
         with pytest.raises(ConfigError, match="plan covers no bits"):
             transport_block(np.zeros((1, 0)), ModPlan(()), np.zeros(0), 1.0, RandomSource(14))
+
+    @pytest.mark.parametrize("n_orders", [36, 38])
+    def test_plan_must_cover_the_bits(self, n_orders):
+        bits = RandomSource(13).bits(37).reshape(1, 37)
+        with pytest.raises(ConfigError, match=f"plan covers {n_orders} bits, not 37"):
+            transport_block(bits, ModPlan((2,) * n_orders), np.zeros(37), 1.0, RandomSource(14))
 
     @pytest.mark.parametrize("n_offsets", [36, 38])
     def test_offset_count_must_match_plan(self, n_offsets):

@@ -4,8 +4,8 @@ every public library function is read by the library.
 No linter ships with the project, so this is its unused-import check. A
 name counts as read if it is loaded anywhere in its module, or in a string
 that parses as an expression, as a quoted annotation does. Scopes are not
-told apart. Package `__init__` files are left out: their imports are the
-package's exports. An import statement whose first line carries
+told apart. Package `__init__` files are left out: the package's one
+imports its submodules only so that `import semlink` loads them. An import statement whose first line carries
 `# noqa: F401` is kept on purpose, for example so that a tracer can patch the
 name where it is used.
 
@@ -86,9 +86,9 @@ def test_no_unused_imports():
 
 
 # Read by no library code; each entry names its callers and, where one is
-# planned, the ROADMAP item that removes it.
+# planned, the ROADMAP item that removes it. All six are read by benchmarks/;
+# code that only tests read lives in tests/oracles.py.
 UNREAD_BY_LIBRARY = {
-    "exact_params",  # criteria 4 and 12; item 2 moves its scalar loop to the oracles
     "eval_under_bsec",  # the train-robust workload and criteria 9 and 12
     "warmup_only_config",  # the train-robust workload and criteria 9 and 12
     # benchmarks/tracing.py patches these four by name; item 7 deletes them

@@ -255,6 +255,18 @@ class TestRandomSource:
         with pytest.raises(DomainError, match="n >= 0"):
             src.bits(-1)
 
+    @pytest.mark.parametrize("before", [2, 3], ids=["no-pending-half", "pending-half"])
+    def test_zero_bits_draw_nothing(self, before):
+        """bits(0) is an empty uint8 array and leaves the stream as it was, a
+        32-bit half left pending by an odd count included."""
+        src, twin = RandomSource(29), RandomSource(29)
+        src.bits(before)
+        twin.bits(before)
+        got = src.bits(0)
+        assert got.dtype == np.uint8 and got.shape == (0,)
+        assert_same_state(src, twin)
+        np.testing.assert_array_equal(src.bits(5), twin.bits(5))
+
     def test_seed_validation(self):
         with pytest.raises(DomainError):
             RandomSource(-1)
