@@ -3,10 +3,11 @@
 A BSEC carries a bit through unchanged with probability r, erases it to 0.5
 with probability d, and flips it with probability mu (mu + d + r = 1). Setting
 d = 0 recovers a BSC, mu = 0 a BEC. The paper's closed form takes (order,
-snr, a) to (mu, d, r); it keeps only the nearest boundary, drives the adaptive
-thresholds, and gives the training-time sampler its erasure law. The link's
-exact map, which integrates the noise over the boundary demodulator's own
-decision intervals, is a test reference (tests/oracles.py).
+snr, a) to (mu, d, r); it keeps only the nearest boundary and drives the
+adaptive thresholds, and its inverse in mu gives the training-time sampler
+each bit's erasure law at that bit's own offset a. The link's exact map,
+which integrates the noise over the boundary demodulator's own decision
+intervals, is a test reference (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -81,21 +82,37 @@ class RobustnessProfile:
         return cls(alphas, np.full(n, float(a)))
 
 
-def erasure_from_mu_array(mu: np.ndarray) -> np.ndarray:
+def erasure_from_mu_array(mu: np.ndarray, order: int, a) -> np.ndarray:
     """Erasure probabilities matched to sampled flip probabilities.
 
-    d = Q(Q^-1(mu)/3) - mu elementwise, the 4-QAM relation at boundary offset
-    0.5. Zero entries map to zero by continuity, and the expression gives that
-    exactly: Q^-1(0) = inf without a warning, and Q(inf) = 0. Every step
-    after the check runs in the one result buffer.
+    The closed form of analytic_params solved for d at the flip rate mu:
+    d = pref Q(Q^-1(mu/pref) (1-a)/(1+a)) - mu elementwise, with pref =
+    (4/m)(1 - 2^(-m/2)) and a, each bit's boundary offset, broadcast over
+    mu's rows. The quantile is scaled as (q (1-a)) / (1+a), so at order 2
+    (pref = 1) and a = 0.5 the bytes are those of Q(Q^-1(mu)/3) - mu.
+    Q^-1(0) = inf comes without a warning; it is clipped to the largest
+    float, so a zero flip rate maps to Q(huge) - 0 = 0 for a < 1 and to the
+    limit pref/2 at a = 1, where the factor is 0. d is clamped at 0 against
+    rounding (at a = 0 it is 0 up to an ulp). Every step after the checks
+    runs in the one result buffer.
     """
+    m = check_order(order)
+    pref = (4.0 / m) * (1.0 - 2.0 ** (-m / 2))
     mu = np.asarray(mu, dtype=float)
-    if not np.all((mu >= 0) & (mu < 0.5)):
-        raise DomainError("flip probabilities must lie in [0, 0.5)")
-    d = q_inverse_array(mu, out=np.empty(mu.shape))
-    d /= 3.0
+    a = np.asarray(a, dtype=float)
+    if not np.all((mu >= 0) & (mu < pref / 2)):
+        raise DomainError(f"flip probabilities must lie in [0, {pref / 2:g})")
+    if not np.all((a >= 0) & (a <= 1)):
+        raise DomainError("boundary offsets must lie in [0, 1]")
+    d = np.divide(mu, pref, out=np.empty(mu.shape))
+    q_inverse_array(d, out=d)
+    np.minimum(d, np.finfo(float).max, out=d)
+    d *= 1.0 - a
+    d /= 1.0 + a
     q_function_array(d, out=d)
+    d *= pref
     d -= mu
+    np.maximum(d, 0.0, out=d)
     return d
 
 

@@ -2,14 +2,16 @@
 
 The encoder emits per-bit Bernoulli probabilities (sigmoid output layer). For
 each training example, per-bit flip probabilities are drawn uniformly up to
-the profile's robustness levels, matched erasure probabilities are derived in
-closed form, and the decoder input is drawn in one step from the marginal law
-over {0, 0.5, 1}. The sampling stage is non-differentiable, so gradients at
-the decoder input pass through to the encoder's probabilities unchanged.
-A warm-up period trains with a noiseless latent channel first. A noiseless
-batch (warm-up, or a zero profile) skips the flip-probability draw exactly,
-moving the noise stream past it, and samples plain Bernoulli bits, so its
-bytes equal a run that draws mu and scales it by zero.
+the profile's robustness levels, matched erasure probabilities are derived
+from the order-2 closed form at each bit's own boundary offset, and the
+decoder input is drawn in one step from the marginal law over {0, 0.5, 1}.
+The sampling stage is non-differentiable, so gradients at the decoder input
+pass through to the encoder's probabilities unchanged. A warm-up period
+trains with a noiseless latent channel first. A noiseless batch (warm-up, or
+a zero profile with no bit at offset 1) skips the flip-probability draw
+exactly, moving the noise stream past it, and samples plain Bernoulli bits,
+so its bytes equal a run that draws mu and scales it by zero. At offset 1 a
+bit is erased half the time even at mu = 0, so such a profile is sampled.
 
 The reconstruction term is plain squared error. Viewing the decoder as
 Gaussian with some fixed isotropic variance would only wrap that error in
@@ -174,7 +176,9 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     y = np.asarray(dataset.labels, dtype=np.int64)
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
     opt = AdamState([models.encoder, models.decoder, models.classifier])
-    alphas = config.profile.alphas
+    alphas, a_offsets = config.profile.alphas, config.profile.a_offsets
+    # d is 0 at mu = 0 but at offset 1, where it is 1/2
+    silent_profile = not alphas.any() and not (a_offsets == 1.0).any()
     result = TrainResult(models=models)
 
     # a diverging run overflows before its loss turns non-finite; that check
@@ -182,8 +186,8 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = shuffle_rng.permutation(len(x))
-            # mu is exactly 0 in warm-up and under a zero profile, and so is d
-            noiseless = epoch < config.warmup_epochs or not alphas.any()
+            # mu and d are exactly 0 in warm-up and under a silent profile
+            noiseless = epoch < config.warmup_epochs or silent_profile
             tot_loss = tot_mse = tot_ce = 0.0
             correct = 0
             n_batches = 0
@@ -199,7 +203,8 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
                     b_hat = sample_latent_bits(f, noise_rng).astype(np.float64)
                 else:
                     mu = sample_mu_matrix(alphas, len(xb), noise_rng)
-                    b_hat = noisy_latent_sample(f, mu, erasure_from_mu_array(mu), noise_rng)
+                    d = erasure_from_mu_array(mu, 2, a_offsets)
+                    b_hat = noisy_latent_sample(f, mu, d, noise_rng)
                 loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
                                                              config.loss_weight)
                 if not math.isfinite(loss):

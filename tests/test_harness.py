@@ -16,7 +16,7 @@ from semlink.adaptmod import (
     symbol_runs,
     threshold_table,
 )
-from semlink.bsec import RobustnessProfile, analytic_params
+from semlink.bsec import RobustnessProfile, analytic_params, erasure_from_mu_array
 from semlink.channel import (
     FixedSnr,
     UniformMagnitude,
@@ -37,7 +37,7 @@ from semlink.harness import (
     transport_block,
     trit_histogram_bsec,
 )
-from semlink.jscc import TrainingConfig, build_models, train
+from semlink.jscc import TrainingConfig, build_models, noisy_latent_sample, train
 from semlink.numerics import RandomSource
 
 from oracles import (
@@ -392,6 +392,23 @@ class TestStatisticalEquivalence:
         h_bsec = trit_histogram_bsec(1.0, 0.5, 10**5, RandomSource(78))
         _, p = chi_square_homogeneity(h_link, h_bsec)
         assert p > 0.01
+
+    def test_training_sampler_matches_the_link_at_its_offset(self):
+        """Training's sampler at a = 0.25, with mu fixed at the closed form's
+        flip rate, then the erasure map, then the latent sampler on sure bits,
+        gives the order-2 link's trit law. The a = 0.5 map erases about twice
+        as often there, and the test tells it apart."""
+        snr, a, n = 1.0, 0.25, 10**5
+        h_link = link_histogram(snr, a, n, RandomSource(82))
+        bits = RandomSource(83).bits(n)
+        mu = np.full(n, analytic_params(2, snr, a).mu)
+        for offset, accept in ((a, True), (0.5, False)):
+            d = erasure_from_mu_array(mu, 2, offset)
+            trits = noisy_latent_sample(bits, mu, d, RandomSource(84))
+            erasures = np.count_nonzero(trits == 0.5)
+            corrects = np.count_nonzero(trits == bits)
+            _, p = chi_square_homogeneity(h_link, [n - erasures - corrects, erasures, corrects])
+            assert p > 0.01 if accept else p < 1e-6
 
     def test_chi_square_rejects_mismatched_channels(self):
         h_link = link_histogram(1.0, 0.5, 10**5, RandomSource(79))

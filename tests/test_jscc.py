@@ -311,6 +311,28 @@ class TestTraining:
         for ma, mb in zip(a.metrics, b.metrics):
             assert ma.loss == mb.loss
 
+    def test_zero_alpha_bits_at_offset_one_are_sampled(self, monkeypatch):
+        """A zero profile with a bit at offset 1 stays on the sampled path:
+        at mu = 0 the map erases that bit half the time, and only it."""
+        from semlink import jscc
+
+        seen = []
+        real = jscc.noisy_latent_sample
+
+        def recorded(f, mu, d, rng):
+            seen.append(np.array(d))
+            return real(f, mu, d, rng)
+
+        monkeypatch.setattr(jscc, "noisy_latent_sample", recorded)
+        a_offsets = np.array([1.0, 0.5, 0.0, 1.0])
+        cfg = TrainingConfig(profile=RobustnessProfile(np.zeros(4), a_offsets),
+                             epochs=2, warmup_epochs=1, batch_size=32, seed=7,
+                             enc_hidden=(8,), dec_hidden=(8,), clf_hidden=(8,))
+        train(tiny_dataset(), cfg)
+        assert len(seen) == 4  # the second epoch's batches; warm-up stays noiseless
+        for d in seen:
+            np.testing.assert_array_equal(d, np.broadcast_to([0.5, 0.0, 0.0, 0.5], d.shape))
+
     def test_divergence_raises_with_epoch(self):
         features = np.full((8, 4), 1e200)
         ds = Dataset(features=features, labels=np.zeros(8, dtype=np.int64), n_classes=1)
