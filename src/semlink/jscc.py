@@ -203,8 +203,8 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
                     b_hat = sample_latent_bits(f, noise_rng).astype(np.float64)
                 else:
                     mu = sample_mu_matrix(alphas, len(xb), noise_rng)
-                    d = erasure_from_mu_array(mu, 2, a_offsets)
-                    b_hat = noisy_latent_sample(f, mu, d, noise_rng)
+                    b_hat = noisy_latent_sample(f, mu, erasure_from_mu_array(mu, 2, a_offsets),
+                                                noise_rng)
                 loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
                                                              config.loss_weight)
                 if not math.isfinite(loss):

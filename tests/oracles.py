@@ -5,8 +5,9 @@ and _bit_of_word, and max-log per-axis LLRs thresholded into trits by
 demod_llr) with rho_from_a, the offset's equivalent LLR threshold, the
 scalar q_function and q_inverse, the scalar symbol-grouping rule, the scalar
 channel draw and threshold rule, the adaptive SE, the two-branch sigmoid,
-the exact link map exact_params, the per-chunk link Monte Carlo, the block-by-block end-to-end pass with its
-per-group transport, and the whole-array evaluation under a fixed BSEC."""
+the link's exact BSEC map exact_params, the per-chunk link Monte Carlo, the
+block-by-block end-to-end pass with its per-group transport, and the
+whole-array evaluation under a fixed BSEC."""
 
 import functools
 import math

@@ -5,9 +5,9 @@ No linter ships with the project, so this is its unused-import check. A
 name counts as read if it is loaded anywhere in its module, or in a string
 that parses as an expression, as a quoted annotation does. Scopes are not
 told apart. Package `__init__` files are left out: the package's one
-imports its submodules only so that `import semlink` loads them. An import statement whose first line carries
-`# noqa: F401` is kept on purpose, for example so that a tracer can patch the
-name where it is used.
+imports its submodules only so that `import semlink` loads them. An import
+statement whose first line carries `# noqa: F401` is kept on purpose, for
+example so that a tracer can patch the name where it is used.
 
 A public module-level function of `src/semlink` must be loaded, as a name or
 an attribute, somewhere in `src/semlink` outside its own body; an import is
