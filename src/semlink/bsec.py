@@ -82,35 +82,30 @@ class RobustnessProfile:
         return cls(alphas, np.full(n, float(a)))
 
 
-def erasure_from_mu_array(mu: np.ndarray, order: int, a) -> np.ndarray:
+def erasure_from_mu_array(mu: np.ndarray, a) -> np.ndarray:
     """Erasure probabilities matched to sampled flip probabilities.
 
-    The closed form of analytic_params solved for d at the flip rate mu:
-    d = pref Q(Q^-1(mu/pref) (1-a)/(1+a)) - mu elementwise, with pref =
-    (4/m)(1 - 2^(-m/2)) and a, each bit's boundary offset, broadcast over
-    mu's rows. The quantile is scaled as (q (1-a)) / (1+a), so at order 2
-    (pref = 1) and a = 0.5 the bytes are those of Q(Q^-1(mu)/3) - mu.
+    The order-2 closed form of analytic_params solved for d at the flip rate
+    mu: d = Q(Q^-1(mu) (1-a)/(1+a)) - mu elementwise, with a, each bit's
+    boundary offset, broadcast over mu's rows. The quantile is scaled as
+    (q (1-a)) / (1+a), so at a = 0.5 the bytes are those of Q(Q^-1(mu)/3) - mu.
     Q^-1(0) = inf comes without a warning; it is clipped to the largest
     float, so a zero flip rate maps to Q(huge) - 0 = 0 for a < 1 and to the
-    limit pref/2 at a = 1, where the factor is 0. d is clamped at 0 against
+    limit 1/2 at a = 1, where the factor is 0. d is clamped at 0 against
     rounding (at a = 0 it is 0 up to an ulp). Every step after the checks
     runs in the one result buffer.
     """
-    m = check_order(order)
-    pref = (4.0 / m) * (1.0 - 2.0 ** (-m / 2))
     mu = np.asarray(mu, dtype=float)
     a = np.asarray(a, dtype=float)
-    if not np.all((mu >= 0) & (mu < pref / 2)):
-        raise DomainError(f"flip probabilities must lie in [0, {pref / 2:g})")
+    if not np.all((mu >= 0) & (mu < 0.5)):
+        raise DomainError("flip probabilities must lie in [0, 0.5)")
     if not np.all((a >= 0) & (a <= 1)):
         raise DomainError("boundary offsets must lie in [0, 1]")
-    d = np.divide(mu, pref, out=np.empty(mu.shape))
-    q_inverse_array(d, out=d)
+    d = q_inverse_array(mu, out=np.empty(mu.shape))
     np.minimum(d, np.finfo(float).max, out=d)
     d *= 1.0 - a
     d /= 1.0 + a
     q_function_array(d, out=d)
-    d *= pref
     d -= mu
     np.maximum(d, 0.0, out=d)
     return d

@@ -177,8 +177,8 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
     opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas, a_offsets = config.profile.alphas, config.profile.a_offsets
-    # d is 0 at mu = 0 but at offset 1, where it is 1/2
-    silent_profile = not alphas.any() and not (a_offsets == 1.0).any()
+    # with every alpha at 0, mu is 0: the profile is silent if d(0, a) is 0 too
+    silent_profile = not alphas.any() and not erasure_from_mu_array(alphas, a_offsets).any()
     result = TrainResult(models=models)
 
     # a diverging run overflows before its loss turns non-finite; that check
@@ -203,7 +203,7 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
                     b_hat = sample_latent_bits(f, noise_rng).astype(np.float64)
                 else:
                     mu = sample_mu_matrix(alphas, len(xb), noise_rng)
-                    b_hat = noisy_latent_sample(f, mu, erasure_from_mu_array(mu, 2, a_offsets),
+                    b_hat = noisy_latent_sample(f, mu, erasure_from_mu_array(mu, a_offsets),
                                                 noise_rng)
                 loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
                                                              config.loss_weight)

@@ -14,7 +14,7 @@ from semlink.bsec import (
     erasure_from_mu_array,
     sample_mu_matrix,
 )
-from semlink.errors import ConfigError, DomainError
+from semlink.errors import DomainError
 from semlink.jscc import noisy_latent_sample
 from semlink.numerics import (
     RandomSource,
@@ -109,12 +109,12 @@ class TestSampleMu:
 class TestErasureFromMu:
     def test_frozen_value(self):
         # mu = Q(1.5) -> d = Q(0.5) - Q(1.5)
-        d = erasure_from_mu_array(np.array([Q15]), 2, 0.5)[0]
+        d = erasure_from_mu_array(np.array([Q15]), 0.5)[0]
         assert d == pytest.approx(Q05 - Q15, abs=1e-10)
 
     def test_continuity_at_zero(self):
         # the decay is slow (Q of a third of the quantile) but monotone to 0
-        d = erasure_from_mu_array(np.array([0.0, 1e-4, 1e-12, 1e-50, 1e-300]), 2, 0.5)
+        d = erasure_from_mu_array(np.array([0.0, 1e-4, 1e-12, 1e-50, 1e-300]), 0.5)
         assert d[0] == 0.0
         seq = d[1:]
         assert all(a > b for a, b in zip(seq, seq[1:]))
@@ -123,49 +123,40 @@ class TestErasureFromMu:
     def test_domain(self):
         for bad in (0.5, -0.01, math.nan):
             with pytest.raises(DomainError):
-                erasure_from_mu_array(np.array([0.1, bad]), 2, 0.5)
+                erasure_from_mu_array(np.array([0.1, bad]), 0.5)
 
-    @pytest.mark.parametrize("mu,order,a,message", [
-        (0.375, 4, 0.5, r"flip probabilities must lie in \[0, 0.375\)"),
-        (0.3, 6, 0.5, r"flip probabilities must lie in \[0, 0.291667\)"),
-        (0.1, 2, 1.5, r"boundary offsets must lie in \[0, 1\]"),
-        (0.1, 2, math.nan, r"boundary offsets must lie in \[0, 1\]"),
-        (0.1, 3, 0.5, "unsupported modulation order 3"),
-    ], ids=["order4-mu", "order6-mu", "offset", "offset-nan", "order"])
-    def test_domain_per_order_and_offset(self, mu, order, a, message):
-        # an order outside (2, 4, 6) is a ConfigError, as for analytic_params
-        with pytest.raises(ConfigError if order == 3 else DomainError, match=message):
-            erasure_from_mu_array(np.array([0.0, mu]), order, np.array([0.5, a]))
+    @pytest.mark.parametrize("a", (1.5, -0.01, math.nan), ids=["above", "below", "nan"])
+    def test_offset_domain(self, a):
+        with pytest.raises(DomainError, match=r"boundary offsets must lie in \[0, 1\]"):
+            erasure_from_mu_array(np.array([0.0, 0.1]), np.array([0.5, a]))
 
     def test_consistency_with_analytic_params(self):
         for snr in (0.5, 1.0, 2.0, 4.0):
             p = analytic_params(2, snr, 0.5)
-            assert erasure_from_mu_array(np.array([p.mu]), 2, 0.5)[0] == \
+            assert erasure_from_mu_array(np.array([p.mu]), 0.5)[0] == \
                 pytest.approx(p.d, abs=1e-10)
 
-    @pytest.mark.parametrize("order", (2, 4, 6))
     @pytest.mark.parametrize("a", (0.0, 0.25, 0.75, 1.0))
-    def test_inverts_analytic_params(self, order, a):
+    def test_inverts_analytic_params(self, a):
         """At each offset, the map takes a closed-form triple's mu back to its d."""
         for snr in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0):
-            p = analytic_params(order, snr, a)
-            d = erasure_from_mu_array(np.array([p.mu]), order, a)[0]
+            p = analytic_params(2, snr, a)
+            d = erasure_from_mu_array(np.array([p.mu]), a)[0]
             assert d == pytest.approx(p.d, abs=1e-12), snr
 
     def test_offset_one_takes_the_limit(self):
         """At a = 1, Q^-1(0) = inf meets the factor 1 - a = 0: the map gives
-        the limit pref/2 - mu, with no NaN and no warning."""
+        the limit 1/2 - mu, with no NaN and no warning."""
         mu = np.array([0.0, 1e-300, 0.1, 0.3])
-        np.testing.assert_array_equal(erasure_from_mu_array(mu, 2, 1.0), 0.5 - mu)
-        assert erasure_from_mu_array(np.zeros(1), 4, 1.0)[0] == 0.375
+        np.testing.assert_array_equal(erasure_from_mu_array(mu, 1.0), 0.5 - mu)
 
     def test_offsets_apply_per_bit(self):
         """A row of offsets applies column by column, as one call per offset."""
         mu = sample_mu_matrix(np.full(5, 0.45), 40, RandomSource(12))
         a = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        got = erasure_from_mu_array(mu, 2, a)
+        got = erasure_from_mu_array(mu, a)
         for j in range(a.size):
-            np.testing.assert_array_equal(got[:, j], erasure_from_mu_array(mu[:, j], 2, a[j]))
+            np.testing.assert_array_equal(got[:, j], erasure_from_mu_array(mu[:, j], a[j]))
         assert np.all(got >= 0.0)
 
     def test_same_bits_as_the_composed_map(self):
@@ -174,7 +165,7 @@ class TestErasureFromMu:
         mu = sample_mu_matrix(np.full(64, 0.4), 256, RandomSource(11))
         mu[0, :5] = (0.0, 1e-300, 1e-12, 0.25, np.nextafter(0.5, 0.0))
         want = q_function_array(q_inverse_array(mu) / 3.0) - mu
-        got = erasure_from_mu_array(mu, 2, np.full(64, 0.5))
+        got = erasure_from_mu_array(mu, np.full(64, 0.5))
         assert got.shape == mu.shape
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -332,13 +323,13 @@ class TestProfiles:
     def test_zero_profile_samples_noiseless(self):
         profile = RobustnessProfile.homogeneous(8, 0.0)
         mu = sample_mu_matrix(profile.alphas, 1, RandomSource(8))[0]
-        d = erasure_from_mu_array(mu, 2, profile.a_offsets)
+        d = erasure_from_mu_array(mu, profile.a_offsets)
         assert all(BsecParams(m, e, 1.0 - m - e) == BsecParams(0.0, 0.0, 1.0) for m, e in zip(mu, d))
 
     def test_sampled_pairs_satisfy_matching_relation(self):
         profile = RobustnessProfile.homogeneous(64, 0.4)
         mu = sample_mu_matrix(profile.alphas, 1, RandomSource(9))[0]
-        for m, e in zip(mu, erasure_from_mu_array(mu, 2, profile.a_offsets)):
+        for m, e in zip(mu, erasure_from_mu_array(mu, profile.a_offsets)):
             p = BsecParams(m, e, 1.0 - m - e)
             assert p.d == pytest.approx(q_function(q_inverse(m) / 3.0) - m, abs=1e-14)
             assert p.r == pytest.approx(1 - p.mu - p.d, abs=1e-14)

@@ -403,7 +403,7 @@ class TestStatisticalEquivalence:
         bits = RandomSource(83).bits(n)
         mu = np.full(n, analytic_params(2, snr, a).mu)
         for offset, accept in ((a, True), (0.5, False)):
-            d = erasure_from_mu_array(mu, 2, offset)
+            d = erasure_from_mu_array(mu, offset)
             trits = noisy_latent_sample(bits, mu, d, RandomSource(84))
             erasures = np.count_nonzero(trits == 0.5)
             corrects = np.count_nonzero(trits == bits)
