@@ -407,6 +407,32 @@ class TestCommands:
         assert_one_line_error(*run_cli(capsys, *argv),
                               f"error: boundary offset must lie in [0, 1], got {float(a)}\n")
 
+    def test_non_ascending_thresholds_name_the_first_bit(self, capsys):
+        # these betas fail the ramp's first bit already
+        code, out, err = run_cli(capsys, "adaptive-plan", "--snr-db", "0", "--profile",
+                                 str(RAMP96), "--betas", "0.01,0.99,0.99")
+        assert (code, out) == (1, "")
+        assert err == ("error: thresholds not ascending for alpha=0.29, a=0.5: "
+                       "tau2=1.83925, tau4=0.444434, tau6=0.0599541\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("adaptive-plan", "--snr-db", "0"),
+        ("train", *TINY_TRAIN),
+        ("eval", "--model-dir", str(GOLDEN_MODELS), *GOLDEN_DATA, "--snr-db", "0:0:1"),
+    ], ids=["adaptive-plan", "train", "eval"])
+    @pytest.mark.parametrize("text,message", [
+        ("0,0.3,0.5\n1,0.3,0.5\n2,0.6,0.5\n",
+         "robustness levels must lie in [0, 0.5], got 0.6 at bit 2"),
+        ("0,0.3,0.5\n1,0.3,1.5\n", "boundary offsets must lie in [0, 1], got 1.5 at bit 1"),
+    ], ids=["alpha", "offset"])
+    def test_out_of_range_profile_names_file_and_bit(self, capsys, tmp_path, argv, text,
+                                                      message):
+        path = tmp_path / "bad.profile"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
     def test_selfcheck_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck", "--seed", "11")
         assert code == 0
