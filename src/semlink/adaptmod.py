@@ -40,44 +40,6 @@ HOMOGENEOUS_BETAS = BetaAdjusters(0.6599, 0.6003, 0.5553)
 HETEROGENEOUS_BETAS = BetaAdjusters(1.0, 0.6, 0.5)
 
 
-def thresholds(alpha, a, betas: BetaAdjusters) -> np.ndarray:
-    """(..., 3) array of sqrt-SNR thresholds (tau_2, tau_4, tau_6) per alpha and a.
-
-    Above tau_M, order M meets its flip-rate budget beta_M * alpha. alpha and
-    a may be arrays that broadcast together, one entry per bit. alpha must lie
-    in [0, 0.5], a profile's range, and a in [0, 1]; a value outside is a
-    domain error naming the first offending bit. Alpha 0 gives infinite
-    thresholds, so no order meets it and the bit rides order 2. The inverse
-    tail function's argument stays below 1; one above 1/2 gives a negative
-    root, clamped to 0. Raises ConfigError, naming the first offending bit,
-    if a row is not ascending.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    bad = ~((0.0 <= a) & (a <= 1.0))
-    if np.any(bad):
-        raise DomainError(f"boundary offset must lie in [0, 1], got {a[bad].flat[0]}")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    bad = ~((0.0 <= alpha) & (alpha <= 0.5))
-    if np.any(bad):
-        raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha[bad].flat[0]}")
-    m = np.array(SUPPORTED_ORDERS)
-    root = np.sqrt(1 << m)
-    beta = np.array([betas.beta2, betas.beta4, betas.beta6])
-    arg = m * root / (4.0 * (root - 1.0)) * beta * alpha[..., None]
-    t = np.sqrt(((1 << m) - 1) / 3.0) * q_inverse_array(arg) / (1.0 + a[..., None])
-    t = np.maximum(t, 0.0)
-    bad = ~((t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2]))
-    if np.any(bad):
-        alpha, a = np.broadcast_arrays(alpha, a)
-        i = np.flatnonzero(bad)[0]
-        t2, t4, t6 = t.reshape(-1, 3)[i]
-        raise ConfigError(
-            f"thresholds not ascending for alpha={alpha.flat[i]}, a={a.flat[i]}: "
-            f"tau2={t2:.6g}, tau4={t4:.6g}, tau6={t6:.6g}"
-        )
-    return t
-
-
 def symbol_runs(orders) -> tuple[np.ndarray, ...]:
     """Maximal same-order runs of each row of a (blocks, n_bits) order matrix.
 
@@ -106,8 +68,31 @@ class ModPlan:
 
 
 def threshold_table(profile: RobustnessProfile, betas: BetaAdjusters) -> np.ndarray:
-    """(n_bits, 3) array of per-bit (tau_2, tau_4, tau_6)."""
-    return thresholds(profile.alphas, profile.a_offsets, betas)
+    """(n_bits, 3) array of per-bit sqrt-SNR thresholds (tau_2, tau_4, tau_6).
+
+    Above tau_M, order M meets bit i's flip-rate budget beta_M * alpha_i; the
+    profile holds each alpha_i in [0, 0.5] and offset a_i in [0, 1]. Alpha 0
+    gives infinite thresholds, so no order meets it and the bit rides order 2.
+    The inverse tail function's argument stays below 1; one above 1/2 gives a
+    negative root, clamped to 0. Raises ConfigError, naming the first
+    offending bit, if a row is not ascending.
+    """
+    m = np.array(SUPPORTED_ORDERS)
+    root = np.sqrt(1 << m)
+    beta = np.array([betas.beta2, betas.beta4, betas.beta6])
+    alpha, a = profile.alphas, profile.a_offsets
+    arg = m * root / (4.0 * (root - 1.0)) * beta * alpha[:, None]
+    t = np.sqrt(((1 << m) - 1) / 3.0) * q_inverse_array(arg) / (1.0 + a[:, None])
+    t = np.maximum(t, 0.0)
+    bad = np.flatnonzero(~((t[:, 0] <= t[:, 1]) & (t[:, 1] <= t[:, 2])))
+    if bad.size:
+        i = bad[0]
+        t2, t4, t6 = t[i]
+        raise ConfigError(
+            f"thresholds not ascending for alpha={alpha[i]}, a={a[i]}: "
+            f"tau2={t2:.6g}, tau4={t4:.6g}, tau6={t6:.6g}"
+        )
+    return t
 
 
 def orders_from_thresholds(snr, table: np.ndarray) -> np.ndarray:

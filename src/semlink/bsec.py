@@ -46,8 +46,10 @@ class RobustnessProfile:
     a_offsets: np.ndarray
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        a_offsets = np.asarray(self.a_offsets, dtype=float)
+        # read-only copies, so the range check below holds for the profile's life
+        alphas = np.array(self.alphas, dtype=np.float64)
+        a_offsets = np.array(self.a_offsets, dtype=np.float64)
+        alphas.flags.writeable = a_offsets.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "a_offsets", a_offsets)
         if alphas.shape != a_offsets.shape or alphas.ndim != 1 or alphas.size == 0:

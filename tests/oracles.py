@@ -238,13 +238,9 @@ def beta_for(order: int, betas: BetaAdjusters) -> float:
 
 
 def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> float:
-    """One order's column of adaptmod.thresholds for one bit, in Python floats,
-    before the ascending check."""
+    """One order's column of adaptmod.threshold_table for one bit, in Python
+    floats, before the ascending check; alpha and a lie in a profile's ranges."""
     m = check_order(order)
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"boundary offset must lie in [0, 1], got {a}")
-    if not (0.0 <= alpha <= 0.5):
-        raise DomainError(f"robustness level must lie in [0, 0.5], got {alpha}")
     root = math.sqrt(1 << m)
     arg = m * root / (4.0 * (root - 1.0)) * beta_for(m, betas) * alpha
     q_inv = q_inverse(arg) if arg > 0 else math.inf  # a zero budget: no order meets it
@@ -253,7 +249,7 @@ def tau_scalar(order: int, alpha: float, a: float, betas: BetaAdjusters) -> floa
 
 
 def thresholds_scalar(alpha: float, a: float, betas: BetaAdjusters) -> tuple[float, float, float]:
-    """adaptmod.thresholds for one bit through tau_scalar."""
+    """One row of adaptmod.threshold_table through tau_scalar."""
     t = tuple(tau_scalar(m, alpha, a, betas) for m in SUPPORTED_ORDERS)
     if not (t[0] <= t[1] <= t[2]):
         raise ConfigError(

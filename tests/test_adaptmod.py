@@ -16,7 +16,6 @@ from semlink.adaptmod import (
     plan_from_thresholds,
     symbol_runs,
     threshold_table,
-    thresholds,
 )
 from semlink.bsec import RobustnessProfile, analytic_params
 from semlink.constellation import SUPPORTED_ORDERS
@@ -35,6 +34,12 @@ from oracles import (
 UNIT_BETAS = BetaAdjusters(1.0, 1.0, 1.0)
 
 
+def grid_profile(alphas, offsets) -> RobustnessProfile:
+    """Every (alpha, a) pair, alpha-major: threshold_table's rows reshape to
+    (len(alphas), len(offsets), 3)."""
+    return RobustnessProfile(np.repeat(alphas, len(offsets)), np.tile(offsets, len(alphas)))
+
+
 # Scalar per-bit planner, kept as the oracle for plan_from_thresholds.
 class BelowFloorWarning(UserWarning):
     """sqrt(SNR) fell below the order-2 threshold; order 2 used anyway."""
@@ -44,7 +49,7 @@ def select_order(snr: float, alpha: float, a: float, betas: BetaAdjusters) -> in
     """Highest order whose threshold sqrt(SNR) clears; order 2 is the floor."""
     if snr <= 0:
         raise DomainError(f"snr must be positive, got {snr}")
-    t2, t4, t6 = thresholds(alpha, a, betas)
+    t2, t4, t6 = threshold_table(RobustnessProfile([alpha], [a]), betas)[0]
     s = math.sqrt(snr)
     if s >= t6:
         return 6
@@ -87,31 +92,35 @@ class TestTau:
                 forms = (q_inverse(0.9 * alpha) / (1 + a),
                          math.sqrt(5) * q_inverse(4 * 0.7 * alpha / 3) / (1 + a),
                          math.sqrt(21) * q_inverse(12 * 0.6 * alpha / 7) / (1 + a))
+                profile = RobustnessProfile([alpha], [a])
                 if alpha < 0.45:
-                    assert tuple(thresholds(alpha, a, betas)) == pytest.approx(forms, abs=1e-12)
+                    assert tuple(threshold_table(profile, betas)[0]) == \
+                        pytest.approx(forms, abs=1e-12)
                     continue
                 # tau_6 falls below tau_4 here; the error shows all three
                 with pytest.raises(ConfigError) as err:
-                    thresholds(alpha, a, betas)
+                    threshold_table(profile, betas)
                 assert str(err.value) == (
                     f"thresholds not ascending for alpha={alpha}, a={a}: "
                     "tau2={:.6g}, tau4={:.6g}, tau6={:.6g}".format(*forms))
 
     def test_homogeneous_reference(self):
-        t2 = thresholds(0.4, 0.5, HOMOGENEOUS_BETAS)[0]
+        t2 = threshold_table(RobustnessProfile.homogeneous(1, 0.4), HOMOGENEOUS_BETAS)[0, 0]
         assert t2 == pytest.approx(0.4209, abs=5e-4)
         assert 10 * math.log10(t2**2) == pytest.approx(-7.52, abs=0.02)
 
     def test_heterogeneous_reference(self):
-        t2, t4, t6 = thresholds(0.45, 0.5, HETEROGENEOUS_BETAS)
+        t2, t4, t6 = threshold_table(RobustnessProfile.homogeneous(1, 0.45),
+                                     HETEROGENEOUS_BETAS)[0]
         assert t2 == pytest.approx(0.0838, abs=5e-4)
         assert t4 == pytest.approx(0.5344, abs=5e-4)
         assert t6 == pytest.approx(0.8875, abs=5e-4)
 
     def test_budget_met_at_threshold(self):
+        profile = RobustnessProfile([0.3, 0.45], [0.5, 0.5])
         for betas in (HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS):
-            for alpha in (0.3, 0.45):
-                for m, t in zip(SUPPORTED_ORDERS, thresholds(alpha, 0.5, betas)):
+            for alpha, row in zip(profile.alphas, threshold_table(profile, betas)):
+                for m, t in zip(SUPPORTED_ORDERS, row):
                     if t > 0:
                         snr = t * t
                         assert analytic_params(m, snr, 0.5).mu == pytest.approx(
@@ -121,49 +130,53 @@ class TestTau:
     def test_exact_flip_rate_within_alpha_at_threshold(self):
         # the betas absorb the closed form's missing crossings: at the
         # threshold the link's exact flip rate stays within alpha
+        profile = grid_profile(np.linspace(0.29, 0.45, 17), [0.0, 0.5])
         for betas in (HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS):
+            table = threshold_table(profile, betas)
             for m in (4, 6):
-                for alpha in np.linspace(0.29, 0.45, 17):
-                    for a in (0.0, 0.5):
-                        snr = thresholds(alpha, a, betas)[SUPPORTED_ORDERS.index(m)] ** 2
-                        assert exact_params(m, snr, a).mu <= alpha
+                for alpha, a, t in zip(profile.alphas, profile.a_offsets, table):
+                    snr = t[SUPPORTED_ORDERS.index(m)] ** 2
+                    assert exact_params(m, snr, float(a)).mu <= alpha
 
     def test_alpha_above_half_rejected(self):
         # alpha = 0.5 is the profile's largest level and gives a zero root at
-        # order 2; above it, as in RobustnessProfile, thresholds raises
-        assert thresholds(0.5, 0.0, UNIT_BETAS)[0] == pytest.approx(q_inverse(0.5), abs=1e-12)
+        # order 2; the profile rejects any level above it
+        table = threshold_table(RobustnessProfile.homogeneous(1, 0.5, 0.0), UNIT_BETAS)
+        assert table[0, 0] == pytest.approx(q_inverse(0.5), abs=1e-12)
         with pytest.raises(DomainError) as err:
-            thresholds(0.9, 0.0, UNIT_BETAS)
-        assert str(err.value) == "robustness level must lie in [0, 0.5], got 0.9"
+            RobustnessProfile([0.3, 0.5, 0.51], [0.0, 0.0, 0.0])
+        assert str(err.value) == "robustness levels must lie in [0, 0.5], got 0.51 at bit 2"
 
     def test_negative_threshold_clamped(self):
         # argument in (0.5, 1) would give a negative root; clamp to zero
-        assert thresholds(0.5, 0.0, UNIT_BETAS).tolist() == [0.0, 0.0, 0.0]
+        table = threshold_table(RobustnessProfile.homogeneous(1, 0.5, 0.0), UNIT_BETAS)
+        assert table.tolist() == [[0.0, 0.0, 0.0]]
         # at alpha 0.45 only orders 4 and 6 clamp, so the row does not ascend
         with pytest.raises(ConfigError) as err:
-            thresholds(0.45, 0.0, UNIT_BETAS)
+            threshold_table(RobustnessProfile.homogeneous(1, 0.45, 0.0), UNIT_BETAS)
         assert str(err.value) == ("thresholds not ascending for alpha=0.45, a=0.0: "
                                   "tau2=0.125661, tau4=0, tau6=0")
 
     def test_nonincreasing_in_alpha(self):
-        t = thresholds(np.linspace(0.29, 0.45, 30), 0.5, HETEROGENEOUS_BETAS)
+        profile = RobustnessProfile(np.linspace(0.29, 0.45, 30), np.full(30, 0.5))
+        t = threshold_table(profile, HETEROGENEOUS_BETAS)
         assert np.all(t[1:] <= t[:-1])
 
     def test_ordering_over_alpha_grid(self):
+        profile = RobustnessProfile(np.linspace(0.29, 0.45, 33), np.full(33, 0.5))
         for betas in (HOMOGENEOUS_BETAS, HETEROGENEOUS_BETAS):
-            for alpha in np.linspace(0.29, 0.45, 33):
-                t2, t4, t6 = thresholds(float(alpha), 0.5, betas)
+            for t2, t4, t6 in threshold_table(profile, betas):
                 assert t2 <= t4 <= t6
 
     def test_heterogeneous_interleaving(self):
-        t_low = thresholds(0.29, 0.5, HETEROGENEOUS_BETAS)
-        t_high = thresholds(0.45, 0.5, HETEROGENEOUS_BETAS)
+        t_low, t_high = threshold_table(RobustnessProfile([0.29, 0.45], [0.5, 0.5]),
+                                        HETEROGENEOUS_BETAS)
         # tau2(low) <= tau4(high) <= tau6(high) <= tau4(low) <= tau6(low)
         assert t_low[0] <= t_high[1] <= t_high[2] <= t_low[1] <= t_low[2]
 
 
 class TestArrayThresholds:
-    """thresholds over arrays equals the scalar oracle byte for byte."""
+    """threshold_table equals the scalar oracle byte for byte."""
 
     # every alpha a profile can plan with: 0 gives an infinite threshold, and
     # 0.5, the largest, a zero root at order 2 with unit betas
@@ -189,14 +202,14 @@ class TestArrayThresholds:
     def test_tau_matches_scalar_oracle(self, m, betas):
         expected = np.array([[tau_scalar(m, float(alpha), float(a), betas)
                               for a in self.OFFSETS] for alpha in self.ALPHAS])
-        # at the largest alphas some rows do not ascend (with unit betas,
-        # orders 4 and 6 clamp to 0 before order 2), and thresholds rejects them
+        # at the largest alphas some rows do not ascend (with unit betas, orders
+        # 4 and 6 clamp to 0 before order 2), and threshold_table rejects them
         ascending = self.ascending(betas)
-        got = thresholds(self.ALPHAS[ascending, None], self.OFFSETS, betas)
-        assert got[..., SUPPORTED_ORDERS.index(m)].tobytes() == expected[ascending].tobytes()
+        got = threshold_table(grid_profile(self.ALPHAS[ascending], self.OFFSETS), betas)
+        assert got[:, SUPPORTED_ORDERS.index(m)].tobytes() == expected[ascending].tobytes()
         if not ascending.all():
             with pytest.raises(ConfigError, match="thresholds not ascending"):
-                thresholds(self.ALPHAS[~ascending, None], self.OFFSETS, betas)
+                threshold_table(grid_profile(self.ALPHAS[~ascending], self.OFFSETS), betas)
         # alpha <= 0.5 keeps the argument at most 1/2, 2/3 and 6/7 at orders 2,
         # 4 and 6 (betas of 1), so only orders 4 and 6 reach a negative root
         root = math.sqrt(1 << m)
@@ -210,38 +223,43 @@ class TestArrayThresholds:
                              ids=["homogeneous", "heterogeneous"])
     def test_table_matches_scalar_oracle(self, betas):
         alphas = np.linspace(0.01, 0.45, 45)
-        got = thresholds(alphas[:, None], self.OFFSETS, betas)
+        got = threshold_table(grid_profile(alphas, self.OFFSETS), betas)
         expected = np.array([[thresholds_scalar(float(alpha), float(a), betas)
                               for a in self.OFFSETS] for alpha in alphas])
-        assert got.shape == (45, 5, 3)
+        assert got.shape == (45 * 5, 3)
         assert got.tobytes() == expected.tobytes()
         profile = RobustnessProfile(alphas, np.resize(self.OFFSETS, 45))
         expected = np.array([thresholds_scalar(float(alpha), float(a), betas)
                              for alpha, a in zip(profile.alphas, profile.a_offsets)])
         assert threshold_table(profile, betas).tobytes() == expected.tobytes()
 
-    def test_scalar_arguments_give_scalars(self):
-        assert thresholds(0.4, 0.5, HETEROGENEOUS_BETAS).shape == (3,)
-        assert thresholds([0.4], 0.5, HETEROGENEOUS_BETAS).shape == (1, 3)
-
-    @pytest.mark.parametrize("alpha,a,betas,bit", [
-        ([0.3, -0.1, 0.2, 0.0], 0.5, HETEROGENEOUS_BETAS, 1),
-        ([0.3, 0.4, 0.2], [0.5, 1.5, 2.0], HETEROGENEOUS_BETAS, 1),
-        ([0.3, 0.5, 0.51, 0.9], 0.5, HETEROGENEOUS_BETAS, 2),
+    @pytest.mark.parametrize("alpha,a,betas,bit,message", [
+        ([0.3, -0.1, 0.2, 0.0], [0.5] * 4, HETEROGENEOUS_BETAS, 1,
+         "robustness levels must lie in [0, 0.5], got -0.1 at bit 1"),
+        ([0.3, 0.4, 0.2], [0.5, 1.5, 2.0], HETEROGENEOUS_BETAS, 1,
+         "boundary offsets must lie in [0, 1], got 1.5 at bit 1"),
+        ([0.3, 0.5, 0.51, 0.9], [0.5] * 4, HETEROGENEOUS_BETAS, 2,
+         "robustness levels must lie in [0, 0.5], got 0.51 at bit 2"),
         # the betas of test_ordering_violation_rejected fail every bit
-        ([0.4, 0.3], 0.5, BetaAdjusters(0.01, 0.99, 0.99), 0),
+        ([0.4, 0.3], [0.5] * 2, BetaAdjusters(0.01, 0.99, 0.99), 0, None),
         # these pass at alpha 0.1 and 0.2 and fail from 0.29 on
-        ([0.1, 0.2, 0.35, 0.45], 0.5, BetaAdjusters(0.6, 1.0, 1.0), 2),
+        ([0.1, 0.2, 0.35, 0.45], [0.5] * 4, BetaAdjusters(0.6, 1.0, 1.0), 2, None),
     ], ids=["alpha-negative", "offset-out-of-range", "alpha-above-half", "not-ascending",
             "not-ascending-later-bit"])
-    def test_errors_name_the_first_offending_bit(self, alpha, a, betas, bit):
-        alpha, a = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(a, float))
-        with pytest.raises((ConfigError, DomainError)) as expected:
-            thresholds_scalar(float(alpha[bit]), float(a[bit]), betas)
+    def test_errors_name_the_first_offending_bit(self, alpha, a, betas, bit, message):
+        # a bit out of range is the profile's to reject; a row that does not
+        # ascend is threshold_table's, in the scalar oracle's words
+        if message is not None:
+            with pytest.raises(DomainError) as got:
+                RobustnessProfile(alpha, a)
+            assert str(got.value) == message
+            return
         for i in range(bit):
-            thresholds_scalar(float(alpha[i]), float(a[i]), betas)
-        with pytest.raises(expected.type) as got:
-            thresholds(alpha, a, betas)
+            thresholds_scalar(alpha[i], a[i], betas)
+        with pytest.raises(ConfigError) as expected:
+            thresholds_scalar(alpha[bit], a[bit], betas)
+        with pytest.raises(ConfigError) as got:
+            threshold_table(RobustnessProfile(alpha, a), betas)
         assert str(got.value) == str(expected.value)
 
 
@@ -279,7 +297,7 @@ class TestSelectOrder:
         for _ in range(200):
             alpha = rng.uniform(0.29, 0.45)
             a = 0.5
-            t2, _, _ = thresholds(alpha, a, HETEROGENEOUS_BETAS)
+            t2, _, _ = threshold_table(RobustnessProfile([alpha], [a]), HETEROGENEOUS_BETAS)[0]
             s = rng.uniform(max(t2, 0.05), 3.0)
             m = select_order(s * s, alpha, a, HETEROGENEOUS_BETAS)
             assert analytic_params(m, s * s, a).mu <= beta_for(m, HETEROGENEOUS_BETAS) * alpha + 1e-12
@@ -315,9 +333,8 @@ class TestPlanning:
             np.full(96, 0.5),
         )
         # pick an SNR where low-alpha bits ride order 2 and high-alpha order 4
-        t4_high = thresholds(0.45, 0.5, HETEROGENEOUS_BETAS)[1]
-        t4_low = thresholds(0.3, 0.5, HETEROGENEOUS_BETAS)[1]
-        s = 0.5 * (t4_high + t4_low)
+        t4 = threshold_table(profile, HETEROGENEOUS_BETAS)[:, 1]
+        s = 0.5 * (t4[-1] + t4[0])
         plan = plan_assignment(s * s, profile, HETEROGENEOUS_BETAS)
         assert sorted(set(plan.orders)) == [2, 4]
         n_sym = plan_symbol_count(plan.orders)

@@ -306,6 +306,19 @@ class TestProfiles:
         with pytest.raises(DomainError):
             RobustnessProfile(np.array([0.4, 0.4]), np.array([0.5]))
 
+    def test_holds_read_only_copies(self):
+        # the range check holds for the profile's life: the caller's arrays
+        # stay writable and writing them leaves the profile as checked
+        alphas, a_offsets = np.array([0.3, 0.4]), np.array([0.5, 1.0])
+        p = RobustnessProfile(alphas, a_offsets)
+        for mine, held in ((alphas, p.alphas), (a_offsets, p.a_offsets)):
+            assert held.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.9
+            mine[0] = 0.9
+            assert held[0] != 0.9
+        assert RobustnessProfile([0, 0], [0, 1]).a_offsets.dtype == np.float64
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="nonempty"):
             RobustnessProfile(np.array([]), np.array([]))
