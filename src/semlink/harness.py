@@ -193,7 +193,7 @@ def _carry(bits: np.ndarray, runs: tuple[np.ndarray, ...], rows: np.ndarray, h: 
     a_offsets = np.asarray(a_offsets, dtype=np.float64)
     noise *= math.sqrt(0.5)
 
-    sels = {order: np.flatnonzero(run_order == order) for order in (2, 4, 6)}
+    sels = {order: np.flatnonzero(run_order == order) for order in SUPPORTED_ORDERS}
     whole = {order: sel.size == 1 and run_len[sel[0]] % order == 0
              for order, sel in sels.items() if sel.size}
     n_rows, n_bits = bits.shape
