@@ -330,6 +330,8 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     y = np.asarray(dataset.labels, dtype=np.int64)
     if len(x) == 0:
         raise ConfigError("dataset is empty")
+    # a block of at least the dataset's length is one block of every image
+    images_per_block = min(int(images_per_block), len(x))
     if adaptive:
         table = threshold_table(profile, betas)
     else:  # thresholds 0 up to the fixed order and infinite above it

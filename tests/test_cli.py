@@ -578,6 +578,16 @@ class TestTrainEvalPipeline:
         assert out == ""
         assert err.startswith("error: images_per_block") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("per_block", ["99999999999999999999", "9223372036854775808"],
+                             ids=["1e20", "2**63"])
+    def test_images_per_block_above_dataset_size_is_one_block(self, capsys, per_block):
+        # GOLDEN_DATA holds 12 images
+        argv = ("eval", "--model-dir", str(GOLDEN_MODELS), *GOLDEN_DATA, "--uniform",
+                "0.37:2.5", "--adaptive", "--seed", "3", "--images-per-block")
+        whole = run_cli(capsys, *argv, "12")
+        assert whole[0] == 0
+        assert run_cli(capsys, *argv, per_block) == whole
+
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize("channel,key,value,message", [
         ((), "uniform", "0:inf", "g2"),

@@ -555,6 +555,17 @@ class TestEndToEnd:
         assert run_end_to_end(*args, RandomSource(96), images_per_block=np.int32(7)) == \
             run_end_to_end(*args, RandomSource(96), images_per_block=7)
 
+    def test_block_above_dataset_size_is_one_block(self, trained_setup):
+        # a block size beyond any array dimension or slice index still means
+        # one block holding every image, as in the per-block oracle
+        ds, profile, models = trained_setup
+        args = (models, UniformMagnitude(0.37, 2.5), profile, HETEROGENEOUS_BETAS, True, ds)
+        whole = run_end_to_end(*args, RandomSource(96), images_per_block=len(ds.labels))
+        assert whole == run_end_to_end_per_block(*args, RandomSource(96),
+                                                 images_per_block=10**20)
+        for per_block in (len(ds.labels) + 1, 2**63, 10**20):
+            assert run_end_to_end(*args, RandomSource(96), images_per_block=per_block) == whole
+
     @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
     def test_result_values_are_python_numbers(self, trained_setup, adaptive):
         """Every result value is a Python int or float, so the dict's repr, which
