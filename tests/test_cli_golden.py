@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from semlink.cli import MODEL_FILES, main
+if __name__ == "__main__":  # pytest's pythonpath setting does not reach a script run
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from semlink.cli import MODEL_FILES, main  # noqa: E402
 
 GOLDENS = Path(__file__).parent / "goldens"
 RAMP96 = GOLDENS / "ramp96.profile"
@@ -115,6 +117,21 @@ def test_regenerate_needs_known_names(capsys):
     assert regenerate(["train.csv", "nope.csv"]) == 2
     err = capsys.readouterr().err
     assert "nope.csv" in err and "train_alpha0.csv" in err and "simulate_ber.csv" in err
+
+
+def test_script_runs_without_pythonpath(tmp_path):
+    # the docstring's command, with no names: the script finds src itself,
+    # prints the usage and writes nothing
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    stamps = {path: path.stat().st_mtime_ns for path in GOLDENS.rglob("*")}
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[0] == "usage: python tests/test_cli_golden.py NAME..."
+    assert list(tmp_path.iterdir()) == []
+    assert {path: path.stat().st_mtime_ns for path in GOLDENS.rglob("*")} == stamps
 
 
 def regenerate(names: list[str]) -> int:
