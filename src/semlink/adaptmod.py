@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsec import RobustnessProfile
+from .channel import UniformMagnitude
 from .constellation import SUPPORTED_ORDERS
 from .errors import ConfigError, DomainError
 from .numerics import q_inverse_array
@@ -113,12 +114,9 @@ def plan_from_thresholds(snr: float, table: np.ndarray) -> ModPlan:
     return ModPlan(tuple(int(o) for o in orders_from_thresholds([snr], table)[0]))
 
 
-def capacity_uniform(g1: float, g2: float) -> float:
+def capacity_uniform(dist: UniformMagnitude) -> float:
     """Ergodic capacity in bits per channel use for sqrt(SNR) ~ Uniform[g1, g2]."""
-    if not (0.0 <= g1 < g2 < math.inf):
-        raise DomainError(f"require 0 <= g1 < g2 < inf, got [{g1}, {g2}]")
-    if not math.isfinite(g2 * g2):
-        raise DomainError(f"g2^2 must be finite, got g2={g2}")
+    g1, g2 = dist.g1, dist.g2
     num = (
         g2 * math.log1p(g2 * g2)
         - g1 * math.log1p(g1 * g1)

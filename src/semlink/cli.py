@@ -161,7 +161,7 @@ def _profile_from_args(args, n_bits: int) -> RobustnessProfile:
 
 def cmd_capacity(args) -> int:
     emit_csv(["g1", "g2", "capacity"],
-             [[args.g1, args.g2, capacity_uniform(args.g1, args.g2)]], args.out)
+             [[args.g1, args.g2, capacity_uniform(UniformMagnitude(args.g1, args.g2))]], args.out)
     return 0
 
 
@@ -301,7 +301,7 @@ def cmd_selfcheck(args) -> int:
     rng = RandomSource(args.seed)
     checks: list[tuple[str, bool, str]] = []
 
-    cc = capacity_uniform(0.37, 2.5)
+    cc = capacity_uniform(UniformMagnitude(0.37, 2.5))
     checks.append(("capacity-uniform", abs(cc - 1.57) <= 0.005, f"C={cc:.6f}"))
 
     anchor = all(a_from_rho(s, 2, s) == 0.5 for s in (0.1, 1.0, 10.0))

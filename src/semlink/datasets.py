@@ -24,9 +24,17 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
+        # asarray copies only when the dtype differs, so the pipelines read
+        # the fields as they are
+        features = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise DomainError("features must be (n, dim) with one label per row")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
+        if labels.size == 0:
+            raise DomainError("dataset is empty")
+        if labels.min() < 0 or labels.max() >= self.n_classes:
             raise DomainError("labels must lie in [0, n_classes)")
 
     @property

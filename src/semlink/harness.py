@@ -326,10 +326,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         raise ConfigError(
             f"encoder emits {models.encoder.out_dim} bits, profile has {n_bits}"
         )
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
-    if len(x) == 0:
-        raise ConfigError("dataset is empty")
+    x, y = dataset.features, dataset.labels
     # a block of at least the dataset's length is one block of every image
     images_per_block = min(int(images_per_block), len(x))
     if adaptive:

@@ -168,12 +168,9 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
 
 def train(dataset, config: TrainingConfig) -> TrainResult:
     """Warm-up then robust training; fully deterministic given config.seed."""
-    if len(dataset.features) == 0:
-        raise ConfigError("dataset is empty")
     model_rng, shuffle_rng, noise_rng = RandomSource(config.seed).split(3)
 
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
+    x, y = dataset.features, dataset.labels
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
     opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas, a_offsets = config.profile.alphas, config.profile.a_offsets
@@ -246,11 +243,8 @@ def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
     """
     if not (0.0 <= mu <= 1.0 and 0.0 <= d <= 1.0 and mu + d <= 1.0):
         raise DomainError(f"invalid channel parameters mu={mu}, d={d}")
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
+    x, y = dataset.features, dataset.labels
     n = len(x)
-    if n == 0:
-        raise ConfigError("dataset is empty")
     n_blocks = -(-n // EVAL_BLOCK_ROWS)
     correct = 0
     sq_err = np.empty(n)  # per-row squared error, averaged as mse_loss does

@@ -48,9 +48,10 @@ def verdict(ok: bool, name: str, detail: str) -> None:
 
 
 def test_criterion_01_capacity_reproduction():
-    capacity_uniform(0.37, 2.5)  # warm the code path before timing
+    dist = UniformMagnitude(0.37, 2.5)
+    capacity_uniform(dist)  # warm the code path before timing
     t0 = time.perf_counter()
-    c = capacity_uniform(0.37, 2.5)
+    c = capacity_uniform(dist)
     elapsed = time.perf_counter() - t0
     ok = abs(c - 1.57) <= 0.005 and elapsed < 1e-3
     verdict(ok, "criterion-1 capacity",

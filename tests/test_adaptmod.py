@@ -18,6 +18,7 @@ from semlink.adaptmod import (
     threshold_table,
 )
 from semlink.bsec import RobustnessProfile, analytic_params
+from semlink.channel import UniformMagnitude
 from semlink.constellation import SUPPORTED_ORDERS
 from semlink.errors import ConfigError, DomainError
 from oracles import (
@@ -412,27 +413,31 @@ class TestPlanning:
 
 class TestCapacity:
     def test_reference_value(self):
-        assert capacity_uniform(0.37, 2.5) == pytest.approx(1.57, abs=0.005)
+        assert capacity_uniform(UniformMagnitude(0.37, 2.5)) == pytest.approx(1.57, abs=0.005)
 
     def test_degenerate_limit_is_pointwise_capacity(self):
         for g in (0.5, 1.0, 2.0):
-            c = capacity_uniform(g, g + 1e-6)
+            c = capacity_uniform(UniformMagnitude(g, g + 1e-6))
             assert c == pytest.approx(math.log2(1 + g * g), abs=1e-4)
 
     def test_monotone_in_upper_endpoint(self):
-        caps = [capacity_uniform(0.37, g2) for g2 in np.linspace(0.5, 4.0, 40)]
+        caps = [capacity_uniform(UniformMagnitude(0.37, g2)) for g2 in np.linspace(0.5, 4.0, 40)]
         assert all(a < b for a, b in zip(caps, caps[1:]))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            capacity_uniform(2.0, 1.0)
-        with pytest.raises(DomainError):
-            capacity_uniform(-0.5, 1.0)
-        with pytest.raises(DomainError, match="g2\\^2 must be finite"):
-            capacity_uniform(0.0, 1e200)  # g2 * g2 overflows
+        # the distribution's constructor is the range check
+        for g1, g2 in ((2.0, 1.0), (-0.5, 1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError) as err:
+                UniformMagnitude(g1, g2)
+            assert str(err.value) == f"require 0 <= g1 < g2, got [{g1}, {g2}]"
+        for g2 in (1e200, math.inf):  # g2 * g2 overflows
+            with pytest.raises(DomainError) as err:
+                UniformMagnitude(0.0, g2)
+            assert str(err.value) == f"g2^2 must be finite, got g2={g2}"
 
     def test_large_finite_range(self):
-        assert capacity_uniform(0.0, 1e154) == pytest.approx(1020.26846, abs=1e-5)
+        assert capacity_uniform(UniformMagnitude(0.0, 1e154)) == pytest.approx(1020.26846,
+                                                                               abs=1e-5)
 
 
 def test_beta_validation():

@@ -106,7 +106,7 @@ class TestCommands:
     def test_domain_error_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "capacity", "--g1", "2.5", "--g2", "0.37")
         assert code == 1
-        assert "error" in err
+        assert err == "error: require 0 <= g1 < g2, got [2.5, 0.37]\n"
 
     def test_missing_profile_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "adaptive-plan", "--snr-db", "0",

@@ -136,3 +136,29 @@ class TestSynth:
         for label in (-1, 2):
             with pytest.raises(DomainError, match=r"^labels must lie in \[0, n_classes\)$"):
                 Dataset(np.zeros((3, 2)), np.array([0, label, 1]), n_classes=2)
+
+
+class TestDataset:
+    def test_empty_rejected(self):
+        # training and both evaluations read a Dataset, so this is their one check
+        for dim in (4, 16):
+            with pytest.raises(DomainError) as err:
+                Dataset(np.zeros((0, dim)), np.zeros(0, dtype=np.int64), n_classes=1)
+            assert str(err.value) == "dataset is empty"
+
+    @pytest.mark.parametrize("features,labels", [
+        ([[0, 1], [2, 3]], [0, 1]),
+        (np.arange(4, dtype=np.uint8).reshape(2, 2), np.array([0, 1], dtype=np.uint8)),
+        (np.arange(4, dtype=np.int32).reshape(2, 2), np.array([0, 1], dtype=np.int32)),
+    ], ids=["list", "uint8", "int32"])
+    def test_fields_converted(self, features, labels):
+        ds = Dataset(features, labels, n_classes=2)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.features, [[0, 1], [2, 3]])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+
+    def test_matching_dtypes_not_copied(self):
+        features = np.zeros((3, 2))
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        ds = Dataset(features, labels, n_classes=2)
+        assert ds.features is features and ds.labels is labels
