@@ -38,6 +38,16 @@ class BsecParams:
             raise DomainError(f"probabilities sum to {self.mu + self.d + self.r}, not 1")
 
 
+# Widest profile the classmethods build: a training batch of 256 examples
+# then holds 20 MB per latent-sized array
+MAX_PROFILE_BITS = 10**4
+
+
+def _check_width(n: int) -> None:
+    if n > MAX_PROFILE_BITS:
+        raise DomainError(f"a profile holds at most {MAX_PROFILE_BITS} bits, got {n}")
+
+
 @dataclass(frozen=True)
 class RobustnessProfile:
     """Per-bit robustness levels alpha_i and boundary offsets a_i."""
@@ -64,10 +74,16 @@ class RobustnessProfile:
     def __len__(self) -> int:
         return self.alphas.size
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, so a copy's
+        # arrays are read-only and range-checked too
+        return type(self), (self.alphas, self.a_offsets)
+
     @classmethod
     def homogeneous(cls, n: int, alpha: float, a: float = 0.5) -> "RobustnessProfile":
         if n < 1:
             raise DomainError(f"a profile needs at least 1 bit, got {n}")
+        _check_width(n)
         return cls(np.full(n, float(alpha)), np.full(n, float(a)))
 
     @classmethod
@@ -76,6 +92,7 @@ class RobustnessProfile:
         """alpha_i = (alpha_last - alpha_first) (i-1)/(n-1) + alpha_first."""
         if n < 2:
             raise DomainError("a linear ramp needs at least 2 bits")
+        _check_width(n)
         for name, alpha in (("alpha_first", alpha_first), ("alpha_last", alpha_last)):
             if not (0 <= alpha <= 0.5):
                 raise DomainError(f"robustness levels must lie in [0, 0.5], got {name} {alpha}")

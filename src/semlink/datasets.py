@@ -13,6 +13,9 @@ from .numerics import RandomSource
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# Largest synthetic set in entries (classes x per class x dim): 80 MB of
+# float64 an array, and generation holds about four arrays of that size
+MAX_SYNTH_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,9 @@ def synth_dataset(n_classes: int, dim: int, n_per_class: int, noise_sigma: float
     """
     if n_classes < 1 or dim < 1 or n_per_class < 1:
         raise DomainError("n_classes, dim, and n_per_class must be positive")
+    if n_classes * n_per_class * dim > MAX_SYNTH_ENTRIES:
+        raise DomainError(f"n_classes x n_per_class x dim must be at most {MAX_SYNTH_ENTRIES}, "
+                          f"got {n_classes} x {n_per_class} x {dim}")
     if not (0 <= noise_sigma < np.inf):
         raise DomainError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     template_rng, noise_rng = rng.split(2)

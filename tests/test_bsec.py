@@ -1,6 +1,8 @@
 """BSEC transition laws, parameter sampling, and the closed-form link map."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semlink.bsec import (
+    MAX_PROFILE_BITS,
     BsecParams,
     RobustnessProfile,
     analytic_params,
@@ -318,6 +321,37 @@ class TestProfiles:
             mine[0] = 0.9
             assert held[0] != 0.9
         assert RobustnessProfile([0, 0], [0, 1]).a_offsets.dtype == np.float64
+
+    @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)),
+                                         copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_checked_read_only_profiles(self, copy_of):
+        p = RobustnessProfile.linear_ramp(5, 0.1, 0.45, a=0.25)
+        q = copy_of(p)
+        for mine, theirs in ((p.alphas, q.alphas), (p.a_offsets, q.a_offsets)):
+            np.testing.assert_array_equal(theirs, mine)
+            assert theirs.dtype == np.float64 and not theirs.flags.writeable
+
+    def test_unpickled_out_of_range_profile_rejected(self):
+        bad = object.__new__(RobustnessProfile)  # skips the constructor's check
+        object.__setattr__(bad, "alphas", np.array([0.4, 0.7]))
+        object.__setattr__(bad, "a_offsets", np.array([0.5, 0.5]))
+        blob = pickle.dumps(bad)
+        with pytest.raises(DomainError) as err:
+            pickle.loads(blob)
+        assert str(err.value) == "robustness levels must lie in [0, 0.5], got 0.7 at bit 1"
+
+    def test_width_bounded(self):
+        assert len(RobustnessProfile.homogeneous(MAX_PROFILE_BITS, 0.4)) == MAX_PROFILE_BITS
+        assert len(RobustnessProfile.linear_ramp(MAX_PROFILE_BITS, 0.1, 0.4)) == MAX_PROFILE_BITS
+        for n in (MAX_PROFILE_BITS + 1, 10**20):
+            message = f"a profile holds at most {MAX_PROFILE_BITS} bits, got {n}"
+            with pytest.raises(DomainError) as err:
+                RobustnessProfile.homogeneous(n, 0.4)
+            assert str(err.value) == message
+            with pytest.raises(DomainError) as err:
+                RobustnessProfile.linear_ramp(n, 0.1, 0.4)
+            assert str(err.value) == message
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError, match="nonempty"):

@@ -243,6 +243,22 @@ class TestCommands:
         (("train", *TINY_TRAIN, "--noise-sigma", "nan"), "noise_sigma"),
         (("train", *TINY_TRAIN, "--noise-sigma", "inf"), "noise_sigma"),
         (("train", *TINY_TRAIN, "--latent-bits", "0"), "at least 1 bit"),
+        (("train", *TINY_TRAIN, "--per-class", "99999999999999999999"),
+         "error: n_classes x n_per_class x dim must be at most 10000000, "
+         "got 2 x 99999999999999999999 x 4"),
+        (("train", *TINY_TRAIN, "--classes", "99999999999999999999"),
+         "error: n_classes x n_per_class x dim must be at most 10000000, "
+         "got 99999999999999999999 x 4 x 4"),
+        (("train", *TINY_TRAIN, "--dim", "99999999999999999999"),
+         "error: n_classes x n_per_class x dim must be at most 10000000, "
+         "got 2 x 4 x 99999999999999999999"),
+        (("train", *TINY_TRAIN, "--latent-bits", "99999999999999999999"),
+         "error: a profile holds at most 10000 bits, got 99999999999999999999"),
+        (("train", *TINY_TRAIN, "--latent-bits", "99999999999999999999", "--alpha-last", "0.45"),
+         "error: a profile holds at most 10000 bits, got 99999999999999999999"),
+        (("train", *TINY_TRAIN, "--per-class", "3000000000", "--classes", "3000000000"),
+         "error: n_classes x n_per_class x dim must be at most 10000000, "
+         "got 3000000000 x 3000000000 x 4"),
         (("train", *TINY_TRAIN, "--warmup-epochs", "-2"), "warmup_epochs=-2"),
         (("capacity", "--g1", "0", "--g2", "1e200"), "g2^2 must be finite"),
         (("simulate-ber", "--order", "2", "--snr-db", "0:0:1", "--n-bits", "1000000000000000"),
@@ -265,7 +281,9 @@ class TestCommands:
         (("simulate-ber", "--order", "2", "--snr-db", "0:1"),
          "error: sweep must be LO:HI:STEP, got '0:1'"),
     ], ids=["sweep-too-long", "sweep-above-ceiling", "lr-nan", "lr-negative", "loss-weight-nan",
-            "loss-weight-inf", "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits", "negative-warmup",
+            "loss-weight-inf", "noise-sigma-nan", "noise-sigma-inf", "zero-latent-bits",
+            "per-class-huge", "classes-huge", "dim-huge", "latent-bits-huge", "ramp-bits-huge",
+            "dataset-too-large", "negative-warmup",
             "capacity-g2-square-overflows", "simulate-ber-n-bits-huge", "bsec-table-n-bits-huge",
             "sweep-not-numeric", "plan-snr-above-ceiling", "zero-batch-size",
             "eval-profile-longer-than-encoder", "betas-two-fields", "betas-not-numeric",

@@ -9,6 +9,7 @@ import pytest
 from semlink.datasets import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
+    MAX_SYNTH_ENTRIES,
     Dataset,
     load_idx,
     load_idx_images,
@@ -128,6 +129,12 @@ class TestSynth:
             synth_dataset(2, 8, 5, -0.1, RandomSource(0))
         with pytest.raises(DomainError, match="finite"):
             synth_dataset(2, 8, 5, np.inf, RandomSource(0))
+        for sizes in ((MAX_SYNTH_ENTRIES + 1, 1, 1), (10, 10**20, 64), (3 * 10**9, 64, 3 * 10**9)):
+            with pytest.raises(DomainError) as err:
+                synth_dataset(*sizes, 0.1, RandomSource(0))
+            c, d, k = sizes
+            assert str(err.value) == (f"n_classes x n_per_class x dim must be at most "
+                                      f"{MAX_SYNTH_ENTRIES}, got {c} x {k} x {d}")
         for features, labels in ((np.zeros(3), np.zeros(3, int)),
                                  (np.zeros((3, 2)), np.zeros(2, int))):
             with pytest.raises(DomainError) as err:

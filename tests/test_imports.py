@@ -191,6 +191,15 @@ SUBMODULES = {"adaptmod", "bsec", "channel", "constellation", "datasets", "demod
               "errors", "harness", "jscc", "nn", "numerics"}
 
 
+def run_probe(probe: str) -> list[str]:
+    """stdout lines of `python -c probe` in a fresh process that finds src/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.splitlines()
+
+
 def test_package_import_loads_the_submodules():
     """`import semlink` loads and binds every submodule but the CLI, so
     `semlink.harness` resolves and timing the import times their loading."""
@@ -198,8 +207,13 @@ def test_package_import_loads_the_submodules():
              "print(sorted(k[8:] for k in sys.modules if k.startswith('semlink.'))); "
              "print(sorted(k for k, v in vars(semlink).items() "
              "if isinstance(v, types.ModuleType)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.splitlines() == [str(sorted(SUBMODULES))] * 2
+    assert run_probe(probe) == [str(sorted(SUBMODULES))] * 2
+
+
+def test_package_import_loads_only_numpy_scipy_special_and_the_standard_library():
+    """Importing the package is most of a benchmark's set-up time, so it loads
+    no third-party module beyond numpy and scipy.special and what they load."""
+    probe = ("import sys, numpy, scipy.special; before = set(sys.modules); import semlink; "
+             "print(sorted(k for k in set(sys.modules) - before if k.partition('.')[0] "
+             "not in sys.stdlib_module_names | {'semlink'}))")
+    assert run_probe(probe) == ["[]"]
