@@ -27,7 +27,7 @@ from semlink.channel import (
 )
 from semlink.constellation import build_constellation, pack_bits
 from semlink.demod import build_regions
-from semlink.datasets import synth_dataset
+from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, DomainError
 from semlink import harness
 from semlink.harness import (
@@ -528,6 +528,16 @@ class TestEndToEnd:
         with pytest.raises(ConfigError, match="unsupported modulation order 3"):
             run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS,
                            False, ds, RandomSource(97), fixed_order=3)
+
+    def test_empty_dataset_rejected(self, trained_setup):
+        ds, profile, models = trained_setup
+        rng = RandomSource(96)
+        # the empty set is refused where it is built, so no run starts and nothing is drawn
+        with pytest.raises(DomainError, match="^dataset is empty$"):
+            run_end_to_end(models, FixedSnr(snr=4.0), profile, HETEROGENEOUS_BETAS, False,
+                           Dataset(features=ds.features[:0], labels=ds.labels[:0],
+                                   n_classes=ds.n_classes), rng)
+        np.testing.assert_array_equal(rng.random(3), RandomSource(96).random(3))
 
     @pytest.mark.parametrize("per_block", [2.5, 3.0, math.nan, True, np.float64(2.0)],
                              ids=["fraction", "whole-float", "nan", "bool", "numpy-float"])

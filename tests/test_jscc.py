@@ -341,6 +341,13 @@ class TestTraining:
         with pytest.raises(TrainingError, match="epoch 0"):
             train(ds, cfg)
 
+    def test_empty_dataset_rejected(self):
+        # the empty set is refused where it is built, so train never sees it
+        with pytest.raises(DomainError) as err:
+            train(Dataset(features=np.zeros((0, 4)), labels=np.zeros(0, dtype=np.int64),
+                          n_classes=1), tiny_config(n_bits=4))
+        assert str(err.value) == "dataset is empty"
+
     def test_warmup_exceeding_epochs_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(epochs=2, warmup_epochs=3)
@@ -394,6 +401,17 @@ class TestTraining:
         with pytest.raises(DomainError) as err:
             eval_under_bsec(models, tiny_dataset(), mu, d, RandomSource(62))
         assert str(err.value) == f"invalid channel parameters mu={mu}, d={d}"
+
+    def test_eval_under_bsec_rejects_empty_dataset(self):
+        models = build_models(16, 4, tiny_config(), RandomSource(61))
+        rng = RandomSource(62)
+        with pytest.raises(DomainError) as err:
+            eval_under_bsec(models, Dataset(features=np.zeros((0, 16)),
+                                            labels=np.zeros(0, dtype=np.int64), n_classes=4),
+                            0.1, 0.1, rng)
+        assert str(err.value) == "dataset is empty"
+        # nothing was drawn: the stream still starts where a fresh one does
+        np.testing.assert_array_equal(rng.random(3), RandomSource(62).random(3))
 
     def test_warmup_only_config_strips_noise(self):
         cfg = tiny_config()
