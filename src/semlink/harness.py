@@ -352,7 +352,7 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         g2, gain = block_gains(h)
         orders = orders_from_thresholds(g2, table)
         f = _forward_blocks(models.encoder, xc, images_per_block)
-        bits = sample_latent_bits(f, bit_rng)
+        bits = sample_latent_bits(f, bit_rng.random(f.shape))
         runs = symbol_runs(orders)
         n_noise = _noise_size(runs, rows)
         noise = noise_rng.std_normal(n_noise, out=_buffer(store, "noise", (n_noise,)))
@@ -399,7 +399,8 @@ def trit_histogram_bsec(snr: float, a: float, n_bits: int, rng: RandomSource) ->
     params = analytic_params(2, snr, a)
     bit_rng, ch_rng = rng.split(2)
     bits = bit_rng.bits(n_bits)
-    return _count_trits(bits, noisy_latent_sample(bits, params.mu, params.d, ch_rng))
+    return _count_trits(bits, noisy_latent_sample(bits, params.mu, params.d,
+                                                   ch_rng.random(bits.shape)))
 
 
 def chi_square_homogeneity(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, float]:

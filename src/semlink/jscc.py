@@ -108,18 +108,19 @@ def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
     return ModelTriple(enc, dec, clf)
 
 
-def sample_latent_bits(f: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """Independent Bernoulli draws from per-bit probabilities, as 0/1 uint8."""
-    f = np.asarray(f, dtype=np.float64)
-    return (rng.random(f.shape) < f).view(np.uint8)
+def sample_latent_bits(f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Independent Bernoulli draws from per-bit probabilities, as 0/1 uint8:
+    1 where the uniform u, an array of f's shape drawn on [0, 1), is below f."""
+    return (u < np.asarray(f, dtype=np.float64)).view(np.uint8)
 
 
-def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
+def noisy_latent_sample(f, mu, d, u: np.ndarray) -> np.ndarray:
     """One draw per entry from the three-point law over {0, 0.5, 1}.
 
     Marginalizes the Bernoulli quantization and the erasure channel in a
-    single step: with P(1) = (1-d-mu) f + mu (1-f), a uniform u gives 0.5
-    when u < d, 1 when d <= u < d + P(1), and 0 otherwise.
+    single step: with P(1) = (1-d-mu) f + mu (1-f), the uniform u, an array
+    of the broadcast shape drawn on [0, 1), gives 0.5 when u < d, 1 when
+    d <= u < d + P(1), and 0 otherwise.
     """
     f = np.asarray(f, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -132,7 +133,6 @@ def noisy_latent_sample(f, mu, d, rng: RandomSource) -> np.ndarray:
     out = np.subtract(1.0, f, out=np.empty(shape))
     out *= mu
     p_one += out
-    u = rng.random(shape)
     p_one += d
     np.less(u, p_one, out=out)
     np.putmask(out, u < d, TRIT_ERASURE)
@@ -166,8 +166,46 @@ def backward_with_bypass(models: ModelTriple, u: np.ndarray, labels: np.ndarray,
     return loss, mse, ce, logits
 
 
+def _blas_threads(n: int | None = None) -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, before setting it to n.
+
+    The library is looked up where numpy's wheels ship it, in numpy.libs
+    beside the package. Without such a library nothing is set and None is
+    returned.
+    """
+    import ctypes
+    import glob
+    from pathlib import Path
+
+    for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                old = int(get())
+                if n is not None:
+                    put(ctypes.c_int(n))
+                return old
+    return None
+
+
 def train(dataset, config: TrainingConfig) -> TrainResult:
-    """Warm-up then robust training; fully deterministic given config.seed."""
+    """Warm-up then robust training; fully deterministic given config.seed.
+
+    The products run on one OpenBLAS thread, and the run puts the old count
+    back on its way out: a batch's products are too small to gain from a
+    second thread, and the second core draws the channels instead. A batch's
+    channel (its flip and erasure probabilities and its uniforms) depends on
+    nothing the models compute, so one worker thread draws batch b + 1's
+    while batch b trains. Only the worker draws from the noise stream, in
+    batch order, so the values are those of an inline run. The worker is
+    joined before the call returns or raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loaded with harness
+
     model_rng, shuffle_rng, noise_rng = RandomSource(config.seed).split(3)
 
     x, y = dataset.features, dataset.labels
@@ -177,49 +215,71 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     # with every alpha at 0, mu is 0: the profile is silent if d(0, a) is 0 too
     silent_profile = not alphas.any() and not erasure_from_mu_array(alphas, a_offsets).any()
     result = TrainResult(models=models)
+    # each batch's rows and whether its channel is noiseless, in training
+    # order: mu and d are exactly 0 in warm-up and under a silent profile
+    batches = [(min(config.batch_size, len(x) - start),
+                epoch < config.warmup_epochs or silent_profile)
+               for epoch in range(config.epochs) for start in range(0, len(x), config.batch_size)]
 
-    # a diverging run overflows before its loss turns non-finite; that check
-    # below is the error path, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            order = shuffle_rng.permutation(len(x))
-            # mu and d are exactly 0 in warm-up and under a silent profile
-            noiseless = epoch < config.warmup_epochs or silent_profile
-            tot_loss = tot_mse = tot_ce = 0.0
-            correct = 0
-            n_batches = 0
-            for start in range(0, len(x), config.batch_size):
-                idx = order[start:start + config.batch_size]
-                xb, yb = x[idx], y[idx]
-                f = models.encoder.forward(xb)
-                if noiseless:
-                    # skip the mu draw exactly, leaving the stream where the
-                    # robust path's draw would; at mu = d = 0 the three-point
-                    # law is one Bernoulli(f) bit, bitwise
-                    noise_rng.skip(f.size)
-                    b_hat = sample_latent_bits(f, noise_rng).astype(np.float64)
-                else:
-                    mu = sample_mu_matrix(alphas, len(xb), noise_rng)
-                    b_hat = noisy_latent_sample(f, mu, erasure_from_mu_array(mu, a_offsets),
-                                                noise_rng)
-                loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
-                                                             config.loss_weight)
-                if not math.isfinite(loss):
-                    raise TrainingError(f"loss became non-finite at epoch {epoch}")
-                opt.step(config.learning_rate)
+    def draw(rows, noiseless):
+        """A batch's (mu, d, uniforms); mu and d are None when it is noiseless."""
+        shape = (rows, alphas.size)
+        if noiseless:
+            # skip the mu draw exactly, leaving the stream where the robust
+            # path's draw would; at mu = d = 0 the three-point law is one
+            # Bernoulli(f) bit, bitwise
+            noise_rng.skip(rows * alphas.size)
+            return None, None, noise_rng.random(shape)
+        mu = sample_mu_matrix(alphas, rows, noise_rng)
+        return mu, erasure_from_mu_array(mu, a_offsets), noise_rng.random(shape)
 
-                correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-                tot_loss += loss
-                tot_mse += mse
-                tot_ce += ce
-                n_batches += 1
-            result.metrics.append(EpochMetrics(
-                epoch=epoch,
-                loss=tot_loss / n_batches,
-                mse=tot_mse / n_batches,
-                ce=tot_ce / n_batches,
-                accuracy=correct / len(x),
-            ))
+    old_threads = _blas_threads(1)
+    try:
+        # a diverging run overflows before its loss turns non-finite; that
+        # check below is the error path, so numpy's warnings would only repeat
+        # it. Leaving the pool's with block joins the worker, on an error too.
+        with (np.errstate(over="ignore", invalid="ignore"),
+              ThreadPoolExecutor(max_workers=1) as pool):
+            ahead = pool.submit(draw, *batches[0]) if batches else None
+            k = 0
+            for epoch in range(config.epochs):
+                order = shuffle_rng.permutation(len(x))
+                tot_loss = tot_mse = tot_ce = 0.0
+                correct = 0
+                n_batches = 0
+                for start in range(0, len(x), config.batch_size):
+                    idx = order[start:start + config.batch_size]
+                    xb, yb = x[idx], y[idx]
+                    f = models.encoder.forward(xb)
+                    mu, d, u = ahead.result()
+                    k += 1
+                    if k < len(batches):
+                        ahead = pool.submit(draw, *batches[k])
+                    if mu is None:
+                        b_hat = sample_latent_bits(f, u).astype(np.float64)
+                    else:
+                        b_hat = noisy_latent_sample(f, mu, d, u)
+                    loss, mse, ce, logits = backward_with_bypass(models, xb, yb, b_hat,
+                                                                 config.loss_weight)
+                    if not math.isfinite(loss):
+                        raise TrainingError(f"loss became non-finite at epoch {epoch}")
+                    opt.step(config.learning_rate)
+
+                    correct += int(np.sum(np.argmax(logits, axis=1) == yb))
+                    tot_loss += loss
+                    tot_mse += mse
+                    tot_ce += ce
+                    n_batches += 1
+                result.metrics.append(EpochMetrics(
+                    epoch=epoch,
+                    loss=tot_loss / n_batches,
+                    mse=tot_mse / n_batches,
+                    ce=tot_ce / n_batches,
+                    accuracy=correct / len(x),
+                ))
+    finally:
+        if old_threads is not None:
+            _blas_threads(old_threads)
     return result
 
 
@@ -251,7 +311,7 @@ def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
     for k in range(n_blocks):
         lo, hi = n * k // n_blocks, n * (k + 1) // n_blocks
         f = models.encoder.forward(x[None, lo:hi])[0]
-        b_hat = noisy_latent_sample(f, mu, d, rng)
+        b_hat = noisy_latent_sample(f, mu, d, rng.random(f.shape))
         u_hat = models.decoder.forward(b_hat[None])[0]
         logits = models.classifier.forward(u_hat[None])[0]
         correct += int(np.sum(np.argmax(logits, axis=1) == y[lo:hi]))

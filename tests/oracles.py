@@ -417,7 +417,7 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
         h = draw_channel_scalar(channel_dist, ch_rng)
         plan = plan_from_thresholds(abs(h) ** 2, table) if adaptive else static_plan
         f = models.encoder.forward(xb)
-        bits = sample_latent_bits(f, bit_rng).astype(np.int64)
+        bits = sample_latent_bits(f, bit_rng.random(f.shape)).astype(np.int64)
         trits, symbols_per_image = transport_block_per_group(
             bits, plan, profile.a_offsets, h, noise_rng
         )
@@ -452,7 +452,8 @@ def eval_under_bsec_whole(models: ModelTriple, dataset, mu: float, d: float,
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
     f = models.encoder.forward(x[None])[0]
-    b_hat = noisy_latent_sample(f, np.full_like(f, mu), np.full_like(f, d), rng)
+    b_hat = noisy_latent_sample(f, np.full_like(f, mu), np.full_like(f, d),
+                                rng.random(f.shape))
     u_hat = models.decoder.forward(b_hat[None])[0]
     logits = models.classifier.forward(u_hat[None])[0]
     acc = float(np.mean(np.argmax(logits, axis=1) == y))

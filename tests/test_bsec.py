@@ -56,7 +56,8 @@ class TestParams:
 
 def transition(bits, p, rng):
     """One BSEC pass over sure bits, drawn with the training-time latent sampler."""
-    return noisy_latent_sample(np.asarray(bits, dtype=float), p.mu, p.d, rng)
+    bits = np.asarray(bits, dtype=float)
+    return noisy_latent_sample(bits, p.mu, p.d, rng.random(bits.shape))
 
 
 class TestTransition:

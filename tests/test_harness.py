@@ -404,7 +404,7 @@ class TestStatisticalEquivalence:
         mu = np.full(n, analytic_params(2, snr, a).mu)
         for offset, accept in ((a, True), (0.5, False)):
             d = erasure_from_mu_array(mu, offset)
-            trits = noisy_latent_sample(bits, mu, d, RandomSource(84))
+            trits = noisy_latent_sample(bits, mu, d, RandomSource(84).random(n))
             erasures = np.count_nonzero(trits == 0.5)
             corrects = np.count_nonzero(trits == bits)
             _, p = chi_square_homogeneity(h_link, [n - erasures - corrects, erasures, corrects])

@@ -1,6 +1,8 @@
 """Latent sampling laws, the gradient bypass, and the training schedule."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from semlink.bsec import RobustnessProfile, sample_mu_matrix
 from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, DomainError, TrainingError
+from semlink import jscc
 from semlink.jscc import (
     TrainingConfig,
+    _blas_threads,
     backward_with_bypass,
     build_models,
     eval_under_bsec,
@@ -49,12 +53,12 @@ def tiny_config(n_bits=12, **kw):
 class TestLatentSampling:
     def test_degenerate_probabilities(self):
         rng = RandomSource(1)
-        assert np.all(sample_latent_bits(np.zeros((5, 8)), rng) == 0.0)
-        assert np.all(sample_latent_bits(np.ones((5, 8)), rng) == 1.0)
+        assert np.all(sample_latent_bits(np.zeros((5, 8)), rng.random((5, 8))) == 0.0)
+        assert np.all(sample_latent_bits(np.ones((5, 8)), rng.random((5, 8))) == 1.0)
 
     def test_bernoulli_mean(self):
         rng = RandomSource(2)
-        draws = sample_latent_bits(np.full((1000, 1000), 0.7), rng)
+        draws = sample_latent_bits(np.full((1000, 1000), 0.7), rng.random((1000, 1000)))
         assert abs(draws.mean() - 0.7) <= 3 * np.sqrt(0.21 / 1e6)
 
     def test_law_reference_point(self):
@@ -77,7 +81,8 @@ class TestLatentSampling:
     def test_sample_frequencies(self):
         rng = RandomSource(3)
         n = 10**6
-        draws = noisy_latent_sample(np.full(n, 0.7), np.full(n, 0.1), np.full(n, 0.2), rng)
+        draws = noisy_latent_sample(np.full(n, 0.7), np.full(n, 0.1), np.full(n, 0.2),
+                                    rng.random(n))
         for value, p in zip((0.0, 0.5, 1.0), noisy_latent_law(0.7, 0.1, 0.2)):
             assert abs(np.mean(draws == value) - p) <= 3 * np.sqrt(p * (1 - p) / n)
 
@@ -87,7 +92,7 @@ class TestLatentSampling:
         f = rng.random(shape)
         mu = rng.random(shape) * 0.4
         d = rng.random(shape) * (1.0 - mu) * 0.5
-        draws = noisy_latent_sample(f, mu, d, RandomSource(6))
+        draws = noisy_latent_sample(f, mu, d, RandomSource(6).random(shape))
         for value, p in zip((0.0, 0.5, 1.0), noisy_latent_law(f, mu, d)):
             # a sum of independent indicators: mean sum(p), variance sum(p(1-p))
             z = (np.sum(draws == value) - p.sum()) / np.sqrt(np.sum(p * (1 - p)))
@@ -100,12 +105,14 @@ class TestLatentSampling:
         f = rng.random(shapes[0])
         mu = rng.random(shapes[1]) * 0.3
         d = rng.random(shapes[2]) * 0.3
-        np.testing.assert_array_equal(noisy_latent_sample(f, mu, d, RandomSource(9)),
+        u = RandomSource(9).random(f.shape)
+        np.testing.assert_array_equal(noisy_latent_sample(f, mu, d, u),
                                       noisy_latent_sample_by_law(f, mu, d, RandomSource(9)))
 
     def test_warmup_deterministic_bit(self):
         rng = RandomSource(4)
-        out = noisy_latent_sample(np.ones((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)), rng)
+        out = noisy_latent_sample(np.ones((3, 4)), np.zeros((3, 4)), np.zeros((3, 4)),
+                                  rng.random((3, 4)))
         np.testing.assert_array_equal(out, 1.0)
 
     @pytest.mark.parametrize("prior", [0, 1, 2, 3, 5])
@@ -119,10 +126,10 @@ class TestLatentSampling:
         shortcut.random(prior)
         drawn.random(prior)
         shortcut.skip(f.size)
-        fast = sample_latent_bits(f, shortcut).astype(np.float64)
+        fast = sample_latent_bits(f, shortcut.random(f.shape)).astype(np.float64)
         mu = sample_mu_matrix(np.zeros(7), 25, drawn)
         np.testing.assert_array_equal(mu, 0.0)
-        slow = noisy_latent_sample(f, mu, 0.0, drawn)
+        slow = noisy_latent_sample(f, mu, 0.0, drawn.random(f.shape))
         assert fast.dtype == slow.dtype
         np.testing.assert_array_equal(fast, slow)
         np.testing.assert_array_equal(shortcut.random(4), drawn.random(4))
@@ -137,7 +144,7 @@ class TestBypassGradients:
         labels = (rng.random(6) * 4).astype(np.int64)
         f = models.encoder.forward(x)
         b_hat = noisy_latent_sample(
-            f, np.full_like(f, 0.1), np.full_like(f, 0.15), rng
+            f, np.full_like(f, 0.1), np.full_like(f, 0.15), rng.random(f.shape)
         )
         return models, x, labels, b_hat
 
@@ -221,6 +228,110 @@ def criterion9_shapes():
     dataset = synth_dataset(10, 64, 800, 2.0, RandomSource(68))
     config = TrainingConfig(profile=profile, epochs=4, warmup_epochs=1, seed=69)
     return dataset, train(first_rows(dataset, 2000), config).models
+
+
+def model_params(result):
+    return [p for model in (result.models.encoder, result.models.decoder,
+                            result.models.classifier)
+            for layer in model.layers for p in (layer.weight, layer.bias)]
+
+
+class TestTrainingThreads:
+    """train runs its products on one BLAS thread and draws each batch's
+    channel on one worker thread, and leaves neither behind."""
+
+    @staticmethod
+    def train_from_two_blas_threads(*args):
+        """train(*args), entered with the BLAS count set to 2 where the
+        library is found, must leave the count as it found it; train's error,
+        if any, passes through."""
+        old = _blas_threads(2)
+        entered = _blas_threads()
+        try:
+            train(*args)
+        finally:
+            after = _blas_threads()
+            if old is not None:
+                _blas_threads(old)
+            assert after == entered
+
+    def test_blas_threads_restored_after_return(self):
+        self.train_from_two_blas_threads(tiny_dataset(), tiny_config())
+
+    def test_blas_threads_restored_after_training_error(self):
+        ds = Dataset(features=np.full((8, 4), 1e200), labels=np.zeros(8, dtype=np.int64),
+                     n_classes=1)
+        cfg = tiny_config(n_bits=4, epochs=2, warmup_epochs=0, batch_size=8,
+                          enc_hidden=(4,), dec_hidden=(4,), clf_hidden=(4,))
+        with pytest.raises(TrainingError, match="epoch 0"):
+            self.train_from_two_blas_threads(ds, cfg)
+
+    def test_batches_run_on_one_blas_thread(self, monkeypatch):
+        seen = []
+        real = jscc.backward_with_bypass
+
+        def recorded(*a):
+            seen.append(_blas_threads())
+            return real(*a)
+
+        monkeypatch.setattr(jscc, "backward_with_bypass", recorded)
+        train(tiny_dataset(), tiny_config())
+        assert len(seen) == 12  # 4 batches of 100 rows in each of 3 epochs
+        assert set(seen) == ({1} if _blas_threads() is not None else {None})
+
+    def test_draws_on_one_worker_that_ends_with_the_run(self, monkeypatch):
+        """Every robust batch's flip probabilities are drawn on one worker
+        thread, with one extra thread alive, and none is left afterwards."""
+        real = jscc.sample_mu_matrix
+        seen = []
+
+        def recorded(*args):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return real(*args)
+
+        monkeypatch.setattr(jscc, "sample_mu_matrix", recorded)
+        before = threading.active_count()
+        train(tiny_dataset(), tiny_config())
+        assert threading.active_count() == before
+        assert len(seen) == 8  # 4 batches in each of the 2 robust epochs
+        workers = {ident for ident, _ in seen}
+        assert len(workers) == 1 and threading.get_ident() not in workers
+        assert all(count == before + 1 for _, count in seen)
+
+    def test_draw_error_ends_the_run_and_leaves_no_thread(self, monkeypatch):
+        """A flip-probability draw that fails on the worker for the third
+        robust batch ends the run with its error, no batch is drawn after it,
+        and no thread outlives the run."""
+        real = jscc.sample_mu_matrix
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third draw")
+            return real(*args)
+
+        monkeypatch.setattr(jscc, "sample_mu_matrix", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third draw"):
+            self.train_from_two_blas_threads(tiny_dataset(), tiny_config())
+        assert threading.active_count() == before
+        assert len(calls) == 3
+
+    def test_training_under_fast_switching_equals_default(self):
+        """With threads switching every microsecond, a run equals the same run
+        at the default interval: the worker's draws keep the stream's order."""
+        ds, cfg = tiny_dataset(), tiny_config(epochs=4)
+        reference = train(ds, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fast = train(ds, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert fast.metrics == reference.metrics
+        for a, b in zip(model_params(fast), model_params(reference), strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStreamedEvaluation:
