@@ -36,8 +36,7 @@ class BetaAdjusters:
                 raise DomainError(f"{name}={v} outside (0, 1]")
 
 
-# Reference settings: uniform robustness levels vs. a linear ramp of them.
-HOMOGENEOUS_BETAS = BetaAdjusters(0.6599, 0.6003, 0.5553)
+# Reference setting for a linear ramp of robustness levels, the CLI's default
 HETEROGENEOUS_BETAS = BetaAdjusters(1.0, 0.6, 0.5)
 
 

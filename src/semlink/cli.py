@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .adaptmod import (
+    HETEROGENEOUS_BETAS,
     BetaAdjusters,
     capacity_uniform,
     orders_from_thresholds,
@@ -42,6 +43,9 @@ from .numerics import RandomSource
 MODEL_FILES = ("encoder.bin", "decoder.bin", "classifier.bin")
 MAX_SWEEP_POINTS = 10_000
 MAX_SNR_DB = 3000.0  # 10^(3000/10) = 1e300 still fits a float
+# the --betas default: HETEROGENEOUS_BETAS as B2,B4,B6, each written to read back exactly
+DEFAULT_BETAS = ",".join(repr(b) for b in (HETEROGENEOUS_BETAS.beta2, HETEROGENEOUS_BETAS.beta4,
+                                           HETEROGENEOUS_BETAS.beta6))
 
 
 def fmt(x) -> str:
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "order (selected bits per symbol)")
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--profile", required=True, help="profile file: index,alpha,a lines")
-    p.add_argument("--betas", default="1,0.6,0.5", help="B2,B4,B6 adjusting factors")
+    p.add_argument("--betas", default=DEFAULT_BETAS, help="B2,B4,B6 adjusting factors")
     _add_common(p, seed=False)
 
     p = command("train", cmd_train, "train encoder/decoder/classifier over sampled BSECs",
@@ -448,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", nargs="?", const=True, default=False, type=parse_bool,
                    metavar="BOOL", help="per-bit order selection (true/false, bare = true)")
     p.add_argument("--fixed-order", type=int, default=2, choices=SUPPORTED_ORDERS)
-    p.add_argument("--betas", default="1,0.6,0.5")
+    p.add_argument("--betas", default=DEFAULT_BETAS)
     p.add_argument("--images-per-block", type=int, default=10,
                    help="images sharing one channel draw")
     _add_common(p)

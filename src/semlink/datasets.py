@@ -30,15 +30,20 @@ class Dataset:
         # asarray copies only when the dtype differs, so the pipelines read
         # the fields as they are
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise DomainError("features must be (n, dim) with one label per row")
         if labels.size == 0:
             raise DomainError("dataset is empty")
+        if labels.dtype.kind == "f":  # whole numbers stored as floats pass
+            bad = np.flatnonzero(~(np.isfinite(labels) & (np.trunc(labels) == labels)))
+            if bad.size:
+                i = bad[0]
+                raise DomainError(f"labels must be whole numbers, got {labels[i]} at row {i}")
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise DomainError("labels must lie in [0, n_classes)")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", np.asarray(labels, dtype=np.int64))
 
     @property
     def feature_dim(self) -> int:

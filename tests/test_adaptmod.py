@@ -9,7 +9,6 @@ import pytest
 from semlink.adaptmod import (
     BetaAdjusters,
     HETEROGENEOUS_BETAS,
-    HOMOGENEOUS_BETAS,
     ModPlan,
     capacity_uniform,
     orders_from_thresholds,
@@ -33,6 +32,10 @@ from oracles import (
 
 # the largest betas: orders 4 and 6 then reach arguments above 1/2 at alpha <= 0.5
 UNIT_BETAS = BetaAdjusters(1.0, 1.0, 1.0)
+
+# the reference adjusters for uniform robustness levels; the library keeps
+# only the ramp's, HETEROGENEOUS_BETAS
+HOMOGENEOUS_BETAS = BetaAdjusters(0.6599, 0.6003, 0.5553)
 
 
 def grid_profile(alphas, offsets) -> RobustnessProfile:

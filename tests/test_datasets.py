@@ -164,6 +164,22 @@ class TestDataset:
         np.testing.assert_array_equal(ds.features, [[0, 1], [2, 3]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
+    @pytest.mark.parametrize("labels,shown", [
+        ([0.7, 1.9], "0.7 at row 0"),
+        ([1.0, 0.5], "0.5 at row 1"),
+        ([0.0, np.nan], "nan at row 1"),
+        ([np.inf, 0.0], "inf at row 0"),
+    ], ids=["fractions", "second-row", "nan", "inf"])
+    def test_non_integer_labels_rejected(self, labels, shown):
+        with pytest.raises(DomainError) as err:
+            Dataset(np.zeros((2, 2)), np.array(labels), n_classes=2)
+        assert str(err.value) == f"labels must be whole numbers, got {shown}"
+
+    def test_whole_float_labels_accepted(self):
+        ds = Dataset(np.zeros((3, 2)), np.array([1.0, 0.0, 1.0]), n_classes=2)
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+
     def test_matching_dtypes_not_copied(self):
         features = np.zeros((3, 2))
         labels = np.array([0, 1, 1], dtype=np.int64)
