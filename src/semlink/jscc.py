@@ -184,10 +184,11 @@ def _blas_threads(n: int | None = None) -> int | None:
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and put is not None:
-                get.restype = ctypes.c_int
-                old = int(get())
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                old = get()
                 if n is not None:
-                    put(ctypes.c_int(n))
+                    put(n)
                 return old
     return None
 
