@@ -8,9 +8,10 @@ the change first on odd ones, so a drift in the host's speed falls on both
 sides alike. Each run prints its items_per_s, setup_s and peak_rss_mb, its
 wall time, and the CPU time of its process (a getrusage(RUSAGE_CHILDREN)
 delta; CPU over wall above 1 means that more than one core worked). The end
-gives each side's median and quartiles of items_per_s and the change's win
-count. The quartiles are those of statistics.quantiles(n=4), as in
-benchmarks/record.py.
+gives each side's median and quartiles of items_per_s and of setup_s, and the
+change's win count on items_per_s. The quartiles are those of
+statistics.quantiles(n=4), as in benchmarks/record.py. setup_s includes the
+import of the package, so its spread shows how far import time alone moves it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def parse_seeds(spec: str) -> list[int]:
     return [int(s) for s in spec.split(",")]
 
 
+def spread(values: list[float]) -> dict:
+    """Median and quartiles of at least two figures."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
 def summarize(parent: list[float], change: list[float]) -> dict:
     """Medians, quartiles and wins of paired higher-is-better figures.
 
@@ -44,10 +51,7 @@ def summarize(parent: list[float], change: list[float]) -> dict:
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two equally long lists of at least 2 figures")
-    sides = {}
-    for name, values in (("parent", parent), ("change", change)):
-        q1, _, q3 = statistics.quantiles(values, n=4)
-        sides[name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    sides = {"parent": spread(parent), "change": spread(change)}
     gap = sides["change"]["median"] - sides["parent"]["median"]
     return {
         **sides,
@@ -86,6 +90,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     figures = {"parent": [], "change": []}
+    setups = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
@@ -93,6 +98,7 @@ def main(argv=None) -> int:
         for side in order:
             r = runs[side]
             figures[side].append(r["items_per_s"])
+            setups[side].append(r["setup_s"])
             print(f"seed {seed} {side}: items_per_s {r['items_per_s']:.6g} setup_s "
                   f"{r['setup_s']:.4f} peak_rss_mb {r['peak_rss_mb']:.2f} wall_s "
                   f"{r['wall_s']:.2f} cpu_s {r['cpu_s']:.2f} "
@@ -103,6 +109,10 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         print(f"{side}: median {s[side]['median']:.6g} quartiles {s[side]['q1']:.6g} "
               f"{s[side]['q3']:.6g}")
+    for side in ("parent", "change"):
+        setup = spread(setups[side])
+        print(f"{side}: setup_s median {setup['median']:.4f} quartiles {setup['q1']:.4f} "
+              f"{setup['q3']:.4f}")
     print(f"change won {s['wins']} of {s['pairs']} pairs; median ratio {s['ratio']:.3f}; "
           f"the gap {'clears' if s['clears_spread'] else 'does not clear'} the parent's "
           f"quartile distance")

@@ -15,7 +15,7 @@ from .channel import ChannelDistribution, FixedSnr, block_gains, draw_channels
 from .constellation import SUPPORTED_ORDERS, build_constellation, check_order, pack_bits
 from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
-from .jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
+from .jscc import ModelTriple, infer, noisy_latent_sample, sample_latent_bits
 from .numerics import RandomSource
 
 # benchmarks/tracing.py patches plan_from_thresholds, transmit and equalize
@@ -280,23 +280,6 @@ def _order_regions(order: int) -> DecisionRegions:
     return build_regions(build_constellation(order), 0.0)
 
 
-def _forward_blocks(model, x: np.ndarray, size: int) -> np.ndarray:
-    """model.forward over consecutive blocks of `size` rows of x.
-
-    The full blocks go in as one (blocks, size, dim) stack, whose products
-    equal the per-block ones bit for bit; a shorter last block is its own
-    (1, rows, dim) stack. Stacks keep no activations, so neither call leaves
-    a cache behind.
-    """
-    full = len(x) - len(x) % size
-    parts = []
-    if full:
-        parts.append(model.forward(x[:full].reshape(-1, size, x.shape[1])).reshape(full, -1))
-    if full < len(x):
-        parts.append(model.forward(x[full:][None])[0])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
                    profile: RobustnessProfile, betas: BetaAdjusters,
                    adaptive: bool, dataset, rng: RandomSource,
@@ -308,13 +291,12 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     session spectral efficiency (total bits / total symbols) and the empirical
     bit bias of the encoder output.
 
-    The pass runs in chunks of whole blocks of about CHUNK_ENTRIES latent
-    entries, each chunk with one call per stage: one channel draw for all its
-    blocks (channel.draw_channels), one order matrix, one latent-bit draw,
-    one _carry and stacked forwards. Every random stream is drawn in the same
-    order as a block-by-block pass, so the results are the same. A chunk's
-    arrays are freed before the next chunk allocates its own, so the pass
-    holds one chunk's arrays at a time.
+    The pass is one jscc.infer pass in chunks of whole blocks of about
+    CHUNK_ENTRIES latent entries. Its link channel makes one call per stage
+    for a chunk: one channel draw for all its blocks (channel.draw_channels),
+    one order matrix, one latent-bit draw and one _carry. Every random stream
+    is drawn in the same order as a block-by-block pass, so the results are
+    the same.
     """
     if isinstance(images_per_block, bool) or not isinstance(images_per_block,
                                                             (int, np.integer)):
@@ -326,9 +308,9 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
         raise ConfigError(
             f"encoder emits {models.encoder.out_dim} bits, profile has {n_bits}"
         )
-    x, y = dataset.features, dataset.labels
+    n = len(dataset.features)
     # a block of at least the dataset's length is one block of every image
-    images_per_block = min(int(images_per_block), len(x))
+    images_per_block = min(int(images_per_block), n)
     if adaptive:
         table = threshold_table(profile, betas)
     else:  # thresholds 0 up to the fixed order and infinite above it
@@ -337,55 +319,35 @@ def run_end_to_end(models: ModelTriple, channel_dist: ChannelDistribution,
     ch_rng, bit_rng, noise_rng = rng.split(3)
     chunk_images = max(1, CHUNK_ENTRIES // (images_per_block * n_bits)) * images_per_block
     store = {}  # _carry's buffers, shared by the chunks
+    tally = np.zeros(5, dtype=np.int64)  # symbols, ones, flips, erasures, corrects
 
-    correct = 0
-    sq_err_sum = 0.0
-    total_symbols = 0
-    bit_sum = 0
-    counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
-    for start in range(0, len(x), chunk_images):
-        xc = x[start:start + chunk_images]
-        yc = y[start:start + chunk_images]
-        bounds = np.append(np.arange(0, len(xc), images_per_block), len(xc))
-        rows = np.diff(bounds)
+    def link(f, rows):
+        """The chunk's latent bits over one channel per block, as trits."""
+        nonlocal tally
         h = draw_channels(channel_dist, len(rows), ch_rng)
         g2, gain = block_gains(h)
-        orders = orders_from_thresholds(g2, table)
-        f = _forward_blocks(models.encoder, xc, images_per_block)
         bits = sample_latent_bits(f, bit_rng.random(f.shape))
-        runs = symbol_runs(orders)
+        runs = symbol_runs(orders_from_thresholds(g2, table))
         n_noise = _noise_size(runs, rows)
         noise = noise_rng.std_normal(n_noise, out=_buffer(store, "noise", (n_noise,)))
         trits, symbols_per_row = _carry(bits, runs, rows, h, gain, profile.a_offsets, noise,
                                         store)
-        total_symbols += int(symbols_per_row @ rows)
-        bit_sum += int(bits.sum())
-        counts += _count_trits(bits, trits)
-        u_hat = _forward_blocks(models.decoder, trits, images_per_block)
-        logits = _forward_blocks(models.classifier, u_hat, images_per_block)
-        correct += int(np.sum(np.argmax(logits, axis=1) == yc))
-        # one sum per block, added in block order; a full block's row of the
-        # reshape sums to the bytes of np.sum over the block
-        sq_err = (u_hat - xc) ** 2
-        full = len(xc) - len(xc) % images_per_block
-        sums = sq_err[:full].reshape(-1, images_per_block * xc.shape[1]).sum(axis=1).tolist()
-        if full < len(xc):
-            sums.append(float(np.sum(sq_err[full:])))
-        for s in sums:  # not sum(), which compensates float sums from Python 3.12 on
-            sq_err_sum += s
-        del f, bits, trits, u_hat, logits, sq_err  # before the next chunk allocates
+        tally += (int(symbols_per_row @ rows), int(bits.sum()), *_count_trits(bits, trits))
+        return trits
 
-    n = len(x)
+    chunks = ((lo, min(lo + chunk_images, n), images_per_block)
+              for lo in range(0, n, chunk_images))
+    accuracy, mse = infer(models, dataset, chunks, link)
     total_bits = n * n_bits
-    flips, erasures, _ = counts.tolist()
+    symbols, ones, flips, erasures, _ = tally.tolist()
     return {
         "n_images": n,
-        "accuracy": correct / n,
-        "mse": sq_err_sum / n,
-        "spectral_efficiency": total_bits / total_symbols,
+        "accuracy": accuracy,
+        "mse": mse,
+        "spectral_efficiency": total_bits / symbols,
         "flip_rate": flips / total_bits,
         "erasure_rate": erasures / total_bits,
-        "bit_bias": bit_sum / total_bits,
+        "bit_bias": ones / total_bits,
     }
 
 

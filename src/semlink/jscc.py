@@ -284,6 +284,55 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     return result
 
 
+def _stacks(x: np.ndarray, size: int) -> list[np.ndarray]:
+    """Consecutive blocks of `size` rows of x as (blocks, size, dim) views:
+    one stack of the full blocks and a (1, rows, dim) stack of a shorter last
+    block, each left out when it would be empty."""
+    full = len(x) - len(x) % size
+    stacks = [x[:full].reshape(-1, size, x.shape[1])] if full else []
+    return stacks + [x[full:][None]] if full < len(x) else stacks
+
+
+def _forward_blocks(model: DenseModel, x: np.ndarray, size: int) -> np.ndarray:
+    """model.forward over consecutive blocks of `size` rows of x. A stack's
+    products equal the per-block ones bit for bit, and stacks keep no
+    activations, so no call leaves a cache behind."""
+    parts = [model.forward(stack).reshape(-1, model.out_dim) for stack in _stacks(x, size)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def infer(models: ModelTriple, dataset, chunks, channel) -> tuple[float, float]:
+    """(accuracy, mse) of encode -> channel -> decode -> classify over the
+    dataset, whose rows the chunks cover in order.
+
+    Each chunk (lo, hi, size) covers rows lo:hi and runs stacked forwards
+    over its blocks of `size` rows (a shorter last block on its own), so
+    inference keeps no activations. channel(f, rows) turns the chunk's
+    encoder probabilities f into the decoder's input, given the chunk's
+    rows per block. The squared errors are summed per block and the sums
+    added in block order. A chunk's arrays are freed before the next chunk
+    allocates its own, so the pass holds one chunk's arrays at a time.
+    """
+    x, y = dataset.features, dataset.labels
+    correct = 0
+    sq_err_sum = 0.0
+    for lo, hi, size in chunks:
+        xc = x[lo:hi]
+        rows = np.diff(np.append(np.arange(0, len(xc), size), len(xc)))
+        f = _forward_blocks(models.encoder, xc, size)
+        b_hat = channel(f, rows)
+        u_hat = _forward_blocks(models.decoder, b_hat, size)
+        logits = _forward_blocks(models.classifier, u_hat, size)
+        correct += int(np.sum(np.argmax(logits, axis=1) == y[lo:hi]))
+        # a block's row of a stack's reshape sums to the bytes of np.sum
+        # over the block
+        for stack in _stacks((u_hat - xc) ** 2, size):
+            for block_sum in stack.reshape(len(stack), -1).sum(axis=1).tolist():
+                sq_err_sum += block_sum  # not sum(), which compensates from Python 3.12 on
+        del f, b_hat, u_hat, logits, stack  # before the next chunk allocates
+    return correct / len(x), sq_err_sum / len(x)
+
+
 # Rows per block of an evaluation pass. Blocks are nearly equal, so a pass
 # of more than one block runs every product on at least 256 rows, where
 # OpenBLAS gives each row the bits of a whole-array product.
@@ -294,32 +343,20 @@ def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
                     rng: RandomSource) -> tuple[float, float]:
     """(accuracy, mse) with latent bits passed through a fixed BSEC.
 
-    The rows run encode -> sample -> decode -> classify in consecutive,
-    nearly equal blocks of at most EVAL_BLOCK_ROWS rows, which draw their
-    uniforms from rng in row order, so memory is O(block) and the result
-    equals one whole-array pass bit for bit. Inference keeps no activations:
-    each forward takes its block as a (1, rows, dim) stack, which
-    DenseModel.forward runs without a cache, so every model's cache is None
-    afterwards.
+    One infer pass over consecutive, nearly equal blocks of at most
+    EVAL_BLOCK_ROWS rows, one block per chunk, which draw their uniforms
+    from rng in row order. So memory is O(block), the accuracy equals one
+    whole-array pass bit for bit, and the mse is the per-block squared
+    error sums, added in block order, over the row count.
     """
     if not (0.0 <= mu <= 1.0 and 0.0 <= d <= 1.0 and mu + d <= 1.0):
         raise DomainError(f"invalid channel parameters mu={mu}, d={d}")
-    x, y = dataset.features, dataset.labels
-    n = len(x)
+    n = len(dataset.features)
     n_blocks = -(-n // EVAL_BLOCK_ROWS)
-    correct = 0
-    sq_err = np.empty(n)  # per-row squared error, averaged as mse_loss does
-    for k in range(n_blocks):
-        lo, hi = n * k // n_blocks, n * (k + 1) // n_blocks
-        f = models.encoder.forward(x[None, lo:hi])[0]
-        b_hat = noisy_latent_sample(f, mu, d, rng.random(f.shape))
-        u_hat = models.decoder.forward(b_hat[None])[0]
-        logits = models.classifier.forward(u_hat[None])[0]
-        correct += int(np.sum(np.argmax(logits, axis=1) == y[lo:hi]))
-        u_hat -= x[lo:hi]
-        u_hat *= u_hat
-        np.sum(u_hat, axis=1, out=sq_err[lo:hi])
-    return correct / n, float(np.mean(sq_err))
+    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    chunks = [(lo, hi, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    return infer(models, dataset, chunks,
+                 lambda f, rows: noisy_latent_sample(f, mu, d, rng.random(f.shape)))
 
 
 def warmup_only_config(config: TrainingConfig) -> TrainingConfig:

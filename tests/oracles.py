@@ -42,8 +42,7 @@ from semlink.constellation import (
 from semlink.demod import TRIT_ERASURE, axis_bit_pattern, build_regions, demod_robust
 from semlink.errors import ConfigError, DomainError
 from semlink.harness import CHUNK_ENTRIES, LinkStats
-from semlink.jscc import ModelTriple, noisy_latent_sample, sample_latent_bits
-from semlink.nn import mse_loss
+from semlink.jscc import EVAL_BLOCK_ROWS, ModelTriple, noisy_latent_sample, sample_latent_bits
 from semlink.numerics import RandomSource, q_function_array, q_inverse_array
 
 
@@ -446,7 +445,9 @@ def run_end_to_end_per_block(models: ModelTriple, channel_dist: ChannelDistribut
 def eval_under_bsec_whole(models: ModelTriple, dataset, mu: float, d: float,
                           rng: RandomSource) -> tuple[float, float]:
     """jscc.eval_under_bsec as one pass over the whole dataset: every forward,
-    the uniforms and the squared errors as full (rows, dim) arrays."""
+    the uniforms and the squared errors as full (rows, dim) arrays. The
+    squared errors are summed per nearly equal block of at most
+    EVAL_BLOCK_ROWS rows, and the sums added in block order."""
     if not (0.0 <= mu <= 1.0 and 0.0 <= d <= 1.0 and mu + d <= 1.0):
         raise DomainError(f"invalid channel parameters mu={mu}, d={d}")
     x = np.asarray(dataset.features, dtype=np.float64)
@@ -457,5 +458,9 @@ def eval_under_bsec_whole(models: ModelTriple, dataset, mu: float, d: float,
     u_hat = models.decoder.forward(b_hat[None])[0]
     logits = models.classifier.forward(u_hat[None])[0]
     acc = float(np.mean(np.argmax(logits, axis=1) == y))
-    mse, _ = mse_loss(x, u_hat)
-    return acc, mse
+    sq_err = (u_hat - x) ** 2
+    n_blocks = -(-len(x) // EVAL_BLOCK_ROWS)
+    sq_err_sum = 0.0
+    for k in range(n_blocks):
+        sq_err_sum += float(np.sum(sq_err[len(x) * k // n_blocks:len(x) * (k + 1) // n_blocks]))
+    return acc, sq_err_sum / len(x)

@@ -1,4 +1,5 @@
-"""The summary arithmetic of experiments/ab_pairs.py; no benchmark runs here."""
+"""The summary arithmetic and report of experiments/ab_pairs.py; no benchmark
+runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -39,3 +40,26 @@ def test_summary_needs_two_equal_lists(parent, change):
                                         ("9", [9])])
 def test_seed_lists(spec, seeds):
     assert ab_pairs.parse_seeds(spec) == seeds
+
+
+def test_spread_of_setup_times():
+    assert ab_pairs.spread([0.30, 0.25, 0.42, 0.28, 0.35]) == \
+        {"median": 0.30, "q1": 0.265, "q3": 0.385}
+
+
+def test_report_gives_each_sides_setup_spread(monkeypatch, capsys, tmp_path):
+    setup = {("parent", 1): 0.25, ("parent", 2): 0.30, ("parent", 3): 0.27,
+             ("change", 1): 0.40, ("change", 2): 0.20, ("change", 3): 0.31}
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = checkout.name
+        return {"items_per_s": 100.0 + seed, "setup_s": setup[side, seed],
+                "peak_rss_mb": 60.0, "wall_s": 20.0, "cpu_s": 20.0}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                          "--workload", "link-mc", "--seeds", "1-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # exclusive quartiles of three sorted figures sit at positions 1 and 3
+    assert "parent: setup_s median 0.2700 quartiles 0.2500 0.3000" in lines
+    assert "change: setup_s median 0.3100 quartiles 0.2000 0.4000" in lines

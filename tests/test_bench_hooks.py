@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from semlink import harness
+from semlink import harness, jscc
 from semlink.adaptmod import HETEROGENEOUS_BETAS, threshold_table
 from semlink.bsec import RobustnessProfile
 from semlink.channel import UniformMagnitude
@@ -64,6 +64,24 @@ def test_traced_runs_equal_plain_runs():
         traced = run()
     assert traced == plain
     assert {"harness.end_to_end", "harness.link", "nn.forward", "demod.classify"} <= \
+        {span[0] for span in tracer.spans}
+
+
+def test_traced_bsec_evaluation_equals_plain_one():
+    # train-robust's check: a traced eval_under_bsec returns what a plain one
+    # does and records the spans of the pass and of its channel
+    profile = RobustnessProfile.homogeneous(12, 0.4, a=0.5)
+    ds = synth_dataset(3, 8, 300, 1.0, RandomSource(7))  # 900 rows, two blocks
+    models = build_models(8, 3, TrainingConfig(profile=profile), RandomSource(8))
+
+    def run():
+        return jscc.eval_under_bsec(models, ds, 0.2, 0.1, RandomSource(9))
+
+    plain = run()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        traced = run()
+    assert [v.hex() for v in traced] == [v.hex() for v in plain]
+    assert {"jscc.eval", "jscc.latent_sample", "nn.forward"} <= \
         {span[0] for span in tracer.spans}
 
 

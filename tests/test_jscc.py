@@ -392,6 +392,42 @@ class TestStreamedEvaluation:
         assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+class TestInferPass:
+    """jscc.infer with a substituted channel: no loop of its own is needed."""
+
+    @pytest.mark.parametrize("chunks,rows", [
+        ([(0, 2000, 500)], [[500] * 4]),
+        ([(0, 1300, 512), (1300, 2000, 350)], [[512, 512, 276], [350, 350]]),
+    ], ids=["one-chunk", "short-last-block"])
+    def test_identity_channel_equals_whole_array_forwards(self, criterion9_shapes, chunks,
+                                                          rows):
+        """A channel that passes the encoder's probabilities through gives the
+        accuracy of whole-array forwards and their squared errors summed per
+        block in block order, bit for bit; blocks of at least 256 rows get a
+        whole-array product's bits from OpenBLAS."""
+        dataset, models = criterion9_shapes
+        data = first_rows(dataset, 2000)
+        seen = []
+
+        def identity(f, block_rows):
+            seen.append(block_rows.tolist())
+            return f
+
+        acc, mse = jscc.infer(models, data, chunks, identity)
+        assert seen == rows
+
+        x, y = data.features, data.labels
+        u_hat = models.decoder.forward(models.encoder.forward(x[None]))
+        logits = models.classifier.forward(u_hat)[0]
+        sq_err = (u_hat[0] - x) ** 2
+        sq_err_sum = 0.0
+        for lo, hi, size in chunks:
+            for start in range(lo, hi, size):
+                sq_err_sum += float(np.sum(sq_err[start:min(start + size, hi)]))
+        whole_acc = int(np.sum(np.argmax(logits, axis=1) == y)) / len(x)
+        assert [acc.hex(), mse.hex()] == [whole_acc.hex(), (sq_err_sum / len(x)).hex()]
+
+
 class TestTraining:
     def test_loss_decreases(self):
         ds = tiny_dataset()
