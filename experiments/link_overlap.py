@@ -4,14 +4,15 @@ against inline draws, in one process.
     PYTHONPATH=src python3 experiments/link_overlap.py --order 6 --chunks 1,2,16,160 --rounds 5
 
 harness.run_link_montecarlo draws chunk k + 1's bits and noise on a worker
-thread while chunk k is carried; here it runs at 6 dB and a = 0.5. The inline
-variant patches an executor that runs each submitted draw at once, on the
-calling thread, into harness in place of ThreadPoolExecutor, so the same
-draws run in the same order without a second thread. Each round runs both variants at every chunk count, threaded
-first on even rounds and inline first on odd ones. A run of n chunks carries
-n full chunks of bits. Each run reports its wall time, its process CPU time
-(time.process_time, all threads) and their ratio: a ratio near 1 means that
-the worker never ran beside the main thread. The end gives each variant's
+thread while chunk k is carried (numerics.drawn_ahead); here it runs at 6 dB
+and a = 0.5. The inline variant patches a plain generator, which draws each
+chunk when the loop asks for it, into harness in place of drawn_ahead, so the
+same draws run in the same order without a second thread. Each round runs
+both variants at every chunk count, threaded first on even rounds and inline
+first on odd ones. A run of n chunks carries n full chunks of bits. Each run
+reports its wall time, its process CPU time (time.process_time, all threads)
+and their ratio: a ratio near 1 means that the worker never ran beside the
+main thread. The end gives each variant's
 median per chunk count and the threaded/inline wall time ratio.
 """
 
@@ -22,7 +23,6 @@ import contextlib
 import statistics
 import sys
 import time
-from concurrent.futures import Future
 
 from semlink import harness
 from semlink.numerics import RandomSource
@@ -31,39 +31,18 @@ VARIANTS = ("threaded", "inline")
 SNR_DB, OFFSET = 6.0, 0.5  # the link point of the benchmark's quoted Mbit/s
 
 
-class InlineExecutor:
-    """ThreadPoolExecutor's submit and with-block, run on the calling thread."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as err:  # raised again by result(), as a worker's would be
-            future.set_exception(err)
-        return future
-
-
 @contextlib.contextmanager
 def draws(variant: str):
-    """harness as it is (threaded) or with InlineExecutor patched in (inline)."""
+    """harness as it is (threaded) or drawing each chunk inline (inline)."""
     if variant == "threaded":
         yield
         return
-    saved = harness.ThreadPoolExecutor
-    harness.ThreadPoolExecutor = InlineExecutor
+    saved = harness.drawn_ahead
+    harness.drawn_ahead = lambda draw, jobs: (draw(job) for job in jobs)
     try:
         yield
     finally:
-        harness.ThreadPoolExecutor = saved
+        harness.drawn_ahead = saved
 
 
 def run(variant: str, order: int, n_chunks: int, seed: int) -> dict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +16,7 @@ from .constellation import SUPPORTED_ORDERS, build_constellation, check_order, p
 from .demod import TRIT_ERASURE, DecisionRegions, build_regions, demod_robust
 from .errors import ConfigError, DomainError
 from .jscc import ModelTriple, infer, noisy_latent_sample, sample_latent_bits
-from .numerics import RandomSource
+from .numerics import RandomSource, drawn_ahead
 
 # benchmarks/tracing.py patches plan_from_thresholds, transmit and equalize
 # under these names here, and transport_block below; the library itself does
@@ -89,11 +89,10 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     the chunks share one set of _carry buffers.
 
     A chunk's bits and noise depend on nothing an earlier chunk computes, so
-    chunk 0 is drawn inline and one worker thread draws chunk k + 1 while
-    chunk k is carried, into the other of two noise buffers. A one-chunk run
-    submits nothing, so it starts no thread. Each stream is drawn by one
-    thread at a time, in chunk order, so the values are those of an inline
-    run. The worker is joined before the call returns or raises.
+    they are numerics.drawn_ahead: chunk 0 is drawn inline and one worker
+    thread draws chunk k + 1 while chunk k is carried, into the other of two
+    noise buffers. A one-chunk run starts no thread. The values are those of
+    an inline run, and the worker is joined before the call returns or raises.
     """
     n_bits = _check_n_bits(n_bits)
     try:
@@ -110,7 +109,7 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
     runs = symbol_runs(np.full((1, m), m))
     a_row = np.full(m, a)
     # chunk k's noise goes to buffer k % 2: the worker fills one while the
-    # other is carried, and chunk k + 2 is submitted once chunk k is carried
+    # other is carried, as chunk k + 2 is drawn once chunk k + 1 is taken
     noise_bufs = np.empty((min(n_chunks, 2), 2 * min(chunk, n_sym)))
 
     def draw(k):
@@ -123,13 +122,8 @@ def run_link_montecarlo(order: int, snr_db: float, a: float, n_bits: int,
 
     store = {}
     counts = np.zeros(3, dtype=np.int64)  # flips, erasures, corrects
-    # the pool starts its thread on the first submit; leaving the with block
-    # joins it, on an error too
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for k in range(n_chunks):
-            bits, rows, noise = draw(0) if k == 0 else ahead.result()
-            if k + 1 < n_chunks:
-                ahead = pool.submit(draw, k + 1)
+    with closing(drawn_ahead(draw, range(n_chunks))) as chunks:
+        for bits, rows, noise in chunks:
             trits, _ = _carry(bits, runs, rows, h, gain, a_row, noise, store)
             counts += _count_trits(bits, trits)
     return LinkStats(n_sym * m, *counts.tolist())

@@ -22,6 +22,7 @@ exists at runtime.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from .bsec import RobustnessProfile, erasure_from_mu_array, sample_mu_matrix
 from .demod import TRIT_ERASURE
 from .errors import ConfigError, DomainError, TrainingError
 from .nn import AdamState, DenseModel, ce_loss, init_model, mse_loss
-from .numerics import RandomSource
+from .numerics import RandomSource, drawn_ahead
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,11 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     back on its way out: a batch's products are too small to gain from a
     second thread, and the second core draws the channels instead. A batch's
     channel (its flip and erasure probabilities and its uniforms) depends on
-    nothing the models compute, so one worker thread draws batch b + 1's
-    while batch b trains. Only the worker draws from the noise stream, in
-    batch order, so the values are those of an inline run. The worker is
+    nothing the models compute, so the channels are numerics.drawn_ahead:
+    batch 0's is drawn inline and one worker thread draws batch b + 1's while
+    batch b trains. The values are those of an inline run, and the worker is
     joined before the call returns or raises.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loaded with harness
-
     model_rng, shuffle_rng, noise_rng = RandomSource(config.seed).split(3)
 
     x, y = dataset.features, dataset.labels
@@ -216,14 +215,15 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     # with every alpha at 0, mu is 0: the profile is silent if d(0, a) is 0 too
     silent_profile = not alphas.any() and not erasure_from_mu_array(alphas, a_offsets).any()
     result = TrainResult(models=models)
-    # each batch's rows and whether its channel is noiseless, in training
-    # order: mu and d are exactly 0 in warm-up and under a silent profile
-    batches = [(min(config.batch_size, len(x) - start),
+    # each batch's rows and whether its channel is noiseless, made as drawn in
+    # training order: mu and d are exactly 0 in warm-up and under a silent profile
+    batches = ((min(config.batch_size, len(x) - start),
                 epoch < config.warmup_epochs or silent_profile)
-               for epoch in range(config.epochs) for start in range(0, len(x), config.batch_size)]
+               for epoch in range(config.epochs) for start in range(0, len(x), config.batch_size))
 
-    def draw(rows, noiseless):
+    def draw(batch):
         """A batch's (mu, d, uniforms); mu and d are None when it is noiseless."""
+        rows, noiseless = batch
         shape = (rows, alphas.size)
         if noiseless:
             # skip the mu draw exactly, leaving the stream where the robust
@@ -238,11 +238,9 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     try:
         # a diverging run overflows before its loss turns non-finite; that
         # check below is the error path, so numpy's warnings would only repeat
-        # it. Leaving the pool's with block joins the worker, on an error too.
+        # it. Leaving the with block joins the worker, on an error too.
         with (np.errstate(over="ignore", invalid="ignore"),
-              ThreadPoolExecutor(max_workers=1) as pool):
-            ahead = pool.submit(draw, *batches[0]) if batches else None
-            k = 0
+              closing(drawn_ahead(draw, batches)) as channels):
             for epoch in range(config.epochs):
                 order = shuffle_rng.permutation(len(x))
                 tot_loss = tot_mse = tot_ce = 0.0
@@ -252,10 +250,7 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
                     idx = order[start:start + config.batch_size]
                     xb, yb = x[idx], y[idx]
                     f = models.encoder.forward(xb)
-                    mu, d, u = ahead.result()
-                    k += 1
-                    if k < len(batches):
-                        ahead = pool.submit(draw, *batches[k])
+                    mu, d, u = next(channels)
                     if mu is None:
                         b_hat = sample_latent_bits(f, u).astype(np.float64)
                     else:

@@ -1,8 +1,9 @@
-"""Gaussian tail probabilities and deterministic, splittable random streams."""
+"""Gaussian tail probabilities, deterministic splittable random streams, and drawing ahead."""
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erfc as _erfc_array, erfcinv as _erfcinv_array
@@ -145,3 +146,30 @@ class RandomSource:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+
+def drawn_ahead(draw, jobs):
+    """Yield draw(job) for each of jobs, in order, one draw ahead of the caller.
+
+    Job 0 is drawn on the calling thread and job k + 1 on one worker thread
+    while the caller holds job k's value, so draws that depend on nothing the
+    caller computes overlap its work; one job or none starts no thread. jobs
+    is read one job ahead of the caller. A draw's error is raised at its job,
+    and no later job is drawn. The draws run one at a time, in job order, so
+    their streams give an inline loop's values. Close the generator
+    (contextlib.closing) to join the worker, on an error too.
+    """
+    jobs = iter(jobs)
+    for job in jobs:  # the first job only, drawn inline
+        value = draw(job)
+        break
+    else:
+        return
+    # the pool starts its thread on the first submit; leaving the with block,
+    # at the end, on an error or on close(), joins it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for job in jobs:
+            ahead = pool.submit(draw, job)
+            yield value
+            value = ahead.result()
+    yield value

@@ -187,6 +187,51 @@ def test_library_methods_are_read_by_the_library():
     assert unread_methods(sources) == UNREAD_METHODS_BY_LIBRARY
 
 
+def executor_uses(source: str) -> set[tuple[str | None, str]]:
+    """(function, use) of each import and each read of a name ending in
+    Executor, such as ThreadPoolExecutor, in source. function is the name of
+    the innermost enclosing function, or None at module level; use is
+    "import" or "read"."""
+    uses = set()
+
+    def visit(node: ast.AST, owner: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import | ast.ImportFrom):
+                if any(alias.name.endswith("Executor") for alias in child.names):
+                    uses.add((owner, "import"))
+            elif (isinstance(child, ast.Name) and child.id.endswith("Executor")
+                  or isinstance(child, ast.Attribute) and child.attr.endswith("Executor")):
+                uses.add((owner, "read"))
+            is_function = isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda)
+            visit(child, getattr(child, "name", "<lambda>") if is_function else owner)
+
+    visit(ast.parse(source), None)
+    return uses
+
+
+@pytest.mark.parametrize("text,uses", [
+    ("from concurrent.futures import ThreadPoolExecutor\n"
+     "def f():\n    with ThreadPoolExecutor(1) as p: pass\n",
+     {(None, "import"), ("f", "read")}),
+    ("def f():\n    from concurrent.futures import ProcessPoolExecutor as P\n    P()\n",
+     {("f", "import")}),
+    ("import concurrent.futures\nclass A:\n    def g(self):\n"
+     "        return concurrent.futures.ThreadPoolExecutor()\n", {("g", "read")}),
+    ("x = lambda: futures.ThreadPoolExecutor\n", {("<lambda>", "read")}),
+    ("from concurrent.futures import Future\n", set()),
+], ids=["module-import", "function-import-alias", "attribute-in-method", "lambda", "other-name"])
+def test_the_executor_check_itself(text, uses):
+    assert executor_uses(text) == uses
+
+
+def test_one_function_makes_the_library_executor():
+    """Draw-ahead has one copy: numerics imports ThreadPoolExecutor, and
+    drawn_ahead is the one library function that reads it."""
+    uses = {(path.name, *use) for path in SRC
+            for use in executor_uses(path.read_text(encoding="utf-8"))}
+    assert uses == {("numerics.py", None, "import"), ("numerics.py", "drawn_ahead", "read")}
+
+
 SUBMODULES = {"adaptmod", "bsec", "channel", "constellation", "datasets", "demod",
               "errors", "harness", "jscc", "nn", "numerics"}
 

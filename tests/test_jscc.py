@@ -488,6 +488,28 @@ class TestTraining:
         with pytest.raises(TrainingError, match="epoch 0"):
             train(ds, cfg)
 
+    def test_many_epochs_reach_the_first_batch_in_little_memory(self, monkeypatch):
+        """The batch schedule is made as it is drawn, so a run of 10**6
+        one-batch epochs reaches its first batch with a traced peak under
+        1 MiB; a list of its 10**6 batches held about 65 MB."""
+        class FirstBatch(Exception):
+            pass
+
+        def first_batch(*args):
+            raise FirstBatch
+
+        monkeypatch.setattr(jscc, "backward_with_bypass", first_batch)
+        cfg = tiny_config(epochs=10 ** 6, warmup_epochs=10 ** 6, batch_size=100)
+        ds = tiny_dataset()  # 100 rows: one batch per epoch
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBatch):
+                train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_empty_dataset_rejected(self):
         # the empty set is refused where it is built, so train never sees it
         with pytest.raises(DomainError) as err:

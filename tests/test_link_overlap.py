@@ -14,10 +14,10 @@ _spec.loader.exec_module(link_overlap)
 
 
 def test_inline_draws_equal_threaded_draws():
-    executor = harness.ThreadPoolExecutor
+    helper = harness.drawn_ahead
     before = threading.active_count()
     runs = link_overlap.compare(6, (1, 2), rounds=2, seed=3)
-    assert harness.ThreadPoolExecutor is executor
+    assert harness.drawn_ahead is helper
     assert threading.active_count() == before
     for n in (1, 2):
         stats = [r["stats"] for variant in link_overlap.VARIANTS for r in runs[variant, n]]

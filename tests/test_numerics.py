@@ -1,8 +1,12 @@
-"""Tail-function accuracy against an independent quadrature oracle, and
-random-source determinism."""
+"""Tail-function accuracy against an independent quadrature oracle,
+random-source determinism, and draws made one job ahead."""
 
 import copy
+import itertools
 import math
+import threading
+import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from semlink.errors import DomainError
 from semlink.numerics import (
     RandomSource,
+    drawn_ahead,
     q_function_array,
     q_inverse_array,
 )
@@ -272,3 +277,100 @@ class TestRandomSource:
             RandomSource(-1)
         with pytest.raises(DomainError):
             RandomSource(2**64)
+
+
+class TestDrawnAhead:
+    """drawn_ahead yields an inline loop's values, draws job 0 on the caller's
+    thread and the rest one ahead on one worker, and leaves no thread behind."""
+
+    @staticmethod
+    def started_threads(monkeypatch) -> list:
+        """Threads started from now on, recorded as they start."""
+        started = []
+        real = threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread)
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        return started
+
+    def test_values_and_order_equal_an_inline_loop(self):
+        src, twin = RandomSource(31), RandomSource(31)
+        with closing(drawn_ahead(lambda n: (n, src.random(n)), range(1, 8))) as draws:
+            got = list(draws)
+        want = [(n, twin.random(n)) for n in range(1, 8)]
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_job_zero_inline_and_the_rest_on_one_worker(self):
+        before = threading.active_count()
+        seen, read, held = [], [], []
+
+        def jobs():
+            for job in range(6):
+                read.append(job)
+                yield job
+
+        def draw(job):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return job
+
+        with closing(drawn_ahead(draw, jobs())) as draws:
+            for job in draws:
+                held.append((job, len(read)))
+        assert threading.active_count() == before
+        assert [job for job, _ in held] == list(range(6))
+        # jobs is read one job ahead of the caller, and no further
+        assert all(n_read == min(job + 2, 6) for job, n_read in held)
+        assert seen[0] == (threading.get_ident(), before)
+        workers = {ident for ident, _ in seen[1:]}
+        assert len(workers) == 1 and threading.get_ident() not in workers
+        assert all(count <= before + 1 for _, count in seen)
+
+    @pytest.mark.parametrize("n_jobs", [0, 1], ids=["no-job", "one-job"])
+    def test_zero_or_one_job_starts_no_thread(self, monkeypatch, n_jobs):
+        started = self.started_threads(monkeypatch)
+        with closing(drawn_ahead(lambda job: job + 10, range(n_jobs))) as draws:
+            assert list(draws) == [10][:n_jobs]
+        assert started == []
+
+    def test_a_draw_error_is_raised_at_its_job(self):
+        before = threading.active_count()
+        drawn, got = [], []
+
+        def draw(job):
+            drawn.append(job)
+            if job == 3:
+                raise RuntimeError("job 3")
+            return job
+
+        with pytest.raises(RuntimeError, match="job 3"):
+            with closing(drawn_ahead(draw, range(8))) as draws:
+                for job in draws:
+                    got.append(job)
+        assert got == [0, 1, 2]
+        assert drawn == [0, 1, 2, 3]
+        assert threading.active_count() == before
+
+    def test_closing_early_joins_the_worker(self, monkeypatch):
+        started = self.started_threads(monkeypatch)
+        done = []
+
+        def draw(job):
+            time.sleep(0.05 * job)  # job 1 is still drawing when the caller leaves
+            done.append(job)
+            return job
+
+        with closing(drawn_ahead(draw, range(5))) as draws:
+            assert next(draws) == 0
+        assert done == [0, 1]
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_endless_jobs(self):
+        before = threading.active_count()
+        with closing(drawn_ahead(lambda job: job * job, itertools.count())) as draws:
+            assert list(itertools.islice(draws, 5)) == [0, 1, 4, 9, 16]
+        assert threading.active_count() == before
