@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsec import RobustnessProfile, erasure_from_mu_array, sample_mu_matrix
+from .bsec import RobustnessProfile, check_width, erasure_from_mu_array, sample_mu_matrix
 from .demod import TRIT_ERASURE
 from .errors import ConfigError, DomainError, TrainingError
 from .nn import AdamState, DenseModel, ce_loss, init_model, mse_loss
@@ -45,11 +45,11 @@ class TrainingConfig:
     learning_rate: float = 0.001
     loss_weight: float = 0.2  # weight of the reconstruction term
     seed: int = 0
-    enc_hidden: tuple[int, ...] = (64, 32)
-    dec_hidden: tuple[int, ...] = (32, 64)
-    clf_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
+        # the classmethods' cap holds for a profile from any source, such as a
+        # file: each batch holds several arrays of the profile's width
+        check_width(len(self.profile))
         if not (0 <= self.warmup_epochs <= self.epochs):
             raise ConfigError(
                 f"warmup_epochs={self.warmup_epochs} must lie in [0, epochs={self.epochs}]"
@@ -86,26 +86,30 @@ class TrainResult:
     metrics: list[EpochMetrics] = field(default_factory=list)
 
 
+# Hidden widths of the encoder, decoder and classifier stacks
+ENC_HIDDEN, DEC_HIDDEN, CLF_HIDDEN = (64, 32), (32, 64), (64, 32)
+# Most weights and biases the three stacks may hold together: 128x128-pixel
+# inputs (about 3.2M) fit, and one float64 copy of them takes at most 32 MB;
+# training holds the parameters, their gradients and two Adam moments
+MAX_MODEL_PARAMS = 4 * 10**6
+
+
 def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
                  rng: RandomSource) -> ModelTriple:
-    """Default dense stacks; the encoder ends in a sigmoid, classifier in logits."""
+    """The three dense stacks; the encoder ends in a sigmoid, classifier in logits.
+    Their parameters are counted before any weight is drawn."""
     n = len(config.profile)
+    widths = ([input_dim, *ENC_HIDDEN, n], [n, *DEC_HIDDEN, input_dim],
+              [input_dim, *CLF_HIDDEN, n_classes])
+    count = sum(a * b + b for stack in widths for a, b in zip(stack, stack[1:]))
+    if count > MAX_MODEL_PARAMS:
+        raise DomainError(
+            f"models of widths {', '.join('-'.join(map(str, stack)) for stack in widths)} "
+            f"hold {count} parameters, more than {MAX_MODEL_PARAMS}")
     enc_rng, dec_rng, clf_rng = rng.split(3)
-    enc = init_model(
-        [input_dim, *config.enc_hidden, n],
-        ["relu"] * len(config.enc_hidden) + ["sigmoid"],
-        enc_rng,
-    )
-    dec = init_model(
-        [n, *config.dec_hidden, input_dim],
-        ["relu"] * len(config.dec_hidden) + ["identity"],
-        dec_rng,
-    )
-    clf = init_model(
-        [input_dim, *config.clf_hidden, n_classes],
-        ["relu"] * len(config.clf_hidden) + ["identity"],
-        clf_rng,
-    )
+    enc = init_model(widths[0], ["relu"] * len(ENC_HIDDEN) + ["sigmoid"], enc_rng)
+    dec = init_model(widths[1], ["relu"] * len(DEC_HIDDEN) + ["identity"], dec_rng)
+    clf = init_model(widths[2], ["relu"] * len(CLF_HIDDEN) + ["identity"], clf_rng)
     return ModelTriple(enc, dec, clf)
 
 
@@ -215,17 +219,17 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     # with every alpha at 0, mu is 0: the profile is silent if d(0, a) is 0 too
     silent_profile = not alphas.any() and not erasure_from_mu_array(alphas, a_offsets).any()
     result = TrainResult(models=models)
-    # each batch's rows and whether its channel is noiseless, made as drawn in
-    # training order: mu and d are exactly 0 in warm-up and under a silent profile
-    batches = ((min(config.batch_size, len(x) - start),
-                epoch < config.warmup_epochs or silent_profile)
-               for epoch in range(config.epochs) for start in range(0, len(x), config.batch_size))
+    starts = range(0, len(x), config.batch_size)
+    # made as drawn, so memory does not grow with epochs
+    batches = ((epoch, start) for epoch in range(config.epochs) for start in starts)
 
     def draw(batch):
-        """A batch's (mu, d, uniforms); mu and d are None when it is noiseless."""
-        rows, noiseless = batch
+        """Batch (epoch, start)'s (mu, d, uniforms); mu and d are None when its
+        channel is noiseless, as in warm-up and under a silent profile."""
+        epoch, start = batch
+        rows = min(config.batch_size, len(x) - start)
         shape = (rows, alphas.size)
-        if noiseless:
+        if epoch < config.warmup_epochs or silent_profile:
             # skip the mu draw exactly, leaving the stream where the robust
             # path's draw would; at mu = d = 0 the three-point law is one
             # Bernoulli(f) bit, bitwise
@@ -245,12 +249,11 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
                 order = shuffle_rng.permutation(len(x))
                 tot_loss = tot_mse = tot_ce = 0.0
                 correct = 0
-                n_batches = 0
-                for start in range(0, len(x), config.batch_size):
+                # zip takes the start first, so an epoch's end draws nothing
+                for start, (mu, d, u) in zip(starts, channels):
                     idx = order[start:start + config.batch_size]
                     xb, yb = x[idx], y[idx]
                     f = models.encoder.forward(xb)
-                    mu, d, u = next(channels)
                     if mu is None:
                         b_hat = sample_latent_bits(f, u).astype(np.float64)
                     else:
@@ -265,12 +268,11 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
                     tot_loss += loss
                     tot_mse += mse
                     tot_ce += ce
-                    n_batches += 1
                 result.metrics.append(EpochMetrics(
                     epoch=epoch,
-                    loss=tot_loss / n_batches,
-                    mse=tot_mse / n_batches,
-                    ce=tot_ce / n_batches,
+                    loss=tot_loss / len(starts),
+                    mse=tot_mse / len(starts),
+                    ce=tot_ce / len(starts),
                     accuracy=correct / len(x),
                 ))
     finally:

@@ -315,6 +315,33 @@ class TestCommands:
         path.write_text(text)
         assert_one_line_error(*run_cli(capsys, *argv, str(path)), message)
 
+    def test_training_refuses_a_profile_file_wider_than_the_cap(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        """A profile file is held to the --latent-bits cap of 10^4 bits when it
+        trains, before any model or batch is built; adaptive-plan still takes it."""
+        from semlink import cli
+
+        def no_training(*args):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        path = tmp_path / "wide.profile"
+        path.write_text("".join(f"{i},0.3,0.5\n" for i in range(10001)))
+        assert_one_line_error(*run_cli(capsys, "train", *TINY_TRAIN, "--profile", str(path)),
+                              "error: a profile holds at most 10000 bits, got 10001")
+        code, out, _ = run_cli(capsys, "adaptive-plan", "--snr-db", "6", "--profile", str(path))
+        assert code == 0 and len(out.splitlines()) == 1 + 10001
+
+    def test_models_above_the_parameter_cap_are_a_one_line_error(self, capsys):
+        """4000001 parameters, one above the cap: 20676 features, 34 latent bits
+        and 27 classes; the same shape with 35 bits and 25 classes is the cap."""
+        argv = ("train", "--classes", "27", "--per-class", "1", "--dim", "20676",
+                "--latent-bits", "34", "--epochs", "1", "--warmup-epochs", "0")
+        assert_one_line_error(
+            *run_cli(capsys, *argv),
+            "error: models of widths 20676-64-32-34, 34-32-64-20676, 20676-64-32-27 "
+            "hold 4000001 parameters, more than 4000000\n")
+
     @pytest.mark.parametrize("argv", [
         ("adaptive-plan", "--snr-db", "0", "--profile"),
         ("capacity", "--g1", "0.37", "--g2", "2.5", "--config"),

@@ -486,8 +486,7 @@ class TestMeanSe:
 def trained_setup():
     ds = synth_dataset(6, 32, 40, 1.0, RandomSource(90))
     profile = RobustnessProfile.homogeneous(24, 0.4, a=0.5)
-    cfg = TrainingConfig(profile=profile, epochs=25, warmup_epochs=5, batch_size=64,
-                         seed=13, enc_hidden=(32,), dec_hidden=(32,), clf_hidden=(32,))
+    cfg = TrainingConfig(profile=profile, epochs=25, warmup_epochs=5, batch_size=64, seed=13)
     result = train(ds, cfg)
     return ds, profile, result.models
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semlink.bsec import RobustnessProfile, sample_mu_matrix
+from semlink.bsec import MAX_PROFILE_BITS, RobustnessProfile, sample_mu_matrix
 from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, DomainError, TrainingError
 from semlink import jscc
 from semlink.jscc import (
+    MAX_MODEL_PARAMS,
     TrainingConfig,
     _blas_threads,
     backward_with_bypass,
@@ -42,9 +43,6 @@ def tiny_config(n_bits=12, **kw):
         warmup_epochs=1,
         batch_size=32,
         seed=7,
-        enc_hidden=(16,),
-        dec_hidden=(16,),
-        clf_hidden=(16,),
     )
     defaults.update(kw)
     return TrainingConfig(**defaults)
@@ -261,8 +259,7 @@ class TestTrainingThreads:
     def test_blas_threads_restored_after_training_error(self):
         ds = Dataset(features=np.full((8, 4), 1e200), labels=np.zeros(8, dtype=np.int64),
                      n_classes=1)
-        cfg = tiny_config(n_bits=4, epochs=2, warmup_epochs=0, batch_size=8,
-                          enc_hidden=(4,), dec_hidden=(4,), clf_hidden=(4,))
+        cfg = tiny_config(n_bits=4, epochs=2, warmup_epochs=0, batch_size=8)
         with pytest.raises(TrainingError, match="epoch 0"):
             self.train_from_two_blas_threads(ds, cfg)
 
@@ -448,11 +445,8 @@ class TestTraining:
     def test_zero_alpha_profile_equals_pure_warmup(self):
         ds = tiny_dataset()
         all_warm = tiny_config(epochs=3, warmup_epochs=3)
-        zero_alpha = TrainingConfig(
-            profile=RobustnessProfile.homogeneous(12, 0.0, a=0.0),
-            epochs=3, warmup_epochs=0, batch_size=32, seed=7,
-            enc_hidden=(16,), dec_hidden=(16,), clf_hidden=(16,),
-        )
+        zero_alpha = TrainingConfig(profile=RobustnessProfile.homogeneous(12, 0.0, a=0.0),
+                                    epochs=3, warmup_epochs=0, batch_size=32, seed=7)
         a = train(ds, all_warm)
         b = train(ds, zero_alpha)
         for ma, mb in zip(a.metrics, b.metrics):
@@ -473,8 +467,7 @@ class TestTraining:
         monkeypatch.setattr(jscc, "noisy_latent_sample", recorded)
         a_offsets = np.array([1.0, 0.5, 0.0, 1.0])
         cfg = TrainingConfig(profile=RobustnessProfile(np.zeros(4), a_offsets),
-                             epochs=2, warmup_epochs=1, batch_size=32, seed=7,
-                             enc_hidden=(8,), dec_hidden=(8,), clf_hidden=(8,))
+                             epochs=2, warmup_epochs=1, batch_size=32, seed=7)
         train(tiny_dataset(), cfg)
         assert len(seen) == 4  # the second epoch's batches; warm-up stays noiseless
         for d in seen:
@@ -483,8 +476,7 @@ class TestTraining:
     def test_divergence_raises_with_epoch(self):
         features = np.full((8, 4), 1e200)
         ds = Dataset(features=features, labels=np.zeros(8, dtype=np.int64), n_classes=1)
-        cfg = tiny_config(n_bits=4, epochs=2, warmup_epochs=0, batch_size=8,
-                          enc_hidden=(4,), dec_hidden=(4,), clf_hidden=(4,))
+        cfg = tiny_config(n_bits=4, epochs=2, warmup_epochs=0, batch_size=8)
         with pytest.raises(TrainingError, match="epoch 0"):
             train(ds, cfg)
 
@@ -532,6 +524,36 @@ class TestTraining:
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="loss weight"):
                 tiny_config(loss_weight=bad)
+
+    def test_profile_wider_than_the_cap_rejected(self):
+        """The classmethods' cap of MAX_PROFILE_BITS holds for a profile built
+        any other way, as from a file."""
+        def wide(n):
+            return RobustnessProfile(np.full(n, 0.3), np.full(n, 0.5))
+
+        assert len(tiny_config(profile=wide(MAX_PROFILE_BITS)).profile) == MAX_PROFILE_BITS
+        with pytest.raises(DomainError) as err:
+            tiny_config(profile=wide(MAX_PROFILE_BITS + 1))
+        assert str(err.value) == f"a profile holds at most {MAX_PROFILE_BITS} bits, got 10001"
+
+    def test_models_up_to_the_parameter_cap(self):
+        """20676 features, 35 bits and 25 classes make MAX_MODEL_PARAMS
+        weights and biases; with 34 bits and 27 classes, one more is refused
+        before any weight is drawn."""
+        models = build_models(20676, 25, tiny_config(n_bits=35), RandomSource(68))
+        assert sum(model.params.size for model in
+                   (models.encoder, models.decoder, models.classifier)) == MAX_MODEL_PARAMS
+        del models
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as err:
+                build_models(20676, 27, tiny_config(n_bits=34), RandomSource(69))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert str(err.value) == ("models of widths 20676-64-32-34, 34-32-64-20676, "
+                                  "20676-64-32-27 hold 4000001 parameters, more than 4000000")
 
     def test_eval_under_bsec_bounds(self):
         ds = tiny_dataset()
