@@ -443,14 +443,20 @@ class TestTraining:
             np.testing.assert_array_equal(la.weight, lb.weight)
 
     def test_zero_alpha_profile_equals_pure_warmup(self):
+        """All warm-up, a zero profile without warm-up and the warm-up-only
+        baseline train the same models: a noiseless batch moves the stream
+        past the mu draw whichever way it is made noiseless."""
         ds = tiny_dataset()
         all_warm = tiny_config(epochs=3, warmup_epochs=3)
         zero_alpha = TrainingConfig(profile=RobustnessProfile.homogeneous(12, 0.0, a=0.0),
                                     epochs=3, warmup_epochs=0, batch_size=32, seed=7)
-        a = train(ds, all_warm)
-        b = train(ds, zero_alpha)
-        for ma, mb in zip(a.metrics, b.metrics):
-            assert ma.loss == mb.loss
+        runs = [train(ds, cfg) for cfg in (all_warm, zero_alpha,
+                                             warmup_only_config(tiny_config(epochs=3)))]
+        for run in runs[1:]:
+            assert run.metrics == runs[0].metrics
+            for name in ("encoder", "decoder", "classifier"):
+                np.testing.assert_array_equal(getattr(run.models, name).params,
+                                              getattr(runs[0].models, name).params)
 
     def test_zero_alpha_bits_at_offset_one_are_sampled(self, monkeypatch):
         """A zero profile with a bit at offset 1 stays on the sampled path:
