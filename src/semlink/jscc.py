@@ -7,11 +7,10 @@ from the order-2 closed form at each bit's own boundary offset, and the
 decoder input is drawn in one step from the marginal law over {0, 0.5, 1}.
 The sampling stage is non-differentiable, so gradients at the decoder input
 pass through to the encoder's probabilities unchanged. A warm-up period
-trains with a noiseless latent channel first. A noiseless batch (warm-up, or
-a zero profile with no bit at offset 1) skips the flip-probability draw
-exactly, moving the noise stream past it, and samples plain Bernoulli bits,
-so its bytes equal a run that draws mu and scales it by zero. At offset 1 a
-bit is erased half the time even at mu = 0, so such a profile is sampled.
+trains with a noiseless latent channel first. A warm-up batch skips the
+flip-probability draw exactly, moving the noise stream past it, and samples
+plain Bernoulli bits, so its bytes equal a run that draws mu and scales it
+by zero.
 
 The reconstruction term is plain squared error. Viewing the decoder as
 Gaussian with some fixed isotropic variance would only wrap that error in
@@ -216,20 +215,18 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
     opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas, a_offsets = config.profile.alphas, config.profile.a_offsets
-    # with every alpha at 0, mu is 0: the profile is silent if d(0, a) is 0 too
-    silent_profile = not alphas.any() and not erasure_from_mu_array(alphas, a_offsets).any()
     result = TrainResult(models=models)
     starts = range(0, len(x), config.batch_size)
     # made as drawn, so memory does not grow with epochs
     batches = ((epoch, start) for epoch in range(config.epochs) for start in starts)
 
     def draw(batch):
-        """Batch (epoch, start)'s (mu, d, uniforms); mu and d are None when its
-        channel is noiseless, as in warm-up and under a silent profile."""
+        """Batch (epoch, start)'s (mu, d, uniforms); mu and d are None in
+        warm-up, whose channel is noiseless."""
         epoch, start = batch
         rows = min(config.batch_size, len(x) - start)
         shape = (rows, alphas.size)
-        if epoch < config.warmup_epochs or silent_profile:
+        if epoch < config.warmup_epochs:
             # skip the mu draw exactly, leaving the stream where the robust
             # path's draw would; at mu = d = 0 the three-point law is one
             # Bernoulli(f) bit, bitwise
@@ -357,6 +354,5 @@ def eval_under_bsec(models: ModelTriple, dataset, mu: float, d: float,
 
 
 def warmup_only_config(config: TrainingConfig) -> TrainingConfig:
-    """Same schedule with a zero-robustness profile (noiseless latent channel)."""
-    n = len(config.profile)
-    return replace(config, profile=RobustnessProfile.homogeneous(n, 0.0, a=0.0))
+    """The same run with every epoch a warm-up epoch (noiseless latent channel)."""
+    return replace(config, warmup_epochs=config.epochs)

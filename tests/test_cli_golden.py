@@ -59,7 +59,8 @@ TRAIN = ["train", *TINY_DATA, "--profile", str(MIXED), "--epochs", "4",
 # a homogeneous a = 0.5 profile; 120 examples leave a short last batch of 24
 TRAIN_A05 = ["train", *TINY_DATA, "--latent-bits", "12", "--alpha", "0.4", "--a", "0.5",
              "--epochs", "4", "--warmup-epochs", "1", "--batch-size", "32", "--seed", "3"]
-# every epoch noiseless: the mu draws it skips are 175 and 140 doubles long
+# a zero profile: after warm-up its mu draws (175 and 140 doubles a batch)
+# scale to 0, so every epoch's bits are the warm-up's Bernoulli bits
 TRAIN_ALPHA0 = ["train", *TINY_DATA, "--latent-bits", "7", "--alpha", "0", "--a", "0.5",
                 "--epochs", "3", "--warmup-epochs", "1", "--batch-size", "25", "--seed", "4"]
 TRAIN_RUNS = {"train.csv": (TRAIN, MODEL_DIR),

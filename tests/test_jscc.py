@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,8 +116,9 @@ class TestLatentSampling:
 
     @pytest.mark.parametrize("prior", [0, 1, 2, 3, 5])
     def test_noiseless_shortcut_equals_zero_channel_sample(self, prior):
-        # training's noiseless batches skip the mu draw and take u < f; that
-        # must equal drawing mu = 0 and sampling the three-point law at d = 0
+        # training's warm-up batches skip the mu draw and take u < f; that
+        # must equal drawing mu = 0 and sampling the three-point law at d = 0,
+        # as a zero profile does after warm-up
         f = RandomSource(10).random((25, 7))
         f[0, :3] = 0.0
         f[1, 2:6] = 1.0
@@ -459,8 +461,8 @@ class TestTraining:
                                               getattr(runs[0].models, name).params)
 
     def test_zero_alpha_bits_at_offset_one_are_sampled(self, monkeypatch):
-        """A zero profile with a bit at offset 1 stays on the sampled path:
-        at mu = 0 the map erases that bit half the time, and only it."""
+        """After warm-up a zero profile is sampled from the three-point law:
+        at mu = 0 the map erases a bit at offset 1 half the time, and only it."""
         from semlink import jscc
 
         seen = []
@@ -611,7 +613,9 @@ class TestTraining:
         np.testing.assert_array_equal(rng.random(3), RandomSource(62).random(3))
 
     def test_warmup_only_config_strips_noise(self):
+        """Every epoch is a warm-up epoch; the profile and the rest stay."""
         cfg = tiny_config()
         warm = warmup_only_config(cfg)
-        assert np.all(warm.profile.alphas == 0.0)
-        assert warm.epochs == cfg.epochs
+        assert warm.profile is cfg.profile
+        assert warm.warmup_epochs == warm.epochs == cfg.epochs
+        assert replace(warm, warmup_epochs=cfg.warmup_epochs) == cfg
