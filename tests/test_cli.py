@@ -2,8 +2,12 @@
 
 import contextlib
 import io
+import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -815,3 +819,95 @@ class TestArgvFuzz:
         assert code in (0, 1, 2)
         if code != 0:
             assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+
+
+# Every integer flag of train, eval, simulate-ber and bsec-table just above its
+# cap, at 10^20 and at 2^63. Each train run has one epoch: a larger --epochs
+# only costs time, so it is not tried.
+HUGE = ("100000000000000000000", str(2**63))
+SIZE_BASES = {
+    "train": ("train", *TINY_TRAIN),
+    "eval": ("eval", "--model-dir", str(GOLDEN_MODELS), *GOLDEN_DATA, "--uniform", "0.37:2.5"),
+    "simulate-ber": ("simulate-ber", "--order", "2", "--snr-db", "0:0:1", "--n-bits", "1000"),
+    "bsec-table": ("bsec-table", "--order", "2", "--a", "0.5", "--snr-db", "0:0:1",
+                   "--n-bits", "1000"),
+}
+SIZE_FLAGS = {
+    "train": ("--classes", "--dim", "--per-class", "--data-seed", "--latent-bits",
+              "--warmup-epochs", "--batch-size", "--seed"),
+    "eval": ("--classes", "--dim", "--per-class", "--data-seed", "--fixed-order",
+             "--images-per-block", "--seed"),
+    "simulate-ber": ("--order", "--n-bits", "--seed"),
+    "bsec-table": ("--order", "--n-bits", "--seed"),
+}
+# the batch cap is 2^22 entries in the widest layer
+BATCH_ABOVE_CAP = {
+    "dim": ("--classes", "2", "--per-class", "128", "--dim", "16385", "--batch-size", "256"),
+    "classes": ("--classes", "16385", "--per-class", "1", "--batch-size", "256"),
+    "latent-bits": ("--classes", "2", "--per-class", "210", "--latent-bits", "10000",
+                    "--batch-size", "420"),
+    "batch-size": ("--classes", "10", "--per-class", "6554", "--dim", "64",
+                   "--batch-size", "65537"),
+}
+# batch sizes that a dataset fills, which once ended in a MemoryError
+BATCH_REPROS = (
+    ("train", "--dim", "1", "--classes", "10", "--per-class", "1000000",
+     "--batch-size", "10000000", "--epochs", "1", "--warmup-epochs", "0"),
+    ("train", "--dim", "10", "--classes", "10", "--per-class", "100000",
+     "--batch-size", "1000000", "--latent-bits", "4", "--epochs", "1", "--warmup-epochs", "0"),
+)
+SIZE_ARGVS = [
+    *((*SIZE_BASES[command], flag, value)
+      for command, flags in SIZE_FLAGS.items() for flag in flags for value in HUGE),
+    *((*SIZE_BASES["train"], *flags) for flags in BATCH_ABOVE_CAP.values()),
+    # the synthetic-data, profile, warm-up and parameter caps
+    (*SIZE_BASES["train"], "--classes", "625001"),
+    (*SIZE_BASES["train"], "--per-class", "1250001"),
+    (*SIZE_BASES["train"], "--dim", "1250001"),
+    (*SIZE_BASES["train"], "--latent-bits", "10001"),
+    (*SIZE_BASES["train"], "--warmup-epochs", "2"),
+    ("train", "--classes", "27", "--per-class", "1", "--dim", "20676", "--latent-bits", "34",
+     "--epochs", "1", "--warmup-epochs", "0"),
+    (*SIZE_BASES["eval"], "--per-class", "416667"),
+    *((*SIZE_BASES[command], "--n-bits", "100000001") for command in ("simulate-ber",
+                                                                      "bsec-table")),
+    *BATCH_REPROS,
+]
+# One child runs every argv under a 2.5 GB address-space limit, so a size that
+# allocates fails there instead of exhausting the host's memory. An exception
+# that escapes main is reported by name.
+SIZE_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+from semlink.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except BaseException as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_sizes_end_without_traceback_under_a_memory_limit():
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", SIZE_CHILD], input=json.dumps(SIZE_ARGVS),
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    results = dict(zip(map(tuple, SIZE_ARGVS), json.loads(done.stdout)))
+    for argv, (code, err) in results.items():
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        if code != 0:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    for argv in BATCH_REPROS:
+        code, err = results[argv]
+        assert code == 1 and err.count("\n") == 1, (argv, err)
+        assert err.startswith("error: a batch of ") and "more than 4194304" in err, err
