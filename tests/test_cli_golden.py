@@ -9,7 +9,9 @@ and train goldens are rewritten first, since the eval goldens read
 `train_models`.
 """
 
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +113,60 @@ def test_goldens_hold_with_one_blas_thread(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDENS / name).read_bytes(), name
     for model in MODEL_FILES:
         assert (tmp_path / model).read_bytes() == (MODEL_DIR / model).read_bytes(), model
+
+
+# Runs each argv of the JSON list in file argv[1] through main and prints the exit
+# codes and the name of the OpenBLAS kernel in use (None where numpy.libs holds
+# no OpenBLAS)
+KERNEL_CHILD = """
+import ctypes, glob, json, sys
+from pathlib import Path
+import numpy as np
+from semlink.cli import main
+core = None
+for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+json.dump([core, [main(argv) for argv in json.loads(Path(sys.argv[1]).read_text())]],
+          sys.stdout)
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_csv_goldens_hold_under_other_blas_kernels(tmp_path):
+    """Every CSV golden and selfcheck.txt, remade under the AVX2 (Haswell) and
+    the SSE3 (Prescott) OpenBLAS kernels, each forced for one child process.
+    The model files differ between kernels, so they stay out."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {name: argv for name, (argv, _) in TRAIN_RUNS.items()} | CASES
+    children = {}
+    for kernel in ("Haswell", "Prescott"):
+        (tmp_path / kernel).mkdir()
+        argvs = tmp_path / f"{kernel}.json"
+        argvs.write_text(json.dumps([[*argv, "--out", str(tmp_path / kernel / name)]
+                                     for name, argv in runs.items()]))
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        children[kernel] = subprocess.Popen(
+            [sys.executable, "-c", KERNEL_CHILD, str(argvs)], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    cores = {}
+    for kernel, child in children.items():
+        out, err = child.communicate()
+        assert child.returncode == 0, err
+        cores[kernel], codes = json.loads(out)
+        assert codes == [0] * len(runs), (kernel, codes)
+        for name in runs:
+            assert (tmp_path / kernel / name).read_bytes() == (GOLDENS / name).read_bytes(), \
+                (kernel, name)
+    # the variable took effect: the children ran two kernels, one of them Haswell
+    assert cores["Haswell"] in ("Haswell", None) and cores["Prescott"] != "Haswell", cores
 
 
 def test_regenerate_needs_known_names(capsys):
