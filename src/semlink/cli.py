@@ -263,7 +263,7 @@ def _load_models(model_dir, dataset) -> ModelTriple:
     """Load the three model files and check that they chain with the dataset."""
     paths = [Path(model_dir) / name for name in MODEL_FILES]
     enc, dec, clf = (load_model(path) for path in paths)
-    dim = dataset.feature_dim
+    dim = dataset.features.shape[1]
     for path, what, got, want, source in (
         (paths[0], "input", enc.in_dim, dim, "the dataset's feature dim"),
         (paths[1], "input", dec.in_dim, enc.out_dim, "the encoder's output dim"),

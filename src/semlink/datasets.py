@@ -45,10 +45,6 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", np.asarray(labels, dtype=np.int64))
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
     def __len__(self) -> int:
         return self.features.shape[0]
 

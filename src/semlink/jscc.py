@@ -50,15 +50,12 @@ class TrainingConfig:
         # file: each batch holds several arrays of the profile's width
         check_width(len(self.profile))
         if not (0 <= self.warmup_epochs <= self.epochs):
-            raise ConfigError(
-                f"warmup_epochs={self.warmup_epochs} must lie in [0, epochs={self.epochs}]"
-            )
+            raise ConfigError(f"warmup_epochs={self.warmup_epochs} must lie in "
+                              f"[0, epochs={self.epochs}]")
         if not (0 <= self.loss_weight < math.inf):
             raise ConfigError(f"loss weight must be finite and >= 0, got {self.loss_weight}")
         if not (0 < self.learning_rate < math.inf):
-            raise ConfigError(
-                f"learning rate must be finite and > 0, got {self.learning_rate}"
-            )
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -91,28 +88,28 @@ ENC_HIDDEN, DEC_HIDDEN, CLF_HIDDEN = (64, 32), (32, 64), (64, 32)
 # inputs (about 3.2M) fit, and one float64 copy of them takes at most 32 MB;
 # training holds the parameters, their gradients and two Adam moments
 MAX_MODEL_PARAMS = 4 * 10**6
-# Most entries a training batch may hold in its widest layer: a 256-row batch
-# of 128x128-pixel inputs is exactly this, and one float64 array that size
-# takes 32 MiB; a batch holds several arrays of its widest layer's size
+# Most entries a training batch may hold in its widest layer: 256 rows of
+# 128x128-pixel inputs, 32 MiB of float64 in each array of that layer's size
 MAX_BATCH_ENTRIES = 2**22
 
 
-def _stack_widths(input_dim: int, n_bits: int, n_classes: int) -> tuple[list[int], ...]:
-    """Layer widths of the encoder, decoder and classifier stacks."""
-    return ([input_dim, *ENC_HIDDEN, n_bits], [n_bits, *DEC_HIDDEN, input_dim],
-            [input_dim, *CLF_HIDDEN, n_classes])
-
-
 def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
-                 rng: RandomSource) -> ModelTriple:
+                 rng: RandomSource, batch_rows: int = 0) -> ModelTriple:
     """The three dense stacks; the encoder ends in a sigmoid, classifier in logits.
-    Their parameters are counted before any weight is drawn."""
-    widths = _stack_widths(input_dim, len(config.profile), n_classes)
+    Their parameters, and a batch of batch_rows rows in the widest layer, are
+    counted before any weight is drawn."""
+    n = len(config.profile)
+    widths = ([input_dim, *ENC_HIDDEN, n], [n, *DEC_HIDDEN, input_dim],
+              [input_dim, *CLF_HIDDEN, n_classes])
     count = sum(a * b + b for stack in widths for a, b in zip(stack, stack[1:]))
     if count > MAX_MODEL_PARAMS:
         raise DomainError(
             f"models of widths {', '.join('-'.join(map(str, stack)) for stack in widths)} "
             f"hold {count} parameters, more than {MAX_MODEL_PARAMS}")
+    wide = max(map(max, widths))
+    if batch_rows * wide > MAX_BATCH_ENTRIES:
+        raise DomainError(f"a batch of {batch_rows} rows {wide} wide holds "
+                          f"{batch_rows * wide} entries, more than {MAX_BATCH_ENTRIES}")
     enc_rng, dec_rng, clf_rng = rng.split(3)
     enc = init_model(widths[0], ["relu"] * len(ENC_HIDDEN) + ["sigmoid"], enc_rng)
     dec = init_model(widths[1], ["relu"] * len(DEC_HIDDEN) + ["identity"], dec_rng)
@@ -215,18 +212,13 @@ def train(dataset, config: TrainingConfig) -> TrainResult:
     nothing the models compute, so the channels are numerics.drawn_ahead:
     batch 0's is drawn inline and one worker thread draws batch b + 1's while
     batch b trains. The values are those of an inline run, and the worker is
-    joined before the call returns or raises. A batch whose widest layer
-    holds more than MAX_BATCH_ENTRIES entries is refused before anything is
-    built or drawn.
+    joined before the call returns or raises.
     """
-    x, y = dataset.features, dataset.labels
-    batch_rows = min(config.batch_size, len(x))
-    wide = max(map(max, _stack_widths(x.shape[1], len(config.profile), dataset.n_classes)))
-    if batch_rows * wide > MAX_BATCH_ENTRIES:
-        raise DomainError(f"a batch of {batch_rows} rows {wide} wide holds {batch_rows * wide} "
-                          f"entries, more than {MAX_BATCH_ENTRIES}")
     model_rng, shuffle_rng, noise_rng = RandomSource(config.seed).split(3)
-    models = build_models(x.shape[1], dataset.n_classes, config, model_rng)
+
+    x, y = dataset.features, dataset.labels
+    models = build_models(x.shape[1], dataset.n_classes, config, model_rng,
+                          min(config.batch_size, len(x)))
     opt = AdamState([models.encoder, models.decoder, models.classifier])
     alphas, a_offsets = config.profile.alphas, config.profile.a_offsets
     result = TrainResult(models=models)

@@ -49,7 +49,7 @@ class TestIdx:
         ds = load_idx(tmp_path / "imgs", tmp_path / "labels")
         assert abs(ds.features.mean()) <= 1e-9
         assert ds.n_classes == 3
-        assert ds.feature_dim == 9
+        assert ds.features.shape == (10, 9)
 
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "bad"

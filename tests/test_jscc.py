@@ -16,6 +16,7 @@ from semlink.datasets import Dataset, synth_dataset
 from semlink.errors import ConfigError, DomainError, TrainingError
 from semlink import jscc
 from semlink.jscc import (
+    MAX_BATCH_ENTRIES,
     MAX_MODEL_PARAMS,
     TrainingConfig,
     _blas_threads,
@@ -562,6 +563,22 @@ class TestTraining:
         assert peak < 2 ** 20
         assert str(err.value) == ("models of widths 20676-64-32-34, 34-32-64-20676, "
                                   "20676-64-32-27 hold 4000001 parameters, more than 4000000")
+
+    def test_batches_up_to_the_entry_cap(self):
+        """256 rows of 128x128-pixel inputs make MAX_BATCH_ENTRIES entries in
+        the widest layer; one more row is refused before any weight is drawn."""
+        assert 256 * 128 * 128 == MAX_BATCH_ENTRIES
+        build_models(128 * 128, 10, tiny_config(), RandomSource(70), 256)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as err:
+                build_models(128 * 128, 10, tiny_config(), RandomSource(71), 257)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert str(err.value) == ("a batch of 257 rows 16384 wide holds 4210688 entries, "
+                                  "more than 4194304")
 
     def test_eval_under_bsec_bounds(self):
         ds = tiny_dataset()
