@@ -50,12 +50,15 @@ class TrainingConfig:
         # file: each batch holds several arrays of the profile's width
         check_width(len(self.profile))
         if not (0 <= self.warmup_epochs <= self.epochs):
-            raise ConfigError(f"warmup_epochs={self.warmup_epochs} must lie in "
-                              f"[0, epochs={self.epochs}]")
+            raise ConfigError(
+                f"warmup_epochs={self.warmup_epochs} must lie in [0, epochs={self.epochs}]"
+            )
         if not (0 <= self.loss_weight < math.inf):
             raise ConfigError(f"loss weight must be finite and >= 0, got {self.loss_weight}")
         if not (0 < self.learning_rate < math.inf):
-            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+            raise ConfigError(
+                f"learning rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -88,16 +91,14 @@ ENC_HIDDEN, DEC_HIDDEN, CLF_HIDDEN = (64, 32), (32, 64), (64, 32)
 # inputs (about 3.2M) fit, and one float64 copy of them takes at most 32 MB;
 # training holds the parameters, their gradients and two Adam moments
 MAX_MODEL_PARAMS = 4 * 10**6
-# Most entries a training batch may hold in its widest layer: 256 rows of
-# 128x128-pixel inputs, 32 MiB of float64 in each array of that layer's size
+# Most entries a training batch may hold in its widest layer: 256 rows of 128x128 pixels
 MAX_BATCH_ENTRIES = 2**22
 
 
 def build_models(input_dim: int, n_classes: int, config: TrainingConfig,
                  rng: RandomSource, batch_rows: int = 0) -> ModelTriple:
     """The three dense stacks; the encoder ends in a sigmoid, classifier in logits.
-    Their parameters, and a batch of batch_rows rows in the widest layer, are
-    counted before any weight is drawn."""
+    Their parameters and a batch of batch_rows rows are counted before any weight is drawn."""
     n = len(config.profile)
     widths = ([input_dim, *ENC_HIDDEN, n], [n, *DEC_HIDDEN, input_dim],
               [input_dim, *CLF_HIDDEN, n_classes])
